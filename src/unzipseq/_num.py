@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 
 def softplus(z: float) -> float:
     """log(1 + e^z), stable for any finite z."""
@@ -23,23 +21,3 @@ def log1mexp(z: float) -> float:
     if z > -0.693147:
         return math.log(-math.expm1(z))
     return math.log1p(-math.exp(z))
-
-
-def logsumexp(values) -> float:
-    """log sum exp of a 1-D collection; empty or all -inf gives -inf."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return -math.inf
-    m = float(np.max(arr))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(arr - m))))
-
-
-def logsumexp_rows(mat: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp of a 2-D array, tolerating all -inf rows."""
-    m = np.max(mat, axis=1)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = safe + np.log(np.sum(np.exp(mat - safe[:, None]), axis=1))
-    return np.where(np.isfinite(m), out, m)

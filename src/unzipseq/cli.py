@@ -34,7 +34,6 @@ from .energy import (
     EnergyTable,
     ModelParams,
     environment_from_json,
-    free_energy_profile,
 )
 from .inference import (
     Prior,
@@ -55,8 +54,9 @@ from .protocols import (
     validate_ladder,
     window_schedule,
 )
-from .rates import decision_margins, rate_report, rc_site
+from .rates import decision_margins, expected_unzip_time, rate_report, rc_site
 from .walker import (
+    DEFAULT_STEP_CAP,
     AggregateStats,
     SeedSpec,
     StepCapExceeded,
@@ -65,6 +65,7 @@ from .walker import (
     simulate_continuous_walk,
     simulate_ensemble,
     trace_csv_rows,
+    verify_conservation,
 )
 
 __all__ = ["main", "cli_entry"]
@@ -72,6 +73,10 @@ __all__ = ["main", "cli_entry"]
 
 class ConfigError(ValueError):
     pass
+
+
+class RunAbort(RuntimeError):
+    """A run that cannot finish, refused before any work starts."""
 
 
 _COMMON_KEYS = {"command", "environment", "mode", "seed", "out", "format", "step_cap"}
@@ -182,6 +187,20 @@ def _step_cap_kwargs(cfg: dict) -> dict:
     return {"step_cap": int(cfg["step_cap"])} if "step_cap" in cfg else {}
 
 
+def _require_finishable(env: Environment, cfg: dict) -> None:
+    """Refuse walks whose analytic expected length is over the step cap.
+
+    Compared in log space: a deep valley's expectation can overflow a float.
+    """
+    cap = int(cfg.get("step_cap", DEFAULT_STEP_CAP))
+    log_steps = expected_unzip_time(env, 1).log_expectation
+    if log_steps > math.log(cap):
+        raise RunAbort(
+            f"expected 10^{log_steps / math.log(10):.1f} steps per walk, over the step cap "
+            f"{cap}; raise the force or the step cap"
+        )
+
+
 def _jsonable(obj):
     """Repackage for canonical JSON: NaN/inf become null."""
     if isinstance(obj, dict):
@@ -253,6 +272,7 @@ def cmd_simulate(cfg: dict) -> int:
     R = int(_require(cfg, "R"))
     seed = _seed(cfg)
     out = _outdir(cfg)
+    _require_finishable(env, cfg)
     agg = simulate_ensemble(env, R, mode, seed, **_step_cap_kwargs(cfg))
     _write_json(out / "stats.json", agg.to_json_dict())
     if cfg.get("format") == "csv":
@@ -352,28 +372,14 @@ def cmd_infer(cfg: dict) -> int:
         return _infer_grid(cfg, env, mode, prior, b1, out)
 
     if "stats" in cfg:
-        try:
-            doc = json.loads(Path(cfg["stats"]).read_text())
-        except OSError as e:
-            raise ConfigError(f"stats: cannot read file: {e}") from e
-        agg = AggregateStats.from_json_dict(doc)
-        if agg.M != env.M:
-            raise ConfigError(f"stats: M = {agg.M} does not match environment M = {env.M}")
-        if agg.mode != mode:
-            raise ConfigError(f"stats: recorded mode {agg.mode!r} does not match {mode!r}")
+        agg = _load_stats(cfg["stats"], env, mode)
     else:
         R = int(_require(cfg, "R"))
-        agg = simulate_ensemble(env, R, mode, _seed(cfg), **_step_cap_kwargs(cfg))
+        seed = _seed(cfg)
+        _require_finishable(env, cfg)
+        agg = simulate_ensemble(env, R, mode, seed, **_step_cap_kwargs(cfg))
 
-    report = error_report(agg, env, prior, mode, b1, h_max)
-    doc = report.to_json_dict()
-    doc["site_posteriors"] = [
-        {
-            "site": x,
-            "probs": {b.name: p for b, p in site_posterior(agg, env, x, prior, mode).probs.items()},
-        }
-        for x in range(2, env.M)
-    ]
+    doc = error_report(agg, env, prior, mode, b1, h_max).to_json_dict()
     _write_json(out / "decode.json", doc)
     if cfg.get("format") == "csv":
         rows = [
@@ -398,10 +404,35 @@ def cmd_infer(cfg: dict) -> int:
     return 0
 
 
+def _load_stats(path: str, env: Environment, mode: str) -> AggregateStats:
+    """A stats file, checked field by field and against the flow identities."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ConfigError(f"stats: cannot read file: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"stats: invalid JSON: {e}") from e
+    try:
+        agg = AggregateStats.from_json_dict(doc)
+    except ValueError as e:
+        raise ConfigError(f"stats: {e}") from None
+    if agg.M != env.M:
+        raise ConfigError(f"stats: M = {agg.M} does not match environment M = {env.M}")
+    if agg.mode != mode:
+        raise ConfigError(f"stats: recorded mode {agg.mode!r} does not match {mode!r}")
+    broken = verify_conservation(agg)
+    if broken:
+        raise ConfigError(
+            "stats: L_plus, L_minus and steps break the flow identities: " + "; ".join(broken[:3])
+        )
+    return agg
+
+
 def _infer_grid(cfg, env, mode, prior, b1, out: Path) -> int:
     grid = _parse_grid(cfg["R_grid"])
     seed = _seed(cfg)
     site = cfg.get("site")
+    _require_finishable(env, cfg)
     stats_seq = accumulate_checkpoints(env, mode, seed, grid, **_step_cap_kwargs(cfg))
     rows = []
     pts_any = []
@@ -461,7 +492,7 @@ def cmd_rates(cfg: dict) -> int:
     report = rate_report(env, R)
     _write_json(out / "rates.json", report.to_json_dict())
     _write_csv(out / "rates.csv", report.CSV_HEADER, report.csv_rows())
-    g = free_energy_profile(env)
+    g = env.profile
     _write_csv(out / "profile.csv", ("x", "g"), [(x, float(g[x])) for x in range(env.M)])
     return 0
 
@@ -568,7 +599,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (StepCapExceeded, ProtocolAbort) as e:
+    except (StepCapExceeded, ProtocolAbort, RunAbort) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 1
 

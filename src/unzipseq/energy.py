@@ -34,8 +34,6 @@ __all__ = [
     "InjectivityReport",
     "DEFAULT_G0",
     "hop_probability",
-    "delta_g",
-    "free_energy_profile",
     "check_injectivity",
     "transition_rates",
     "environment_from_json",
@@ -119,11 +117,6 @@ class EnergyTable:
 
     def to_nested(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self.values]
-
-
-def lookup_g0(table: EnergyTable, a: Base, c: Base) -> float:
-    """Table entry for row ``a``, column ``c``."""
-    return table.value(a, c)
 
 
 @dataclass(frozen=True)
@@ -267,6 +260,23 @@ class _SiteModel:
         return g
 
     @cached_property
+    def log_inv_pbar(self) -> np.ndarray:
+        """log(1 / p_bar_x) for x = 0..M-1, by one reverse cumulative logaddexp.
+
+        1 / p_bar_x = 1 + sum_{k=x+1..M-1} exp(beta * (g(k) - g(x))); p_bar_x
+        is the probability that a walk at x+1 reaches M before falling back
+        to x, so log(1 / p_bar_{M-1}) = 0.  Slot 0 holds 0 by convention
+        (site 1 is crossed upward on first touch).
+        """
+        bg = self.beta * self.profile
+        tail = np.full(self.M, -np.inf)  # log sum_{k > x} e^{bg[k]}
+        tail[:-1] = np.logaddexp.accumulate(bg[:0:-1])[::-1]
+        out = np.logaddexp(0.0, tail - bg)
+        out[0] = 0.0
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def up_probabilities(self) -> np.ndarray:
         """p_x for x = 1..M-1 (slot 0 unused).  p_1 = 1: site 1 is always open."""
         p = np.zeros(self.M)
@@ -344,17 +354,6 @@ class EnergyEnvironment(_SiteModel):
     @cached_property
     def edge_g0(self) -> np.ndarray:
         return _frozen_array(np.concatenate([[0.0], self.energies]))
-
-
-def delta_g(env: Environment, x: int, a: Base, c: Base) -> float:
-    """g0(a, c) minus the stretch work at site ``x``, for candidate bases a, c."""
-    env._check_site(x)
-    return env.table.value(a, c) - env.force.at(x)
-
-
-def free_energy_profile(env: _SiteModel) -> np.ndarray:
-    """g(0) = 0 and g(x) for x = 1..M-1."""
-    return env.profile
 
 
 def transition_rates(env: _SiteModel, x: int) -> tuple[float, float]:

@@ -1,17 +1,20 @@
 """Exact Bayesian inference of the base sequence from crossing statistics.
 
 The likelihood of the observed sufficient statistics factorizes over edges of
-the chain, so the posterior over sequences is a chain graphical model: site
-posteriors come from normalizing over four candidates, the global MAP from
-min-sum dynamic programming, the partition function from a log-space
-sum-product pass, and the error probabilities (at least one wrong base, at
-least h separated error blocks) from small forward recursions relative to
-the decoded sequence.
+the chain, so the posterior over sequences is a chain graphical model with
+one central object, the (M, 4, 4) edge-potential tensor phi.  Everything
+inferred is a sum or a minimum over it: site posteriors are slices of phi,
+the global MAP comes from min-sum dynamic programming with an iterative
+traceback, the partition function from a log-space sum-product pass, and the
+error probabilities (at least one wrong base, at least h separated error
+blocks) from one forward pass relative to the decoded sequence.
 
 All likelihood arithmetic is done in log-space; no R-fold products are ever
 formed, so the formulas stay exact up to R ~ 1e7 replicas and error
 probabilities far below the smallest positive float remain representable
-through their logarithms.
+through their logarithms.  Ties are decided within a tolerance scaled to the
+magnitude of the costs compared, so the rounding of sums of 1e5-1e10 sized
+terms never splits a true tie nor hides the optimum.
 
 Mode conventions: in discrete time, transitions out of site 1 are
 deterministic (p_1 = 1), so edge 1 contributes no cost; in continuous time
@@ -26,7 +29,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._num import logsumexp, logsumexp_rows, softplus
 from .energy import BASES, Base, BaseSequence, Environment
 from .walker import AggregateStats, WalkStats
 
@@ -37,19 +39,12 @@ __all__ = [
     "DecodeResult",
     "ErrorReport",
     "RateFit",
-    "DECODE_TIE_TOL",
-    "local_information",
     "site_posterior",
-    "site_map_estimate",
-    "site_error_probability",
     "build_edge_potentials",
     "decode_map",
     "log_partition",
-    "sequence_posterior",
     "sequence_log_posterior",
-    "prob_any_error",
     "log_prob_any_error",
-    "prob_nonsuccessive_errors",
     "log_prob_nonsuccessive_errors",
     "error_report",
     "empirical_rate",
@@ -57,12 +52,14 @@ __all__ = [
     "rate_residuals",
 ]
 
-# Cost-equality tolerance for surfacing ties.  The degenerate sequences the
-# model allows (all-C vs all-G and the AC/GT alternations) tie exactly in
-# floating point, so this only needs to absorb accumulation noise.
-DECODE_TIE_TOL = 1e-9
-
 MODES = ("discrete", "continuous")
+
+# Two costs are tied when they differ by at most this many ulps of the
+# magnitudes summed into them (per summed term, see _edge_scale).  The
+# degenerate twins tie bit for bit; this absorbs the rounding of sums whose
+# terms reach 1e10 at R ~ 1e7, where any fixed absolute tolerance either
+# splits true ties or, worse, drops the optimum itself.
+_TIE_ULPS = 8.0
 
 
 def _require_mode(mode: str) -> None:
@@ -113,133 +110,6 @@ class Prior:
         return math.log(float(self.probs[x, base]))
 
 
-def _edge_cost(
-    stats: WalkStats | AggregateStats,
-    env: Environment,
-    e: int,
-    u: Base,
-    v: Base,
-    mode: str,
-) -> float:
-    """Log-likelihood cost of edge e if its pair were (u, v).
-
-    Discrete: L+ log(1 + e^{beta dg}) + L- log(1 + e^{-beta dg}); edge 1 is
-    free of cost because the walk leaves site 1 with probability one.
-    Continuous: beta g0 L+ + S r e^{-beta g0}.
-    """
-    if mode == "discrete":
-        if e == 1:
-            return 0.0
-        z = env.beta * (env.table.value(u, v) - env.force.at(e))
-        return float(stats.up[e]) * softplus(z) + float(stats.down[e]) * softplus(-z)
-    if stats.sojourn is None:
-        raise ValueError("continuous-mode inference needs sojourn statistics")
-    g0 = env.table.value(u, v)
-    return env.beta * g0 * float(stats.up[e]) + float(stats.sojourn[e]) * env.rate * math.exp(
-        -env.beta * g0
-    )
-
-
-def local_information(
-    stats: WalkStats | AggregateStats,
-    env: Environment,
-    x: int,
-    triple: tuple[Base, Base, Base],
-    mode: str,
-) -> float:
-    """Local information at site x for candidate bases (a_{x-1}, a_x, a_{x+1}).
-
-    Sums the likelihood costs of the two edges meeting at x.  Smaller is more
-    likely; the site posterior is exp(-I_x) normalized over the middle base.
-    """
-    _require_mode(mode)
-    if not 2 <= x <= env.M - 1:
-        raise IndexError(f"site index {x} out of range [2, {env.M - 1}]")
-    a_prev, a_x, a_next = triple
-    return _edge_cost(stats, env, x - 1, a_prev, a_x, mode) + _edge_cost(
-        stats, env, x, a_x, a_next, mode
-    )
-
-
-@dataclass(frozen=True)
-class SitePosterior:
-    """Posterior over the base at one site given the flanking true bases.
-
-    ``log_unnormalized`` keeps the raw -I_x values so downstream error
-    probabilities can be formed without catastrophic cancellation.
-    """
-
-    site: int
-    log_unnormalized: dict[Base, float]
-    probs: dict[Base, float]
-    map_base: Base
-    tie: bool
-
-    def error_probability(self) -> float:
-        """1 - max posterior mass, formed as s/(1+s) in log space."""
-        s = self._loser_sum()
-        return s / (1.0 + s)
-
-    def log_error_probability(self) -> float:
-        """log(1 - max posterior mass); finite even when the error
-        probability underflows to zero as a float."""
-        s_log = self._loser_log_sum()
-        return s_log - softplus(s_log)
-
-    def _loser_log_sum(self) -> float:
-        best = self.log_unnormalized[self.map_base]
-        return logsumexp(
-            [lv - best for b, lv in self.log_unnormalized.items() if b is not self.map_base]
-        )
-
-    def _loser_sum(self) -> float:
-        return math.exp(min(self._loser_log_sum(), 709.0))
-
-
-def site_posterior(
-    stats: WalkStats | AggregateStats,
-    env: Environment,
-    x: int,
-    prior: Prior | None = None,
-    mode: str = "continuous",
-) -> SitePosterior:
-    """Exact posterior P(b_x = u | stats, all other bases) for u in A,T,C,G."""
-    _require_mode(mode)
-    if not 2 <= x <= env.M - 1:
-        raise IndexError(f"site index {x} out of range [2, {env.M - 1}]")
-    if prior is None:
-        prior = Prior.uniform(env.M)
-    b_prev, b_next = env.seq.base(x - 1), env.seq.base(x + 1)
-    log_un: dict[Base, float] = {}
-    for u in BASES:
-        cost = local_information(stats, env, x, (b_prev, u, b_next), mode)
-        log_un[u] = -cost + prior.log_w(x, u)
-    vals = np.array([log_un[b] for b in BASES])
-    shifted = np.exp(vals - np.max(vals))
-    probs = shifted / shifted.sum()
-    best_idx = int(np.argmax(vals))
-    tie = any(
-        i != best_idx and vals[best_idx] - vals[i] <= DECODE_TIE_TOL for i in range(4)
-    )
-    return SitePosterior(
-        site=x,
-        log_unnormalized=log_un,
-        probs={b: float(probs[i]) for i, b in enumerate(BASES)},
-        map_base=BASES[best_idx],
-        tie=tie,
-    )
-
-
-def site_map_estimate(post: SitePosterior) -> tuple[Base, bool]:
-    """Most probable base and whether the maximum is tied (Base-order break)."""
-    return post.map_base, post.tie
-
-
-def site_error_probability(post: SitePosterior) -> float:
-    """Posterior probability that the most probable base is wrong."""
-    return post.error_probability()
-
-
 @dataclass(frozen=True)
 class EdgePotentials:
     """Per-edge 4x4 log-cost tables phi_x(u, v) decomposing the global cost.
@@ -265,10 +135,6 @@ class EdgePotentials:
             sum(self.phi[x, bases[x - 1], bases[x]] for x in range(1, self.M))
         )
 
-    def shifted(self, constant: float) -> "EdgePotentials":
-        """Add a constant to every entry of every edge (posteriors must not move)."""
-        return EdgePotentials(self.phi + constant, self.mode)
-
 
 def build_edge_potentials(
     stats: WalkStats | AggregateStats,
@@ -276,21 +142,127 @@ def build_edge_potentials(
     prior: Prior | None = None,
     mode: str = "continuous",
 ) -> EdgePotentials:
-    """Assemble the chain decomposition of the global information I."""
+    """Assemble the chain decomposition of the global information I.
+
+    The log-likelihood cost of edge x holding the pair (u, v) is, with
+    z = beta (g0(u, v) - g1_x):
+    discrete, L+_x log(1 + e^z) + L-_x log(1 + e^-z), and zero on edge 1
+    because the walk leaves site 1 with probability one;
+    continuous, beta g0(u, v) L+_x + S_x r e^{-beta g0(u, v)}.
+    Edge x then carries -log prior(x+1, v), and edge 1 also -log prior(1, u).
+    """
     _require_mode(mode)
     if prior is None:
         prior = Prior.uniform(env.M)
-    M = env.M
-    phi = np.zeros((M, 4, 4))
-    for e in range(1, M):
-        for u in BASES:
-            for v in BASES:
-                cost = _edge_cost(stats, env, e, u, v, mode)
-                cost -= prior.log_w(e + 1, v)
-                if e == 1:
-                    cost -= prior.log_w(1, u)
-                phi[e, u, v] = cost
+    g0 = env.table.values[None, :, :]
+    up = np.asarray(stats.up, dtype=float)[1:, None, None]
+    if mode == "discrete":
+        down = np.asarray(stats.down, dtype=float)[1:, None, None]
+        z = env.beta * (g0 - env.g1_padded[1:, None, None])
+        cost = up * np.logaddexp(0.0, z) + down * np.logaddexp(0.0, -z)
+        cost[0] = 0.0
+    else:
+        if stats.sojourn is None:
+            raise ValueError("continuous-mode inference needs sojourn statistics")
+        sojourn = np.asarray(stats.sojourn, dtype=float)[1:, None, None]
+        cost = env.beta * g0 * up + sojourn * env.rate * np.exp(-env.beta * g0)
+    log_w = np.log(prior.probs)
+    phi = np.zeros((env.M, 4, 4))
+    phi[1:] = cost - log_w[2:, None, :]
+    phi[1] -= log_w[1][:, None]
     return EdgePotentials(phi, mode)
+
+
+def _edge_scale(phi: np.ndarray) -> np.ndarray:
+    """Largest |phi| per edge (slot 0 zero): the magnitude a tie test on a
+    sum of these terms must allow for."""
+    scale = np.abs(phi).max(axis=(1, 2))
+    scale[0] = 0.0
+    return scale
+
+
+@dataclass(frozen=True)
+class SitePosterior:
+    """Posterior over the base at one site given the flanking true bases.
+
+    ``log_unnormalized`` keeps the -I_x values (up to a site constant) so
+    downstream error probabilities can be formed without catastrophic
+    cancellation.
+    """
+
+    site: int
+    log_unnormalized: dict[Base, float]
+    probs: dict[Base, float]
+    map_base: Base
+    tie: bool
+
+    def _error(self) -> tuple[np.ndarray, np.ndarray]:
+        return _site_errors(np.array([[self.log_unnormalized[b] for b in BASES]]))
+
+    def error_probability(self) -> float:
+        """1 - max posterior mass, formed as s/(1+s) in log space."""
+        return float(self._error()[0][0])
+
+    def log_error_probability(self) -> float:
+        """log(1 - max posterior mass); finite even when the error
+        probability underflows to zero as a float."""
+        return float(self._error()[1][0])
+
+
+def _site_log_weights(pot: EdgePotentials, seq: BaseSequence, xs: np.ndarray) -> np.ndarray:
+    """Row i: -(phi[x-1, b_{x-1}, u] + phi[x, u, b_{x+1}]) over u for x = xs[i],
+    the log posterior weights of b_x = u given the true flanking bases (up to
+    a constant per site)."""
+    b = np.array(seq.bases)  # b[x - 1] is the base at site x
+    return -(pot.phi[xs - 1, b[xs - 2], :] + pot.phi[xs, :, b[xs]])
+
+
+def _site_posteriors(pot: EdgePotentials, log_w: np.ndarray, xs: np.ndarray):
+    """(probabilities, MAP index, tie flag) per row of ``log_w``; the MAP
+    breaks ties in Base order."""
+    best = np.argmax(log_w, axis=1)
+    gap = log_w - log_w.max(axis=1, keepdims=True)
+    weights = np.exp(gap)
+    scale = _edge_scale(pot.phi)
+    tol = _TIE_ULPS * np.finfo(float).eps * (scale[xs - 1] + scale[xs])
+    tie = np.sum(gap >= -tol[:, None], axis=1) > 1
+    return weights / weights.sum(axis=1, keepdims=True), best, tie
+
+
+def _site_errors(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(error), log P(error)) per row: with s the log odds of the losing
+    bases against the best one, P = s/(1+s) and log P = s - log(1 + e^s)."""
+    rows = np.arange(log_w.shape[0])
+    best = np.argmax(log_w, axis=1)
+    losers = log_w - log_w[rows, best][:, None]
+    losers[rows, best] = -np.inf
+    s = np.logaddexp.reduce(losers, axis=1)
+    odds = np.exp(np.minimum(s, 709.0))
+    return odds / (1.0 + odds), s - np.logaddexp(0.0, s)
+
+
+def site_posterior(
+    stats: WalkStats | AggregateStats,
+    env: Environment,
+    x: int,
+    prior: Prior | None = None,
+    mode: str = "continuous",
+) -> SitePosterior:
+    """Exact posterior P(b_x = u | stats, all other bases) for u in A,T,C,G."""
+    _require_mode(mode)
+    if not 2 <= x <= env.M - 1:
+        raise IndexError(f"site index {x} out of range [2, {env.M - 1}]")
+    pot = build_edge_potentials(stats, env, prior, mode)
+    xs = np.array([x])
+    log_w = _site_log_weights(pot, env.seq, xs)
+    probs, best, tie = _site_posteriors(pot, log_w, xs)
+    return SitePosterior(
+        site=x,
+        log_unnormalized=dict(zip(BASES, log_w[0].tolist())),
+        probs=dict(zip(BASES, probs[0].tolist())),
+        map_base=BASES[int(best[0])],
+        tie=bool(tie[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -300,7 +272,8 @@ class DecodeResult:
 
     ``ties`` always contains ``map_sequence`` first; more than one entry
     means the data cannot distinguish the listed sequences (the degenerate
-    twins reach this state with exactly equal costs).
+    twins reach this state with exactly equal costs).  ``truncated`` means
+    more co-optimal sequences exist than the cap let through.
     """
 
     map_sequence: BaseSequence
@@ -320,13 +293,12 @@ def _init_states(b1: Base | None) -> list[Base]:
 
 def log_partition(pot: EdgePotentials, b1: Base | None) -> float:
     """log sum over sequences (first base fixed to b1 unless None) of e^{-I}."""
-    M = pot.M
     L = np.full(4, -np.inf)
     for u in _init_states(b1):
         L[u] = 0.0
-    for x in range(1, M):
-        L = logsumexp_rows((L[:, None] - pot.phi[x]).T)
-    return float(logsumexp(L))
+    for x in range(1, pot.M):
+        L = np.logaddexp.reduce(L[:, None] - pot.phi[x], axis=0)
+    return float(np.logaddexp.reduce(L))
 
 
 def decode_map(
@@ -334,52 +306,47 @@ def decode_map(
 ) -> DecodeResult:
     """Exact argmin of I over the 4^(M-1) sequences via min-sum DP.
 
-    Ties within DECODE_TIE_TOL of the optimum are enumerated (up to
-    ``tie_cap``) in Base order, so the reported MAP sequence is the
-    lexicographically first co-optimal one.
+    A backward pass fills the suffix-optimal costs E[x, u]; an iterative
+    walk forward then takes, from site x at base u, every step v whose
+    phi[x, u, v] + E[x+1, v] is within the tie tolerance of E[x, u].  The
+    row's own minimizer is always such a step, so every branch reaches site
+    M.  The tolerance is a few ulps times the remaining edge count times the
+    sum of the remaining edges' largest |phi|: the rounding two suffix sums
+    can differ by.  Ties come out in Base order (up to ``tie_cap``), so the
+    reported MAP sequence is the lexicographically first co-optimal one.
     """
     M = pot.M
-    # Suffix-optimal costs E[x, u]: best completion cost from site x at base u.
+    phi = pot.phi
     E = np.zeros((M + 1, 4))
     for x in range(M - 1, 0, -1):
-        E[x] = np.min(pot.phi[x] + E[x + 1][None, :], axis=1)
+        E[x] = (phi[x] + E[x + 1]).min(axis=1)
+    remaining = np.cumsum(_edge_scale(phi)[::-1])[::-1]  # sum over edges x..M-1
+    tol = _TIE_ULPS * np.finfo(float).eps * (M - np.arange(M)) * remaining
+    # tight[x - 1][u][v]: the step u -> v across edge x stays co-optimal
+    tight = (phi[1:] + E[2:, None, :] <= E[1:M, :, None] + tol[1:, None, None]).tolist()
     starts = _init_states(b1)
     cost = min(float(E[1, u]) for u in starts)
 
-    sequences: list[tuple[Base, ...]] = []
-    truncated = False
-    budget = cost + DECODE_TIE_TOL
-
-    def extend(x: int, u: Base, acc: float, prefix: list[Base]) -> bool:
-        nonlocal truncated
+    sequences: list[BaseSequence] = []
+    path: list[int] = []
+    stack = [(1, int(u)) for u in reversed(starts) if E[1, u] <= cost + tol[1]]
+    while stack:
+        x, u = stack.pop()
+        del path[x - 1 :]
+        path.append(u)
         if x == M:
-            sequences.append(tuple(prefix))
+            sequences.append(BaseSequence(tuple(path)))
             if len(sequences) >= tie_cap:
-                truncated = True
-                return False
-            return True
-        for v in BASES:
-            step = acc + float(pot.phi[x, u, v])
-            if step + float(E[x + 1, v]) <= budget:
-                prefix.append(v)
-                keep_going = extend(x + 1, v, step, prefix)
-                prefix.pop()
-                if not keep_going:
-                    return False
-        return True
-
-    for u in starts:
-        if float(E[1, u]) <= budget:
-            if not extend(1, u, 0.0, [u]):
                 break
-
-    ties = tuple(BaseSequence(s) for s in sequences)
+        else:
+            row = tight[x - 1][u]
+            stack.extend((x + 1, v) for v in (3, 2, 1, 0) if row[v])
     return DecodeResult(
-        map_sequence=ties[0],
+        map_sequence=sequences[0],
         cost=cost,
         log_partition_value=log_partition(pot, b1),
-        ties=ties,
-        truncated=truncated,
+        ties=tuple(sequences),
+        truncated=bool(stack),
     )
 
 
@@ -394,44 +361,41 @@ def sequence_log_posterior(
     return -pot.sequence_cost(alpha) - log_partition(pot, b1)
 
 
-def sequence_posterior(alpha: BaseSequence, pot: EdgePotentials, b1: Base | None) -> float:
-    return math.exp(sequence_log_posterior(alpha, pot, b1))
+def _log_block_probs(
+    pot: EdgePotentials, b1: Base | None, ref: BaseSequence, h_max: int
+) -> np.ndarray:
+    """log P(at least h separated error blocks) for h = 1..h_max, relative to
+    ``ref``; h = 1 is log P(at least one wrong base).
 
-
-def _relative_potentials(pot: EdgePotentials, ref: BaseSequence) -> np.ndarray:
-    """psi[x, u, v] = phi[x, u, v] - phi[x, ref_x, ref_{x+1}]; sums to
-    I(alpha) - I(ref), which keeps tiny loser masses exactly representable."""
-    psi = pot.phi.copy()
-    for x in range(1, pot.M):
-        psi[x] -= pot.phi[x, ref.base(x), ref.base(x + 1)]
-    return psi
-
-
-def _loser_log_sum(pot: EdgePotentials, b1: Base | None, ref: BaseSequence) -> float:
-    """log sum over alpha != ref of e^{-(I(alpha) - I(ref))}.
-
-    Forward recursion over (base, differs-from-ref flag); excluding the
-    reference path exactly avoids the 1 - (1 - tiny) cancellation.
+    One forward pass over states (base, site mismatched, block count capped
+    at h_max); a block opens when a mismatch follows a match.  Potentials are
+    taken relative to the reference path's own edge costs, so that path
+    weighs exactly e^0 and loser masses far below float underflow keep their
+    logarithms (no 1 - (1 - tiny) cancellation).
     """
-    psi = _relative_potentials(pot, ref)
-    A = np.full((4, 2), -np.inf)
+    M = pot.M
+    r = np.array(ref.bases)
+    psi = pot.phi[1:] - pot.phi[np.arange(1, M), r[:-1], r[1:]][:, None, None]
+    wrong = np.arange(4) != r[:, None]  # wrong[x - 1, v]: base v mismatches site x
+    A = np.full((4, 2, h_max + 1), -np.inf)
     for u in _init_states(b1):
-        A[u, 1 if u != ref.base(1) else 0] = 0.0
-    for x in range(1, pot.M):
-        nxt = np.full((4, 2), -np.inf)
-        ref_next = ref.base(x + 1)
-        for v in BASES:
-            mism = 1 if v != ref_next else 0
-            col = A - psi[x, :, v][:, None]
-            same = logsumexp(col[:, 0])
-            diff = logsumexp(col[:, 1])
-            if mism:
-                nxt[v, 1] = np.logaddexp(same, diff)
-            else:
-                nxt[v, 0] = same
-                nxt[v, 1] = diff
-        A = nxt
-    return float(logsumexp(A[:, 1]))
+        m = int(u != r[0])
+        A[u, m, m] = 0.0
+    for x in range(1, M):
+        # B[m, t, v]: mass entering base v at site x+1 from flag m, count t
+        B = np.logaddexp.reduce(A[:, :, :, None] - psi[x - 1][:, None, None, :], axis=0)
+        w = wrong[x]
+        A = np.full((4, 2, h_max + 1), -np.inf)
+        # a match clears the flag and keeps the count
+        A[r[x], 0] = np.logaddexp(B[0, :, r[x]], B[1, :, r[x]])
+        # a mismatch continues an open block, or opens one (count capped)
+        opened = np.full((h_max + 1, 3), -np.inf)
+        opened[1:] = B[0, :-1][:, w]
+        opened[-1] = np.logaddexp(opened[-1], B[0, -1, w])
+        A[w, 1] = np.logaddexp(B[1][:, w], opened).T
+    mass = np.logaddexp.reduce(A, axis=(0, 1))  # by block count
+    at_least = np.logaddexp.accumulate(mass[::-1])[::-1]
+    return at_least[1:] - np.logaddexp.reduce(mass)
 
 
 def log_prob_any_error(
@@ -440,55 +404,7 @@ def log_prob_any_error(
     """log P(at least one wrong base) = log(s) - log(1 + s), where s is the
     posterior-odds sum of every sequence other than the MAP."""
     ref = (decoded or decode_map(pot, b1)).map_sequence
-    s_log = _loser_log_sum(pot, b1, ref)
-    return s_log - softplus(s_log)
-
-
-def prob_any_error(
-    pot: EdgePotentials, b1: Base | None, decoded: DecodeResult | None = None
-) -> float:
-    """P(n_e >= 1) = 1 - P(b = map | stats, b_1), exact in log space."""
-    ref = (decoded or decode_map(pot, b1)).map_sequence
-    s_log = _loser_log_sum(pot, b1, ref)
-    if s_log > 709.0:
-        return 1.0
-    s = math.exp(s_log)
-    return s / (1.0 + s)
-
-
-def _block_log_masses(
-    pot: EdgePotentials, b1: Base | None, ref: BaseSequence, h: int
-) -> tuple[float, float]:
-    """(log numerator, log denominator) of P(error blocks >= h).
-
-    States (base, previous site mismatched, block count capped at h); a block
-    opens when a mismatch follows a match, so the count is the number of
-    maximal runs of wrong sites relative to ``ref``.
-    """
-    psi = _relative_potentials(pot, ref)
-    A = np.full((4, 2, h + 1), -np.inf)
-    for u in _init_states(b1):
-        m = 1 if u != ref.base(1) else 0
-        A[u, m, min(m, h)] = 0.0
-    for x in range(1, pot.M):
-        nxt = np.full((4, 2, h + 1), -np.inf)
-        ref_next = ref.base(x + 1)
-        for v in BASES:
-            mism = 1 if v != ref_next else 0
-            for m_prev in (0, 1):
-                new_block = 1 if (mism and not m_prev) else 0
-                for t in range(h + 1):
-                    src = A[:, m_prev, t]
-                    if not np.any(np.isfinite(src)):
-                        continue
-                    t_new = min(t + new_block, h)
-                    vals = src - psi[x, :, v]
-                    cur = nxt[v, mism, t_new]
-                    nxt[v, mism, t_new] = np.logaddexp(cur, logsumexp(vals))
-        A = nxt
-    num = float(logsumexp(A[:, :, h].ravel()))
-    den = float(logsumexp(A.ravel()))
-    return num, den
+    return float(_log_block_probs(pot, b1, ref, 1)[0])
 
 
 def log_prob_nonsuccessive_errors(
@@ -498,27 +414,23 @@ def log_prob_nonsuccessive_errors(
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     ref = (decoded or decode_map(pot, b1)).map_sequence
-    num, den = _block_log_masses(pot, b1, ref, h)
-    return num - den
-
-
-def prob_nonsuccessive_errors(
-    pot: EdgePotentials, b1: Base | None, h: int, decoded: DecodeResult | None = None
-) -> float:
-    """P(at least h error blocks, each separated by a correct site)."""
-    lp = log_prob_nonsuccessive_errors(pot, b1, h, decoded)
-    return math.exp(lp) if lp < 0 else 1.0
+    return float(_log_block_probs(pot, b1, ref, h)[-1])
 
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Decoding error summary: global, per block count, and per site."""
+    """Decoding error summary: global, per block count, and per site.
+
+    ``site_probs`` row i is the posterior over A, T, C, G at site i + 2
+    given the true flanking bases.
+    """
 
     decode: DecodeResult
     p_any: float
     log_p_any: float
     p_blocks: tuple[tuple[int, float, float], ...]
     site_errors: tuple[tuple[int, float, float], ...]
+    site_probs: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -535,6 +447,10 @@ class ErrorReport:
             "site_errors": [
                 {"site": x, "p": p, "log_p": lp} for x, p, lp in self.site_errors
             ],
+            "site_posteriors": [
+                {"site": x, "probs": dict(zip((b.name for b in BASES), row))}
+                for x, row in enumerate(self.site_probs.tolist(), start=2)
+            ],
         }
 
 
@@ -547,27 +463,20 @@ def error_report(
     h_max: int = 3,
 ) -> ErrorReport:
     """Run the full decode + error-probability pipeline on one statistics set."""
-    _require_mode(mode)
-    if prior is None:
-        prior = Prior.uniform(env.M)
     pot = build_edge_potentials(stats, env, prior, mode)
     decoded = decode_map(pot, b1)
-    p_any = prob_any_error(pot, b1, decoded)
-    lp_any = log_prob_any_error(pot, b1, decoded)
-    blocks = []
-    for h in range(1, h_max + 1):
-        lp = log_prob_nonsuccessive_errors(pot, b1, h, decoded)
-        blocks.append((h, math.exp(min(lp, 0.0)), lp))
-    sites = []
-    for x in range(2, env.M):
-        post = site_posterior(stats, env, x, prior, mode)
-        sites.append((x, post.error_probability(), post.log_error_probability()))
+    log_p = _log_block_probs(pot, b1, decoded.map_sequence, max(h_max, 1)).tolist()
+    xs = np.arange(2, env.M)
+    log_w = _site_log_weights(pot, env.seq, xs)
+    probs, _, _ = _site_posteriors(pot, log_w, xs)
+    p_err, log_p_err = _site_errors(log_w)
     return ErrorReport(
         decode=decoded,
-        p_any=p_any,
-        log_p_any=lp_any,
-        p_blocks=tuple(blocks),
-        site_errors=tuple(sites),
+        p_any=math.exp(min(log_p[0], 0.0)),
+        log_p_any=log_p[0],
+        p_blocks=tuple((h, math.exp(min(lp, 0.0)), lp) for h, lp in enumerate(log_p[:h_max], 1)),
+        site_errors=tuple(zip(xs.tolist(), p_err.tolist(), log_p_err.tolist())),
+        site_probs=probs,
     )
 
 

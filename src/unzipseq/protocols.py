@@ -28,7 +28,7 @@ from .energy import (
     ModelParams,
     hop_probability,
 )
-from .rates import gap_value, log_inv_pbar
+from .rates import gap_value
 from .walker import AggregateStats, SeedSpec, StepCapExceeded, simulate_ensemble
 
 __all__ = [
@@ -448,7 +448,7 @@ def rc_energy(
         env = EnergyEnvironment(
             energies, ForceField.constant(r_level, M - 1), params
         )
-        return math.exp(log_inv_pbar(env, x))
+        return math.exp(env.log_inv_pbar[x])
 
     if scheme == "uniform-pair":
         if k is None or not 1 <= k <= ladder.K:

@@ -10,12 +10,12 @@ total unzipping time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from math import lgamma
 
 import numpy as np
 
-from ._num import log1mexp, logsumexp, softplus
+from ._num import log1mexp, softplus
 from .energy import BASES, Base, EnergyTable, Environment, _SiteModel
 
 __all__ = [
@@ -23,9 +23,7 @@ __all__ = [
     "log_inv_pbar",
     "SiteMoments",
     "count_moments",
-    "joint_up_count_pmf",
     "joint_up_count_log_pmf",
-    "pair_count_pmf",
     "pair_count_log_pmf",
     "gap_value",
     "MarginSet",
@@ -41,15 +39,13 @@ __all__ = [
 
 
 def log_inv_pbar(env: _SiteModel, x: int) -> float:
-    """log(1 / p_bar_x), accumulated in log-space so deep valleys stay finite.
+    """log(1 / p_bar_x), read from the landscape's site-indexed table.
 
     1 / p_bar_x = 1 + sum_{k=x+1..M-1} exp(beta * (g(k) - g(x))); p_bar_x is
     the probability that a walk at x+1 reaches M before falling back to x.
     """
     env._check_site(x)
-    g = env.profile
-    terms = env.beta * (g[x + 1 :] - g[x])
-    return logsumexp(np.concatenate([[0.0], terms]))
+    return float(env.log_inv_pbar[x])
 
 
 def pbar(env: _SiteModel, x: int) -> float:
@@ -59,7 +55,8 @@ def pbar(env: _SiteModel, x: int) -> float:
 
 @dataclass(frozen=True)
 class SiteMoments:
-    """Exact mean/variance of the per-walk crossing counts and sojourn at x."""
+    """Exact mean/variance of the per-walk crossing counts and sojourn at x
+    (floats from ``count_moments``, site-aligned arrays inside the module)."""
 
     e_up: float
     var_up: float
@@ -68,25 +65,32 @@ class SiteMoments:
     var_sojourn: float
 
 
-def count_moments(env: _SiteModel, x: int) -> SiteMoments:
-    """Moments of L+_x, L-_x and S_x for a single walk.
+def _moments(env: _SiteModel, xs) -> SiteMoments:
+    """Moments at sites ``xs`` (an index or index array into 1..M-1).
 
     E L+ = 1/p_bar, Var L+ = (1/p_bar)(1/p_bar - 1), E L- = e^(beta dg)/p_bar
     (zero at x = 1, where the walk cannot descend), E S = e^(beta g0)/(r p_bar).
     The total sojourn at x is a geometric sum of exponentials, hence itself
-    exponential, so Var S = (E S)^2.
+    exponential, so Var S = (E S)^2.  Values too large for a float are inf.
     """
-    lip = log_inv_pbar(env, x)
-    ip = math.exp(lip)
-    e_down = 0.0 if x == 1 else math.exp(env.beta * env.delta_g_site(x) + lip)
-    e_s = math.exp(env.beta * env.edge_energy(x) + lip) / env.rate
-    return SiteMoments(
-        e_up=ip,
-        var_up=ip * (ip - 1.0),
-        e_down=e_down,
-        e_sojourn=e_s,
-        var_sojourn=e_s * e_s,
-    )
+    lip = env.log_inv_pbar[xs]
+    g0 = env.edge_g0[xs]
+    with np.errstate(over="ignore"):
+        ip = np.exp(lip)
+        e_down = np.where(
+            np.asarray(xs) == 1, 0.0, np.exp(env.beta * (g0 - env.g1_padded[xs]) + lip)
+        )
+        e_s = np.exp(env.beta * g0 + lip) / env.rate
+        return SiteMoments(
+            e_up=ip, var_up=ip * (ip - 1.0), e_down=e_down, e_sojourn=e_s, var_sojourn=e_s * e_s
+        )
+
+
+def count_moments(env: _SiteModel, x: int) -> SiteMoments:
+    """Moments of L+_x, L-_x and S_x for a single walk."""
+    env._check_site(x)
+    m = _moments(env, x)
+    return SiteMoments(*map(float, astuple(m)))
 
 
 def _log_p_up(env: _SiteModel, x: int) -> tuple[float, float]:
@@ -123,10 +127,6 @@ def joint_up_count_log_pmf(env: _SiteModel, k) -> float:
     return total
 
 
-def joint_up_count_pmf(env: _SiteModel, k) -> float:
-    return math.exp(joint_up_count_log_pmf(env, k))
-
-
 def pair_count_log_pmf(env: _SiteModel, x: int, n_up: int, n_down: int) -> float:
     """log P(L+_x = n_up, L-_x = n_down) for one walk, 2 <= x <= M-1.
 
@@ -147,11 +147,7 @@ def pair_count_log_pmf(env: _SiteModel, x: int, n_up: int, n_down: int) -> float
     return total
 
 
-def pair_count_pmf(env: _SiteModel, x: int, n_up: int, n_down: int) -> float:
-    return math.exp(pair_count_log_pmf(env, x, n_up, n_down))
-
-
-def gap_value(kind: str, a: float, u: float, beta: float) -> float:
+def gap_value(kind: str, a, u, beta: float):
     """The gap functions scoring a candidate energy u against the truth a.
 
     kind "G" (discrete counts): G_a(u) = log((1+e^{bu})/(1+e^{ba}))
@@ -159,19 +155,20 @@ def gap_value(kind: str, a: float, u: float, beta: float) -> float:
     kind "F" (continuous): F(u) = e^{bu} - 1 - bu, with a ignored.
     kind "H" (force-ladder counts): H_a(u) = log(1+e^{bu}) + e^{ba} log(1+e^{-bu}),
       minimized at u = a.
+    ``a`` and ``u`` may be arrays; they broadcast.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if kind == "G":
         return (
-            softplus(beta * u)
-            - softplus(beta * a)
-            + math.exp(beta * a) * (softplus(-beta * u) - softplus(-beta * a))
+            np.logaddexp(0.0, beta * u)
+            - np.logaddexp(0.0, beta * a)
+            + np.exp(beta * a) * (np.logaddexp(0.0, -beta * u) - np.logaddexp(0.0, -beta * a))
         )
     if kind == "F":
-        return math.expm1(beta * u) - beta * u
+        return np.expm1(beta * u) - beta * u
     if kind == "H":
-        return softplus(beta * u) + math.exp(beta * a) * softplus(-beta * u)
+        return np.logaddexp(0.0, beta * u) + np.exp(beta * a) * np.logaddexp(0.0, -beta * u)
     raise ValueError(f"kind must be 'G', 'F' or 'H', got {kind!r}")
 
 
@@ -194,7 +191,7 @@ class MarginSet:
     degenerate: bool
 
 
-def _pair_gap(mode: str, true_e: float, cand_e: float, beta: float, g1: float) -> float:
+def _pair_gap(mode: str, true_e, cand_e, beta: float, g1):
     if mode == "discrete":
         return gap_value("G", true_e - g1, cand_e - g1, beta)
     return gap_value("F", 0.0, true_e - cand_e, beta)
@@ -211,23 +208,12 @@ def decision_margins(
     """
     if mode not in ("discrete", "continuous"):
         raise ValueError(f"mode must be discrete or continuous, got {mode!r}")
-    minus_pb: dict[Base, float] = {}
-    plus_pb: dict[Base, float] = {}
-    for gamma in BASES:
-        row = table.row(gamma)
-        col = table.column(gamma)
-        minus_pb[gamma] = min(
-            _pair_gap(mode, float(row[u]), float(row[v]), beta, g1)
-            for u in BASES
-            for v in BASES
-            if u != v
-        )
-        plus_pb[gamma] = min(
-            _pair_gap(mode, float(col[u]), float(col[v]), beta, g1)
-            for u in BASES
-            for v in BASES
-            if u != v
-        )
+    off_diagonal = ~np.eye(4, dtype=bool)
+    per_base = []
+    for slots in (table.values, table.values.T):  # rows (minus), then columns (plus)
+        gaps = _pair_gap(mode, slots[:, :, None], slots[:, None, :], beta, g1)
+        per_base.append({b: float(v) for b, v in zip(BASES, gaps[:, off_diagonal].min(axis=1))})
+    minus_pb, plus_pb = per_base
     minus = min(minus_pb.values())
     plus = min(plus_pb.values())
     return MarginSet(
@@ -238,6 +224,28 @@ def decision_margins(
         plus=plus,
         degenerate=(minus <= 0.0 or plus <= 0.0),
     )
+
+
+def _inv_rc(env: Environment, xs: np.ndarray, mode: str) -> np.ndarray:
+    """1/R_c at each interior site in ``xs``: for every candidate base the
+    two-edge gap sum, each gap over its edge's p_bar, minimized over the
+    three wrong candidates."""
+    b = np.array(env.seq.bases)  # b[x - 1] is the base at site x
+    prev, here, nxt = b[xs - 2], b[xs - 1], b[xs]
+    g0 = env.table.values
+    g1 = env.g1_padded
+    left = _pair_gap(mode, g0[prev, here][:, None], g0[prev], env.beta, g1[xs - 1][:, None])
+    right = _pair_gap(mode, g0[here, nxt][:, None], g0[:, nxt].T, env.beta, g1[xs][:, None])
+    if mode == "discrete":
+        left[xs == 2] = 0.0  # edge 1 carries no information in discrete time
+    with np.errstate(over="ignore", invalid="ignore"):
+        ip = np.exp(env.log_inv_pbar)  # inf in landscapes too deep for a float
+        # a zero gap stays zero even where 1/p_bar is inf
+        total = np.where(left > 0, left * ip[xs - 1][:, None], 0.0) + np.where(
+            right > 0, right * ip[xs][:, None], 0.0
+        )
+    total[np.arange(xs.size), here] = np.inf
+    return total.min(axis=1)
 
 
 def rc_site(env: Environment, x: int, mode: str) -> float:
@@ -253,27 +261,7 @@ def rc_site(env: Environment, x: int, mode: str) -> float:
         raise IndexError(f"site index {x} out of range [2, {env.M - 1}]")
     if mode not in ("discrete", "continuous"):
         raise ValueError(f"mode must be discrete or continuous, got {mode!r}")
-    beta = env.beta
-    b_prev, b_x, b_next = env.seq.base(x - 1), env.seq.base(x), env.seq.base(x + 1)
-    ip_prev = math.exp(log_inv_pbar(env, x - 1))
-    ip_here = math.exp(log_inv_pbar(env, x))
-    left_dead = mode == "discrete" and x == 2
-    g1_prev = env.force.at(x - 1)
-    g1_here = env.force.at(x)
-    true_left = env.table.value(b_prev, b_x)
-    true_right = env.table.value(b_x, b_next)
-    best = math.inf
-    for alpha in BASES:
-        if alpha == b_x:
-            continue
-        left = (
-            0.0
-            if left_dead
-            else _pair_gap(mode, true_left, env.table.value(b_prev, alpha), beta, g1_prev)
-        )
-        right = _pair_gap(mode, true_right, env.table.value(alpha, b_next), beta, g1_here)
-        best = min(best, left * ip_prev + right * ip_here)
-    return best
+    return float(_inv_rc(env, np.array([x]), mode)[0])
 
 
 def lc_bound(
@@ -285,6 +273,12 @@ def lc_bound(
     return 0.5 * min(margins.plus, margins.minus)
 
 
+def _obstacles(env: _SiteModel) -> np.ndarray:
+    """M_x for x = 0..M-2 from one reverse cumulative max of the landscape."""
+    g = env.profile
+    return np.maximum.accumulate(g[:0:-1])[::-1] - g[:-1]
+
+
 def obstacle_height(env: _SiteModel, x: int) -> float:
     """M_x = max over l in (x, M-1] of g(l) - g(x); the barrier past x.
 
@@ -293,31 +287,43 @@ def obstacle_height(env: _SiteModel, x: int) -> float:
     """
     if not 0 <= x <= env.M - 2:
         raise IndexError(f"index {x} out of range [0, {env.M - 2}]")
-    g = env.profile
-    return float(np.max(g[x + 1 :] - g[x]))
+    return float(_obstacles(env)[x])
 
 
 @dataclass(frozen=True)
 class UnzipTime:
     """Expected total steps to unzip R times, with the displayed landscape
     bounds reported verbatim as diagnostics (their hidden constants are not
-    modelled, so no ordering against the expectation is implied)."""
+    modelled, so no ordering against the expectation is implied).
+
+    Values too large for a float are inf; ``log_expectation`` stays finite.
+    """
 
     lower: float
     expectation: float
     upper: float
+    log_expectation: float
 
 
 def expected_unzip_time(env: _SiteModel, R: int) -> UnzipTime:
     """E[tau_M^R] = R * sum_{x=1..M-1} (1/pbar_{x-1} + 1/pbar_x - 1), with
-    1/pbar_0 = 1 (site 1 is crossed upward on first touch)."""
+    1/pbar_0 = 1 (site 1 is crossed upward on first touch).
+
+    Since 1/pbar_0 = 1/pbar_{M-1} = 1 the sum is 2 S - (M - 1) with
+    S = sum_{x=1..M-1} 1/pbar_x >= M - 1, which is formed in log space.
+    """
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
-    ip = [1.0] + [math.exp(log_inv_pbar(env, x)) for x in range(1, env.M)]
-    expectation = R * sum(ip[x - 1] + ip[x] - 1.0 for x in range(1, env.M))
-    mmax = max(obstacle_height(env, x) for x in range(0, env.M - 1))
-    scale = math.exp(env.beta * mmax)
-    return UnzipTime(lower=R * scale, expectation=expectation, upper=R * env.M * scale)
+    log_s = float(np.logaddexp.reduce(env.log_inv_pbar[1:]))
+    log_walk = log_s + math.log(2.0 - (env.M - 1) * math.exp(-log_s))
+    with np.errstate(over="ignore"):
+        per_walk, scale = np.exp([log_walk, env.beta * float(np.max(_obstacles(env)))])
+    return UnzipTime(
+        lower=float(R * scale),
+        expectation=float(R * per_walk),
+        upper=float(R * env.M * scale),
+        log_expectation=math.log(R) + log_walk,
+    )
 
 
 @dataclass(frozen=True)
@@ -356,39 +362,16 @@ class RateReport:
         "var_sojourn",
     )
 
+    def _site_table(self) -> list[list[float]]:
+        """Rows for sites 1..M-1, one column per per-site CSV_HEADER name."""
+        return np.column_stack([getattr(self, n) for n in self.CSV_HEADER[1:]])[1:].tolist()
+
     def csv_rows(self) -> list[tuple]:
-        rows = []
-        for x in range(1, self.M):
-            rows.append(
-                (
-                    x,
-                    float(self.pbar[x]),
-                    float(self.inv_rc_discrete[x]),
-                    float(self.inv_rc_continuous[x]),
-                    float(self.obstacle[x]),
-                    float(self.e_up[x]),
-                    float(self.var_up[x]),
-                    float(self.e_down[x]),
-                    float(self.e_sojourn[x]),
-                    float(self.var_sojourn[x]),
-                )
-            )
-        return rows
+        return [(x, *row) for x, row in enumerate(self._site_table(), start=1)]
 
     def to_json_dict(self) -> dict:
         doc = {"site": list(range(1, self.M)), "R": self.R}
-        for name in (
-            "pbar",
-            "inv_rc_discrete",
-            "inv_rc_continuous",
-            "obstacle",
-            "e_up",
-            "var_up",
-            "e_down",
-            "e_sojourn",
-            "var_sojourn",
-        ):
-            doc[name] = [float(v) for v in getattr(self, name)[1:]]
+        doc.update(zip(self.CSV_HEADER[1:], map(list, zip(*self._site_table()))))
         doc["inv_lc_discrete"] = self.inv_lc_discrete
         doc["inv_lc_continuous"] = self.inv_lc_continuous
         doc["time_lower"] = self.time.lower
@@ -405,39 +388,29 @@ def rate_report(env: Environment, R: int = 1) -> RateReport:
     """
     M = env.M
     nan = float("nan")
-    pb = np.full(M, nan)
-    rc_d = np.full(M, nan)
-    rc_c = np.full(M, nan)
-    obst = np.full(M, nan)
-    e_up = np.full(M, nan)
-    var_up = np.full(M, nan)
-    e_down = np.full(M, nan)
-    e_s = np.full(M, nan)
-    var_s = np.full(M, nan)
-    for x in range(1, M):
-        pb[x] = pbar(env, x)
-        m = count_moments(env, x)
-        e_up[x], var_up[x], e_down[x] = m.e_up, m.var_up, m.e_down
-        e_s[x], var_s[x] = m.e_sojourn, m.var_sojourn
-        if 2 <= x <= M - 1:
-            rc_d[x] = rc_site(env, x, "discrete")
-            rc_c[x] = rc_site(env, x, "continuous")
-        if x <= M - 2:
-            obst[x] = obstacle_height(env, x)
+
+    def site_array(values, first: int) -> np.ndarray:
+        arr = np.full(M, nan)
+        arr[first : first + len(values)] = values
+        return arr
+
+    sites = np.arange(1, M)
+    inner = np.arange(2, M)
+    m = _moments(env, sites)
     field = env.force.per_site
     constant_force = bool(np.all(field == field[0]))
     lc_d = lc_bound(env.table, env.beta, "discrete", g1=float(field[0])) if constant_force else nan
     lc_c = lc_bound(env.table, env.beta, "continuous")
     return RateReport(
-        pbar=pb,
-        inv_rc_discrete=rc_d,
-        inv_rc_continuous=rc_c,
-        obstacle=obst,
-        e_up=e_up,
-        var_up=var_up,
-        e_down=e_down,
-        e_sojourn=e_s,
-        var_sojourn=var_s,
+        pbar=site_array(np.exp(-env.log_inv_pbar[1:]), 1),
+        inv_rc_discrete=site_array(_inv_rc(env, inner, "discrete"), 2),
+        inv_rc_continuous=site_array(_inv_rc(env, inner, "continuous"), 2),
+        obstacle=site_array(_obstacles(env)[1:], 1),
+        e_up=site_array(m.e_up, 1),
+        var_up=site_array(m.var_up, 1),
+        e_down=site_array(m.e_down, 1),
+        e_sojourn=site_array(m.e_sojourn, 1),
+        var_sojourn=site_array(m.var_sojourn, 1),
         inv_lc_discrete=lc_d,
         inv_lc_continuous=lc_c,
         time=expected_unzip_time(env, R),

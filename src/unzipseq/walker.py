@@ -134,26 +134,52 @@ class AggregateStats:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AggregateStats":
-        sites = doc["site"]
-        M = len(sites) + 1
-        up = np.zeros(M, dtype=np.int64)
-        down = np.zeros(M, dtype=np.int64)
-        up[1:] = doc["L_plus"]
-        down[1:] = doc["L_minus"]
-        sojourn = None
-        wall_time = None
-        if "S" in doc:
-            sojourn = np.zeros(M)
-            sojourn[1:] = doc["S"]
-            wall_time = float(doc["wall_time"])
+        """Inverse of ``to_json_dict``.
+
+        Checks the document at the boundary: required keys, one entry per
+        site 1..M-1, non-negative integer counts, and (continuous mode)
+        finite sojourns, positive at every visited site.  A ValueError names
+        the first offending field.  Flow identities are left to
+        ``verify_conservation``.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("stats document must be a JSON object")
+        mode = doc.get("mode")
+        if mode not in MODES:
+            raise ValueError(f"mode: expected one of {MODES}, got {mode!r}")
+        required = ["R", "steps", "site", "L_plus", "L_minus"]
+        if mode == "continuous":
+            required += ["S", "wall_time"]
+        missing = [key for key in required if key not in doc]
+        if missing:
+            raise ValueError(f"missing key(s) {missing}")
+        for key in ("R", "steps"):
+            v = doc[key]
+            if not (isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 2**63):
+                raise ValueError(f"{key}: expected a non-negative integer, got {v!r}")
+        n = len(doc["site"]) if isinstance(doc["site"], list) else 0
+        if n < 1 or doc["site"] != list(range(1, n + 1)):
+            raise ValueError("site: expected the list 1..M-1")
+        up = _site_field(doc, "L_plus", n, "i")
+        down = _site_field(doc, "L_minus", n, "i")
+        sojourn = wall_time = None
+        if mode == "continuous":
+            sojourn = _site_field(doc, "S", n, "f")
+            unvisited = (sojourn == 0) & (up + down == 0)
+            if not np.all(np.isfinite(sojourn) & ((sojourn > 0) | unvisited)):
+                raise ValueError("S: entries must be finite, and positive at every visited site")
+            wall_time = doc["wall_time"]
+            if isinstance(wall_time, bool) or not isinstance(wall_time, (int, float)):
+                raise ValueError(f"wall_time: expected a number, got {wall_time!r}")
+            wall_time = float(wall_time)
         return cls(
             up=up,
             down=down,
             sojourn=sojourn,
-            steps=int(doc["steps"]),
+            steps=doc["steps"],
             wall_time=wall_time,
-            mode=doc["mode"],
-            R=int(doc["R"]),
+            mode=mode,
+            R=doc["R"],
         )
 
     def csv_rows(self) -> list[tuple]:
@@ -162,6 +188,20 @@ class AggregateStats:
             s = float(self.sojourn[x]) if self.sojourn is not None else ""
             rows.append((x, int(self.up[x]), int(self.down[x]), s, self.R))
         return rows
+
+
+def _site_field(doc: dict, key: str, n: int, kinds: str) -> np.ndarray:
+    """``doc[key]`` as a site-indexed array (slot 0 zero) of n entries whose
+    dtype kind is in ``kinds``; integer counts must also be non-negative."""
+    try:
+        arr = np.asarray(doc[key], dtype=float if kinds == "f" else None)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.shape != (n,):
+        raise ValueError(f"{key}: expected {n} numbers, one per site 1..M-1")
+    if arr.dtype.kind not in kinds or (kinds == "i" and np.any(arr < 0)):
+        raise ValueError(f"{key}: expected non-negative integer counts")
+    return np.concatenate([np.zeros(1, dtype=arr.dtype), arr])
 
 
 def _walk(
@@ -379,15 +419,15 @@ def verify_conservation(stats: WalkStats | AggregateStats) -> list[str]:
     """
     R = stats.R if isinstance(stats, AggregateStats) else 1
     M = stats.M
+    up, down = stats.up, stats.down
     bad = []
-    if stats.up[M - 1] != R:
-        bad.append(f"up[M-1] = {stats.up[M - 1]} != R = {R}")
-    for x in range(2, M):
-        if stats.down[x] != stats.up[x - 1] - R:
-            bad.append(f"down[{x}] = {stats.down[x]} != up[{x - 1}] - R = {stats.up[x - 1] - R}")
-    if stats.down[1] != 0 or stats.down[0] != 0 or stats.up[0] != 0:
+    if up[M - 1] != R:
+        bad.append(f"up[M-1] = {up[M - 1]} != R = {R}")
+    for x in (np.flatnonzero(down[2:] != up[1 : M - 1] - R) + 2).tolist():
+        bad.append(f"down[{x}] = {down[x]} != up[{x - 1}] - R = {up[x - 1] - R}")
+    if down[1] != 0 or down[0] != 0 or up[0] != 0:
         bad.append("padding slots (site 0, down[1]) must be zero")
-    total = int(np.sum(stats.up)) + int(np.sum(stats.down))
+    total = int(np.sum(up)) + int(np.sum(down))
     if stats.steps != total:
         bad.append(f"steps = {stats.steps} != sum of crossings = {total}")
     return bad

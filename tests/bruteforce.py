@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from unzipseq.energy import BASES, Base
+from unzipseq.walker import AggregateStats
 
 
 def brute_profile(env) -> list[float]:
@@ -51,6 +52,41 @@ def brute_pair_pmf(env, x: int, a: int, c: int) -> float:
         * (1.0 - p) ** c
         * (p * (1.0 - pb)) ** (a - 1)
         * (p * pb)
+    )
+
+
+def law_stats(env, R: int, mode: str, rng: np.random.Generator) -> AggregateStats:
+    """Statistics of R walks drawn from the exact joint law of the counts.
+
+    L+_{M-1} = R; given L+_x, the down-moves L-_x are NegBin(L+_x, p_x)
+    (failures before L+_x successes at up-probability p_x), and
+    L+_{x-1} = L-_x + R.  In continuous time each of the L+_x + L-_x visits
+    to x lasts an Exp(total exit rate at x), so S_x is a Gamma(L+_x + L-_x)
+    draw over that rate.  The cost is O(M) whatever R is.
+    """
+    M = env.M
+    up = np.zeros(M, dtype=np.int64)
+    down = np.zeros(M, dtype=np.int64)
+    up[M - 1] = R
+    for x in range(M - 1, 1, -1):
+        down[x] = rng.negative_binomial(up[x], brute_p_up(env, x))
+        up[x - 1] = down[x] + R
+    sojourn = None
+    if mode == "continuous":
+        sojourn = np.zeros(M)
+        for x in range(1, M):
+            rate = env.rate * math.exp(-env.beta * env.edge_energy(x))
+            if x > 1:
+                rate += env.rate * math.exp(-env.beta * env.force.at(x))
+            sojourn[x] = rng.standard_gamma(up[x] + down[x]) / rate
+    return AggregateStats(
+        up=up,
+        down=down,
+        sojourn=sojourn,
+        steps=int(up.sum() + down.sum()),
+        wall_time=None if sojourn is None else float(sojourn.sum()),
+        mode=mode,
+        R=R,
     )
 
 

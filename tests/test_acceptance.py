@@ -21,9 +21,8 @@ from unzipseq.inference import (
     decode_map,
     empirical_rate_from_logs,
     log_prob_any_error,
-    prob_any_error,
-    prob_nonsuccessive_errors,
-    sequence_posterior,
+    log_prob_nonsuccessive_errors,
+    sequence_log_posterior,
     site_posterior,
 )
 from unzipseq.protocols import (
@@ -91,16 +90,16 @@ def test_criterion_1_oracle_equivalence():
             dec = decode_map(pot, b1)
             assert tuple(dec.map_sequence.bases) == oracle["map"]
             assert dec.log_partition_value == pytest.approx(oracle["log_z"], rel=1e-10)
-            assert prob_any_error(pot, b1, dec) == pytest.approx(
+            assert math.exp(log_prob_any_error(pot, b1, dec)) == pytest.approx(
                 oracle["p_any"], rel=1e-10, abs=1e-13
             )
             for h in (1, 2, 3):
-                assert prob_nonsuccessive_errors(pot, b1, h, dec) == pytest.approx(
+                assert math.exp(log_prob_nonsuccessive_errors(pot, b1, h, dec)) == pytest.approx(
                     oracle["p_blocks"][h], rel=1e-10, abs=1e-13
                 )
             for idx in rng.integers(0, len(oracle["seqs"]), size=3):
                 alpha = BaseSequence(tuple(Base(int(v)) for v in oracle["seqs"][idx]))
-                assert sequence_posterior(alpha, pot, b1) == pytest.approx(
+                assert math.exp(sequence_log_posterior(alpha, pot, b1)) == pytest.approx(
                     float(oracle["weights"][idx]), rel=1e-10, abs=1e-13
                 )
             checked += 1

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -251,3 +252,84 @@ def test_step_cap_runtime_error(tmp_path, capsys):
 def test_canonical_json_sorted_and_nan_free():
     s = canonical_json({"b": 1, "a": float("nan"), "c": [1.5, float("inf")]})
     assert s == '{"a":null,"b":1,"c":[1.5,null]}\n'
+
+
+def _stats_doc(env_doc, mode, tmp_path):
+    out = tmp_path / "sim"
+    assert run(["simulate", "--env", env_doc, "--R", 4, "--seed", 3, "--mode", mode,
+                "--out", out]) == 0
+    return json.loads((out / "stats.json").read_text())
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _set_entry(key, i, value):
+    def edit(doc):
+        doc[key][i] = value
+    return edit
+
+
+@pytest.mark.parametrize("mode,edit,field", [
+    ("discrete", _drop("L_minus"), "L_minus"),
+    ("continuous", _drop("S"), "S"),
+    ("discrete", _set("L_plus", [1, 2, 3]), "L_plus"),
+    ("continuous", _set("S", [1.0, 2.0]), "S"),
+    ("discrete", _set_entry("L_minus", 1, -1), "L_minus"),
+    ("discrete", _set_entry("L_plus", 0, 2.5), "L_plus"),
+    ("discrete", _set("R", "4"), "R"),
+    ("discrete", _set("site", [1, 2, 4, 3]), "site"),
+    ("continuous", _set_entry("S", 2, None), "S"),
+    ("continuous", _set_entry("S", 2, 0.0), "S"),
+    ("continuous", _set_entry("S", 2, -1.0), "S"),
+    ("discrete", _set("mode", "sideways"), "mode"),
+    ("discrete", _set_entry("L_plus", 3, 5), "L_plus"),  # breaks L+_{M-1} = R
+    ("discrete", _set("steps", 1), "steps"),
+])
+def test_infer_stats_file_rejected(tmp_path, env_file, capsys, mode, edit, field):
+    doc = _stats_doc(env_file, mode, tmp_path)
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = run(["infer", "--env", env_file, "--stats", bad, "--mode", mode, "--out", tmp_path / "o"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: stats:") and field in err, err
+
+
+def test_rates_deep_landscape_saturates(tmp_path):
+    # 1/pbar_1 ~ e^779: the moments and the expected time overflow a float
+    envp = tmp_path / "env.json"
+    envp.write_text(json.dumps({"sequence": "A" * 1000, "beta": 1.0, "r": 1.0, "g1": 1.0}))
+    out = tmp_path / "o"
+    assert run(["rates", "--env", envp, "--out", out]) == 0
+    doc = json.loads((out / "rates.json").read_text())
+    assert doc["e_up"][0] is None and doc["time_expectation"] is None
+    assert doc["pbar"][0] == 0.0 and doc["pbar"][-1] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--R", 1, "--seed", 1],
+    ["infer", "--R", 1, "--seed", 1],
+    ["infer", "--R-grid", "10:20:10", "--seed", 1],
+])
+def test_trapping_walks_refused_before_simulating(tmp_path, capsys, argv):
+    # expected ~2e31 steps per walk: walking to the 1e8 cap would take ~30 s
+    envp = tmp_path / "env.json"
+    envp.write_text(json.dumps({"sequence": "GC" * 20, "beta": 1.0, "r": 1.0, "g1": 2.0}))
+    t0 = time.perf_counter()
+    rc = run(argv + ["--env", envp, "--step-cap", 10**8, "--out", tmp_path / "o"])
+    elapsed = time.perf_counter() - t0
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "step cap 100000000" in err and "steps per walk" in err
+    assert elapsed < 1.0

@@ -15,12 +15,9 @@ from unzipseq.energy import (
     ForceField,
     ModelParams,
     check_injectivity,
-    delta_g,
     environment_from_json,
     environment_to_json_dict,
-    free_energy_profile,
     hop_probability,
-    lookup_g0,
     transition_rates,
 )
 
@@ -28,10 +25,10 @@ from conftest import make_env
 
 
 def test_table1_values(table1):
-    assert lookup_g0(table1, Base.A, Base.A) == 1.78
-    assert lookup_g0(table1, Base.T, Base.A) == 1.06
-    assert lookup_g0(table1, Base.G, Base.C) == 3.90
-    assert lookup_g0(table1, Base.C, Base.G) == 3.85
+    assert table1.value(Base.A, Base.A) == 1.78
+    assert table1.value(Base.T, Base.A) == 1.06
+    assert table1.value(Base.G, Base.C) == 3.90
+    assert table1.value(Base.C, Base.G) == 3.85
 
 
 def test_base_order_and_letters():
@@ -44,15 +41,15 @@ def test_base_order_and_letters():
 
 def test_delta_g_examples():
     env = make_env("AAA", 1.78)
-    assert delta_g(env, 1, Base.A, Base.A) == pytest.approx(0.0, abs=1e-15)
+    assert env.delta_g_site(1) == pytest.approx(0.0, abs=1e-15)
     env0 = make_env("TAA", 0.0)
-    assert delta_g(env0, 1, Base.T, Base.A) == 1.06
+    assert env0.delta_g_site(1) == 1.06
     env1 = make_env("GCC", 1.0)
-    assert delta_g(env1, 1, Base.G, Base.C) == pytest.approx(2.90)
+    assert env1.delta_g_site(1) == pytest.approx(2.90)
     with pytest.raises(IndexError):
-        delta_g(env, 3, Base.A, Base.A)
+        env.delta_g_site(3)
     with pytest.raises(IndexError):
-        delta_g(env, 0, Base.A, Base.A)
+        env.delta_g_site(0)
 
 
 def test_hop_probability_values():
@@ -85,19 +82,20 @@ def test_hop_monotone():
 
 def test_free_energy_profile():
     env = make_env("AAA", 0.0)
-    g = free_energy_profile(env)
+    g = env.profile
     assert g[0] == 0.0
     assert g[1] == pytest.approx(1.78) and g[2] == pytest.approx(3.56)
     flat = make_env("AAA", 1.78)
-    assert np.allclose(free_energy_profile(flat), 0.0, atol=1e-15)
+    assert np.allclose(flat.profile, 0.0, atol=1e-15)
 
 
 def test_profile_increments_match_delta_g():
     env = make_env("ATCGGTAC", 1.3)
-    g = free_energy_profile(env)
+    g = env.profile
     for x in range(1, env.M):
         b, c = env.seq.base(x), env.seq.base(x + 1)
-        assert g[x] - g[x - 1] == pytest.approx(delta_g(env, x, b, c), abs=1e-12)
+        assert g[x] - g[x - 1] == pytest.approx(env.table.value(b, c) - env.force.at(x), abs=1e-12)
+        assert g[x] - g[x - 1] == pytest.approx(env.delta_g_site(x), abs=1e-12)
 
 
 def test_injectivity_table1(table1):

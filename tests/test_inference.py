@@ -5,22 +5,17 @@ import pytest
 
 from unzipseq.energy import BASES, Base, BaseSequence, EnergyTable
 from unzipseq.inference import (
-    DECODE_TIE_TOL,
+    EdgePotentials,
     Prior,
     build_edge_potentials,
     decode_map,
     empirical_rate,
     empirical_rate_from_logs,
     error_report,
-    local_information,
     log_partition,
     log_prob_any_error,
-    prob_any_error,
-    prob_nonsuccessive_errors,
+    log_prob_nonsuccessive_errors,
     sequence_log_posterior,
-    sequence_posterior,
-    site_error_probability,
-    site_map_estimate,
     site_posterior,
 )
 from unzipseq.walker import (
@@ -32,7 +27,13 @@ from unzipseq.walker import (
     zero_stats,
 )
 
-from bruteforce import brute_pair_pmf, edge_cost_tables, oracle_site_conditional, oracle_summary
+from bruteforce import (
+    brute_pair_pmf,
+    edge_cost_tables,
+    law_stats,
+    oracle_site_conditional,
+    oracle_summary,
+)
 from conftest import make_env, random_sequence
 
 
@@ -55,6 +56,15 @@ def _stats_with(env, mode, up=None, down=None, sojourn=None, R=1):
 
 
 # ---------------------------------------------------------------- local info
+
+
+def local_information(stats, env, x, triple, mode):
+    """Likelihood cost of the two edges meeting at x for candidate bases
+    (a_{x-1}, a_x, a_{x+1}), read off the potentials with the uniform prior's
+    log 4 per site (sites x, x+1, and site 1 when x = 2) added back."""
+    phi = build_edge_potentials(stats, env, None, mode).phi
+    a, b, c = triple
+    return phi[x - 1, a, b] + phi[x, b, c] - (3 if x == 2 else 2) * math.log(4.0)
 
 
 def test_local_information_zero_stats_continuous():
@@ -82,7 +92,7 @@ def test_local_information_matches_hand_expansion():
             got = local_information(stats, env, x, triple, "discrete")
             assert got == pytest.approx(expected, rel=1e-12)
     with pytest.raises(IndexError):
-        local_information(stats, env, 1, (Base.A, Base.A, Base.A), "discrete")
+        site_posterior(stats, env, 1, None, "discrete")
 
 
 # ---------------------------------------------------------------- site level
@@ -95,8 +105,8 @@ def test_site_posterior_zero_stats_uniform():
         for b in BASES:
             assert post.probs[b] == pytest.approx(0.25, abs=1e-12)
         assert post.tie
-        assert site_map_estimate(post) == (Base.A, True)
-        assert site_error_probability(post) == pytest.approx(0.75, abs=1e-12)
+        assert (post.map_base, post.tie) == (Base.A, True)
+        assert post.error_probability() == pytest.approx(0.75, abs=1e-12)
 
 
 def test_site_posterior_degenerate_table_returns_prior():
@@ -133,9 +143,8 @@ def test_site_posterior_brute_force_bayes_m3(mode):
     post = site_posterior(walk, env, 2, None, mode)
     for gamma in BASES:
         assert post.probs[gamma] == pytest.approx(masses[gamma] / Z, abs=1e-10)
-    best, _ = site_map_estimate(post)
-    assert best == max(BASES, key=lambda b: masses[b])
-    assert site_error_probability(post) == pytest.approx(
+    assert post.map_base == max(BASES, key=lambda b: masses[b])
+    assert post.error_probability() == pytest.approx(
         1.0 - max(masses.values()) / Z, abs=1e-10
     )
 
@@ -144,16 +153,31 @@ def test_site_map_estimate_plain():
     env = make_env("ATCG", 2.0)
     post = site_posterior(zero_stats(env.M, "discrete"), env, 2,
                           Prior.iid([0.7, 0.1, 0.1, 0.1], env.M), "discrete")
-    base, tie = site_map_estimate(post)
-    assert base is Base.A and not tie
-    assert site_error_probability(post) == pytest.approx(0.3, abs=1e-12)
+    assert post.map_base is Base.A and not post.tie
+    assert post.error_probability() == pytest.approx(0.3, abs=1e-12)
+
+
+def test_site_posterior_tie_scales_with_costs():
+    # a real 4e-11 edge of A over T at costs of order 1 is a decision, not a tie
+    env = make_env("ATCG", 2.0)
+    prior = Prior.iid([0.25 + 1e-11, 0.25 - 1e-11, 0.25, 0.25], env.M)
+    post = site_posterior(zero_stats(env.M, "discrete"), env, 2, prior, "discrete")
+    assert post.map_base is Base.A and not post.tie
+    # an exact tie among costs of order 1e10 (R ~ 1e7) is still a tie
+    flat = make_env("ATCG", 2.0, table=EnergyTable(np.full((4, 4), 2.5)))
+    stats = _stats_with(flat, "continuous", up={1: 3 * 10**9, 2: 2 * 10**9, 3: 10**7},
+                        down={2: 3 * 10**9 - 10**7, 3: 2 * 10**9 - 10**7},
+                        sojourn={1: 4.1e9, 2: 3.3e9, 3: 2.2e9}, R=10**7)
+    post = site_posterior(stats, flat, 2, None, "continuous")
+    assert post.tie and post.map_base is Base.A
+    assert all(p == 0.25 for p in post.probs.values())
 
 
 def test_site_error_probability_point_mass():
     env = make_env("AAAA", 1.3)
     stats = simulate_ensemble(env, 300, "discrete", SeedSpec(2))
     post = site_posterior(stats, env, 2, None, "discrete")
-    p = site_error_probability(post)
+    p = post.error_probability()
     assert 0.0 < p < 1e-6
     assert post.log_error_probability() == pytest.approx(math.log(p), rel=1e-9)
 
@@ -169,7 +193,8 @@ def test_site_log_error_probability_underflow_regime():
     assert all(math.isfinite(v) for v in lps)
     assert lps[0] > lps[1] > lps[2]
     # in this regime the plain probability may underflow, the log never does
-    assert lps[-1] < -500 or site_error_probability(snaps[-1]) > 0
+    last = site_posterior(snaps[-1], env, 3, None, "discrete")
+    assert lps[-1] < -500 or last.error_probability() > 0
 
 
 def test_numerical_stability_at_r_1e7():
@@ -194,7 +219,9 @@ def test_numerical_stability_at_r_1e7():
     assert str(dec.map_sequence) == "ATCGGA" and not dec.tie
     lp_any = log_prob_any_error(pot, env.seq.base(1), dec)
     assert math.isfinite(lp_any) and lp_any < -1e5
-    assert prob_any_error(pot, env.seq.base(1), dec) == 0.0  # honest underflow
+    rep = error_report(stats, env, None, "continuous", env.seq.base(1))
+    assert rep.log_p_any == pytest.approx(lp_any, rel=1e-12)
+    assert rep.p_any == 0.0  # honest underflow
     with pytest.raises(IndexError):
         site_posterior(stats, env, 1, None, "continuous")
 
@@ -261,9 +288,11 @@ def test_oracle_equivalence_small(mode, M):
         assert tuple(dec.map_sequence.bases) == oracle["map"]
         assert dec.cost == pytest.approx(oracle["map_cost"], rel=1e-10)
         assert dec.log_partition_value == pytest.approx(oracle["log_z"], rel=1e-10)
-        assert prob_any_error(pot, b1, dec) == pytest.approx(oracle["p_any"], rel=1e-10, abs=1e-12)
+        assert math.exp(log_prob_any_error(pot, b1, dec)) == pytest.approx(
+            oracle["p_any"], rel=1e-10, abs=1e-12
+        )
         for h in (1, 2, 3):
-            assert prob_nonsuccessive_errors(pot, b1, h, dec) == pytest.approx(
+            assert math.exp(log_prob_nonsuccessive_errors(pot, b1, h, dec)) == pytest.approx(
                 oracle["p_blocks"][h], rel=1e-10, abs=1e-12
             )
 
@@ -294,9 +323,27 @@ def test_decode_converges_at_desk_scale():
     assert str(dec.map_sequence) == letters
 
 
-def test_log_partition_zero_potentials():
-    from unzipseq.inference import EdgePotentials
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+@pytest.mark.parametrize("M", [50, 200, 1000])
+def test_decode_regression_grid_exact_law(M, mode):
+    # exact-law statistics at the sizes the decoder must handle; an absolute
+    # tie tolerance and a recursive traceback broke here (IndexError on an
+    # empty tie list, RecursionError at M ~ 1000)
+    rng = np.random.default_rng([M, len(mode)])
+    env = make_env(random_sequence(rng, M), 3.0)
+    for R in (10**3, 10**5, 10**7):
+        stats = law_stats(env, R, mode, rng)
+        pot = build_edge_potentials(stats, env, None, mode)
+        dec = decode_map(pot, env.seq.base(1))
+        assert dec.ties[0] == dec.map_sequence
+        assert pot.sequence_cost(dec.map_sequence) == pytest.approx(dec.cost, rel=1e-12)
+        true_cost = pot.sequence_cost(env.seq)
+        assert dec.cost <= true_cost + 1e-12 * abs(true_cost), (R, dec.cost, true_cost)
+        if R == 10**7:
+            assert dec.map_sequence == env.seq, R
 
+
+def test_log_partition_zero_potentials():
     M = 5
     pot = EdgePotentials(np.zeros((M, 4, 4)), "discrete")
     assert log_partition(pot, Base.A) == pytest.approx((M - 1) * math.log(4), rel=1e-12)
@@ -312,9 +359,11 @@ def test_sequence_posterior_basics():
     pot = build_edge_potentials(stats, env, None, "continuous")
     b1 = Base.A
     alpha = BaseSequence.from_string("ACCG")
-    assert sequence_posterior(alpha, pot, b1) == pytest.approx(4.0 ** -(env.M - 1), rel=1e-12)
+    assert math.exp(sequence_log_posterior(alpha, pot, b1)) == pytest.approx(
+        4.0 ** -(env.M - 1), rel=1e-12
+    )
     with pytest.raises(ValueError):
-        sequence_posterior(BaseSequence.from_string("TCCG"), pot, b1)
+        sequence_log_posterior(BaseSequence.from_string("TCCG"), pot, b1)
 
 
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
@@ -325,13 +374,13 @@ def test_sequence_posterior_sums_to_one(mode):
     b1 = env.seq.base(1)
     oracle = oracle_summary(stats, env, mode, b1)
     total = sum(
-        sequence_posterior(BaseSequence(tuple(Base(int(v)) for v in row)), pot, b1)
+        math.exp(sequence_log_posterior(BaseSequence(tuple(Base(int(v)) for v in row)), pot, b1))
         for row in oracle["seqs"]
     )
     assert total == pytest.approx(1.0, abs=1e-10)
     # the MAP sequence carries the highest posterior
     dec = decode_map(pot, b1)
-    p_map = sequence_posterior(dec.map_sequence, pot, b1)
+    p_map = math.exp(sequence_log_posterior(dec.map_sequence, pot, b1))
     assert p_map >= max(oracle["weights"]) - 1e-12
 
 
@@ -339,7 +388,8 @@ def test_prob_any_error_zero_stats():
     env = make_env("ATCGG", 2.0)
     pot = build_edge_potentials(zero_stats(env.M, "discrete"), env, None, "discrete")
     b1 = Base.A
-    assert prob_any_error(pot, b1) == pytest.approx(1 - 4.0 ** -(env.M - 1), rel=1e-12)
+    p_any = math.exp(log_prob_any_error(pot, b1))
+    assert p_any == pytest.approx(1 - 4.0 ** -(env.M - 1), rel=1e-12)
 
 
 def test_prob_nonsuccessive_matches_any_error_at_h1():
@@ -347,15 +397,15 @@ def test_prob_nonsuccessive_matches_any_error_at_h1():
     stats = simulate_ensemble(env, 8, "continuous", SeedSpec(41))
     pot = build_edge_potentials(stats, env, None, "continuous")
     b1 = env.seq.base(1)
-    p1 = prob_any_error(pot, b1)
-    p2 = prob_nonsuccessive_errors(pot, b1, 1)
+    p1 = math.exp(log_prob_any_error(pot, b1))
+    p2 = math.exp(log_prob_nonsuccessive_errors(pot, b1, 1))
     assert p2 == pytest.approx(p1, rel=1e-13)
     # monotone in h, and zero beyond the largest possible block count
-    values = [prob_nonsuccessive_errors(pot, b1, h) for h in range(1, 7)]
+    values = [math.exp(log_prob_nonsuccessive_errors(pot, b1, h)) for h in range(1, 7)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
-    assert prob_nonsuccessive_errors(pot, b1, env.M) == 0.0
+    assert math.exp(log_prob_nonsuccessive_errors(pot, b1, env.M)) == 0.0
     with pytest.raises(ValueError):
-        prob_nonsuccessive_errors(pot, b1, 0)
+        log_prob_nonsuccessive_errors(pot, b1, 0)
 
 
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
@@ -373,18 +423,20 @@ def test_shift_invariance():
     env = make_env("ATCGG", 2.2)
     stats = simulate_ensemble(env, 5, "continuous", SeedSpec(47))
     pot = build_edge_potentials(stats, env, None, "continuous")
-    shifted = pot.shifted(13.7)
+    shifted = EdgePotentials(pot.phi + 13.7, pot.mode)
     b1 = env.seq.base(1)
     d0, d1 = decode_map(pot, b1), decode_map(shifted, b1)
     assert str(d0.map_sequence) == str(d1.map_sequence)
-    assert prob_any_error(pot, b1) == pytest.approx(prob_any_error(shifted, b1), abs=1e-10)
+    assert math.exp(log_prob_any_error(pot, b1)) == pytest.approx(
+        math.exp(log_prob_any_error(shifted, b1)), abs=1e-10
+    )
     for h in (1, 2):
-        assert prob_nonsuccessive_errors(pot, b1, h) == pytest.approx(
-            prob_nonsuccessive_errors(shifted, b1, h), abs=1e-10
+        assert math.exp(log_prob_nonsuccessive_errors(pot, b1, h)) == pytest.approx(
+            math.exp(log_prob_nonsuccessive_errors(shifted, b1, h)), abs=1e-10
         )
     alpha = BaseSequence.from_string("ACCGG")
-    assert sequence_posterior(alpha, pot, b1) == pytest.approx(
-        sequence_posterior(alpha, shifted, b1), abs=1e-12
+    assert math.exp(sequence_log_posterior(alpha, pot, b1)) == pytest.approx(
+        math.exp(sequence_log_posterior(alpha, shifted, b1)), abs=1e-12
     )
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,11 +11,10 @@ from unzipseq.rates import (
     expected_unzip_time,
     gap_value,
     joint_up_count_log_pmf,
-    joint_up_count_pmf,
     lc_bound,
     log_inv_pbar,
     obstacle_height,
-    pair_count_pmf,
+    pair_count_log_pmf,
     pbar,
     rate_report,
     rc_site,
@@ -99,7 +99,7 @@ def test_count_moments_monte_carlo():
 
 def test_joint_pmf_direct_path():
     env = make_env("ATCG", 2.0)
-    direct = joint_up_count_pmf(env, [1, 1, 1])
+    direct = math.exp(joint_up_count_log_pmf(env, [1, 1, 1]))
     expected = brute_p_up(env, 2) * brute_p_up(env, 3)
     assert direct == pytest.approx(expected, rel=1e-12)
 
@@ -107,10 +107,10 @@ def test_joint_pmf_direct_path():
 def test_joint_pmf_validation():
     env = make_env("ATCG", 2.0)
     with pytest.raises(ValueError):
-        joint_up_count_pmf(env, [1, 1, 2])
+        joint_up_count_log_pmf(env, [1, 1, 2])
     with pytest.raises(ValueError):
-        joint_up_count_pmf(env, [1, 1])
-    assert joint_up_count_pmf(env, [0, 1, 1]) == 0.0
+        joint_up_count_log_pmf(env, [1, 1])
+    assert math.exp(joint_up_count_log_pmf(env, [0, 1, 1])) == 0.0
     assert joint_up_count_log_pmf(env, [0, 1, 1]) == -math.inf
 
 
@@ -122,7 +122,7 @@ def test_joint_pmf_normalization_flat_m4():
         for k1 in range(1, cap):
             for k2 in range(1, cap):
                 if k1 + k2 + 1 <= cap:
-                    total += joint_up_count_pmf(env, [k1, k2, 1])
+                    total += math.exp(joint_up_count_log_pmf(env, [k1, k2, 1]))
         masses.append(total)
     assert masses[0] < masses[1] < masses[2] <= 1.0 + 1e-12
     assert masses[2] >= 0.999
@@ -134,12 +134,12 @@ def test_joint_pmf_pair_marginal_matches_closed_form():
     marg: dict[tuple[int, int], float] = {}
     for k1 in range(1, 120):
         for k2 in range(1, 120):
-            p = joint_up_count_pmf(env, [k1, k2, 1])
+            p = math.exp(joint_up_count_log_pmf(env, [k1, k2, 1]))
             key = (k2, k1 - 1)  # (L+_2, L-_2)
             marg[key] = marg.get(key, 0.0) + p
     for key in [(1, 0), (1, 3), (2, 1), (3, 4), (5, 2)]:
-        assert marg[key] == pytest.approx(pair_count_pmf(env, x, *key), abs=1e-10)
-        assert pair_count_pmf(env, x, *key) == pytest.approx(
+        assert marg[key] == pytest.approx(math.exp(pair_count_log_pmf(env, x, *key)), abs=1e-10)
+        assert math.exp(pair_count_log_pmf(env, x, *key)) == pytest.approx(
             brute_pair_pmf(env, x, *key), rel=1e-12
         )
 
@@ -154,7 +154,7 @@ def test_moments_from_joint_pmf():
     down_mean = np.zeros(3)
     for k1 in range(1, 260):
         for k2 in range(1, 260):
-            p = joint_up_count_pmf(env, [k1, k2, 1])
+            p = math.exp(joint_up_count_log_pmf(env, [k1, k2, 1]))
             total += p
             for i, k in enumerate((k1, k2, 1)):
                 mean[i] += k * p
@@ -326,3 +326,36 @@ def test_rate_report(table1):
     # non-constant force: discrete L_c bound is undefined
     varied = make_env("ATCGGA", [2.0, 2.1, 2.2, 2.3, 2.4])
     assert math.isnan(rate_report(varied, R=1).inv_lc_discrete)
+
+
+def test_rate_report_saturates_on_deep_landscape():
+    # a 1000-site homopolymer pulled weakly: 1/pbar_1 ~ e^779, past any float
+    env = make_env("A" * 1000, 1.0)
+    rep = rate_report(env, R=1)
+    assert rep.pbar[1] == 0.0 and rep.pbar[999] == 1.0
+    assert math.isinf(rep.e_up[1]) and math.isinf(rep.e_sojourn[1])
+    assert math.isinf(rep.time.expectation)
+    # E = 2 sum_x 1/pbar_x - (M - 1), the last term far below the first's ulp
+    lips = [log_inv_pbar(env, x) for x in range(1, env.M)]
+    assert rep.time.log_expectation == pytest.approx(math.log(2.0) + np.logaddexp.reduce(lips))
+    assert np.all(rep.inv_rc_continuous[2:] > 0)
+    assert not np.any(np.isnan(rep.inv_rc_discrete[2:]))
+    assert math.isinf(count_moments(env, 1).e_up)
+    assert math.isinf(rc_site(env, 2, "continuous"))
+
+
+def test_rate_report_matches_per_site_functions():
+    rng = np.random.default_rng(8)
+    env = make_env(random_sequence(rng, 40), 2.6, beta=1.1, r=0.7)
+    rep = rate_report(env, R=3)
+    for x in range(1, env.M):
+        m = count_moments(env, x)
+        assert rep.pbar[x] == pytest.approx(brute_pbar(env, x), rel=1e-12)
+        columns = (rep.e_up, rep.var_up, rep.e_down, rep.e_sojourn, rep.var_sojourn)
+        assert tuple(c[x] for c in columns) == astuple(m)
+        if x <= env.M - 2:
+            brute_obstacle = max(env.profile[k] - env.profile[x] for k in range(x + 1, env.M))
+            assert rep.obstacle[x] == brute_obstacle
+    steps = 3 * sum(1 / brute_pbar(env, x - 1) if x > 1 else 1.0 for x in range(1, env.M))
+    steps += 3 * sum(1 / brute_pbar(env, x) - 1 for x in range(1, env.M))
+    assert rep.time.expectation == pytest.approx(steps, rel=1e-12)
