@@ -30,6 +30,7 @@ import numpy as np
 from .energy import (
     BASES,
     Base,
+    EnergyEnvironment,
     Environment,
     EnergyTable,
     ModelParams,
@@ -40,9 +41,7 @@ from .inference import (
     build_edge_potentials,
     empirical_rate_from_logs,
     error_report,
-    log_prob_any_error,
     rate_residuals,
-    site_posterior,
 )
 from .protocols import (
     LevelLadder,
@@ -51,7 +50,6 @@ from .protocols import (
     estimate_energy,
     rc_energy,
     run_protocol,
-    validate_ladder,
     window_schedule,
 )
 from .rates import decision_margins, expected_unzip_time, rate_report, rc_site
@@ -64,7 +62,6 @@ from .walker import (
     simulate_discrete_walk,
     simulate_continuous_walk,
     simulate_ensemble,
-    trace_csv_rows,
     verify_conservation,
 )
 
@@ -183,16 +180,28 @@ def _outdir(cfg: dict) -> Path:
     return out
 
 
-def _step_cap_kwargs(cfg: dict) -> dict:
-    return {"step_cap": int(cfg["step_cap"])} if "step_cap" in cfg else {}
+def _count(cfg: dict, key: str, default: int | None = None) -> int:
+    """A positive integer setting; required when there is no default."""
+    raw = cfg.get(key, default) if default is not None else _require(cfg, key)
+    try:
+        v = int(raw)
+    except (TypeError, ValueError):
+        v = 0
+    if v < 1:
+        raise ConfigError(f"{key}: expected a positive integer, got {raw!r}")
+    return v
 
 
-def _require_finishable(env: Environment, cfg: dict) -> None:
+def _step_cap(cfg: dict) -> int:
+    return _count(cfg, "step_cap", DEFAULT_STEP_CAP)
+
+
+def _require_finishable(env: Environment | EnergyEnvironment, cfg: dict) -> None:
     """Refuse walks whose analytic expected length is over the step cap.
 
     Compared in log space: a deep valley's expectation can overflow a float.
     """
-    cap = int(cfg.get("step_cap", DEFAULT_STEP_CAP))
+    cap = _step_cap(cfg)
     log_steps = expected_unzip_time(env, 1).log_expectation
     if log_steps > math.log(cap):
         raise RunAbort(
@@ -203,6 +212,10 @@ def _require_finishable(env: Environment, cfg: dict) -> None:
 
 def _jsonable(obj):
     """Repackage for canonical JSON: NaN/inf become null."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            obj = np.where(np.isfinite(obj), obj, None)
+        return obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -225,15 +238,11 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(canonical_json(obj))
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, (np.floating, float)):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
+def _write_csv(path: Path, header, columns) -> None:
+    """One row per entry of the columns (arrays, lists or iterators; the
+    shortest sets the row count).  ``str`` of a Python float is its repr."""
+    cells = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in zip(*cells)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -269,18 +278,21 @@ def cmd_simulate(cfg: dict) -> int:
     if "window" in cfg:
         env = _apply_window(env, cfg["window"])
     mode = _mode(cfg)
-    R = int(_require(cfg, "R"))
+    R = _count(cfg, "R")
     seed = _seed(cfg)
     out = _outdir(cfg)
     _require_finishable(env, cfg)
-    agg = simulate_ensemble(env, R, mode, seed, **_step_cap_kwargs(cfg))
+    agg = simulate_ensemble(env, R, mode, seed, step_cap=_step_cap(cfg))
     _write_json(out / "stats.json", agg.to_json_dict())
     if cfg.get("format") == "csv":
-        _write_csv(out / "stats.csv", ("site", "L_plus", "L_minus", "S", "R"), agg.csv_rows())
+        S = agg.sojourn[1:] if agg.sojourn is not None else itertools.repeat("")
+        _write_csv(out / "stats.csv", ("site", "L_plus", "L_minus", "S", "R"),
+                   (range(1, agg.M), agg.up[1:], agg.down[1:], S, itertools.repeat(agg.R)))
     if cfg.get("trace"):
         walk_fn = simulate_discrete_walk if mode == "discrete" else simulate_continuous_walk
-        walk = walk_fn(env, seed, 0, trace=True, **_step_cap_kwargs(cfg))
-        _write_csv(out / "trace.csv", ("step", "site", "time"), trace_csv_rows(walk))
+        walk = walk_fn(env, seed, 0, trace=True, step_cap=_step_cap(cfg))
+        _write_csv(out / "trace.csv", ("step", "site", "time"),
+                   (range(walk.path.size), walk.path, walk.path_times))
     return 0
 
 
@@ -374,19 +386,17 @@ def cmd_infer(cfg: dict) -> int:
     if "stats" in cfg:
         agg = _load_stats(cfg["stats"], env, mode)
     else:
-        R = int(_require(cfg, "R"))
+        R = _count(cfg, "R")
         seed = _seed(cfg)
         _require_finishable(env, cfg)
-        agg = simulate_ensemble(env, R, mode, seed, **_step_cap_kwargs(cfg))
+        agg = simulate_ensemble(env, R, mode, seed, step_cap=_step_cap(cfg))
 
-    doc = error_report(agg, env, prior, mode, b1, h_max).to_json_dict()
+    report = error_report(agg, env, prior, mode, b1, h_max)
+    doc = report.to_json_dict()
     _write_json(out / "decode.json", doc)
     if cfg.get("format") == "csv":
-        rows = [
-            (d["site"],) + tuple(d["probs"][b.name] for b in BASES)
-            for d in doc["site_posteriors"]
-        ]
-        _write_csv(out / "posteriors.csv", ("site", "p_A", "p_T", "p_C", "p_G"), rows)
+        _write_csv(out / "posteriors.csv", ("site", "p_A", "p_T", "p_C", "p_G"),
+                   (range(2, env.M), *report.site_probs.T))
     if cfg.get("oracle"):
         pot = build_edge_potentials(agg, env, prior, mode)
         oracle = _oracle_enumeration(pot, b1, h_max)
@@ -432,27 +442,24 @@ def _infer_grid(cfg, env, mode, prior, b1, out: Path) -> int:
     grid = _parse_grid(cfg["R_grid"])
     seed = _seed(cfg)
     site = cfg.get("site")
+    if site is not None and not (isinstance(site, int) and 2 <= site <= env.M - 1):
+        raise ConfigError(f"site: expected an interior site in [2, {env.M - 1}], got {site!r}")
     _require_finishable(env, cfg)
-    stats_seq = accumulate_checkpoints(env, mode, seed, grid, **_step_cap_kwargs(cfg))
-    rows = []
-    pts_any = []
-    pts_site = []
-    for R, agg in zip(grid, stats_seq):
-        pot = build_edge_potentials(agg, env, prior, mode)
-        lp_any = log_prob_any_error(pot, b1)
-        row = [R, lp_any, math.exp(min(lp_any, 0.0))]
-        pts_any.append((R, lp_any))
+    stats_seq = accumulate_checkpoints(env, mode, seed, grid, step_cap=_step_cap(cfg))
+    # one error pass per checkpoint: the any-error curve and, optionally, one site's
+    lp_any, lp_site = [], []
+    for agg in stats_seq:
+        report = error_report(agg, env, prior, mode, b1, h_max=1)
+        lp_any.append(report.log_p_any)
         if site is not None:
-            sp = site_posterior(agg, env, int(site), prior, mode)
-            lp_site = sp.log_error_probability()
-            row += [lp_site, math.exp(min(lp_site, 0.0))]
-            pts_site.append((R, lp_site))
-        rows.append(tuple(row))
-    header = ("R", "log_p_any_error", "p_any_error") + (
-        ("log_p_site_error", "p_site_error") if site is not None else ()
-    )
-    _write_csv(out / "error_curve.csv", header, rows)
-    fit = empirical_rate_from_logs(pts_any)
+            lp_site.append(report.site_errors[site - 2][2])
+    columns = [grid, lp_any, [math.exp(min(lp, 0.0)) for lp in lp_any]]
+    header = ["R", "log_p_any_error", "p_any_error"]
+    if site is not None:
+        columns += [lp_site, [math.exp(min(lp, 0.0)) for lp in lp_site]]
+        header += ["log_p_site_error", "p_site_error"]
+    _write_csv(out / "error_curve.csv", header, columns)
+    fit = empirical_rate_from_logs(zip(grid, lp_any))
     field = env.force.per_site
     if mode == "continuous" or bool(np.all(field == field[0])):
         margins = decision_margins(env.table, env.beta, g1=float(field[0]), mode=mode)
@@ -467,9 +474,10 @@ def _infer_grid(cfg, env, mode, prior, b1, out: Path) -> int:
         "margin_lower_bound": margin_bound,
     }
     if site is not None:
+        pts_site = list(zip(grid, lp_site))
         fit_site = empirical_rate_from_logs(pts_site)
-        rc = rc_site(env, int(site), mode)
-        doc["site"] = int(site)
+        rc = rc_site(env, site, mode)
+        doc["site"] = site
         doc["slope_site_error"] = fit_site.slope
         doc["slope_site_stderr"] = fit_site.slope_stderr
         doc["rc_site"] = rc
@@ -487,13 +495,13 @@ def _infer_grid(cfg, env, mode, prior, b1, out: Path) -> int:
 
 def cmd_rates(cfg: dict) -> int:
     env = _environment(cfg)
-    R = int(cfg.get("R", 1))
+    R = _count(cfg, "R", 1)
     out = _outdir(cfg)
     report = rate_report(env, R)
     _write_json(out / "rates.json", report.to_json_dict())
-    _write_csv(out / "rates.csv", report.CSV_HEADER, report.csv_rows())
-    g = env.profile
-    _write_csv(out / "profile.csv", ("x", "g"), [(x, float(g[x])) for x in range(env.M)])
+    _write_csv(out / "rates.csv", report.CSV_HEADER,
+               [range(1, env.M)] + [getattr(report, n)[1:] for n in report.CSV_HEADER[1:]])
+    _write_csv(out / "profile.csv", ("x", "g"), (range(env.M), env.profile))
     return 0
 
 
@@ -502,22 +510,18 @@ def cmd_rates(cfg: dict) -> int:
 
 
 def _ladder(cfg: dict, energies: list[float]) -> LevelLadder:
+    """The configured ladder, built (and so checked) once."""
     doc = cfg.get("ladder", "from-energies")
-    if doc == "from-energies":
-        ladder = LevelLadder.from_energies(energies)
-    elif doc == "from-table":
-        ladder = LevelLadder.from_table(EnergyTable.default())
-    elif isinstance(doc, dict) and set(doc) == {"mu", "r"}:
-        report = validate_ladder(doc["mu"], doc["r"])
-        if not report.valid:
-            raise ConfigError("ladder: " + "; ".join(report.violations))
-        ladder = LevelLadder(tuple(doc["mu"]), tuple(doc["r"]))
-    else:
-        raise ConfigError("ladder: expected 'from-energies', 'from-table' or {'mu': [...], 'r': [...]}")
-    report = ladder.validate()
-    if not report.valid:
-        raise ConfigError("ladder: " + "; ".join(report.violations))
-    return ladder
+    try:
+        if doc == "from-energies":
+            return LevelLadder.from_energies(energies)
+        if doc == "from-table":
+            return LevelLadder.from_table(EnergyTable.default())
+        if isinstance(doc, dict) and set(doc) == {"mu", "r"}:
+            return LevelLadder(tuple(doc["mu"]), tuple(doc["r"]))
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"ladder: {e}") from None
+    raise ConfigError("ladder: expected 'from-energies', 'from-table' or {'mu': [...], 'r': [...]}")
 
 
 def cmd_protocol(cfg: dict) -> int:
@@ -530,7 +534,7 @@ def cmd_protocol(cfg: dict) -> int:
     params = params_env.params if params_env is not None else ModelParams()
     mode = _mode(cfg)
     scheme = cfg.get("scheme", "uniform-pair")
-    R_per_level = int(_require(cfg, "R_per_level"))
+    R_per_level = _count(cfg, "R_per_level")
     seed = _seed(cfg)
     out = _outdir(cfg)
     M = len(energies) + 1
@@ -547,9 +551,22 @@ def cmd_protocol(cfg: dict) -> int:
         )
     except (ValueError, IndexError) as e:
         raise ConfigError(f"protocol: {e}") from None
-    stats = run_protocol(energies, params, plan, seed, mode, **_step_cap_kwargs(cfg))
+    for lv in plan.levels:
+        try:
+            _require_finishable(EnergyEnvironment(energies, lv.force, params), cfg)
+        except RunAbort as e:
+            raise RunAbort(f"force level {lv.level_index}: {e}") from None
+    stats = run_protocol(energies, params, plan, seed, mode, step_cap=_step_cap(cfg))
     _write_json(out / "levels.json", stats.to_json_dict())
-    _write_csv(out / "levels.csv", ("level", "site", "L_plus", "L_minus", "R"), stats.csv_rows())
+    levels = sorted(stats.stats)
+    aggs = [stats.stats[i] for i in levels]
+    _write_csv(out / "levels.csv", ("level", "site", "L_plus", "L_minus", "R"), (
+        np.repeat(levels, M - 1),
+        np.tile(np.arange(1, M), len(levels)),
+        np.concatenate([agg.up[1:] for agg in aggs]),
+        np.concatenate([agg.down[1:] for agg in aggs]),
+        np.repeat([agg.R for agg in aggs], M - 1),
+    ))
 
     # site-dependent schemes only calibrate the drift at the target site;
     # a scan that runs past the plan's deepest level is reported, not fatal
@@ -570,15 +587,15 @@ def cmd_protocol(cfg: dict) -> int:
                          value if value is not None else "", undecided, note))
         est_docs.append({"site": x, "level": level, "value": value,
                          "undecided": undecided, "note": note})
-    _write_csv(out / "estimates.csv", ("site", "level", "mu", "undecided", "note"), est_rows)
+    _write_csv(out / "estimates.csv", ("site", "level", "mu", "undecided", "note"),
+               zip(*est_rows))
     _write_json(out / "estimates.json", est_docs)
 
-    bound_rows = []
-    for x in range(2, M):
-        bound = rc_energy(energies, x, ladder, params.beta, scheme,
-                          k=cfg.get("k", 1) if scheme == "uniform-pair" else None)
-        bound_rows.append((x, scheme, bound))
-    _write_csv(out / "bounds.csv", ("site", "scheme", "rate_lower_bound"), bound_rows)
+    bound_sites = np.arange(2, M)
+    bounds = rc_energy(energies, bound_sites, ladder, params.beta, scheme,
+                       k=cfg.get("k", 1) if scheme == "uniform-pair" else None)
+    _write_csv(out / "bounds.csv", ("site", "scheme", "rate_lower_bound"),
+               (bound_sites, itertools.repeat(scheme), bounds))
     return 0
 
 

@@ -309,15 +309,12 @@ class Environment(_SiteModel):
 
     @cached_property
     def edge_g0(self) -> np.ndarray:
-        vals = np.zeros(self.M)
-        for x in range(1, self.M):
-            vals[x] = self.table.value(self.seq.base(x), self.seq.base(x + 1))
-        vals.setflags(write=False)
-        return vals
+        b = np.array(self.seq.bases)
+        return _frozen_array(np.concatenate([[0.0], self.table.values[b[:-1], b[1:]]]))
 
     def edge_energies(self) -> list[float]:
         """g0(b_x, b_x+1) for x = 1..M-1, in site order."""
-        return [float(v) for v in self.edge_g0[1:]]
+        return self.edge_g0[1:].tolist()
 
     def to_energy_environment(self) -> "EnergyEnvironment":
         return EnergyEnvironment(tuple(self.edge_energies()), self.force, self.params)

@@ -29,7 +29,13 @@ from .energy import (
     hop_probability,
 )
 from .rates import gap_value
-from .walker import AggregateStats, SeedSpec, StepCapExceeded, simulate_ensemble
+from .walker import (
+    DEFAULT_STEP_CAP,
+    AggregateStats,
+    SeedSpec,
+    StepCapExceeded,
+    simulate_ensemble,
+)
 
 __all__ = [
     "LevelLadder",
@@ -107,18 +113,13 @@ class LevelLadder:
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
         object.__setattr__(self, "r_levels", tuple(float(v) for v in self.r_levels))
+        report = validate_ladder(self.mu, self.r_levels)
+        if not report.valid:
+            raise ValueError("invalid ladder: " + "; ".join(report.violations))
 
     @property
     def K(self) -> int:
         return len(self.mu)
-
-    def validate(self) -> LadderReport:
-        return validate_ladder(self.mu, self.r_levels)
-
-    def require_valid(self) -> None:
-        report = self.validate()
-        if not report.valid:
-            raise ValueError("invalid ladder: " + "; ".join(report.violations))
 
     def mu_at(self, m: int) -> float:
         if not 1 <= m <= self.K:
@@ -152,9 +153,7 @@ class LevelLadder:
         r = [mu[0] + half_gap]
         r += [(mu[i - 1] + mu[i]) / 2.0 for i in range(1, len(mu))]
         r.append(0.0)
-        ladder = cls(tuple(mu), tuple(r))
-        ladder.require_valid()
-        return ladder
+        return cls(tuple(mu), tuple(r))
 
     @classmethod
     def from_table(cls, table: EnergyTable) -> "LevelLadder":
@@ -190,8 +189,7 @@ def window_schedule(
         values = baseline.per_site.copy()
     else:
         values = np.full(M - 1, float(baseline))
-    for off in range(-A, A + 1):
-        values[y + off - 1] = C * (A - off)
+    values[y - A - 1 : y + A] = C * (A - np.arange(-A, A + 1))
     return ForceField(values)
 
 
@@ -233,7 +231,6 @@ def build_protocol(
     absorbing-tail: r_1 before, r_i at the site, zero force beyond, so the
     prediction cost becomes independent of the unknown tail energies.
     """
-    ladder.require_valid()
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if replicas < 1:
@@ -281,17 +278,6 @@ class LevelStats:
         except KeyError:
             raise ValueError(f"no statistics for force level {i}") from None
 
-    def has_level(self, i: int) -> bool:
-        return i in self.stats
-
-    def csv_rows(self) -> list[tuple]:
-        rows = []
-        for i in sorted(self.stats):
-            agg = self.stats[i]
-            for x in range(1, agg.M):
-                rows.append((i, x, int(agg.up[x]), int(agg.down[x]), agg.R))
-        return rows
-
     def to_json_dict(self) -> dict:
         return {str(i): agg.to_json_dict() for i, agg in sorted(self.stats.items())}
 
@@ -312,7 +298,7 @@ def run_protocol(
     seed: SeedSpec,
     mode: str = "discrete",
     *,
-    step_cap: int | None = None,
+    step_cap: int = DEFAULT_STEP_CAP,
 ) -> LevelStats:
     """Simulate one ensemble per force level of the plan.
 
@@ -320,12 +306,11 @@ def run_protocol(
     own child seed, so levels are independent and individually reproducible.
     """
     out: dict[int, AggregateStats] = {}
-    kwargs = {} if step_cap is None else {"step_cap": step_cap}
     for lv in plan.levels:
-        env = EnergyEnvironment(tuple(float(e) for e in energies), lv.force, params)
+        env = EnergyEnvironment(energies, lv.force, params)
         try:
             out[lv.level_index] = simulate_ensemble(
-                env, lv.replicas, mode, seed.child(lv.level_index), **kwargs
+                env, lv.replicas, mode, seed.child(lv.level_index), step_cap=step_cap
             )
         except StepCapExceeded as e:
             raise ProtocolAbort(lv.level_index, e) from e
@@ -352,7 +337,6 @@ def estimate_energy(stats: LevelStats, x: int, ladder: LevelLadder) -> EnergyEst
     Scanning stops at the first flip; both levels of every scanned pair must
     be present in the statistics.
     """
-    ladder.require_valid()
     ratios: dict[int, float] = {}
 
     def ratio(i: int) -> float:
@@ -402,11 +386,8 @@ def _pair_margin(ladder: LevelLadder, k: int, r: float, beta: float) -> float:
     return min(gap_value("H", a, ladder.mu_at(l) - r, beta) - base for l in neighbours)
 
 
-def h_margins(ladder: LevelLadder, beta: float, scheme: str = "uniform-pair") -> HMargins:
+def h_margins(ladder: LevelLadder, beta: float) -> HMargins:
     """Evaluate H^(k), H^(k+1) for every k, plus the scheme maxima."""
-    ladder.require_valid()
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     per_pair = []
     for k in range(1, ladder.K + 1):
         hk = _pair_margin(ladder, k, ladder.r_at(k), beta)
@@ -420,12 +401,12 @@ def h_margins(ladder: LevelLadder, beta: float, scheme: str = "uniform-pair") ->
 
 def rc_energy(
     energies: Sequence[float],
-    x: int,
+    x: int | np.ndarray,
     ladder: LevelLadder,
     beta: float,
     scheme: str,
     k: int | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Lower bound on the error decay rate of the energy estimator at x.
 
     uniform-pair (needs k): H^(k)/pbar_x^k + H^(k+1)/pbar_x^{k+1}, with
@@ -433,32 +414,39 @@ def rc_energy(
     focus-at-x: (H-> + H<-) / pbar_x^K, the slow tail force r_K beyond x.
     absorbing-tail: (H-> + H<-) e^(mu_K beta (M - x)); no tail energies enter,
     so the bound is independent of the unknown part of the molecule.
+
+    ``x`` is a site or an array of sites; an array gets an array of bounds
+    from one landscape per force level read.  A factor too large for a
+    float saturates the bound to inf, or to 0 where 1/pbar overflows.
     """
-    ladder.require_valid()
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    energies = tuple(float(e) for e in energies)
     M = len(energies) + 1
-    if not 2 <= x <= M - 1:
-        raise IndexError(f"site index {x} out of range [2, {M - 1}]")
+    xs = np.asarray(x)
+    outside = xs[(xs < 2) | (xs > M - 1)]
+    if outside.size:
+        raise IndexError(f"site index {outside.flat[0]} out of range [2, {M - 1}]")
     params = ModelParams(beta=beta, rate_scale=1.0)
-    margins = h_margins(ladder, beta, scheme)
+    margins = h_margins(ladder, beta)
 
-    def inv_pbar_const(r_level: float) -> float:
-        env = EnergyEnvironment(
-            energies, ForceField.constant(r_level, M - 1), params
-        )
-        return math.exp(env.log_inv_pbar[x])
+    def inv_pbar_const(r_level: float) -> np.ndarray:
+        env = EnergyEnvironment(energies, ForceField.constant(r_level, M - 1), params)
+        return np.exp(env.log_inv_pbar[xs])
 
-    if scheme == "uniform-pair":
-        if k is None or not 1 <= k <= ladder.K:
-            raise ValueError(f"uniform-pair bound needs k in [1, {ladder.K}], got {k}")
-        _, hk, hk1 = margins.per_pair[k - 1]
-        return hk / inv_pbar_const(ladder.r_at(k)) + hk1 / inv_pbar_const(ladder.r_at(k + 1))
-    total = margins.h_forward + margins.h_backward
-    if scheme == "focus-at-x":
-        return total / inv_pbar_const(ladder.r_at(ladder.K))
-    return total * math.exp(ladder.mu_at(ladder.K) * beta * (M - x))
+    with np.errstate(over="ignore"):
+        if scheme == "uniform-pair":
+            if k is None or not 1 <= k <= ladder.K:
+                raise ValueError(f"uniform-pair bound needs k in [1, {ladder.K}], got {k}")
+            _, hk, hk1 = margins.per_pair[k - 1]
+            ip_k, ip_k1 = inv_pbar_const(ladder.r_at(k)), inv_pbar_const(ladder.r_at(k + 1))
+            bound = hk / ip_k + hk1 / ip_k1
+        else:
+            total = margins.h_forward + margins.h_backward
+            if scheme == "focus-at-x":
+                bound = total / inv_pbar_const(ladder.r_at(ladder.K))
+            else:
+                bound = total * np.exp(ladder.mu_at(ladder.K) * beta * (M - xs))
+    return float(bound) if xs.ndim == 0 else bound
 
 
 @dataclass(frozen=True)
@@ -499,39 +487,33 @@ def sequence_from_energies(
     missing energy in the current row is an error; without b1, all four
     starts are explored and every complete reconstruction is reported.
     """
-    energies = [float(e) for e in energies]
-    all_values = {float(v) for v in table.values.ravel()}
-    for i, e in enumerate(energies, start=1):
-        if not any(abs(e - v) <= tol for v in all_values):
-            raise ValueError(f"energy {e} at site {i} appears nowhere in the table")
+    energies = np.asarray(energies, dtype=float)
+    nowhere = ~np.any(np.abs(energies[:, None] - table.values.ravel()) <= tol, axis=1)
+    if np.any(nowhere):
+        i = int(np.argmax(nowhere))
+        raise ValueError(f"energy {energies[i]} at site {i + 1} appears nowhere in the table")
+    energies = energies.tolist()
 
     results: list[tuple[Base, ...]] = []
     fail_site = 0
     fail_row: Base | None = None
-
-    def extend(prefix: list[Base]) -> None:
-        nonlocal fail_site, fail_row
-        if len(results) >= cap:
-            return
-        x = len(prefix)
+    # depth-first, candidates in Base order: stack entries are (depth, base)
+    starts = [Base(b1)] if b1 is not None else list(BASES)
+    stack = [(0, b) for b in reversed(starts)]
+    prefix: list[Base] = []
+    while stack and len(results) < cap:
+        depth, a = stack.pop()
+        del prefix[depth:]
+        prefix.append(a)
+        x = depth + 1
         if x == len(energies) + 1:
             results.append(tuple(prefix))
-            return
-        a = prefix[-1]
+            continue
         row = table.row(a)
         candidates = [c for c in BASES if abs(float(row[c]) - energies[x - 1]) <= tol]
-        if not candidates:
-            if x > fail_site:
-                fail_site, fail_row = x, a
-            return
-        for c in candidates:
-            prefix.append(c)
-            extend(prefix)
-            prefix.pop()
-
-    starts = [Base(b1)] if b1 is not None else list(BASES)
-    for start in starts:
-        extend([start])
+        if not candidates and x > fail_site:
+            fail_site, fail_row = x, a
+        stack.extend((x, c) for c in reversed(candidates))
 
     if not results:
         if b1 is not None:

@@ -362,16 +362,10 @@ class RateReport:
         "var_sojourn",
     )
 
-    def _site_table(self) -> list[list[float]]:
-        """Rows for sites 1..M-1, one column per per-site CSV_HEADER name."""
-        return np.column_stack([getattr(self, n) for n in self.CSV_HEADER[1:]])[1:].tolist()
-
-    def csv_rows(self) -> list[tuple]:
-        return [(x, *row) for x, row in enumerate(self._site_table(), start=1)]
-
     def to_json_dict(self) -> dict:
+        """Per-site columns as arrays over sites 1..M-1 (NaN where undefined)."""
         doc = {"site": list(range(1, self.M)), "R": self.R}
-        doc.update(zip(self.CSV_HEADER[1:], map(list, zip(*self._site_table()))))
+        doc.update((n, getattr(self, n)[1:]) for n in self.CSV_HEADER[1:])
         doc["inv_lc_discrete"] = self.inv_lc_discrete
         doc["inv_lc_continuous"] = self.inv_lc_continuous
         doc["time_lower"] = self.time.lower

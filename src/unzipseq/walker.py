@@ -32,7 +32,6 @@ __all__ = [
     "accumulate_checkpoints",
     "verify_conservation",
     "zero_stats",
-    "trace_csv_rows",
 ]
 
 DEFAULT_STEP_CAP = 10**9
@@ -124,11 +123,11 @@ class AggregateStats:
             "R": self.R,
             "steps": self.steps,
             "site": list(range(1, self.M)),
-            "L_plus": [int(v) for v in self.up[1:]],
-            "L_minus": [int(v) for v in self.down[1:]],
+            "L_plus": self.up[1:].tolist(),
+            "L_minus": self.down[1:].tolist(),
         }
         if self.sojourn is not None:
-            doc["S"] = [float(v) for v in self.sojourn[1:]]
+            doc["S"] = self.sojourn[1:].tolist()
             doc["wall_time"] = float(self.wall_time)
         return doc
 
@@ -181,13 +180,6 @@ class AggregateStats:
             mode=mode,
             R=doc["R"],
         )
-
-    def csv_rows(self) -> list[tuple]:
-        rows = []
-        for x in range(1, self.M):
-            s = float(self.sojourn[x]) if self.sojourn is not None else ""
-            rows.append((x, int(self.up[x]), int(self.down[x]), s, self.R))
-        return rows
 
 
 def _site_field(doc: dict, key: str, n: int, kinds: str) -> np.ndarray:
@@ -431,13 +423,3 @@ def verify_conservation(stats: WalkStats | AggregateStats) -> list[str]:
     if stats.steps != total:
         bad.append(f"steps = {stats.steps} != sum of crossings = {total}")
     return bad
-
-
-def trace_csv_rows(walk: WalkStats) -> list[tuple]:
-    """(step, site, time) rows for a traced walk."""
-    if walk.path is None:
-        raise ValueError("walk was not simulated with trace=True")
-    return [
-        (k, int(site), float(t))
-        for k, (site, t) in enumerate(zip(walk.path, walk.path_times))
-    ]

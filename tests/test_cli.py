@@ -140,6 +140,7 @@ def test_rates_outputs(tmp_path, env_file):
     rows = (out / "rates.csv").read_text().strip().split("\n")
     assert rows[0].startswith("site,pbar,inv_rc_discrete,inv_rc_continuous")
     assert len(rows) == 5  # header + M-1 sites
+    assert rows[1].startswith("1,")
     profile = (out / "profile.csv").read_text().strip().split("\n")
     assert profile[1] == "0,0.0"
     doc = json.loads((out / "rates.json").read_text())
@@ -315,6 +316,44 @@ def test_rates_deep_landscape_saturates(tmp_path):
     doc = json.loads((out / "rates.json").read_text())
     assert doc["e_up"][0] is None and doc["time_expectation"] is None
     assert doc["pbar"][0] == 0.0 and doc["pbar"][-1] == 1.0
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["simulate", "--R", 0, "--seed", 1], 2, "config error: R:"),
+    (["infer", "--R", 0, "--seed", 1], 2, "config error: R:"),
+    (["rates", "--R", 0], 2, "config error: R:"),
+    (["simulate", "--R", 1, "--seed", 1, "--step-cap", 0], 2, "config error: step_cap:"),
+    (["infer", "--R-grid", "10:20:10", "--seed", 1, "--site", 1], 2, "config error: site:"),
+    (["infer", "--R-grid", "10:20:10", "--seed", 1, "--site", 5], 2, "config error: site:"),
+    # level 10 of the table ladder expects ~10^127.6 steps per walk on this list
+    (["protocol", "--config", "{long}", "--seed", 1], 1, "runtime error: force level 10:"),
+], ids=["simulate-R0", "infer-R0", "rates-R0", "step-cap0", "grid-site1", "grid-siteM",
+        "protocol-level10"])
+def test_refused_before_any_walk(tmp_path, env_file, capsys, argv, code, message):
+    energies = np.random.default_rng(800).choice([1.55, 1.78], size=800).tolist()
+    long_cfg = tmp_path / "long.json"
+    long_cfg.write_text(json.dumps({"energies": energies, "ladder": "from-table",
+                                    "max_level": 10, "R_per_level": 5}))
+    argv = [str(a).format(long=long_cfg) for a in argv]
+    t0 = time.perf_counter()
+    rc = run(argv + ["--env", env_file, "--out", tmp_path / "o"])
+    elapsed = time.perf_counter() - t0
+    assert rc == code
+    assert capsys.readouterr().err.startswith(message)
+    assert elapsed < 1.0
+
+
+def test_protocol_absorbing_bounds_saturate(tmp_path):
+    # 801 sites: e^(mu_K beta (M - x)) overflows a float for x <= 343
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"energies": [1.55, 1.78] * 400, "scheme": "absorbing-tail",
+                               "site": 799, "R_per_level": 5}))
+    out = tmp_path / "o"
+    assert run(["protocol", "--config", cfg, "--seed", 2, "--out", out]) == 0
+    bounds = [line.split(",") for line in (out / "bounds.csv").read_text().split()[1:]]
+    assert [b[0] for b in bounds] == [str(x) for x in range(2, 801)]
+    assert {b[2] for b in bounds[:342]} == {"inf"}
+    assert all(0 < float(b[2]) < math.inf for b in bounds[342:])
 
 
 @pytest.mark.parametrize("argv", [

@@ -67,7 +67,7 @@ def test_validate_ladder_examples():
 def test_ladder_from_table(table1):
     ladder = LevelLadder.from_table(table1)
     assert ladder.K == 10
-    assert ladder.validate().valid
+    assert validate_ladder(ladder.mu, ladder.r_levels).valid
     # every inequality individually re-checked
     for k in range(1, ladder.K + 1):
         assert ladder.mu_at(k) - ladder.r_at(k) < 0
@@ -76,7 +76,7 @@ def test_ladder_from_table(table1):
             assert ladder.mu_at(i) - ladder.r_at(k + 1) < 0
     assert ladder.r_at(ladder.K + 1) == 0.0
     single = LevelLadder.from_energies([2.0, 2.0])
-    assert single.K == 1 and single.validate().valid
+    assert single.K == 1 and validate_ladder(single.mu, single.r_levels).valid
 
 
 def test_ladder_level_of():
@@ -318,8 +318,8 @@ def test_rc_energy_uniform_pair_hand_formula():
 
 
 def test_rc_energy_rejects_invalid_ladder():
-    dup = LevelLadder((3.0, 3.0), (4.0, 2.0, 0.0))
     with pytest.raises(ValueError, match="invalid ladder"):
+        dup = LevelLadder((3.0, 3.0), (4.0, 2.0, 0.0))
         rc_energy((2.0, 2.0), 2, dup, 1.0, "uniform-pair", k=1)
 
 
@@ -339,6 +339,40 @@ def test_rc_energy_absorbing_scaling_and_invariance():
     after = rc_energy(perturbed, x, TOY, beta, "absorbing-tail")
     assert before == after
     assert before > 0
+
+
+LONG = [1.55, 1.78] * 400  # M = 801
+
+
+@pytest.mark.parametrize("scheme,k", [
+    ("uniform-pair", 2),  # reads the zero force r_3, where 1/pbar_x overflows a float
+    ("focus-at-x", None),
+    ("absorbing-tail", None),
+])
+def test_rc_energy_saturates_on_800_sites(scheme, k):
+    ladder = LevelLadder.from_energies(LONG)
+    xs = np.arange(2, 801)
+    bounds = rc_energy(LONG, xs, ladder, 1.0, scheme, k=k)
+    assert bounds.shape == xs.shape and np.all(bounds > 0)
+    if scheme == "absorbing-tail":
+        saturated = ladder.mu_at(ladder.K) * (801 - xs) > math.log(np.finfo(float).max)
+        assert saturated.any() and np.array_equal(np.isinf(bounds), saturated)
+        assert rc_energy(LONG, 2, ladder, 1.0, scheme) == math.inf
+    else:
+        assert np.all(np.isfinite(bounds))
+        assert rc_energy(LONG, 2, ladder, 1.0, scheme, k=k) == bounds[0]
+
+
+@pytest.mark.parametrize("scheme", ["uniform-pair", "focus-at-x", "absorbing-tail"])
+def test_rc_energy_array_equals_per_site(scheme):
+    energies = np.random.default_rng(50).choice([1.55, 1.78, 2.22], size=50).tolist()
+    ladder = LevelLadder.from_energies(energies)
+    k = 2 if scheme == "uniform-pair" else None
+    xs = np.arange(2, 51)
+    bounds = rc_energy(energies, xs, ladder, 1.0, scheme, k=k)
+    assert bounds.tolist() == [rc_energy(energies, x, ladder, 1.0, scheme, k=k) for x in range(2, 51)]
+    with pytest.raises(IndexError, match="site index 1"):
+        rc_energy(energies, np.arange(1, 51), ladder, 1.0, scheme, k=k)
 
 
 def test_rc_energy_focus_positive_and_tail_dependent():
@@ -366,6 +400,8 @@ def test_sequence_from_energies_homopolymer_twins(table1):
     names = {str(s) for s in res.sequences}
     assert names == {"CCCC", "GGGG"}
     assert res.ambiguous
+    capped = sequence_from_energies([3.14, 3.14, 3.14], table1, None, cap=1)
+    assert capped.sequences == res.sequences[:1]
 
 
 def test_sequence_from_energies_alternation_twins(table1):
@@ -388,6 +424,17 @@ def test_sequence_from_energies_roundtrip_random(table1):
         assert str(res.unique) == letters  # row injectivity: unique given b1
         free = sequence_from_energies(energies, table1, None)
         assert letters in {str(s) for s in free.sequences}
+
+
+def test_sequence_from_energies_1200_sites(table1):
+    # past the default recursion limit: the walk along the chain is iterative
+    letters = "".join(np.random.default_rng(1200).choice(list("ATCG"), size=1200))
+    seq = BaseSequence.from_string(letters)
+    b = np.array(seq.bases)
+    energies = table1.values[b[:-1], b[1:]].tolist()
+    assert str(sequence_from_energies(energies, table1, seq.base(1)).unique) == letters
+    free = sequence_from_energies(energies, table1, None)
+    assert letters in {str(s) for s in free.sequences}
 
 
 def test_sequence_from_energies_errors(table1):

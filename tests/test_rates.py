@@ -319,8 +319,6 @@ def test_rate_report(table1):
         assert rep.inv_rc_continuous[x] == pytest.approx(rc_site(env, x, "continuous"))
     assert math.isnan(rep.obstacle[env.M - 1])
     assert rep.time.expectation == pytest.approx(expected_unzip_time(env, 5).expectation)
-    rows = rep.csv_rows()
-    assert len(rows) == env.M - 1 and rows[0][0] == 1
     doc = rep.to_json_dict()
     assert len(doc["pbar"]) == env.M - 1
     # non-constant force: discrete L_c bound is undefined

@@ -12,7 +12,6 @@ from unzipseq.walker import (
     simulate_continuous_walk,
     simulate_discrete_walk,
     simulate_ensemble,
-    trace_csv_rows,
     verify_conservation,
     zero_stats,
 )
@@ -207,16 +206,13 @@ def test_zero_stats():
 def test_trace_mode():
     env = make_env("ATCGG", 2.0)
     w = simulate_discrete_walk(env, SeedSpec(5), 0, trace=True)
-    rows = trace_csv_rows(w)
-    assert rows[0] == (0, 1, 0.0)
-    assert rows[-1][1] == env.M
-    assert len(rows) == w.steps + 1
+    assert (w.path[0], w.path_times[0]) == (1, 0.0)
+    assert w.path[-1] == env.M
+    assert w.path.size == w.path_times.size == w.steps + 1
     wc = simulate_continuous_walk(env, SeedSpec(5), 0, trace=True)
-    times = [r[2] for r in trace_csv_rows(wc)]
-    assert all(b >= a for a, b in zip(times, times[1:]))
+    assert np.all(np.diff(wc.path_times) >= 0)
     plain = simulate_discrete_walk(env, SeedSpec(5), 0)
-    with pytest.raises(ValueError):
-        trace_csv_rows(plain)
+    assert plain.path is None and plain.path_times is None
 
 
 def test_pbar_consistency_with_brute():

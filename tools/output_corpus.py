@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Run a fixed corpus of CLI invocations and keep every output file.
+
+    PYTHONPATH=src python tools/output_corpus.py OUTDIR
+
+Each case runs ``unzipseq.cli.main(argv)`` in-process with its own output
+directory ``OUTDIR/<case>/``; the inputs it reads are written to
+``OUTDIR/inputs/``.  ``OUTDIR/<case>/status.txt`` records the exit code, or
+the type of an exception that escaped ``main``.  The corpus covers every
+command in both time models with csv and json output, ``--trace``,
+``--oracle``, ``infer --stats``, ``--R-grid`` with ``--site``, all three
+protocol schemes (one with bounds too large for a float), and the deep
+``"A" * 1000`` rates landscape.  Everything is seeded, so two checkouts can
+be compared file by file:
+
+    PYTHONPATH=<checkout A>/src python tools/output_corpus.py /tmp/a
+    PYTHONPATH=<checkout B>/src python tools/output_corpus.py /tmp/b
+    diff -r /tmp/a /tmp/b
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+from unzipseq.cli import main
+
+ENVS = {
+    # M = 7: small enough for the 4^(M-1) oracle
+    "short": {"sequence": "ATCGGAC", "beta": 1.0, "r": 1.0, "g1": 2.3},
+    "medium": {"sequence": "ACAATTGGGGCTAGCATCGATTACGGATCA", "beta": 1.1, "r": 0.8, "g1": 2.6},
+    "deep": {"sequence": "A" * 1000, "beta": 1.0, "r": 1.0, "g1": 1.0},
+}
+# protocol configs, with the replicas per level of each run
+PROTOCOLS = {
+    "pair-scan": {"energies": [1.78, 1.55, 1.78, 1.78, 1.55, 1.78, 1.55, 1.55, 1.78],
+                  "ladder": "from-table", "scheme": "uniform-pair", "max_level": 10,
+                  "R_per_level": 200},
+    "pair-k": {"energies": [3.14, 1.78, 3.14, 1.78, 1.78], "scheme": "uniform-pair", "k": 1,
+               "R_per_level": 200},
+    "focus": {"energies": [2.0, 1.5, 2.2, 1.9, 2.1, 1.7],
+              "ladder": {"mu": [2.2, 1.5], "r": [2.5, 1.8, 0.0]},
+              "scheme": "focus-at-x", "site": 3, "R_per_level": 100},
+    "absorbing": {"energies": [0.6, 0.4, 0.5, 0.6, 0.4],
+                  "ladder": {"mu": [0.6, 0.5, 0.4], "r": [0.65, 0.55, 0.45, 0.0]},
+                  "scheme": "absorbing-tail", "site": 2, "R_per_level": 200},
+    # 801 sites: the absorbing factor e^(1.55 (M - x)) overflows a float for x <= 343
+    "absorbing-long": {"energies": [1.55, 1.78] * 400, "scheme": "absorbing-tail",
+                       "site": 799, "R_per_level": 5},
+}
+
+
+def cases(inputs: Path) -> dict[str, list]:
+    env = {name: inputs / f"env-{name}.json" for name in ENVS}
+    proto = {name: inputs / f"protocol-{name}.json" for name in PROTOCOLS}
+    runs: dict[str, list] = {}
+    for mode in ("discrete", "continuous"):
+        for fmt in ("csv", "json"):
+            runs[f"simulate-{mode}-{fmt}"] = [
+                "simulate", "--env", env["short"], "--R", 40, "--seed", 5, "--mode", mode,
+                "--format", fmt, "--trace"]
+            runs[f"infer-{mode}-{fmt}"] = [
+                "infer", "--env", env["short"], "--R", 30, "--seed", 6, "--mode", mode,
+                "--format", fmt, "--oracle"]
+        runs[f"infer-stats-{mode}"] = [
+            "infer", "--env", env["short"], "--stats",
+            inputs.parent / f"simulate-{mode}-json" / "stats.json", "--mode", mode,
+            "--format", "csv", "--b1", "none", "--h-max", 4]
+        runs[f"infer-grid-{mode}"] = [
+            "infer", "--env", env["medium"], "--R-grid", "200:2000:200", "--seed", 7,
+            "--mode", mode, "--site", 5]
+        runs[f"protocol-focus-{mode}"] = [
+            "protocol", "--config", proto["focus"], "--seed", 8, "--mode", mode]
+    runs["rates-medium"] = ["rates", "--env", env["medium"], "--R", 3]
+    runs["rates-deep"] = ["rates", "--env", env["deep"]]
+    for name in ("pair-scan", "pair-k", "absorbing", "absorbing-long"):
+        runs[f"protocol-{name}"] = ["protocol", "--config", proto[name], "--seed", 9]
+    return runs
+
+
+def run_corpus(outdir: Path) -> None:
+    inputs = outdir / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    for name, doc in ENVS.items():
+        (inputs / f"env-{name}.json").write_text(json.dumps(doc))
+    for name, doc in PROTOCOLS.items():
+        (inputs / f"protocol-{name}.json").write_text(json.dumps(doc))
+    for name, argv in cases(inputs).items():
+        out = outdir / name
+        out.mkdir(parents=True, exist_ok=True)
+        argv = [str(a) for a in argv] + ["--out", str(out)]
+        try:
+            status = f"exit {main(argv)}"
+        except Exception as e:  # recorded: the comparison shows a crash as a difference
+            status = f"raised {type(e).__name__}"
+        (out / "status.txt").write_text(status + "\n")
+        print(f"{name}: {status}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    run_corpus(Path(sys.argv[1]))
