@@ -55,6 +55,7 @@ from .protocols import (
 from .rates import decision_margins, expected_unzip_time, rate_report, rc_site
 from .walker import (
     DEFAULT_STEP_CAP,
+    MODES,
     AggregateStats,
     SeedSpec,
     StepCapExceeded,
@@ -87,23 +88,27 @@ _KEYS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command; each flag's dest is the config key it
+    overrides, and a command declares only flags for its own keys."""
     parser = argparse.ArgumentParser(prog="unzipseq", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "infer", "rates", "protocol"):
+    for name in _KEYS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--format", type=str, default=None, choices=("csv", "json"))
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", type=str, default=None, choices=("discrete", "continuous"))
-        p.add_argument("--R", type=int, default=None, dest="R")
-        p.add_argument("--R-grid", type=str, default=None, dest="R_grid", help="a:b:step")
-        p.add_argument("--env", type=str, default=None, help="environment JSON file")
+        p.add_argument("--mode", type=str, default=None, choices=MODES)
+        p.add_argument("--env", type=str, default=None, dest="environment",
+                       help="environment JSON file")
         p.add_argument("--step-cap", type=int, default=None, dest="step_cap")
+        if name != "protocol":
+            p.add_argument("--R", type=int, default=None, dest="R")
         if name == "simulate":
             p.add_argument("--trace", action="store_true", default=None)
             p.add_argument("--window", type=str, default=None, help="y:A:C force window")
         if name == "infer":
+            p.add_argument("--R-grid", type=str, default=None, dest="R_grid", help="a:b:step")
             p.add_argument("--stats", type=str, default=None, help="stats JSON from simulate")
             p.add_argument("--b1", type=str, default=None, help="A|T|C|G|auto|none")
             p.add_argument("--site", type=int, default=None)
@@ -130,16 +135,8 @@ def _load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config: invalid JSON in {args.config}: {e}") from e
         if not isinstance(cfg, dict):
             raise ConfigError("config: top-level document must be an object")
-    cfg["command"] = args.command
-    if getattr(args, "env", None):
-        cfg["environment"] = args.env
-    for key in (
-        "out", "format", "seed", "mode", "R", "R_grid", "step_cap", "trace", "window",
-        "stats", "b1", "site", "h_max", "oracle", "scheme", "k", "max_level", "R_per_level",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    # every flag's dest is its config key (see _build_parser); unset flags are None
+    cfg.update((key, val) for key, val in vars(args).items() if val is not None and key != "config")
     allowed = _KEYS[args.command]
     unknown = set(cfg) - allowed
     if unknown:
@@ -167,7 +164,10 @@ def _environment(cfg: dict) -> Environment:
 
 
 def _mode(cfg: dict) -> str:
-    return cfg.get("mode", "discrete")
+    mode = cfg.get("mode", "discrete")
+    if mode not in MODES:
+        raise ConfigError(f"mode: expected one of {list(MODES)}, got {mode!r}")
+    return mode
 
 
 def _seed(cfg: dict) -> SeedSpec:
@@ -396,7 +396,7 @@ def cmd_infer(cfg: dict) -> int:
     _write_json(out / "decode.json", doc)
     if cfg.get("format") == "csv":
         _write_csv(out / "posteriors.csv", ("site", "p_A", "p_T", "p_C", "p_G"),
-                   (range(2, env.M), *report.site_probs.T))
+                   (range(2, env.M), *report.sites.probs.T))
     if cfg.get("oracle"):
         pot = build_edge_potentials(agg, env, prior, mode)
         oracle = _oracle_enumeration(pot, b1, h_max)
@@ -452,7 +452,7 @@ def _infer_grid(cfg, env, mode, prior, b1, out: Path) -> int:
         report = error_report(agg, env, prior, mode, b1, h_max=1)
         lp_any.append(report.log_p_any)
         if site is not None:
-            lp_site.append(report.site_errors[site - 2][2])
+            lp_site.append(float(report.sites.log_p_error[site - 2]))
     columns = [grid, lp_any, [math.exp(min(lp, 0.0)) for lp in lp_any]]
     header = ["R", "log_p_any_error", "p_any_error"]
     if site is not None:
@@ -524,9 +524,22 @@ def _ladder(cfg: dict, energies: list[float]) -> LevelLadder:
     raise ConfigError("ladder: expected 'from-energies', 'from-table' or {'mu': [...], 'r': [...]}")
 
 
+def _energies(cfg: dict) -> list[float]:
+    """The protocol's raw binding energies: a non-empty list of finite numbers."""
+    raw = cfg["energies"]
+    if not (isinstance(raw, list) and raw):
+        raise ConfigError(f"energies: expected a non-empty list of numbers, got {raw!r}")
+    for i, e in enumerate(raw):
+        number = isinstance(e, (int, float)) and not isinstance(e, bool)
+        # abs(nan) <= max is False, and so is it for a number too large for a float
+        if not (number and abs(e) <= sys.float_info.max):
+            raise ConfigError(f"energies: entry {i} must be a finite number, got {e!r}")
+    return [float(e) for e in raw]
+
+
 def cmd_protocol(cfg: dict) -> int:
     if "energies" in cfg:
-        energies = [float(e) for e in cfg["energies"]]
+        energies = _energies(cfg)
         params_env = _environment(cfg) if "environment" in cfg else None
     else:
         params_env = _environment(cfg)

@@ -82,6 +82,22 @@ def _frozen_array(data, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _check_sites(x, lo: int, hi: int) -> np.ndarray:
+    """``x``, a site or an array of sites, as an array (0-d for a site) once
+    every entry lies in [lo, hi]; IndexError names the first that does not."""
+    xs = np.asarray(x)
+    outside = xs[(xs < lo) | (xs > hi)]
+    if outside.size:
+        raise IndexError(f"site index {outside.flat[0]} out of range [{lo}, {hi}]")
+    return xs
+
+
+def _per_site(xs: np.ndarray, values: np.ndarray):
+    """``values`` as a float when ``xs`` (from ``_check_sites``) is a single
+    site, else as is."""
+    return float(values) if xs.ndim == 0 else values
+
+
 @dataclass(frozen=True)
 class EnergyTable:
     """4x4 map (base, next base) -> binding free energy, in units of k_B T."""
@@ -143,8 +159,7 @@ class BaseSequence:
 
     def base(self, x: int) -> Base:
         """Base at 1-indexed site ``x``."""
-        if not 1 <= x <= len(self.bases):
-            raise IndexError(f"site index {x} out of range [1, {len(self.bases)}]")
+        _check_sites(x, 1, len(self.bases))
         return self.bases[x - 1]
 
 
@@ -175,8 +190,7 @@ class ForceField:
 
     def at(self, x: int) -> float:
         """Stretch work at 1-indexed site ``x``."""
-        if not 1 <= x <= self.per_site.size:
-            raise IndexError(f"site index {x} out of range [1, {self.per_site.size}]")
+        _check_sites(x, 1, self.per_site.size)
         return float(self.per_site[x - 1])
 
     def padded(self) -> np.ndarray:
@@ -237,18 +251,14 @@ class _SiteModel:
     def g1_padded(self) -> np.ndarray:
         return _frozen_array(self.force.padded())
 
-    def _check_site(self, x: int) -> None:
-        if not 1 <= x <= self.M - 1:
-            raise IndexError(f"site index {x} out of range [1, {self.M - 1}]")
-
     def edge_energy(self, x: int) -> float:
         """Binding energy g0 of the pair at site ``x`` (1 <= x <= M-1)."""
-        self._check_site(x)
+        _check_sites(x, 1, self.M - 1)
         return float(self.edge_g0[x])
 
     def delta_g_site(self, x: int) -> float:
         """Free-energy increment g(x) - g(x-1) at this environment's force."""
-        self._check_site(x)
+        _check_sites(x, 1, self.M - 1)
         return float(self.edge_g0[x] - self.g1_padded[x])
 
     @cached_property
@@ -273,6 +283,17 @@ class _SiteModel:
         tail[:-1] = np.logaddexp.accumulate(bg[:0:-1])[::-1]
         out = np.logaddexp(0.0, tail - bg)
         out[0] = 0.0
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def jump_rates(self) -> np.ndarray:
+        """Continuous-time rates out of each site: row 0 forward,
+        r e^(-beta g0(x)), row 1 backward, r e^(-beta g1(x)); column 0 is
+        unused, and the backward rate at site 1 is 0 (the first pair is
+        always open, so the walk can only advance from there)."""
+        out = self.rate * np.exp(-self.beta * np.stack([self.edge_g0, self.g1_padded]))
+        out[1, 1] = 0.0
         out.setflags(write=False)
         return out
 
@@ -316,9 +337,6 @@ class Environment(_SiteModel):
         """g0(b_x, b_x+1) for x = 1..M-1, in site order."""
         return self.edge_g0[1:].tolist()
 
-    def to_energy_environment(self) -> "EnergyEnvironment":
-        return EnergyEnvironment(tuple(self.edge_energies()), self.force, self.params)
-
 
 @dataclass(frozen=True)
 class EnergyEnvironment(_SiteModel):
@@ -353,18 +371,16 @@ class EnergyEnvironment(_SiteModel):
         return _frozen_array(np.concatenate([[0.0], self.energies]))
 
 
-def transition_rates(env: _SiteModel, x: int) -> tuple[float, float]:
-    """Continuous-time (forward, backward) jump rates out of site ``x``.
+def transition_rates(env: _SiteModel, x):
+    """Continuous-time (forward, backward) jump rates out of site ``x``, a
+    site (floats) or an array of sites (arrays).
 
     Backward rate is 0 at x = 1: the first base of the molecule is always
     open, so the walk can only advance from there.
     """
-    env._check_site(x)
-    forward = env.rate * math.exp(-env.beta * env.edge_g0[x])
-    if x == 1:
-        return forward, 0.0
-    backward = env.rate * math.exp(-env.beta * env.g1_padded[x])
-    return forward, backward
+    xs = _check_sites(x, 1, env.M - 1)
+    forward, backward = env.jump_rates[:, xs]
+    return _per_site(xs, forward), _per_site(xs, backward)
 
 
 @dataclass(frozen=True)

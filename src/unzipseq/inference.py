@@ -29,8 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .energy import BASES, Base, BaseSequence, Environment
-from .walker import AggregateStats, WalkStats
+from .energy import BASES, Base, BaseSequence, Environment, _check_sites, _per_site
+from .walker import AggregateStats, WalkStats, _require_mode
 
 __all__ = [
     "Prior",
@@ -52,19 +52,12 @@ __all__ = [
     "rate_residuals",
 ]
 
-MODES = ("discrete", "continuous")
-
 # Two costs are tied when they differ by at most this many ulps of the
 # magnitudes summed into them (per summed term, see _edge_scale).  The
 # degenerate twins tie bit for bit; this absorbs the rounding of sums whose
 # terms reach 1e10 at R ~ 1e7, where any fixed absolute tolerance either
 # splits true ties or, worse, drops the optimum itself.
 _TIE_ULPS = 8.0
-
-
-def _require_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,7 @@ class Prior:
         return self.probs.shape[0] - 1
 
     def log_w(self, x: int, base: Base) -> float:
-        if not 1 <= x <= self.M:
-            raise IndexError(f"site index {x} out of range [1, {self.M}]")
+        _check_sites(x, 1, self.M)
         return math.log(float(self.probs[x, base]))
 
 
@@ -183,86 +175,77 @@ def _edge_scale(phi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SitePosterior:
-    """Posterior over the base at one site given the flanking true bases.
+    """Posterior over the base at a site, or at each of an array of sites,
+    given the true flanking bases.
 
-    ``log_unnormalized`` keeps the -I_x values (up to a site constant) so
-    downstream error probabilities can be formed without catastrophic
-    cancellation.
+    For one site: ``log_unnormalized`` and ``probs`` have shape (4,), indexed
+    by Base; ``map_base`` is a Base, ``tie`` a bool and the error fields are
+    floats.  For n sites every field gains a leading axis of length n
+    (``map_base`` holds Base indices).  ``log_unnormalized`` keeps the -I_x
+    values (up to a site constant) so error probabilities are formed without
+    catastrophic cancellation; ``log_p_error`` stays finite where
+    ``p_error`` underflows to zero.
     """
 
-    site: int
-    log_unnormalized: dict[Base, float]
-    probs: dict[Base, float]
-    map_base: Base
-    tie: bool
+    site: int | np.ndarray
+    log_unnormalized: np.ndarray
+    probs: np.ndarray
+    map_base: Base | np.ndarray
+    tie: bool | np.ndarray
+    p_error: float | np.ndarray
+    log_p_error: float | np.ndarray
 
-    def _error(self) -> tuple[np.ndarray, np.ndarray]:
-        return _site_errors(np.array([[self.log_unnormalized[b] for b in BASES]]))
-
-    def error_probability(self) -> float:
+    def error_probability(self) -> float | np.ndarray:
         """1 - max posterior mass, formed as s/(1+s) in log space."""
-        return float(self._error()[0][0])
+        return self.p_error
 
-    def log_error_probability(self) -> float:
-        """log(1 - max posterior mass); finite even when the error
-        probability underflows to zero as a float."""
-        return float(self._error()[1][0])
+    def log_error_probability(self) -> float | np.ndarray:
+        """log(1 - max posterior mass)."""
+        return self.log_p_error
 
 
-def _site_log_weights(pot: EdgePotentials, seq: BaseSequence, xs: np.ndarray) -> np.ndarray:
-    """Row i: -(phi[x-1, b_{x-1}, u] + phi[x, u, b_{x+1}]) over u for x = xs[i],
-    the log posterior weights of b_x = u given the true flanking bases (up to
-    a constant per site)."""
+def _site_record(pot: EdgePotentials, seq: BaseSequence, site: np.ndarray) -> SitePosterior:
+    """The posterior at ``site`` (a checked 0-d or 1-d site array), read off
+    phi: the log weight of b_x = u is -(phi[x-1, b_{x-1}, u] + phi[x, u,
+    b_{x+1}]).  The MAP breaks ties in Base order; with s the log odds of the
+    losing bases against the best one, P(error) = s/(1+s) and log P(error) =
+    s - log(1 + e^s)."""
     b = np.array(seq.bases)  # b[x - 1] is the base at site x
-    return -(pot.phi[xs - 1, b[xs - 2], :] + pot.phi[xs, :, b[xs]])
-
-
-def _site_posteriors(pot: EdgePotentials, log_w: np.ndarray, xs: np.ndarray):
-    """(probabilities, MAP index, tie flag) per row of ``log_w``; the MAP
-    breaks ties in Base order."""
-    best = np.argmax(log_w, axis=1)
-    gap = log_w - log_w.max(axis=1, keepdims=True)
+    log_w = -(pot.phi[site - 1, b[site - 2], :] + pot.phi[site, :, b[site]])
+    best = np.argmax(log_w, axis=-1)
+    gap = log_w - log_w.max(axis=-1, keepdims=True)
     weights = np.exp(gap)
     scale = _edge_scale(pot.phi)
-    tol = _TIE_ULPS * np.finfo(float).eps * (scale[xs - 1] + scale[xs])
-    tie = np.sum(gap >= -tol[:, None], axis=1) > 1
-    return weights / weights.sum(axis=1, keepdims=True), best, tie
-
-
-def _site_errors(log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P(error), log P(error)) per row: with s the log odds of the losing
-    bases against the best one, P = s/(1+s) and log P = s - log(1 + e^s)."""
-    rows = np.arange(log_w.shape[0])
-    best = np.argmax(log_w, axis=1)
-    losers = log_w - log_w[rows, best][:, None]
-    losers[rows, best] = -np.inf
-    s = np.logaddexp.reduce(losers, axis=1)
+    tol = _TIE_ULPS * np.finfo(float).eps * (scale[site - 1] + scale[site])
+    tie = np.sum(gap >= -tol[..., None], axis=-1) > 1
+    losers = np.where(np.arange(4) == best[..., None], -np.inf, gap)
+    s = np.logaddexp.reduce(losers, axis=-1)
     odds = np.exp(np.minimum(s, 709.0))
-    return odds / (1.0 + odds), s - np.logaddexp(0.0, s)
+    p_err, log_p_err = odds / (1.0 + odds), s - np.logaddexp(0.0, s)
+    scalar = site.ndim == 0
+    return SitePosterior(
+        site=int(site) if scalar else site,
+        log_unnormalized=log_w,
+        probs=weights / weights.sum(axis=-1, keepdims=True),
+        map_base=BASES[int(best)] if scalar else best,
+        tie=bool(tie) if scalar else tie,
+        p_error=_per_site(site, p_err),
+        log_p_error=_per_site(site, log_p_err),
+    )
 
 
 def site_posterior(
     stats: WalkStats | AggregateStats,
     env: Environment,
-    x: int,
+    x,
     prior: Prior | None = None,
     mode: str = "continuous",
 ) -> SitePosterior:
-    """Exact posterior P(b_x = u | stats, all other bases) for u in A,T,C,G."""
+    """Exact posterior P(b_x = u | stats, all other bases) for u in A,T,C,G,
+    at a site or an array of sites in [2, M-1]."""
     _require_mode(mode)
-    if not 2 <= x <= env.M - 1:
-        raise IndexError(f"site index {x} out of range [2, {env.M - 1}]")
-    pot = build_edge_potentials(stats, env, prior, mode)
-    xs = np.array([x])
-    log_w = _site_log_weights(pot, env.seq, xs)
-    probs, best, tie = _site_posteriors(pot, log_w, xs)
-    return SitePosterior(
-        site=x,
-        log_unnormalized=dict(zip(BASES, log_w[0].tolist())),
-        probs=dict(zip(BASES, probs[0].tolist())),
-        map_base=BASES[int(best[0])],
-        tie=bool(tie[0]),
-    )
+    site = _check_sites(x, 2, env.M - 1)
+    return _site_record(build_edge_potentials(stats, env, prior, mode), env.seq, site)
 
 
 @dataclass(frozen=True)
@@ -421,18 +404,19 @@ def log_prob_nonsuccessive_errors(
 class ErrorReport:
     """Decoding error summary: global, per block count, and per site.
 
-    ``site_probs`` row i is the posterior over A, T, C, G at site i + 2
-    given the true flanking bases.
+    ``sites`` is the posterior at sites 2..M-1 given the true flanking
+    bases: row i of each field belongs to site i + 2.
     """
 
     decode: DecodeResult
     p_any: float
     log_p_any: float
     p_blocks: tuple[tuple[int, float, float], ...]
-    site_errors: tuple[tuple[int, float, float], ...]
-    site_probs: np.ndarray
+    sites: SitePosterior
 
     def to_json_dict(self) -> dict:
+        sites = self.sites
+        site_list = sites.site.tolist()
         return {
             "map_sequence": str(self.decode.map_sequence),
             "cost": self.decode.cost,
@@ -445,11 +429,12 @@ class ErrorReport:
                 {"h": h, "p": p, "log_p": lp} for h, p, lp in self.p_blocks
             ],
             "site_errors": [
-                {"site": x, "p": p, "log_p": lp} for x, p, lp in self.site_errors
+                {"site": x, "p": p, "log_p": lp}
+                for x, p, lp in zip(site_list, sites.p_error.tolist(), sites.log_p_error.tolist())
             ],
             "site_posteriors": [
                 {"site": x, "probs": dict(zip((b.name for b in BASES), row))}
-                for x, row in enumerate(self.site_probs.tolist(), start=2)
+                for x, row in zip(site_list, sites.probs.tolist())
             ],
         }
 
@@ -466,17 +451,12 @@ def error_report(
     pot = build_edge_potentials(stats, env, prior, mode)
     decoded = decode_map(pot, b1)
     log_p = _log_block_probs(pot, b1, decoded.map_sequence, max(h_max, 1)).tolist()
-    xs = np.arange(2, env.M)
-    log_w = _site_log_weights(pot, env.seq, xs)
-    probs, _, _ = _site_posteriors(pot, log_w, xs)
-    p_err, log_p_err = _site_errors(log_w)
     return ErrorReport(
         decode=decoded,
         p_any=math.exp(min(log_p[0], 0.0)),
         log_p_any=log_p[0],
         p_blocks=tuple((h, math.exp(min(lp, 0.0)), lp) for h, lp in enumerate(log_p[:h_max], 1)),
-        site_errors=tuple(zip(xs.tolist(), p_err.tolist(), log_p_err.tolist())),
-        site_probs=probs,
+        sites=_site_record(pot, env.seq, np.arange(2, env.M)),
     )
 
 

@@ -26,6 +26,8 @@ from .energy import (
     EnergyTable,
     ForceField,
     ModelParams,
+    _check_sites,
+    _per_site,
     hop_probability,
 )
 from .rates import gap_value
@@ -417,36 +419,37 @@ def rc_energy(
 
     ``x`` is a site or an array of sites; an array gets an array of bounds
     from one landscape per force level read.  A factor too large for a
-    float saturates the bound to inf, or to 0 where 1/pbar overflows.
+    float saturates the bound to inf, or to 0 where 1/pbar overflows.  An
+    infinite margin (a one-level ladder has no wrong level to pick) gives
+    an infinite bound whatever 1/pbar is.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     M = len(energies) + 1
-    xs = np.asarray(x)
-    outside = xs[(xs < 2) | (xs > M - 1)]
-    if outside.size:
-        raise IndexError(f"site index {outside.flat[0]} out of range [2, {M - 1}]")
+    xs = _check_sites(x, 2, M - 1)
     params = ModelParams(beta=beta, rate_scale=1.0)
     margins = h_margins(ladder, beta)
 
-    def inv_pbar_const(r_level: float) -> np.ndarray:
+    def over_inv_pbar(h: float, r_level: float) -> np.ndarray:
+        """h / (1/pbar_x) under the constant field r_level."""
+        if h == math.inf:
+            return np.full(xs.shape, math.inf)
         env = EnergyEnvironment(energies, ForceField.constant(r_level, M - 1), params)
-        return np.exp(env.log_inv_pbar[xs])
+        return h / np.exp(env.log_inv_pbar[xs])
 
     with np.errstate(over="ignore"):
         if scheme == "uniform-pair":
             if k is None or not 1 <= k <= ladder.K:
                 raise ValueError(f"uniform-pair bound needs k in [1, {ladder.K}], got {k}")
             _, hk, hk1 = margins.per_pair[k - 1]
-            ip_k, ip_k1 = inv_pbar_const(ladder.r_at(k)), inv_pbar_const(ladder.r_at(k + 1))
-            bound = hk / ip_k + hk1 / ip_k1
+            bound = over_inv_pbar(hk, ladder.r_at(k)) + over_inv_pbar(hk1, ladder.r_at(k + 1))
         else:
             total = margins.h_forward + margins.h_backward
             if scheme == "focus-at-x":
-                bound = total / inv_pbar_const(ladder.r_at(ladder.K))
+                bound = over_inv_pbar(total, ladder.r_at(ladder.K))
             else:
                 bound = total * np.exp(ladder.mu_at(ladder.K) * beta * (M - xs))
-    return float(bound) if xs.ndim == 0 else bound
+    return _per_site(xs, bound)
 
 
 @dataclass(frozen=True)

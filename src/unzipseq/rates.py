@@ -10,13 +10,13 @@ total unzipping time.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
 
-from ._num import log1mexp, softplus
-from .energy import BASES, Base, EnergyTable, Environment, _SiteModel
+from .energy import BASES, Base, EnergyTable, Environment, _check_sites, _per_site, _SiteModel
+from .walker import _require_mode
 
 __all__ = [
     "pbar",
@@ -38,65 +38,54 @@ __all__ = [
 ]
 
 
-def log_inv_pbar(env: _SiteModel, x: int) -> float:
-    """log(1 / p_bar_x), read from the landscape's site-indexed table.
+def log_inv_pbar(env: _SiteModel, x):
+    """log(1 / p_bar_x) at a site (a float) or an array of sites (an array),
+    read from the landscape's site-indexed table.
 
     1 / p_bar_x = 1 + sum_{k=x+1..M-1} exp(beta * (g(k) - g(x))); p_bar_x is
     the probability that a walk at x+1 reaches M before falling back to x.
     """
-    env._check_site(x)
-    return float(env.log_inv_pbar[x])
+    xs = _check_sites(x, 1, env.M - 1)
+    return _per_site(xs, env.log_inv_pbar[xs])
 
 
-def pbar(env: _SiteModel, x: int) -> float:
-    """Escape probability p_bar_x in (0, 1]; equals 1 at x = M-1."""
-    return math.exp(-log_inv_pbar(env, x))
+def pbar(env: _SiteModel, x):
+    """Escape probability p_bar_x in (0, 1] at a site or an array of sites;
+    equals 1 at x = M-1."""
+    xs = _check_sites(x, 1, env.M - 1)
+    return _per_site(xs, np.exp(-env.log_inv_pbar[xs]))
 
 
 @dataclass(frozen=True)
 class SiteMoments:
-    """Exact mean/variance of the per-walk crossing counts and sojourn at x
-    (floats from ``count_moments``, site-aligned arrays inside the module)."""
+    """Exact mean/variance of the per-walk crossing counts and sojourn at x:
+    floats for a site, site-aligned arrays for an array of sites."""
 
-    e_up: float
-    var_up: float
-    e_down: float
-    e_sojourn: float
-    var_sojourn: float
+    e_up: float | np.ndarray
+    var_up: float | np.ndarray
+    e_down: float | np.ndarray
+    e_sojourn: float | np.ndarray
+    var_sojourn: float | np.ndarray
 
 
-def _moments(env: _SiteModel, xs) -> SiteMoments:
-    """Moments at sites ``xs`` (an index or index array into 1..M-1).
+def count_moments(env: _SiteModel, x) -> SiteMoments:
+    """Moments of L+_x, L-_x and S_x for a single walk, at a site or an
+    array of sites.
 
     E L+ = 1/p_bar, Var L+ = (1/p_bar)(1/p_bar - 1), E L- = e^(beta dg)/p_bar
     (zero at x = 1, where the walk cannot descend), E S = e^(beta g0)/(r p_bar).
     The total sojourn at x is a geometric sum of exponentials, hence itself
     exponential, so Var S = (E S)^2.  Values too large for a float are inf.
     """
+    xs = _check_sites(x, 1, env.M - 1)
     lip = env.log_inv_pbar[xs]
     g0 = env.edge_g0[xs]
     with np.errstate(over="ignore"):
         ip = np.exp(lip)
-        e_down = np.where(
-            np.asarray(xs) == 1, 0.0, np.exp(env.beta * (g0 - env.g1_padded[xs]) + lip)
-        )
+        e_down = np.where(xs == 1, 0.0, np.exp(env.beta * (g0 - env.g1_padded[xs]) + lip))
         e_s = np.exp(env.beta * g0 + lip) / env.rate
-        return SiteMoments(
-            e_up=ip, var_up=ip * (ip - 1.0), e_down=e_down, e_sojourn=e_s, var_sojourn=e_s * e_s
-        )
-
-
-def count_moments(env: _SiteModel, x: int) -> SiteMoments:
-    """Moments of L+_x, L-_x and S_x for a single walk."""
-    env._check_site(x)
-    m = _moments(env, x)
-    return SiteMoments(*map(float, astuple(m)))
-
-
-def _log_p_up(env: _SiteModel, x: int) -> tuple[float, float]:
-    """(log p_x, log(1 - p_x)) from the stable softplus forms."""
-    z = env.beta * env.delta_g_site(x)
-    return -softplus(z), -softplus(-z)
+        moments = (ip, ip * (ip - 1.0), e_down, e_s, e_s * e_s)
+    return SiteMoments(*(_per_site(xs, m) for m in moments))
 
 
 def joint_up_count_log_pmf(env: _SiteModel, k) -> float:
@@ -113,16 +102,17 @@ def joint_up_count_log_pmf(env: _SiteModel, k) -> float:
         raise ValueError(f"k at site M-1 must be 1, got {k[-1]}")
     if any(v < 1 for v in k):
         return -math.inf
+    z = env.beta * (env.edge_g0 - env.g1_padded)  # log p_x = -log(1 + e^z)
+    lp, l1p = (-np.logaddexp(0.0, z)).tolist(), (-np.logaddexp(0.0, -z)).tolist()
     total = 0.0
     for x in range(2, env.M):
         kx, kprev = k[x - 1], k[x - 2]
-        lp, l1p = _log_p_up(env, x)
         total += (
             lgamma(kx + kprev - 1)
             - lgamma(kx)
             - lgamma(kprev)
-            + kx * lp
-            + (kprev - 1) * l1p
+            + kx * lp[x]
+            + (kprev - 1) * l1p[x]
         )
     return total
 
@@ -133,17 +123,22 @@ def pair_count_log_pmf(env: _SiteModel, x: int, n_up: int, n_down: int) -> float
     Closed form: C(a+c-1, a-1) (1-p_x)^c (p_x(1-pbar_x))^{a-1} (p_x pbar_x)
     with a = n_up, c = n_down.
     """
-    if not 2 <= x <= env.M - 1:
-        raise IndexError(f"site index {x} out of range [2, {env.M - 1}]")
+    _check_sites(x, 2, env.M - 1)
     a, c = int(n_up), int(n_down)
     if a < 1 or c < 0:
         return -math.inf
-    lp, l1p = _log_p_up(env, x)
-    lip = log_inv_pbar(env, x)
-    log_pbar = -lip
-    total = lgamma(a + c) - lgamma(a) - lgamma(c + 1) + c * l1p + lp + log_pbar
+    z = env.beta * (env.edge_g0[x] - env.g1_padded[x])  # log p_x = -log(1 + e^z)
+    lp, l1p = -float(np.logaddexp(0.0, z)), -float(np.logaddexp(0.0, -z))
+    lip = float(env.log_inv_pbar[x])
+    total = lgamma(a + c) - lgamma(a) - lgamma(c + 1) + c * l1p + lp - lip
     if a > 1:
-        total += (a - 1) * (lp + log1mexp(-lip))
+        # log(1 - pbar_x), accurate at either end of (0, 1]; -inf at pbar_x = 1
+        with np.errstate(divide="ignore"):
+            if lip < math.log(2.0):
+                log_1m_pbar = float(np.log(-np.expm1(-lip)))
+            else:
+                log_1m_pbar = math.log1p(-math.exp(-lip))
+        total += (a - 1) * (lp + log_1m_pbar)
     return total
 
 
@@ -206,8 +201,7 @@ def decision_margins(
     plus(gamma) = the column version; globals are minima over gamma.  The
     discrete gaps depend on the stretch work g1 through dg = g0 - g1.
     """
-    if mode not in ("discrete", "continuous"):
-        raise ValueError(f"mode must be discrete or continuous, got {mode!r}")
+    _require_mode(mode)
     off_diagonal = ~np.eye(4, dtype=bool)
     per_base = []
     for slots in (table.values, table.values.T):  # rows (minus), then columns (plus)
@@ -226,10 +220,19 @@ def decision_margins(
     )
 
 
-def _inv_rc(env: Environment, xs: np.ndarray, mode: str) -> np.ndarray:
-    """1/R_c at each interior site in ``xs``: for every candidate base the
-    two-edge gap sum, each gap over its edge's p_bar, minimized over the
-    three wrong candidates."""
+def rc_site(env: Environment, x, mode: str):
+    """Exact decay rate 1/R_c(x) of the site-x error probability, at a site
+    (a float) or an array of sites (an array).
+
+    -(1/R) log P(b_x wrong) converges to the smallest, over the three
+    competing bases alpha, of the two-edge gap sum
+        gap(edge x-1; b_x vs alpha) / pbar_{x-1} + gap(edge x; b_x vs alpha) / pbar_x.
+    In discrete mode edge 1 carries no information (transitions out of site 1
+    are deterministic), so its term vanishes when x = 2.
+    """
+    site = _check_sites(x, 2, env.M - 1)
+    _require_mode(mode)
+    xs = np.atleast_1d(site)
     b = np.array(env.seq.bases)  # b[x - 1] is the base at site x
     prev, here, nxt = b[xs - 2], b[xs - 1], b[xs]
     g0 = env.table.values
@@ -245,23 +248,7 @@ def _inv_rc(env: Environment, xs: np.ndarray, mode: str) -> np.ndarray:
             right > 0, right * ip[xs][:, None], 0.0
         )
     total[np.arange(xs.size), here] = np.inf
-    return total.min(axis=1)
-
-
-def rc_site(env: Environment, x: int, mode: str) -> float:
-    """Exact decay rate 1/R_c(x) of the site-x error probability.
-
-    -(1/R) log P(b_x wrong) converges to the smallest, over the three
-    competing bases alpha, of the two-edge gap sum
-        gap(edge x-1; b_x vs alpha) / pbar_{x-1} + gap(edge x; b_x vs alpha) / pbar_x.
-    In discrete mode edge 1 carries no information (transitions out of site 1
-    are deterministic), so its term vanishes when x = 2.
-    """
-    if not 2 <= x <= env.M - 1:
-        raise IndexError(f"site index {x} out of range [2, {env.M - 1}]")
-    if mode not in ("discrete", "continuous"):
-        raise ValueError(f"mode must be discrete or continuous, got {mode!r}")
-    return float(_inv_rc(env, np.array([x]), mode)[0])
+    return _per_site(site, total.min(axis=1).reshape(site.shape))
 
 
 def lc_bound(
@@ -273,21 +260,17 @@ def lc_bound(
     return 0.5 * min(margins.plus, margins.minus)
 
 
-def _obstacles(env: _SiteModel) -> np.ndarray:
-    """M_x for x = 0..M-2 from one reverse cumulative max of the landscape."""
-    g = env.profile
-    return np.maximum.accumulate(g[:0:-1])[::-1] - g[:-1]
-
-
-def obstacle_height(env: _SiteModel, x: int) -> float:
-    """M_x = max over l in (x, M-1] of g(l) - g(x); the barrier past x.
+def obstacle_height(env: _SiteModel, x):
+    """M_x = max over l in (x, M-1] of g(l) - g(x); the barrier past x, at a
+    site (a float) or an array of sites in [0, M-2] (an array), from one
+    reverse cumulative max of the landscape.
 
     1/pbar_x >= exp(beta * M_x): obstacles between x and the end make the
     walk revisit x often, which sharpens the inference there.
     """
-    if not 0 <= x <= env.M - 2:
-        raise IndexError(f"index {x} out of range [0, {env.M - 2}]")
-    return float(_obstacles(env)[x])
+    xs = _check_sites(x, 0, env.M - 2)
+    g = env.profile
+    return _per_site(xs, (np.maximum.accumulate(g[:0:-1])[::-1] - g[:-1])[xs])
 
 
 @dataclass(frozen=True)
@@ -316,8 +299,9 @@ def expected_unzip_time(env: _SiteModel, R: int) -> UnzipTime:
         raise ValueError(f"R must be >= 1, got {R}")
     log_s = float(np.logaddexp.reduce(env.log_inv_pbar[1:]))
     log_walk = log_s + math.log(2.0 - (env.M - 1) * math.exp(-log_s))
+    barrier = float(np.max(obstacle_height(env, np.arange(env.M - 1))))
     with np.errstate(over="ignore"):
-        per_walk, scale = np.exp([log_walk, env.beta * float(np.max(_obstacles(env)))])
+        per_walk, scale = np.exp([log_walk, env.beta * barrier])
     return UnzipTime(
         lower=float(R * scale),
         expectation=float(R * per_walk),
@@ -390,16 +374,16 @@ def rate_report(env: Environment, R: int = 1) -> RateReport:
 
     sites = np.arange(1, M)
     inner = np.arange(2, M)
-    m = _moments(env, sites)
+    m = count_moments(env, sites)
     field = env.force.per_site
     constant_force = bool(np.all(field == field[0]))
     lc_d = lc_bound(env.table, env.beta, "discrete", g1=float(field[0])) if constant_force else nan
     lc_c = lc_bound(env.table, env.beta, "continuous")
     return RateReport(
-        pbar=site_array(np.exp(-env.log_inv_pbar[1:]), 1),
-        inv_rc_discrete=site_array(_inv_rc(env, inner, "discrete"), 2),
-        inv_rc_continuous=site_array(_inv_rc(env, inner, "continuous"), 2),
-        obstacle=site_array(_obstacles(env)[1:], 1),
+        pbar=site_array(pbar(env, sites), 1),
+        inv_rc_discrete=site_array(rc_site(env, inner, "discrete"), 2),
+        inv_rc_continuous=site_array(rc_site(env, inner, "continuous"), 2),
+        obstacle=site_array(obstacle_height(env, sites[:-1]), 1),
         e_up=site_array(m.e_up, 1),
         var_up=site_array(m.var_up, 1),
         e_down=site_array(m.e_down, 1),

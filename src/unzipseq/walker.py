@@ -218,9 +218,7 @@ def _walk(
     continuous = rng_time is not None
     if continuous:
         sojourn = [0.0] * M
-        fwd = env.rate * np.exp(-env.beta * env.edge_g0)
-        bwd = env.rate * np.exp(-env.beta * env.g1_padded)
-        bwd[1] = 0.0
+        fwd, bwd = env.jump_rates
         inv_rate = (1.0 / (fwd + bwd)).tolist()
         ebuf: list[float] = []
         ei = 0

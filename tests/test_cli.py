@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import time
@@ -6,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from unzipseq import cli
 from unzipseq.cli import canonical_json, main
-from unzipseq.energy import environment_from_json
+from unzipseq.energy import BASES, environment_from_json
 from unzipseq.inference import error_report, site_posterior
 from unzipseq.walker import AggregateStats, SeedSpec, simulate_ensemble
 
@@ -80,7 +82,7 @@ def test_infer_roundtrip_matches_in_memory(tmp_path, env_file):
     doc = rep.to_json_dict()
     doc["site_posteriors"] = [
         {"site": x, "probs": {b.name: p for b, p in
-                              site_posterior(agg, env, x, None, "continuous").probs.items()}}
+                              zip(BASES, site_posterior(agg, env, x, None, "continuous").probs)}}
         for x in range(2, env.M)
     ]
     assert canonical_json(doc).encode() == written
@@ -372,3 +374,36 @@ def test_trapping_walks_refused_before_simulating(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "step cap 100000000" in err and "steps per walk" in err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("protocol", {"energies": [1.55, "x", 1.78]}, "config error: energies: entry 1"),
+    ("protocol", {"energies": 1.55}, "config error: energies:"),
+    ("protocol", {"energies": [1.55, float("nan"), 1.78], "ladder": "from-table"},
+     "config error: energies: entry 1"),
+    ("simulate", {"mode": "Discrete"}, "config error: mode:"),
+    ("infer", {"mode": "Discrete"}, "config error: mode:"),
+    ("protocol", {"energies": [1.55, 1.78, 1.55], "mode": "Discrete"}, "config error: mode:"),
+], ids=["energies-str", "energies-scalar", "energies-nan", "simulate-mode", "infer-mode",
+        "protocol-mode"])
+def test_config_field_refused_before_any_walk(tmp_path, capsys, monkeypatch, command, doc,
+                                              message):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran before the config was checked")
+
+    monkeypatch.setattr(cli, "simulate_ensemble", no_walk)
+    monkeypatch.setattr(cli, "run_protocol", no_walk)
+    sized = {"R_per_level": 5} if command == "protocol" else {"environment": ENV_DOC, "R": 5}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**doc, **sized, "seed": 1}))
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_every_flag_overrides_an_allowed_key():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(cli._KEYS)
+    for name, sub in commands.choices.items():
+        dests = {a.dest for a in sub._actions} - {"help", "config"}
+        assert dests <= cli._KEYS[name], (name, sorted(dests - cli._KEYS[name]))

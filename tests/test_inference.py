@@ -170,7 +170,7 @@ def test_site_posterior_tie_scales_with_costs():
                         sojourn={1: 4.1e9, 2: 3.3e9, 3: 2.2e9}, R=10**7)
     post = site_posterior(stats, flat, 2, None, "continuous")
     assert post.tie and post.map_base is Base.A
-    assert all(p == 0.25 for p in post.probs.values())
+    assert np.all(post.probs == 0.25)
 
 
 def test_site_error_probability_point_mass():

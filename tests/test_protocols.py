@@ -375,6 +375,17 @@ def test_rc_energy_array_equals_per_site(scheme):
         rc_energy(energies, np.arange(1, 51), ladder, 1.0, scheme, k=k)
 
 
+@pytest.mark.parametrize("scheme", ["uniform-pair", "focus-at-x", "absorbing-tail"])
+def test_rc_energy_one_level_ladder_is_infinite(scheme):
+    # no wrong level to pick: the infinite margin wins even where 1/pbar overflows
+    energies = [2.0] * 800
+    ladder = LevelLadder.from_energies([2.0])
+    k = 1 if scheme == "uniform-pair" else None
+    assert rc_energy(energies, 2, ladder, 1.0, scheme, k=k) == math.inf
+    bounds = rc_energy(energies, np.arange(2, 801), ladder, 1.0, scheme, k=k)
+    assert bounds.shape == (799,) and np.all(bounds == math.inf)
+
+
 def test_rc_energy_focus_positive_and_tail_dependent():
     beta = 1.0
     energies = [2.0, 1.5, 2.2, 1.9, 2.1, 1.7]

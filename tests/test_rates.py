@@ -4,7 +4,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from unzipseq.energy import BASES, Base, EnergyTable, ModelParams
+from unzipseq.energy import BASES, Base, EnergyTable, ModelParams, transition_rates
+from unzipseq.inference import site_posterior
 from unzipseq.rates import (
     count_moments,
     decision_margins,
@@ -19,7 +20,12 @@ from unzipseq.rates import (
     rate_report,
     rc_site,
 )
-from unzipseq.walker import SeedSpec, simulate_continuous_walk, simulate_discrete_walk
+from unzipseq.walker import (
+    SeedSpec,
+    simulate_continuous_walk,
+    simulate_discrete_walk,
+    simulate_ensemble,
+)
 
 from bruteforce import brute_p_up, brute_pair_pmf, brute_pbar
 from conftest import make_env, random_sequence
@@ -357,3 +363,52 @@ def test_rate_report_matches_per_site_functions():
     steps = 3 * sum(1 / brute_pbar(env, x - 1) if x > 1 else 1.0 for x in range(1, env.M))
     steps += 3 * sum(1 / brute_pbar(env, x) - 1 for x in range(1, env.M))
     assert rep.time.expectation == pytest.approx(steps, rel=1e-12)
+
+
+ENV40 = make_env(random_sequence(np.random.default_rng(40), 40), 2.4, beta=1.1, r=0.8)
+STATS40 = simulate_ensemble(ENV40, 6, "continuous", SeedSpec(40))
+
+
+def _posterior_fields(post):
+    return (post.site, post.log_unnormalized, post.probs, post.map_base, post.tie,
+            post.p_error, post.log_p_error)
+
+
+# name: (x -> the result at x as a tuple of fields, first site, last site)
+SITE_FUNCTIONS = {
+    "log_inv_pbar": (lambda x: (log_inv_pbar(ENV40, x),), 1, 39),
+    "pbar": (lambda x: (pbar(ENV40, x),), 1, 39),
+    "count_moments": (lambda x: astuple(count_moments(ENV40, x)), 1, 39),
+    "rc_site-discrete": (lambda x: (rc_site(ENV40, x, "discrete"),), 2, 39),
+    "rc_site-continuous": (lambda x: (rc_site(ENV40, x, "continuous"),), 2, 39),
+    "obstacle_height": (lambda x: (obstacle_height(ENV40, x),), 0, 38),
+    "site_posterior": (
+        lambda x: _posterior_fields(site_posterior(STATS40, ENV40, x, None, "continuous")), 2, 39
+    ),
+    "transition_rates": (lambda x: transition_rates(ENV40, x), 1, 39),
+}
+
+
+@pytest.mark.parametrize("name", SITE_FUNCTIONS)
+def test_site_function_array_equals_per_site(name):
+    f, lo, hi = SITE_FUNCTIONS[name]
+    xs = np.arange(lo, hi + 1)
+    columns = f(xs)
+    for i, x in enumerate(xs.tolist()):
+        fields = f(x)
+        assert len(fields) == len(columns)
+        for column, value in zip(columns, fields):
+            # a site gives plain Python scalars (or one (4,) row per posterior field)
+            assert type(value) in (float, int, bool, Base) or value.shape == (4,), (name, x)
+            assert np.array_equal(column[i], value), (name, x)
+
+
+@pytest.mark.parametrize("name", SITE_FUNCTIONS)
+def test_site_function_rejects_any_site_out_of_range(name):
+    f, lo, hi = SITE_FUNCTIONS[name]
+    inside = np.arange(lo, hi + 1)
+    for bad, xs in ((lo - 1, np.append(inside, lo - 1)), (hi + 1, np.insert(inside, 5, hi + 1))):
+        with pytest.raises(IndexError, match=f"site index {bad} out of range"):
+            f(xs)
+        with pytest.raises(IndexError, match=f"site index {bad} out of range"):
+            f(bad)
