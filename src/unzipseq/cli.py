@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from .inference import (
     rate_residuals,
 )
 from .protocols import (
+    SCHEMES,
     LevelLadder,
     ProtocolAbort,
     build_protocol,
@@ -77,70 +79,132 @@ class RunAbort(RuntimeError):
     """A run that cannot finish, refused before any work starts."""
 
 
-_COMMON_KEYS = {"command", "environment", "mode", "seed", "out", "format", "step_cap"}
-_KEYS = {
-    "simulate": _COMMON_KEYS | {"R", "trace", "window"},
-    "infer": _COMMON_KEYS | {"R", "R_grid", "stats", "b1", "site", "h_max", "oracle", "prior"},
-    "rates": _COMMON_KEYS | {"R"},
-    "protocol": _COMMON_KEYS
-    | {"energies", "ladder", "scheme", "site", "k", "max_level", "R_per_level"},
+_ALL_COMMANDS = ("simulate", "infer", "rates", "protocol")
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its kind, the commands that accept it, the value it
+    takes when absent (None: it stays absent) and the flag that overrides it."""
+
+    kind: str  # int, enum, str, path, doc, floats, object or flag
+    commands: tuple[str, ...] = _ALL_COMMANDS
+    default: object = None
+    flag: str | None = None
+    low: int = 1  # int: the smallest value allowed
+    choices: tuple = ()  # enum: the values allowed
+    help: str | None = None
+
+
+# kind -> (what a value must be, its test); an integral float such as 1e7
+# counts as an integer, a bool never does
+_KINDS = {
+    "int": ("an integer >= {low}", lambda v, k: type(v) is int and v >= k.low),
+    "enum": ("one of {choices}", lambda v, k: v in k.choices),
+    "str": ("a string", lambda v, k: isinstance(v, str)),
+    "path": ("a non-empty path", lambda v, k: isinstance(v, str) and v != ""),
+    "doc": ("a string or an object", lambda v, k: isinstance(v, (str, dict))),
+    "floats": ("a non-empty list of numbers", lambda v, k: isinstance(v, list) and v != []),
+    "object": ("an object", lambda v, k: isinstance(v, dict)),
+    "flag": ("true or false", lambda v, k: isinstance(v, bool)),
 }
+
+# every config key, once: the parser, the allowed-key check and the
+# validation pass are all read off this table
+_CONFIG_KEYS = {
+    "environment": _Key("doc", flag="--env", help="environment JSON file"),
+    "mode": _Key("enum", default="discrete", flag="--mode", choices=MODES),
+    "seed": _Key("int", flag="--seed", low=0),
+    "out": _Key("path", default=".", flag="--out", help="output directory"),
+    "format": _Key("enum", default="json", flag="--format", choices=("csv", "json")),
+    "step_cap": _Key("int", default=DEFAULT_STEP_CAP, flag="--step-cap"),
+    "R": _Key("int", ("simulate", "infer", "rates"), flag="--R"),
+    "trace": _Key("flag", ("simulate",), default=False, flag="--trace"),
+    "window": _Key("str", ("simulate",), flag="--window", help="y:A:C force window"),
+    "R_grid": _Key("str", ("infer",), flag="--R-grid", help="a:b:step"),
+    "stats": _Key("path", ("infer",), flag="--stats", help="stats JSON from simulate"),
+    "b1": _Key("str", ("infer",), default="auto", flag="--b1", help="A|T|C|G|auto|none"),
+    "site": _Key("int", ("infer", "protocol"), flag="--site", low=2),
+    "h_max": _Key("int", ("infer",), default=3, flag="--h-max", low=0),
+    "oracle": _Key("flag", ("infer",), default=False, flag="--oracle"),
+    "prior": _Key("object", ("infer",)),
+    "energies": _Key("floats", ("protocol",)),
+    "ladder": _Key("doc", ("protocol",), default="from-energies"),
+    "scheme": _Key("enum", ("protocol",), default="uniform-pair", flag="--scheme",
+                   choices=SCHEMES),
+    "k": _Key("int", ("protocol",), flag="--k"),
+    "max_level": _Key("int", ("protocol",), flag="--max-level"),
+    "R_per_level": _Key("int", ("protocol",), flag="--R-per-level"),
+}
+
+
+def _keys(command: str) -> dict[str, _Key]:
+    return {key: spec for key, spec in _CONFIG_KEYS.items() if command in spec.commands}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     """One subcommand per command; each flag's dest is the config key it
-    overrides, and a command declares only flags for its own keys."""
+    overrides, and a flag left out stays out of the namespace."""
     parser = argparse.ArgumentParser(prog="unzipseq", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _KEYS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", type=str, default=None, choices=MODES)
-        p.add_argument("--env", type=str, default=None, dest="environment",
-                       help="environment JSON file")
-        p.add_argument("--step-cap", type=int, default=None, dest="step_cap")
-        if name != "protocol":
-            p.add_argument("--R", type=int, default=None, dest="R")
-        if name == "simulate":
-            p.add_argument("--trace", action="store_true", default=None)
-            p.add_argument("--window", type=str, default=None, help="y:A:C force window")
-        if name == "infer":
-            p.add_argument("--R-grid", type=str, default=None, dest="R_grid", help="a:b:step")
-            p.add_argument("--stats", type=str, default=None, help="stats JSON from simulate")
-            p.add_argument("--b1", type=str, default=None, help="A|T|C|G|auto|none")
-            p.add_argument("--site", type=int, default=None)
-            p.add_argument("--h-max", type=int, default=None, dest="h_max")
-            p.add_argument("--oracle", action="store_true", default=None)
-        if name == "protocol":
-            p.add_argument("--scheme", type=str, default=None,
-                           choices=("uniform-pair", "focus-at-x", "absorbing-tail"))
-            p.add_argument("--site", type=int, default=None)
-            p.add_argument("--k", type=int, default=None)
-            p.add_argument("--max-level", type=int, default=None, dest="max_level")
-            p.add_argument("--R-per-level", type=int, default=None, dest="R_per_level")
+    for name in _ALL_COMMANDS:
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="JSON config file")
+        for key, spec in _keys(name).items():
+            if spec.flag is None:
+                continue
+            if spec.kind == "flag":
+                p.add_argument(spec.flag, dest=key, action="store_true")
+            else:
+                p.add_argument(spec.flag, dest=key, type=int if spec.kind == "int" else str,
+                               choices=spec.choices or None, help=spec.help)
     return parser
 
 
+def _check(key: str, spec: _Key, value):
+    """``value`` checked against the key's kind, and normalised."""
+    if spec.kind == "int" and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    what, test = _KINDS[spec.kind]
+    if not test(value, spec):
+        what = what.format(low=spec.low, choices=list(spec.choices))
+        raise ConfigError(f"{key}: expected {what}, got {value!r}")
+    if spec.kind == "floats":
+        for i, e in enumerate(value):
+            number = isinstance(e, (int, float)) and not isinstance(e, bool)
+            # abs(nan) <= max is False, and so is it for a number too large for a float
+            if not (number and abs(e) <= sys.float_info.max):
+                raise ConfigError(f"{key}: entry {i} must be a finite number, got {e!r}")
+        value = [float(e) for e in value]
+    return value
+
+
 def _load_config(args: argparse.Namespace) -> dict:
+    """The config file overridden by the flags, with every key checked and
+    every absent key that has a default filled in: the one validation pass,
+    run before any file is written or any walk starts."""
+    flags = vars(args)
+    path = flags.pop("config", None)
     cfg: dict = {}
-    if args.config:
+    if path:
         try:
-            cfg = json.loads(Path(args.config).read_text())
+            cfg = json.loads(Path(path).read_text())
         except OSError as e:
-            raise ConfigError(f"config: cannot read {args.config}: {e}") from e
+            raise ConfigError(f"config: cannot read {path}: {e}") from e
         except json.JSONDecodeError as e:
-            raise ConfigError(f"config: invalid JSON in {args.config}: {e}") from e
+            raise ConfigError(f"config: invalid JSON in {path}: {e}") from e
         if not isinstance(cfg, dict):
             raise ConfigError("config: top-level document must be an object")
-    # every flag's dest is its config key (see _build_parser); unset flags are None
-    cfg.update((key, val) for key, val in vars(args).items() if val is not None and key != "config")
-    allowed = _KEYS[args.command]
-    unknown = set(cfg) - allowed
+    cfg.update(flags)
+    keys = _keys(cfg["command"])
+    unknown = set(cfg) - set(keys) - {"command"}
     if unknown:
-        raise ConfigError(f"unknown key(s) for {args.command}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) for {cfg['command']}: {sorted(unknown)}")
+    for key, spec in keys.items():
+        if key in cfg:
+            cfg[key] = _check(key, spec, cfg[key])
+        elif spec.default is not None:
+            cfg[key] = spec.default
     return cfg
 
 
@@ -163,37 +227,13 @@ def _environment(cfg: dict) -> Environment:
         raise ConfigError(f"environment: {e}") from e
 
 
-def _mode(cfg: dict) -> str:
-    mode = cfg.get("mode", "discrete")
-    if mode not in MODES:
-        raise ConfigError(f"mode: expected one of {list(MODES)}, got {mode!r}")
-    return mode
-
-
-def _seed(cfg: dict) -> SeedSpec:
-    return SeedSpec(int(_require(cfg, "seed")))
-
-
 def _outdir(cfg: dict) -> Path:
-    out = Path(cfg.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _count(cfg: dict, key: str, default: int | None = None) -> int:
-    """A positive integer setting; required when there is no default."""
-    raw = cfg.get(key, default) if default is not None else _require(cfg, key)
+    out = Path(cfg["out"])
     try:
-        v = int(raw)
-    except (TypeError, ValueError):
-        v = 0
-    if v < 1:
-        raise ConfigError(f"{key}: expected a positive integer, got {raw!r}")
-    return v
-
-
-def _step_cap(cfg: dict) -> int:
-    return _count(cfg, "step_cap", DEFAULT_STEP_CAP)
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"out: cannot create the output directory: {e}") from None
+    return out
 
 
 def _require_finishable(env: Environment | EnergyEnvironment, cfg: dict) -> None:
@@ -201,7 +241,7 @@ def _require_finishable(env: Environment | EnergyEnvironment, cfg: dict) -> None
 
     Compared in log space: a deep valley's expectation can overflow a float.
     """
-    cap = _step_cap(cfg)
+    cap = cfg["step_cap"]
     log_steps = expected_unzip_time(env, 1).log_expectation
     if log_steps > math.log(cap):
         raise RunAbort(
@@ -248,7 +288,7 @@ def _write_csv(path: Path, header, columns) -> None:
 
 def _parse_grid(spec: str) -> list[int]:
     try:
-        a, b, step = (int(v) for v in str(spec).split(":"))
+        a, b, step = (int(v) for v in spec.split(":"))
     except ValueError:
         raise ConfigError(f"R_grid: expected 'start:stop:step', got {spec!r}") from None
     if a < 1 or step < 1 or b < a:
@@ -262,7 +302,7 @@ def _parse_grid(spec: str) -> list[int]:
 
 def _apply_window(env: Environment, spec: str) -> Environment:
     try:
-        y, A, C = str(spec).split(":")
+        y, A, C = spec.split(":")
         y, A, C = int(y), int(A), float(C)
     except ValueError:
         raise ConfigError(f"window: expected 'y:A:C', got {spec!r}") from None
@@ -277,20 +317,20 @@ def cmd_simulate(cfg: dict) -> int:
     env = _environment(cfg)
     if "window" in cfg:
         env = _apply_window(env, cfg["window"])
-    mode = _mode(cfg)
-    R = _count(cfg, "R")
-    seed = _seed(cfg)
+    mode = cfg["mode"]
+    R = _require(cfg, "R")
+    seed = SeedSpec(_require(cfg, "seed"))
     out = _outdir(cfg)
     _require_finishable(env, cfg)
-    agg = simulate_ensemble(env, R, mode, seed, step_cap=_step_cap(cfg))
+    agg = simulate_ensemble(env, R, mode, seed, step_cap=cfg["step_cap"])
     _write_json(out / "stats.json", agg.to_json_dict())
-    if cfg.get("format") == "csv":
+    if cfg["format"] == "csv":
         S = agg.sojourn[1:] if agg.sojourn is not None else itertools.repeat("")
         _write_csv(out / "stats.csv", ("site", "L_plus", "L_minus", "S", "R"),
                    (range(1, agg.M), agg.up[1:], agg.down[1:], S, itertools.repeat(agg.R)))
-    if cfg.get("trace"):
+    if cfg["trace"]:
         walk_fn = simulate_discrete_walk if mode == "discrete" else simulate_continuous_walk
-        walk = walk_fn(env, seed, 0, trace=True, step_cap=_step_cap(cfg))
+        walk = walk_fn(env, seed, 0, trace=True, step_cap=cfg["step_cap"])
         _write_csv(out / "trace.csv", ("step", "site", "time"),
                    (range(walk.path.size), walk.path, walk.path_times))
     return 0
@@ -301,7 +341,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def _parse_b1(cfg: dict, env: Environment) -> Base | None:
-    raw = str(cfg.get("b1", "auto")).lower()
+    raw = cfg["b1"].lower()
     if raw == "none":
         return None
     if raw == "auto":
@@ -316,7 +356,7 @@ def _prior(cfg: dict, M: int) -> Prior:
     if "prior" not in cfg:
         return Prior.uniform(M)
     doc = cfg["prior"]
-    if not (isinstance(doc, dict) and "weights" in doc):
+    if "weights" not in doc:
         raise ConfigError("prior: expected {'weights': [wA, wT, wC, wG]}")
     try:
         return Prior.iid(doc["weights"], M)
@@ -327,17 +367,9 @@ def _prior(cfg: dict, M: int) -> Prior:
 def _oracle_enumeration(pot, b1, h_max: int) -> dict:
     """Plain 4^(M-1) enumeration of the posterior; slow reference for small M."""
     M = pot.M
-    if M > 8:
-        raise ConfigError(f"oracle: exhaustive enumeration limited to M <= 8, got M = {M}")
     starts = [b1] if b1 is not None else list(BASES)
-    seqs = []
-    costs = []
-    for first in starts:
-        for rest in itertools.product(BASES, repeat=M - 1):
-            tup = (first, *rest)
-            seqs.append(tup)
-            costs.append(sum(float(pot.phi[x, tup[x - 1], tup[x]]) for x in range(1, M)))
-    costs = np.array(costs)
+    seqs = [(first, *rest) for first in starts for rest in itertools.product(BASES, repeat=M - 1)]
+    costs = np.array([sum(float(pot.phi[x, t[x - 1], t[x]]) for x in range(1, M)) for t in seqs])
     shift = float(costs.min())
     # enumeration runs in base order, so the first within-tolerance optimum
     # is the same tie-broken representative the decoder reports
@@ -348,14 +380,9 @@ def _oracle_enumeration(pot, b1, h_max: int) -> dict:
     p_any = float(1.0 - weights[best] / Z)
 
     def n_blocks(tup):
-        blocks = 0
-        prev = False
-        for i, b in enumerate(tup):
-            mism = b != seqs[best][i]
-            if mism and not prev:
-                blocks += 1
-            prev = mism
-        return blocks
+        """Maximal runs of sites that differ from the MAP."""
+        mism = [a != b for a, b in zip(tup, seqs[best])]
+        return sum(m and not prev for prev, m in zip([False] + mism, mism))
 
     p_h = []
     for h in range(1, h_max + 1):
@@ -372,44 +399,40 @@ def _oracle_enumeration(pot, b1, h_max: int) -> dict:
 
 def cmd_infer(cfg: dict) -> int:
     env = _environment(cfg)
-    mode = _mode(cfg)
+    mode = cfg["mode"]
     prior = _prior(cfg, env.M)
     b1 = _parse_b1(cfg, env)
-    h_max = int(cfg.get("h_max", 3))
-    out = _outdir(cfg)
+    h_max = cfg["h_max"]
 
     if "R_grid" in cfg:
         if "stats" in cfg:
             raise ConfigError("R_grid: cannot be combined with a stats file")
-        return _infer_grid(cfg, env, mode, prior, b1, out)
+        return _infer_grid(cfg, env, mode, prior, b1)
+    if cfg["oracle"] and env.M > 8:
+        raise ConfigError(f"oracle: exhaustive enumeration limited to M <= 8, got M = {env.M}")
 
+    out = _outdir(cfg)
     if "stats" in cfg:
         agg = _load_stats(cfg["stats"], env, mode)
     else:
-        R = _count(cfg, "R")
-        seed = _seed(cfg)
+        R = _require(cfg, "R")
+        seed = SeedSpec(_require(cfg, "seed"))
         _require_finishable(env, cfg)
-        agg = simulate_ensemble(env, R, mode, seed, step_cap=_step_cap(cfg))
+        agg = simulate_ensemble(env, R, mode, seed, step_cap=cfg["step_cap"])
 
     report = error_report(agg, env, prior, mode, b1, h_max)
     doc = report.to_json_dict()
     _write_json(out / "decode.json", doc)
-    if cfg.get("format") == "csv":
+    if cfg["format"] == "csv":
         _write_csv(out / "posteriors.csv", ("site", "p_A", "p_T", "p_C", "p_G"),
                    (range(2, env.M), *report.sites.probs.T))
-    if cfg.get("oracle"):
+    if cfg["oracle"]:
         pot = build_edge_potentials(agg, env, prior, mode)
         oracle = _oracle_enumeration(pot, b1, h_max)
-        diffs = {
-            "map_sequence_equal": oracle["map_sequence"] == doc["map_sequence"],
-            "cost": abs(oracle["cost"] - doc["cost"]),
-            "log_partition": abs(oracle["log_partition"] - doc["log_partition"]),
-            "p_any_error": abs(oracle["p_any_error"] - doc["p_any_error"]),
-            "p_h_errors": [
-                abs(o["p"] - m["p"])
-                for o, m in zip(oracle["p_h_errors"], doc["p_h_errors"])
-            ],
-        }
+        diffs = {k: abs(oracle[k] - doc[k]) for k in ("cost", "log_partition", "p_any_error")}
+        diffs["map_sequence_equal"] = oracle["map_sequence"] == doc["map_sequence"]
+        diffs["p_h_errors"] = [abs(o["p"] - m["p"])
+                               for o, m in zip(oracle["p_h_errors"], doc["p_h_errors"])]
         _write_json(out / "oracle.json", {"oracle": oracle, "diffs": diffs})
     return 0
 
@@ -438,14 +461,15 @@ def _load_stats(path: str, env: Environment, mode: str) -> AggregateStats:
     return agg
 
 
-def _infer_grid(cfg, env, mode, prior, b1, out: Path) -> int:
+def _infer_grid(cfg, env, mode, prior, b1) -> int:
     grid = _parse_grid(cfg["R_grid"])
-    seed = _seed(cfg)
+    seed = SeedSpec(_require(cfg, "seed"))
     site = cfg.get("site")
-    if site is not None and not (isinstance(site, int) and 2 <= site <= env.M - 1):
+    if site is not None and not 2 <= site <= env.M - 1:
         raise ConfigError(f"site: expected an interior site in [2, {env.M - 1}], got {site!r}")
     _require_finishable(env, cfg)
-    stats_seq = accumulate_checkpoints(env, mode, seed, grid, step_cap=_step_cap(cfg))
+    out = _outdir(cfg)
+    stats_seq = accumulate_checkpoints(env, mode, seed, grid, step_cap=cfg["step_cap"])
     # one error pass per checkpoint: the any-error curve and, optionally, one site's
     lp_any, lp_site = [], []
     for agg in stats_seq:
@@ -495,9 +519,8 @@ def _infer_grid(cfg, env, mode, prior, b1, out: Path) -> int:
 
 def cmd_rates(cfg: dict) -> int:
     env = _environment(cfg)
-    R = _count(cfg, "R", 1)
     out = _outdir(cfg)
-    report = rate_report(env, R)
+    report = rate_report(env, cfg.get("R", 1))
     _write_json(out / "rates.json", report.to_json_dict())
     _write_csv(out / "rates.csv", report.CSV_HEADER,
                [range(1, env.M)] + [getattr(report, n)[1:] for n in report.CSV_HEADER[1:]])
@@ -511,7 +534,7 @@ def cmd_rates(cfg: dict) -> int:
 
 def _ladder(cfg: dict, energies: list[float]) -> LevelLadder:
     """The configured ladder, built (and so checked) once."""
-    doc = cfg.get("ladder", "from-energies")
+    doc = cfg["ladder"]
     try:
         if doc == "from-energies":
             return LevelLadder.from_energies(energies)
@@ -524,44 +547,20 @@ def _ladder(cfg: dict, energies: list[float]) -> LevelLadder:
     raise ConfigError("ladder: expected 'from-energies', 'from-table' or {'mu': [...], 'r': [...]}")
 
 
-def _energies(cfg: dict) -> list[float]:
-    """The protocol's raw binding energies: a non-empty list of finite numbers."""
-    raw = cfg["energies"]
-    if not (isinstance(raw, list) and raw):
-        raise ConfigError(f"energies: expected a non-empty list of numbers, got {raw!r}")
-    for i, e in enumerate(raw):
-        number = isinstance(e, (int, float)) and not isinstance(e, bool)
-        # abs(nan) <= max is False, and so is it for a number too large for a float
-        if not (number and abs(e) <= sys.float_info.max):
-            raise ConfigError(f"energies: entry {i} must be a finite number, got {e!r}")
-    return [float(e) for e in raw]
-
-
 def cmd_protocol(cfg: dict) -> int:
-    if "energies" in cfg:
-        energies = _energies(cfg)
-        params_env = _environment(cfg) if "environment" in cfg else None
-    else:
-        params_env = _environment(cfg)
-        energies = params_env.edge_energies()
-    params = params_env.params if params_env is not None else ModelParams()
-    mode = _mode(cfg)
-    scheme = cfg.get("scheme", "uniform-pair")
-    R_per_level = _count(cfg, "R_per_level")
-    seed = _seed(cfg)
-    out = _outdir(cfg)
+    # the environment, needed unless energies are given, also sets the model parameters
+    env = _environment(cfg) if "environment" in cfg or "energies" not in cfg else None
+    energies = cfg["energies"] if "energies" in cfg else env.edge_energies()
+    params = env.params if env is not None else ModelParams()
+    mode = cfg["mode"]
+    scheme = cfg["scheme"]
+    R_per_level = _require(cfg, "R_per_level")
+    seed = SeedSpec(_require(cfg, "seed"))
     M = len(energies) + 1
     ladder = _ladder(cfg, energies)
     try:
-        plan = build_protocol(
-            scheme,
-            ladder,
-            M,
-            R_per_level,
-            site=cfg.get("site"),
-            k=cfg.get("k"),
-            max_level=cfg.get("max_level"),
-        )
+        plan = build_protocol(scheme, ladder, M, R_per_level, site=cfg.get("site"),
+                              k=cfg.get("k"), max_level=cfg.get("max_level"))
     except (ValueError, IndexError) as e:
         raise ConfigError(f"protocol: {e}") from None
     for lv in plan.levels:
@@ -569,7 +568,8 @@ def cmd_protocol(cfg: dict) -> int:
             _require_finishable(EnergyEnvironment(energies, lv.force, params), cfg)
         except RunAbort as e:
             raise RunAbort(f"force level {lv.level_index}: {e}") from None
-    stats = run_protocol(energies, params, plan, seed, mode, step_cap=_step_cap(cfg))
+    out = _outdir(cfg)
+    stats = run_protocol(energies, params, plan, seed, mode, step_cap=cfg["step_cap"])
     _write_json(out / "levels.json", stats.to_json_dict())
     levels = sorted(stats.stats)
     aggs = [stats.stats[i] for i in levels]
@@ -584,24 +584,18 @@ def cmd_protocol(cfg: dict) -> int:
     # site-dependent schemes only calibrate the drift at the target site;
     # a scan that runs past the plan's deepest level is reported, not fatal
     sites = [plan.site] if plan.site is not None else list(range(2, M))
-    est_rows = []
     est_docs = []
     for x in sites:
         try:
             est = estimate_energy(stats, x, ladder)
-            note = ""
+            est_docs.append({"site": x, "level": est.level, "value": est.value,
+                             "undecided": est.undecided, "note": ""})
         except ValueError as e:
-            est = None
-            note = str(e)
-        level = est.level if est is not None else None
-        value = est.value if est is not None else None
-        undecided = est.undecided if est is not None else True
-        est_rows.append((x, level if level is not None else "",
-                         value if value is not None else "", undecided, note))
-        est_docs.append({"site": x, "level": level, "value": value,
-                         "undecided": undecided, "note": note})
+            est_docs.append({"site": x, "level": None, "value": None, "undecided": True,
+                             "note": str(e)})
     _write_csv(out / "estimates.csv", ("site", "level", "mu", "undecided", "note"),
-               zip(*est_rows))
+               [["" if d[k] is None else d[k] for d in est_docs]
+                for k in ("site", "level", "value", "undecided", "note")])
     _write_json(out / "estimates.json", est_docs)
 
     bound_sites = np.arange(2, M)
@@ -612,17 +606,11 @@ def cmd_protocol(cfg: dict) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "infer": cmd_infer,
-    "rates": cmd_rates,
-    "protocol": cmd_protocol,
-}
+_COMMANDS = dict(zip(_ALL_COMMANDS, (cmd_simulate, cmd_infer, cmd_rates, cmd_protocol)))
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         return _COMMANDS[cfg["command"]](cfg)

@@ -82,13 +82,18 @@ def _frozen_array(data, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _out_of_range(x, lo: int, hi: int) -> IndexError:
+    """One-site accessors compare inline (_check_sites costs ~20x per call)."""
+    return IndexError(f"site index {x} out of range [{lo}, {hi}]")
+
+
 def _check_sites(x, lo: int, hi: int) -> np.ndarray:
     """``x``, a site or an array of sites, as an array (0-d for a site) once
     every entry lies in [lo, hi]; IndexError names the first that does not."""
     xs = np.asarray(x)
     outside = xs[(xs < lo) | (xs > hi)]
     if outside.size:
-        raise IndexError(f"site index {outside.flat[0]} out of range [{lo}, {hi}]")
+        raise _out_of_range(outside.flat[0], lo, hi)
     return xs
 
 
@@ -159,7 +164,8 @@ class BaseSequence:
 
     def base(self, x: int) -> Base:
         """Base at 1-indexed site ``x``."""
-        _check_sites(x, 1, len(self.bases))
+        if not 1 <= x <= len(self.bases):
+            raise _out_of_range(x, 1, len(self.bases))
         return self.bases[x - 1]
 
 
@@ -190,7 +196,8 @@ class ForceField:
 
     def at(self, x: int) -> float:
         """Stretch work at 1-indexed site ``x``."""
-        _check_sites(x, 1, self.per_site.size)
+        if not 1 <= x <= self.per_site.size:
+            raise _out_of_range(x, 1, self.per_site.size)
         return float(self.per_site[x - 1])
 
     def padded(self) -> np.ndarray:
@@ -253,12 +260,14 @@ class _SiteModel:
 
     def edge_energy(self, x: int) -> float:
         """Binding energy g0 of the pair at site ``x`` (1 <= x <= M-1)."""
-        _check_sites(x, 1, self.M - 1)
+        if not 1 <= x <= self.M - 1:
+            raise _out_of_range(x, 1, self.M - 1)
         return float(self.edge_g0[x])
 
     def delta_g_site(self, x: int) -> float:
         """Free-energy increment g(x) - g(x-1) at this environment's force."""
-        _check_sites(x, 1, self.M - 1)
+        if not 1 <= x <= self.M - 1:
+            raise _out_of_range(x, 1, self.M - 1)
         return float(self.edge_g0[x] - self.g1_padded[x])
 
     @cached_property

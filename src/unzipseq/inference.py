@@ -29,7 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .energy import BASES, Base, BaseSequence, Environment, _check_sites, _per_site
+from .energy import (BASES, Base, BaseSequence, Environment, _check_sites, _out_of_range,
+                     _per_site)
 from .walker import AggregateStats, WalkStats, _require_mode
 
 __all__ = [
@@ -98,7 +99,8 @@ class Prior:
         return self.probs.shape[0] - 1
 
     def log_w(self, x: int, base: Base) -> float:
-        _check_sites(x, 1, self.M)
+        if not 1 <= x <= self.M:
+            raise _out_of_range(x, 1, self.M)
         return math.log(float(self.probs[x, base]))
 
 

@@ -376,6 +376,15 @@ def test_trapping_walks_refused_before_simulating(tmp_path, capsys, argv):
     assert elapsed < 1.0
 
 
+def _no_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran before the config was checked")
+
+    for name in ("simulate_ensemble", "run_protocol", "accumulate_checkpoints",
+                 "simulate_discrete_walk", "simulate_continuous_walk"):
+        monkeypatch.setattr(cli, name, no_walk)
+
+
 @pytest.mark.parametrize("command,doc,message", [
     ("protocol", {"energies": [1.55, "x", 1.78]}, "config error: energies: entry 1"),
     ("protocol", {"energies": 1.55}, "config error: energies:"),
@@ -388,11 +397,7 @@ def test_trapping_walks_refused_before_simulating(tmp_path, capsys, argv):
         "protocol-mode"])
 def test_config_field_refused_before_any_walk(tmp_path, capsys, monkeypatch, command, doc,
                                               message):
-    def no_walk(*args, **kwargs):
-        raise AssertionError("a walk ran before the config was checked")
-
-    monkeypatch.setattr(cli, "simulate_ensemble", no_walk)
-    monkeypatch.setattr(cli, "run_protocol", no_walk)
+    _no_walk(monkeypatch)
     sized = {"R_per_level": 5} if command == "protocol" else {"environment": ENV_DOC, "R": 5}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**doc, **sized, "seed": 1}))
@@ -403,7 +408,119 @@ def test_config_field_refused_before_any_walk(tmp_path, capsys, monkeypatch, com
 def test_every_flag_overrides_an_allowed_key():
     parser = cli._build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(commands.choices) == set(cli._KEYS)
+    assert set(commands.choices) == set(cli._COMMANDS)
     for name, sub in commands.choices.items():
+        allowed = {k for k, spec in cli._CONFIG_KEYS.items() if name in spec.commands}
         dests = {a.dest for a in sub._actions} - {"help", "config"}
-        assert dests <= cli._KEYS[name], (name, sorted(dests - cli._KEYS[name]))
+        assert dests <= allowed, (name, sorted(dests - allowed))
+
+
+# values of the wrong type for each kind of config key
+_WRONG = {
+    "int": ["1", True, 1.5, float("inf"), None],
+    "enum": ["Nope", 5, True],
+    "str": [5, ["a"]],
+    "path": [5, ""],
+    "doc": [5, ["x"]],
+    "floats": ["x", [], [1.0, "x"], [True], [1.0, float("inf")]],
+    "object": [5, "x"],
+    "flag": ["no", 1, 0, None],
+}
+_WRONG_CASES = [
+    (command, key, value)
+    for key, spec in cli._CONFIG_KEYS.items()
+    for command in spec.commands
+    for value in _WRONG[spec.kind] + ([spec.low - 1] if spec.kind == "int" else [])
+]
+
+
+@pytest.mark.parametrize("command,key,value", _WRONG_CASES,
+                         ids=[f"{c}-{k}-{v!r}" for c, k, v in _WRONG_CASES])
+def test_every_key_refuses_a_wrong_value(tmp_path, capsys, monkeypatch, command, key, value):
+    _no_walk(monkeypatch)
+    base = ({"energies": [1.55, 1.78, 1.55], "R_per_level": 5} if command == "protocol"
+            else {"environment": ENV_DOC, "R": 5})
+    out = tmp_path / "o"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, "seed": 1, "out": str(out), key: value}))
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}:"), err
+    assert not out.exists()
+
+
+def test_integral_floats_count_as_integers(tmp_path, env_file):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"environment": str(env_file), "R": 3e1, "seed": 7.0,
+                               "step_cap": 1e6}))
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "a"]) == 0
+    assert run(["simulate", "--env", env_file, "--R", 30, "--seed", 7,
+                "--out", tmp_path / "b"]) == 0
+    assert (tmp_path / "a/stats.json").read_bytes() == (tmp_path / "b/stats.json").read_bytes()
+
+
+def test_oracle_refused_above_8_sites_before_any_walk(tmp_path, capsys, monkeypatch):
+    _no_walk(monkeypatch)
+    envp = tmp_path / "env.json"
+    envp.write_text(json.dumps({**ENV_DOC, "sequence": "ATCGGATCG"}))
+    out = tmp_path / "o"
+    rc = run(["infer", "--env", envp, "--R", 2000, "--seed", 1, "--oracle", "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: oracle: ")
+    assert not out.exists()
+
+
+def test_out_naming_a_file_refused(tmp_path, env_file, capsys):
+    taken = tmp_path / "c.json"
+    taken.write_text("{}")
+    assert run(["rates", "--env", env_file, "--out", taken]) == 2
+    assert capsys.readouterr().err.startswith("config error: out: ")
+
+
+_COMMON_OPTIONS = {"-h": "help", "--help": "help", "--config": "config", "--out": "out",
+                   "--format": "format", "--seed": "seed", "--mode": "mode",
+                   "--env": "environment", "--step-cap": "step_cap"}
+_COMMON_KEYS = {"command", "environment", "mode", "seed", "out", "format", "step_cap"}
+# each subcommand's option strings (option -> config key it sets), its
+# valueless options, and the config keys it accepts
+CLI_SURFACE = {
+    "simulate": ({**_COMMON_OPTIONS, "--R": "R", "--trace": "trace", "--window": "window"},
+                 {"-h", "--help", "--trace"},
+                 _COMMON_KEYS | {"R", "trace", "window"}),
+    "infer": ({**_COMMON_OPTIONS, "--R": "R", "--R-grid": "R_grid", "--stats": "stats",
+               "--b1": "b1", "--site": "site", "--h-max": "h_max", "--oracle": "oracle"},
+              {"-h", "--help", "--oracle"},
+              _COMMON_KEYS | {"R", "R_grid", "stats", "b1", "site", "h_max", "oracle",
+                              "prior"}),
+    "rates": ({**_COMMON_OPTIONS, "--R": "R"}, {"-h", "--help"}, _COMMON_KEYS | {"R"}),
+    "protocol": ({**_COMMON_OPTIONS, "--scheme": "scheme", "--site": "site", "--k": "k",
+                  "--max-level": "max_level", "--R-per-level": "R_per_level"},
+                 {"-h", "--help"},
+                 _COMMON_KEYS | {"energies", "ladder", "scheme", "site", "k", "max_level",
+                                 "R_per_level"}),
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_SURFACE))
+def test_cli_surface_pinned(tmp_path, monkeypatch, capsys, command):
+    options, valueless, keys = CLI_SURFACE[command]
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(CLI_SURFACE)
+    actions = commands.choices[command]._actions
+    assert {s: a.dest for a in actions for s in a.option_strings} == options
+    assert {s for a in actions if a.nargs == 0 for s in a.option_strings} == valueless
+
+    # every accepted key gets past the key check (an empty object is refused
+    # later, as a bad value); every other command's key is refused by name
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: {} for key in keys}))
+    assert run([command, "--config", cfg]) == 2
+    assert "unknown key" not in capsys.readouterr().err
+    others = set().union(*(k for _, _, k in CLI_SURFACE.values())) - keys
+    for key in sorted(others):
+        cfg.write_text(json.dumps({key: {}}))
+        assert run([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: unknown key(s) for {command}: [{key!r}]\n")

@@ -5,13 +5,15 @@
 
 Each case runs ``unzipseq.cli.main(argv)`` in-process with its own output
 directory ``OUTDIR/<case>/``; the inputs it reads are written to
-``OUTDIR/inputs/``.  ``OUTDIR/<case>/status.txt`` records the exit code, or
-the type of an exception that escaped ``main``.  The corpus covers every
-command in both time models with csv and json output, ``--trace``,
-``--oracle``, ``infer --stats``, ``--R-grid`` with ``--site``, all three
-protocol schemes (one with bounds too large for a float), and the deep
-``"A" * 1000`` rates landscape.  Everything is seeded, so two checkouts can
-be compared file by file:
+``OUTDIR/inputs/``.  ``OUTDIR/<case>/status.txt`` records the exit code (and,
+for a non-zero exit, the first line of stderr), or the type of an exception
+that escaped ``main``.  The corpus covers every command in both time models
+with csv and json output, ``--trace``, ``--oracle``, ``infer --stats``,
+``--R-grid`` with ``--site``, all three protocol schemes (one with bounds too
+large for a float), the deep ``"A" * 1000`` rates landscape, ``simulate`` and
+``infer`` runs whose settings all come from ``--config``, and configs that
+must be refused with exit 2.  Everything is seeded, so two checkouts can be
+compared file by file:
 
     PYTHONPATH=<checkout A>/src python tools/output_corpus.py /tmp/a
     PYTHONPATH=<checkout B>/src python tools/output_corpus.py /tmp/b
@@ -20,6 +22,8 @@ be compared file by file:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -50,6 +54,33 @@ PROTOCOLS = {
                        "site": 799, "R_per_level": 5},
 }
 
+# simulate / infer configs that set everything but --out, with the command
+# each is run under; an integral float such as 3e1 is an integer setting
+CONFIGS = {
+    "simulate": ("simulate", {"environment": ENVS["short"], "R": 3e1, "seed": 5,
+                              "mode": "continuous", "format": "csv", "trace": True,
+                              "window": "3:2:0.5", "step_cap": 1e6}),
+    "infer": ("infer", {"environment": ENVS["short"], "R": 3e1, "seed": 6, "format": "csv",
+                        "b1": "t", "h_max": 2, "prior": {"weights": [0.4, 0.1, 0.3, 0.2]},
+                        "oracle": True}),
+}
+# one bad value each, on top of a config that runs: every one must exit 2
+REFUSED = {
+    "max-level-str": ("protocol", "pair-scan", {"max_level": "x"}),
+    "site-str": ("protocol", "focus", {"site": "2"}),
+    "k-str": ("protocol", "pair-k", {"k": "1"}),
+    "k-bool": ("protocol", "pair-k", {"k": True}),
+    "h-max-str": ("infer", "infer", {"h_max": "x"}),
+    "seed-str": ("simulate", "simulate", {"seed": "x"}),
+    "R-fraction": ("simulate", "simulate", {"R": 5.9}),
+    "trace-str": ("simulate", "simulate", {"trace": "no"}),
+    "format-xml": ("infer", "infer", {"format": "xml"}),
+}
+
+
+def _config(name: str) -> dict:
+    return {**PROTOCOLS[name], "seed": 9} if name in PROTOCOLS else CONFIGS[name][1]
+
 
 def cases(inputs: Path) -> dict[str, list]:
     env = {name: inputs / f"env-{name}.json" for name in ENVS}
@@ -76,6 +107,10 @@ def cases(inputs: Path) -> dict[str, list]:
     runs["rates-deep"] = ["rates", "--env", env["deep"]]
     for name in ("pair-scan", "pair-k", "absorbing", "absorbing-long"):
         runs[f"protocol-{name}"] = ["protocol", "--config", proto[name], "--seed", 9]
+    for name, (command, _) in CONFIGS.items():
+        runs[f"config-{name}"] = [command, "--config", inputs / f"config-{name}.json"]
+    for name, (command, _, _) in REFUSED.items():
+        runs[f"refused-{name}"] = [command, "--config", inputs / f"refused-{name}.json"]
     return runs
 
 
@@ -86,12 +121,21 @@ def run_corpus(outdir: Path) -> None:
         (inputs / f"env-{name}.json").write_text(json.dumps(doc))
     for name, doc in PROTOCOLS.items():
         (inputs / f"protocol-{name}.json").write_text(json.dumps(doc))
+    for name, (_, doc) in CONFIGS.items():
+        (inputs / f"config-{name}.json").write_text(json.dumps(doc))
+    for name, (_, base, bad) in REFUSED.items():
+        (inputs / f"refused-{name}.json").write_text(json.dumps({**_config(base), **bad}))
     for name, argv in cases(inputs).items():
         out = outdir / name
         out.mkdir(parents=True, exist_ok=True)
         argv = [str(a) for a in argv] + ["--out", str(out)]
+        stderr = io.StringIO()
         try:
-            status = f"exit {main(argv)}"
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            status = f"exit {code}"
+            if code:
+                status += "\n" + stderr.getvalue().split("\n")[0]
         except Exception as e:  # recorded: the comparison shows a crash as a difference
             status = f"raised {type(e).__name__}"
         (out / "status.txt").write_text(status + "\n")
