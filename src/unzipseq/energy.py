@@ -449,6 +449,8 @@ def environment_from_json(doc: str | dict) -> Environment:
     for key in ("sequence", "beta", "r", "g1"):
         if key not in data:
             raise ValueError(f"environment document missing required key {key!r}")
+    if not isinstance(data["sequence"], str):
+        raise ValueError(f"sequence: expected a string of bases, got {data['sequence']!r}")
     seq = BaseSequence.from_string(data["sequence"])
     table = EnergyTable(np.array(data["g0"])) if "g0" in data else EnergyTable.default()
     g1 = data["g1"]

@@ -8,11 +8,18 @@ step count.  Full paths are recorded only in the optional trace mode.
 
 Replica streams are derived counter-style from (master seed, replica index),
 so an ensemble is reproducible bit-for-bit no matter how its replicas are
-scheduled, and stats at R1 < R2 under one master seed are nested.
+scheduled, and stats at R1 < R2 under one master seed are nested.  Ensembles
+use that freedom: a chunk of replicas has its streams derived in one numpy
+pass and steps in lockstep, and the few replicas still walking at the end
+finish one by one in the scalar loop.  Each stream is read strictly in order,
+so the results equal those of single walks summed in replica order, bit for
+bit, whatever the draw block sizes.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +46,17 @@ DEFAULT_STEP_CAP = 10**9
 # steps) and grow geometrically so long walks amortize the draw overhead.
 _BLOCK_INIT = 64
 _BLOCK_MAX = 16384
+# Ensembles step chunks of up to _CHUNK replicas together; a chunk's
+# per-replica site rows stay within _CHUNK_CELLS cells and its draw buffers
+# within _DRAW_BUDGET draws per stream.  Absorbed replicas are dropped every
+# _COMPACT_EVERY steps, and once fewer than _LOCKSTEP_MIN are live each
+# finishes alone in _walk: below that, a numpy pass costs more than the
+# scalar steps it replaces.
+_CHUNK = 256
+_CHUNK_CELLS = 2**16
+_DRAW_BUDGET = 2**14
+_COMPACT_EVERY = 8
+_LOCKSTEP_MIN = 32
 
 MODES = ("discrete", "continuous")
 
@@ -76,6 +94,105 @@ class SeedSpec:
             self.master, spawn_key=self.prefix + (replica, substream)
         )
         return np.random.default_rng(ss)
+
+
+# numpy's SeedSequence constants (pool of four uint32 words)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as little-endian uint32 words, as SeedSequence splits it."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of SeedSequence's first n hash calls,
+    as (n, 1) columns: the constant advances once per call, whatever the data."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mul
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return out ^ (out >> 16)
+
+
+def _stream_words(seed: SeedSpec, replicas: np.ndarray, substream: int) -> np.ndarray:
+    """The PCG64 seed of ``seed.stream(r, substream)`` for every replica r,
+    shape (n, 4): ``SeedSequence(master, spawn_key=prefix + (r, substream))
+    .generate_state(4, uint64)`` run over uint32 arrays.  Words that do not
+    depend on r are hashed once, as (1,) arrays that broadcast against the
+    replica words.  Replicas of 2**32 or more take a second key word, so they
+    are hashed as a group of their own."""
+    replicas = np.asarray(replicas, dtype=np.uint64)
+    master = _uint32_words(seed.master)
+    # a spawn key pads the master's words to the pool size
+    head = master + [0] * (4 - len(master)) + [w for k in seed.prefix for w in _uint32_words(k)]
+    head = [np.full(1, w, np.uint32) for w in head]
+    tail = [np.full(1, w, np.uint32) for w in _uint32_words(substream)]
+    lo = (replicas & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (replicas >> np.uint64(32)).astype(np.uint32)
+    out = np.empty((replicas.size, 4), dtype=np.uint64)
+    for wide in (False, True):
+        sel = (hi != 0) == wide
+        if not sel.any():
+            continue
+        entropy = head + ([lo[sel], hi[sel]] if wide else [lo[sel]]) + tail
+        xor, mul = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (len(entropy) - 4))
+        pool = _hashmix(np.stack(entropy[:4]), xor[:4], mul[:4])
+        k = 4
+        for src in range(4):
+            dst = [d for d in range(4) if d != src]
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[k : k + 3], mul[k : k + 3]))
+            k += 3
+        for word in entropy[4:]:
+            pool = _mix(pool, _hashmix(word, xor[k : k + 4], mul[k : k + 4]))
+            k += 4
+        xor, mul = _hash_consts(_INIT_B, _MULT_B, 8)
+        state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], xor, mul).astype(np.uint64)
+        out[sel] = (state[0::2] | (state[1::2] << np.uint64(32))).T
+    return out
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """A seed sequence that hands PCG64 words precomputed by _stream_words
+    (made on first use: importing numpy.random is a tenth of the CLI's
+    import time)."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def _streams(seed: SeedSpec, lo: int, hi: int, substream: int) -> list[np.random.Generator]:
+    """``[seed.stream(r, substream) for r in range(lo, hi)]`` from one hash pass."""
+    words = _stream_words(seed, np.arange(lo, hi, dtype=np.uint64), substream)
+    seed_words = _seed_words_type()
+    return [np.random.Generator(np.random.PCG64(seed_words(w))) for w in words]
 
 
 @dataclass(frozen=True)
@@ -203,6 +320,10 @@ def _walk(
     replica: int,
     step_cap: int,
     trace: bool,
+    x: int = 1,
+    steps: int = 0,
+    rows: tuple[list[int], list[int], list[float] | None] | None = None,
+    unread: tuple[Sequence[float], Sequence[float]] = ((), ()),
 ):
     """Core loop shared by both time models.
 
@@ -210,28 +331,30 @@ def _walk(
     mode additionally draws one exponential per visit from its own stream, so
     the embedded jump chain of the continuous walk coincides with the
     discrete walk for the same (master seed, replica).
+
+    A walk can resume part-way: at site ``x`` after ``steps`` steps, with its
+    (up, down, sojourn) ``rows`` so far and the ``unread`` draws already taken
+    from its (direction, time) streams, which it reads before drawing more.
     """
     M = env.M
     p = env.up_probabilities.tolist()
-    up = [0] * M
-    down = [0] * M
     continuous = rng_time is not None
+    if rows is None:
+        rows = ([0] * M, [0] * M, [0.0] * M if continuous else None)
+    up, down, sojourn = rows
     if continuous:
-        sojourn = [0.0] * M
         fwd, bwd = env.jump_rates
         inv_rate = (1.0 / (fwd + bwd)).tolist()
-        ebuf: list[float] = []
+        ebuf = unread[1]
         ei = 0
         eblock = _BLOCK_INIT
     path = [1] if trace else None
     times = [0.0] if trace else None
 
-    x = 1
-    steps = 0
     clock = 0.0
-    buf: list[float] = []
+    buf = unread[0]
     bi = 0
-    nbuf = 0
+    nbuf = len(buf)
     block = _BLOCK_INIT
     while x != M:
         if continuous:
@@ -353,30 +476,34 @@ def accumulate_checkpoints(
 
 
 def _accumulate(env, mode, seed, checkpoints, step_cap):
-    M = env.M
+    """Replica sums at each checkpoint, one chunk of replicas at a time.
+
+    Each chunk's per-replica rows are summed in replica order onto the totals
+    carried from the chunks before it, so every float sum is the one that
+    adding single walks in replica order gives.
+    """
     continuous = mode == "continuous"
-    up = np.zeros(M, dtype=np.int64)
-    down = np.zeros(M, dtype=np.int64)
-    sojourn = np.zeros(M) if continuous else None
-    steps = 0
+    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // env.M))
+    totals = None
     out = []
     next_ck = 0
-    for replica in range(checkpoints[-1]):
-        walk = (simulate_continuous_walk if continuous else simulate_discrete_walk)(
-            env, seed, replica, step_cap=step_cap
-        )
-        up += walk.up
-        down += walk.down
-        steps += walk.steps
-        if continuous:
-            sojourn += walk.sojourn
-        while next_ck < len(checkpoints) and replica + 1 == checkpoints[next_ck]:
+    for lo in range(0, checkpoints[-1], chunk):
+        hi = min(lo + chunk, checkpoints[-1])
+        parts = _lockstep(env, seed, lo, hi, continuous, step_cap)
+        if totals is not None:
+            for part, total in zip(parts, totals):
+                part[0] += total
+        sums = [np.cumsum(part, axis=0) for part in parts]
+        totals = [s[-1] for s in sums]
+        while next_ck < len(checkpoints) and checkpoints[next_ck] <= hi:
+            up, down, *sojourn, steps = (s[checkpoints[next_ck] - lo - 1] for s in sums)
+            sojourn = sojourn[0].copy() if continuous else None
             out.append(
                 AggregateStats(
                     up=up.copy(),
                     down=down.copy(),
-                    sojourn=sojourn.copy() if continuous else None,
-                    steps=steps,
+                    sojourn=sojourn,
+                    steps=int(steps),
                     wall_time=float(np.sum(sojourn)) if continuous else None,
                     mode=mode,
                     R=checkpoints[next_ck],
@@ -384,6 +511,81 @@ def _accumulate(env, mode, seed, checkpoints, step_cap):
             )
             next_ck += 1
     return out
+
+
+def _lockstep(env, seed, lo, hi, continuous, step_cap):
+    """Walk replicas lo..hi-1 together, one numpy pass per step.
+
+    Returns their per-replica rows: up and down counts and, in continuous
+    mode, sojourns, each of shape (n, M), then step counts (n,), which are
+    the number of moves each walk made.
+
+    A replica's state is one cell c = 2 (r (M+1) + x): replica lo + r at
+    site x.  Its move is c + d (d = 0 up, 1 down): ``counts[c + d]`` counts
+    it and ``dest[c + d]`` is the cell it leads to.  Site M is a sink: p = 2
+    there, so an absorbed replica moves "up" onto itself, adding nothing but
+    to the discarded column M, until a compaction drops it.  Live replicas
+    share one step count, so they read one column of the draw buffers.  Once
+    fewer than _LOCKSTEP_MIN are live, or the step cap is reached, each
+    resumes alone in _walk in replica order, so a trapped chunk raises
+    StepCapExceeded for its lowest replica over the cap.
+    """
+    M = env.M
+    n = hi - lo
+    size = 2 * n * (M + 1)
+    gens = [_streams(seed, lo, hi, 0)] + ([_streams(seed, lo, hi, 1)] if continuous else [])
+    counts = np.zeros(size, dtype=np.int64)
+    dest = np.arange(size) + np.tile([2, -3], n * (M + 1))
+    sink = np.arange(2 * M, size, 2 * (M + 1))
+    dest[sink] = sink
+    p = np.zeros(size)
+    p[0::2] = np.tile(np.append(env.up_probabilities, 2.0), n)
+    rows = [counts[d::2].reshape(n, M + 1)[:, :M] for d in (0, 1)]
+    if continuous:
+        fwd, bwd = env.jump_rates
+        inv_rate = np.zeros(size)
+        inv_rate[0::2] = np.tile(np.append(1.0 / (fwd + bwd), 0.0), n)
+        sojourn = np.zeros(size)
+        rows.append(sojourn[0::2].reshape(n, M + 1)[:, :M])
+    cell = 2 * (M + 1) * np.arange(n) + 2
+    slot = np.arange(n)
+    draws = np.empty((len(gens), 0, n))
+    step = col = 0
+    while step < step_cap:
+        if step % _COMPACT_EVERY == 0 or col == draws.shape[1]:
+            live = p[cell] <= 1.0
+            cell, slot = cell[live], slot[live]
+            if cell.size < _LOCKSTEP_MIN:
+                break
+        if col == draws.shape[1]:
+            # refill: the next draws of each live replica's streams
+            width = _DRAW_BUDGET // cell.size
+            draws = np.empty((len(gens), cell.size, width))
+            for i, r in enumerate((cell // (2 * (M + 1))).tolist()):
+                gens[0][r].random(out=draws[0, i])
+                if continuous:
+                    gens[1][r].standard_exponential(out=draws[1, i])
+            draws = draws.transpose(0, 2, 1).copy()
+            slot = np.arange(cell.size)
+            col = 0
+        if continuous:
+            sojourn[cell] += draws[1, col][slot] * inv_rate[cell]
+        move = cell + (draws[0, col][slot] >= p[cell])
+        counts[move] += 1
+        cell = dest[move]
+        step += 1
+        col += 1
+    live = p[cell] <= 1.0
+    for c, s in zip(cell[live].tolist(), slot[live].tolist()):
+        r, x = divmod(c // 2, M + 1)
+        rng_time = gens[1][r] if continuous else None
+        so_far = (rows[0][r].tolist(), rows[1][r].tolist(),
+                  rows[2][r].tolist() if continuous else None)
+        unread = (draws[0, col:, s].tolist(), draws[1, col:, s].tolist() if continuous else ())
+        walk = _walk(env, gens[0][r], rng_time, lo + r, step_cap, False, x, step, so_far, unread)
+        for part, row in zip(rows, (walk.up, walk.down, walk.sojourn)):
+            part[r] = row
+    return rows + [rows[0].sum(axis=1) + rows[1].sum(axis=1)]
 
 
 def zero_stats(M: int, mode: str, R: int = 0) -> AggregateStats:

@@ -405,6 +405,13 @@ def test_config_field_refused_before_any_walk(tmp_path, capsys, monkeypatch, com
     assert capsys.readouterr().err.startswith(message)
 
 
+def test_non_string_sequence_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"environment": {"sequence": 5, "beta": 1, "r": 1, "g1": 1}}))
+    assert run(["rates", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("config error: environment: sequence:")
+
+
 def test_every_flag_overrides_an_allowed_key():
     parser = cli._build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -189,3 +189,9 @@ def test_environment_json_per_site_force_and_errors():
         environment_from_json({"sequence": "AT", "beta": 1, "r": 1, "g1": 0, "oops": 1})
     with pytest.raises(ValueError, match="g1"):
         environment_from_json({"sequence": "AT", "beta": 1, "r": 1})
+
+
+@pytest.mark.parametrize("sequence", [5, ["A", "T"], None])
+def test_environment_json_non_string_sequence_refused(sequence):
+    with pytest.raises(ValueError, match="sequence"):
+        environment_from_json({"sequence": sequence, "beta": 1, "r": 1, "g1": 1})

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from unzipseq import walker
 from unzipseq.rates import count_moments, pbar
 from unzipseq.walker import (
+    MODES,
     AggregateStats,
     SeedSpec,
     StepCapExceeded,
@@ -13,6 +15,8 @@ from unzipseq.walker import (
     simulate_discrete_walk,
     simulate_ensemble,
     verify_conservation,
+    _stream_words,
+    _streams,
     zero_stats,
 )
 
@@ -219,3 +223,119 @@ def test_pbar_consistency_with_brute():
     env = make_env("ATCGGTA", 2.4, beta=0.8)
     for x in range(1, env.M):
         assert pbar(env, x) == pytest.approx(brute_pbar(env, x), rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# ensembles: batch-seeded streams, stepped in lockstep
+
+
+def test_batch_seeding_matches_seed_sequence():
+    # SeedSequence's hash run over arrays must give numpy's words exactly,
+    # across master sizes (2**200 is longer than the pool), prefixes,
+    # substreams and replica indices that take one or two key words
+    replicas = list(range(2794)) + [2**32 - 1, 2**32, 2**32 + 7, 2**40 + 3, 2**64 - 1]
+    keys = 0
+    for master in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200):
+        for prefix in ((), (3,), (0, 5)):
+            seed = SeedSpec(master, prefix)
+            for substream in (0, 1):
+                words = _stream_words(seed, np.array(replicas, dtype=np.uint64), substream)
+                ref = [
+                    np.random.SeedSequence(master, spawn_key=prefix + (r, substream))
+                    .generate_state(4, np.uint64)
+                    for r in replicas
+                ]
+                assert np.array_equal(words, np.array(ref)), (master, prefix, substream)
+                keys += len(replicas)
+                for lo, hi in ((0, 12), (2**32 - 2, 2**32 + 2)):
+                    for draw in ("random", "standard_exponential"):
+                        batch = _streams(seed, lo, hi, substream)
+                        for r, gen in zip(range(lo, hi), batch):
+                            want = getattr(seed.stream(r, substream), draw)(100)
+                            assert np.array_equal(getattr(gen, draw)(100), want)
+    assert keys >= 100_000
+
+
+def _reference_sums(env, mode, seed, checkpoints):
+    """Single walks summed in replica order, as the ensemble contract states."""
+    walk = simulate_continuous_walk if mode == "continuous" else simulate_discrete_walk
+    up = np.zeros(env.M, dtype=np.int64)
+    down = np.zeros(env.M, dtype=np.int64)
+    sojourn = np.zeros(env.M)
+    steps = 0
+    out = {}
+    for replica in range(max(checkpoints)):
+        w = walk(env, seed, replica)
+        up += w.up
+        down += w.down
+        steps += w.steps
+        if mode == "continuous":
+            sojourn += w.sojourn
+        if replica + 1 in checkpoints:
+            out[replica + 1] = (up.copy(), down.copy(), steps, sojourn.copy(),
+                                float(np.sum(sojourn)))
+    return out
+
+
+@pytest.mark.parametrize("M", [2, 3, 10, 100])
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_lockstep_matches_single_walks(M, mode):
+    rng = np.random.default_rng(M)
+    env = make_env(random_sequence(rng, M), 3.3 if M == 100 else 3.0)
+    seed = SeedSpec(2**40 + M, (1,))
+    finals = (1, 31, 32, 255, 256, 257, 1000)
+    ref = _reference_sums(env, mode, seed, set(finals) | {2, 100, 300, 511, 512, 513})
+    for R in finals:
+        ckpts = sorted({1, 2, 31, 32, 100, 255, 256, 257, 300, 511, 512, 513} & set(range(R)))
+        got = accumulate_checkpoints(env, mode, seed, ckpts + [R])
+        assert [a.R for a in got] == ckpts + [R]
+        for agg in got:
+            up, down, steps, sojourn, wall = ref[agg.R]
+            assert np.array_equal(agg.up, up) and np.array_equal(agg.down, down), (R, agg.R)
+            assert agg.steps == steps, (R, agg.R)
+            if mode == "continuous":
+                assert np.array_equal(agg.sojourn, sojourn) and agg.wall_time == wall, (R, agg.R)
+            else:
+                assert agg.sojourn is None and agg.wall_time is None
+
+
+def test_lockstep_step_cap_names_lowest_replica():
+    env = make_env("ATCGGTACGG", 2.6)
+    seed = SeedSpec(19)
+    R = 600
+    lengths = np.array([simulate_discrete_walk(env, seed, r).steps for r in range(R)])
+    trapped = make_env("GCGCGCGC", 0.0)
+    # caps met first in chunk 0, first in chunk 1 (past replica 255), by every
+    # replica, and by replica 0 on the step that absorbs it, while >= 32 walk
+    cases = [(env, int(np.median(lengths))), (env, int(lengths[:256].max())), (trapped, 50),
+             (env, int(lengths[0]) - 1)]
+    assert lengths[256:].max() > lengths[:256].max()
+    assert np.count_nonzero(lengths[:256] >= lengths[0]) >= 32
+    for case_env, cap in cases:
+        for mode in MODES:
+            walk = simulate_continuous_walk if mode == "continuous" else simulate_discrete_walk
+            with pytest.raises(StepCapExceeded) as want:
+                for r in range(R):
+                    walk(case_env, seed, r, step_cap=cap)
+            with pytest.raises(StepCapExceeded) as got:
+                simulate_ensemble(case_env, R, mode, seed, step_cap=cap)
+            assert got.value.replica == want.value.replica and got.value.cap == cap
+    assert want.value.replica == 0
+
+
+def test_ensemble_uses_batch_seeding(monkeypatch):
+    calls = []
+    seed_sequence = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(walker.np.random, "SeedSequence", counted)
+    env = make_env("ATCGGTACGG", 3.0)
+    for mode in MODES:
+        agg = simulate_ensemble(env, 1000, mode, SeedSpec(4))
+        assert verify_conservation(agg) == []
+    assert calls == []
+    SeedSpec(4).stream(0)
+    assert len(calls) == 1

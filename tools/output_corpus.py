@@ -10,7 +10,8 @@ for a non-zero exit, the first line of stderr), or the type of an exception
 that escaped ``main``.  The corpus covers every command in both time models
 with csv and json output, ``--trace``, ``--oracle``, ``infer --stats``,
 ``--R-grid`` with ``--site``, all three protocol schemes (one with bounds too
-large for a float), the deep ``"A" * 1000`` rates landscape, ``simulate`` and
+large for a float), ensembles that cross the walker's replica chunks, the
+deep ``"A" * 1000`` rates landscape, ``simulate`` and
 ``infer`` runs whose settings all come from ``--config``, and configs that
 must be refused with exit 2.  Everything is seeded, so two checkouts can be
 compared file by file:
@@ -103,6 +104,14 @@ def cases(inputs: Path) -> dict[str, list]:
             "--mode", mode, "--site", 5]
         runs[f"protocol-focus-{mode}"] = [
             "protocol", "--config", proto["focus"], "--seed", 8, "--mode", mode]
+    # ensembles that end in or cross the walker's 256-replica chunks
+    runs["chunks-simulate"] = [
+        "simulate", "--env", env["short"], "--R", 257, "--seed", 2**40 + 1,
+        "--mode", "continuous"]
+    runs["chunks-infer-grid"] = [
+        "infer", "--env", env["medium"], "--R-grid", "100:700:150", "--seed", 10, "--site", 5]
+    runs["chunks-protocol"] = [
+        "protocol", "--config", proto["pair-k"], "--seed", 11, "--R-per-level", 300]
     runs["rates-medium"] = ["rates", "--env", env["medium"], "--R", 3]
     runs["rates-deep"] = ["rates", "--env", env["deep"]]
     for name in ("pair-scan", "pair-k", "absorbing", "absorbing-long"):
