@@ -365,11 +365,16 @@ def _prior(cfg: dict, M: int) -> Prior:
 
 
 def _oracle_enumeration(pot, b1, h_max: int) -> dict:
-    """Plain 4^(M-1) enumeration of the posterior; slow reference for small M."""
+    """Plain 4^(M-1) enumeration of the posterior by array sums; reference
+    for small M (the CLI allows M <= 8)."""
     M = pot.M
     starts = [b1] if b1 is not None else list(BASES)
-    seqs = [(first, *rest) for first in starts for rest in itertools.product(BASES, repeat=M - 1)]
-    costs = np.array([sum(float(pot.phi[x, t[x - 1], t[x]]) for x in range(1, M)) for t in seqs])
+    # every sequence as a row, in Base order (last site fastest)
+    rest = np.indices((4,) * (M - 1)).reshape(M - 1, -1).T
+    seqs = np.column_stack((np.repeat(starts, len(rest)), np.tile(rest, (len(starts), 1))))
+    costs = np.zeros(len(seqs))
+    for x in range(1, M):  # edge by edge, so each cost is summed left to right
+        costs += pot.phi[x, seqs[:, x - 1], seqs[:, x]]
     shift = float(costs.min())
     # enumeration runs in base order, so the first within-tolerance optimum
     # is the same tie-broken representative the decoder reports
@@ -378,18 +383,13 @@ def _oracle_enumeration(pot, b1, h_max: int) -> dict:
     Z = float(weights.sum())
     log_z = float(-shift + math.log(Z))
     p_any = float(1.0 - weights[best] / Z)
-
-    def n_blocks(tup):
-        """Maximal runs of sites that differ from the MAP."""
-        mism = [a != b for a, b in zip(tup, seqs[best])]
-        return sum(m and not prev for prev, m in zip([False] + mism, mism))
-
-    p_h = []
-    for h in range(1, h_max + 1):
-        mass = float(sum(w for w, tup in zip(weights, seqs) if n_blocks(tup) >= h))
-        p_h.append({"h": h, "p": mass / Z})
+    # maximal runs of sites that differ from the MAP
+    mism = seqs != seqs[best]
+    blocks = mism[:, 0] + (mism[:, 1:] & ~mism[:, :-1]).sum(axis=1)
+    p_h = [{"h": h, "p": sum(weights[blocks >= h].tolist()) / Z}
+           for h in range(1, h_max + 1)]
     return {
-        "map_sequence": "".join(b.name for b in seqs[best]),
+        "map_sequence": "".join(BASES[b].name for b in seqs[best]),
         "cost": float(costs[best]),
         "log_partition": log_z,
         "p_any_error": p_any,

@@ -45,10 +45,8 @@ __all__ = [
     "decode_map",
     "log_partition",
     "sequence_log_posterior",
-    "log_prob_any_error",
-    "log_prob_nonsuccessive_errors",
+    "log_block_probs",
     "error_report",
-    "empirical_rate",
     "empirical_rate_from_logs",
     "rate_residuals",
 ]
@@ -66,7 +64,7 @@ class Prior:
     """Independent per-site prior over bases; default is uniform 1/4.
 
     ``probs`` has shape (M+1, 4) with row x for site x (row 0 unused); every
-    row must be strictly positive and sum to 1 within 1e-12.
+    row must be finite, strictly positive and sum to 1 within 1e-12.
     """
 
     probs: np.ndarray
@@ -76,9 +74,9 @@ class Prior:
         if arr.ndim != 2 or arr.shape[1] != 4 or arr.shape[0] < 3:
             raise ValueError(f"prior must have shape (M+1, 4), got {arr.shape}")
         body = arr[1:]
-        if np.any(body <= 0.0):
-            raise ValueError("prior weights must be strictly positive")
-        if np.max(np.abs(body.sum(axis=1) - 1.0)) > 1e-12:
+        if not np.all(np.isfinite(body) & (body > 0.0)):
+            raise ValueError("prior weights must be finite and strictly positive")
+        if not np.all(np.abs(body.sum(axis=1) - 1.0) <= 1e-12):
             raise ValueError("each site's prior weights must sum to 1 (tol 1e-12)")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -92,7 +90,8 @@ class Prior:
     def iid(cls, weights: Sequence[float], M: int) -> "Prior":
         """Same four weights at every site."""
         w = np.asarray(weights, dtype=float)
-        return cls(np.tile(w / w.sum(), (M + 1, 1)))
+        with np.errstate(divide="ignore", invalid="ignore"):  # __post_init__ refuses the result
+            return cls(np.tile(w / w.sum(), (M + 1, 1)))
 
     @property
     def M(self) -> int:
@@ -125,9 +124,9 @@ class EdgePotentials:
         bases = alpha.bases if isinstance(alpha, BaseSequence) else tuple(alpha)
         if len(bases) != self.M:
             raise ValueError(f"sequence length {len(bases)} != M = {self.M}")
-        return float(
-            sum(self.phi[x, bases[x - 1], bases[x]] for x in range(1, self.M))
-        )
+        b = np.array(bases, dtype=int)
+        # edges 1..M-1 summed left to right, as the oracle sums them
+        return float(sum(self.phi[np.arange(1, self.M), b[:-1], b[1:]].tolist()))
 
 
 def build_edge_potentials(
@@ -197,14 +196,6 @@ class SitePosterior:
     p_error: float | np.ndarray
     log_p_error: float | np.ndarray
 
-    def error_probability(self) -> float | np.ndarray:
-        """1 - max posterior mass, formed as s/(1+s) in log space."""
-        return self.p_error
-
-    def log_error_probability(self) -> float | np.ndarray:
-        """log(1 - max posterior mass)."""
-        return self.log_p_error
-
 
 def _site_record(pot: EdgePotentials, seq: BaseSequence, site: np.ndarray) -> SitePosterior:
     """The posterior at ``site`` (a checked 0-d or 1-d site array), read off
@@ -252,8 +243,8 @@ def site_posterior(
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Global MAP decode: the minimizing sequence, its cost, the log
-    partition value, and every co-optimal sequence up to a cap.
+    """Global MAP decode: the minimizing sequence, its cost, and every
+    co-optimal sequence up to a cap.
 
     ``ties`` always contains ``map_sequence`` first; more than one entry
     means the data cannot distinguish the listed sequences (the degenerate
@@ -263,7 +254,6 @@ class DecodeResult:
 
     map_sequence: BaseSequence
     cost: float
-    log_partition_value: float
     ties: tuple[BaseSequence, ...]
     truncated: bool
 
@@ -329,7 +319,6 @@ def decode_map(
     return DecodeResult(
         map_sequence=sequences[0],
         cost=cost,
-        log_partition_value=log_partition(pot, b1),
         ties=tuple(sequences),
         truncated=bool(stack),
     )
@@ -346,7 +335,7 @@ def sequence_log_posterior(
     return -pot.sequence_cost(alpha) - log_partition(pot, b1)
 
 
-def _log_block_probs(
+def log_block_probs(
     pot: EdgePotentials, b1: Base | None, ref: BaseSequence, h_max: int
 ) -> np.ndarray:
     """log P(at least h separated error blocks) for h = 1..h_max, relative to
@@ -356,8 +345,11 @@ def _log_block_probs(
     at h_max); a block opens when a mismatch follows a match.  Potentials are
     taken relative to the reference path's own edge costs, so that path
     weighs exactly e^0 and loser masses far below float underflow keep their
-    logarithms (no 1 - (1 - tiny) cancellation).
+    logarithms (no 1 - (1 - tiny) cancellation).  Relative to the MAP
+    sequence of ``decode_map`` these are the decoder's error probabilities.
     """
+    if h_max < 1:
+        raise ValueError(f"h_max must be >= 1, got {h_max}")
     M = pot.M
     r = np.array(ref.bases)
     psi = pot.phi[1:] - pot.phi[np.arange(1, M), r[:-1], r[1:]][:, None, None]
@@ -383,34 +375,17 @@ def _log_block_probs(
     return at_least[1:] - np.logaddexp.reduce(mass)
 
 
-def log_prob_any_error(
-    pot: EdgePotentials, b1: Base | None, decoded: DecodeResult | None = None
-) -> float:
-    """log P(at least one wrong base) = log(s) - log(1 + s), where s is the
-    posterior-odds sum of every sequence other than the MAP."""
-    ref = (decoded or decode_map(pot, b1)).map_sequence
-    return float(_log_block_probs(pot, b1, ref, 1)[0])
-
-
-def log_prob_nonsuccessive_errors(
-    pot: EdgePotentials, b1: Base | None, h: int, decoded: DecodeResult | None = None
-) -> float:
-    """log P(number of separated error blocks >= h) relative to the MAP."""
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-    ref = (decoded or decode_map(pot, b1)).map_sequence
-    return float(_log_block_probs(pot, b1, ref, h)[-1])
-
-
 @dataclass(frozen=True)
 class ErrorReport:
     """Decoding error summary: global, per block count, and per site.
 
-    ``sites`` is the posterior at sites 2..M-1 given the true flanking
-    bases: row i of each field belongs to site i + 2.
+    ``log_partition`` is the log sum of e^{-I} over every sequence allowed by
+    the b_1 conditioning.  ``sites`` is the posterior at sites 2..M-1 given
+    the true flanking bases: row i of each field belongs to site i + 2.
     """
 
     decode: DecodeResult
+    log_partition: float
     p_any: float
     log_p_any: float
     p_blocks: tuple[tuple[int, float, float], ...]
@@ -422,7 +397,7 @@ class ErrorReport:
         return {
             "map_sequence": str(self.decode.map_sequence),
             "cost": self.decode.cost,
-            "log_partition": self.decode.log_partition_value,
+            "log_partition": self.log_partition,
             "ties": [str(s) for s in self.decode.ties],
             "tie": self.decode.tie,
             "p_any_error": self.p_any,
@@ -452,9 +427,10 @@ def error_report(
     """Run the full decode + error-probability pipeline on one statistics set."""
     pot = build_edge_potentials(stats, env, prior, mode)
     decoded = decode_map(pot, b1)
-    log_p = _log_block_probs(pot, b1, decoded.map_sequence, max(h_max, 1)).tolist()
+    log_p = log_block_probs(pot, b1, decoded.map_sequence, max(h_max, 1)).tolist()
     return ErrorReport(
         decode=decoded,
+        log_partition=log_partition(pot, b1),
         p_any=math.exp(min(log_p[0], 0.0)),
         log_p_any=log_p[0],
         p_blocks=tuple((h, math.exp(min(lp, 0.0)), lp) for h, lp in enumerate(log_p[:h_max], 1)),
@@ -496,16 +472,6 @@ def empirical_rate_from_logs(points: Iterable[tuple[float, float]]) -> RateFit:
     else:
         stderr = float("nan")
     return RateFit(slope=slope, intercept=intercept, slope_stderr=stderr, n=n)
-
-
-def empirical_rate(points: Iterable[tuple[float, float]]) -> RateFit:
-    """Fit -log P against R from (R, probability) pairs, P strictly in (0, 1)."""
-    logs = []
-    for r, p in points:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"probability must lie strictly in (0, 1), got {p} at R={r}")
-        logs.append((r, math.log(p)))
-    return empirical_rate_from_logs(logs)
 
 
 def rate_residuals(

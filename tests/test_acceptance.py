@@ -20,8 +20,8 @@ from unzipseq.inference import (
     build_edge_potentials,
     decode_map,
     empirical_rate_from_logs,
-    log_prob_any_error,
-    log_prob_nonsuccessive_errors,
+    log_block_probs,
+    log_partition,
     sequence_log_posterior,
     site_posterior,
 )
@@ -89,12 +89,12 @@ def test_criterion_1_oracle_equivalence():
             oracle = oracle_summary(stats, env, mode, b1, h_max=3)
             dec = decode_map(pot, b1)
             assert tuple(dec.map_sequence.bases) == oracle["map"]
-            assert dec.log_partition_value == pytest.approx(oracle["log_z"], rel=1e-10)
-            assert math.exp(log_prob_any_error(pot, b1, dec)) == pytest.approx(
+            assert log_partition(pot, b1) == pytest.approx(oracle["log_z"], rel=1e-10)
+            assert math.exp(log_block_probs(pot, b1, dec.map_sequence, 1)[0]) == pytest.approx(
                 oracle["p_any"], rel=1e-10, abs=1e-13
             )
             for h in (1, 2, 3):
-                assert math.exp(log_prob_nonsuccessive_errors(pot, b1, h, dec)) == pytest.approx(
+                assert math.exp(log_block_probs(pot, b1, dec.map_sequence, h)[-1]) == pytest.approx(
                     oracle["p_blocks"][h], rel=1e-10, abs=1e-13
                 )
             for idx in rng.integers(0, len(oracle["seqs"]), size=3):
@@ -184,7 +184,7 @@ def test_criterion_3_rate_function(env10, grid_curves):
             pts = []
             for R, agg in zip(grid, curves[mode]):
                 sp = site_posterior(agg, env10, x, None, mode)
-                pts.append((R, sp.log_error_probability()))
+                pts.append((R, sp.log_p_error))
             fit = empirical_rate_from_logs(pts)
             rc = rc_site(env10, x, mode)
             assert abs(fit.slope - rc) <= 0.15 * rc, (mode, x, fit.slope, rc)
@@ -195,10 +195,11 @@ def test_criterion_3_rate_function(env10, grid_curves):
 def test_criterion_4_any_error_bound(env10, grid_curves):
     t0 = time.time()
     grid, curves, _ = grid_curves
+    b1 = env10.seq.base(1)
     pts = []
     for R, agg in zip(grid, curves["continuous"]):
         pot = build_edge_potentials(agg, env10, None, "continuous")
-        pts.append((R, log_prob_any_error(pot, env10.seq.base(1))))
+        pts.append((R, log_block_probs(pot, b1, decode_map(pot, b1).map_sequence, 1)[0]))
     fit = empirical_rate_from_logs(pts)
     delta_f_minus = decision_margins(env10.table, env10.beta, mode="continuous").minus
     stderr = fit.slope_stderr if math.isfinite(fit.slope_stderr) else 0.0

@@ -1,11 +1,13 @@
-"""The public surface: ``unzipseq.__all__`` is pinned, so a removed wrapper
-cannot come back (nor a public name vanish) unnoticed."""
+"""The public surface: ``unzipseq.__all__`` and ``unzipseq.inference.__all__``
+are pinned, so a removed wrapper cannot come back (nor a public name vanish)
+unnoticed."""
 
 import importlib
 
 import pytest
 
 import unzipseq
+from unzipseq import inference
 
 PUBLIC = {
     "AggregateStats", "BASES", "Base", "BaseSequence", "DecodeResult", "EdgePotentials",
@@ -13,7 +15,7 @@ PUBLIC = {
     "ForceField", "LevelLadder", "LevelStats", "MarginSet", "ModelParams", "Prior",
     "ProtocolPlan", "RateFit", "RateReport", "SeedSpec", "SitePosterior", "StepCapExceeded",
     "WalkStats", "accumulate_checkpoints", "build_edge_potentials", "build_protocol",
-    "check_injectivity", "count_moments", "decision_margins", "decode_map", "empirical_rate",
+    "check_injectivity", "count_moments", "decision_margins", "decode_map",
     "empirical_rate_from_logs", "environment_from_json", "error_report", "estimate_energy",
     "expected_unzip_time", "gap_value", "h_margins", "hop_probability", "lc_bound",
     "log_partition", "obstacle_height", "pbar", "q_prob", "rate_report", "rate_residuals",
@@ -22,6 +24,12 @@ PUBLIC = {
     "site_posterior", "transition_rates", "validate_ladder", "verify_conservation",
     "window_schedule",
 }
+INFERENCE = {
+    "Prior", "SitePosterior", "EdgePotentials", "DecodeResult", "ErrorReport", "RateFit",
+    "site_posterior", "build_edge_potentials", "decode_map", "log_partition",
+    "sequence_log_posterior", "log_block_probs", "error_report", "empirical_rate_from_logs",
+    "rate_residuals",
+}
 
 
 def test_package_all_is_pinned():
@@ -29,6 +37,11 @@ def test_package_all_is_pinned():
     assert set(unzipseq.__all__) == PUBLIC
     for name in unzipseq.__all__:
         assert hasattr(unzipseq, name), name
+
+
+def test_inference_all_is_pinned():
+    assert len(inference.__all__) == len(set(inference.__all__))
+    assert set(inference.__all__) == INFERENCE
 
 
 @pytest.mark.parametrize("module", ["energy", "walker", "inference", "rates", "protocols", "cli"])

@@ -13,6 +13,8 @@ from unzipseq.energy import BASES, environment_from_json
 from unzipseq.inference import error_report, site_posterior
 from unzipseq.walker import AggregateStats, SeedSpec, simulate_ensemble
 
+from bruteforce import oracle_summary
+
 ENV_DOC = {"sequence": "ATCGG", "beta": 1.0, "r": 1.0, "g1": 2.2}
 
 
@@ -103,16 +105,34 @@ def test_infer_zero_r_uniform_posteriors(tmp_path, env_file):
     assert doc["p_any_error"] == pytest.approx(1 - 0.25 ** (env.M - 1), rel=1e-12)
 
 
-def test_infer_oracle_mode(tmp_path, env_file):
+@pytest.mark.parametrize("sequence,b1,h_max", [("ATCGG", "auto", 3), ("ATCGGACT", "none", 4)],
+                         ids=["M5", "M8-b1-free"])
+def test_infer_oracle_mode(tmp_path, sequence, b1, h_max):
+    env_doc = {**ENV_DOC, "sequence": sequence}
+    envp = tmp_path / "env.json"
+    envp.write_text(json.dumps(env_doc))
     out = tmp_path / "o"
-    assert run(["infer", "--env", env_file, "--R", 4, "--seed", 3, "--out", out,
-                "--oracle"]) == 0
+    assert run(["infer", "--env", envp, "--R", 4, "--seed", 3, "--out", out, "--oracle",
+                "--b1", b1, "--h-max", h_max]) == 0
     doc = json.loads((out / "oracle.json").read_text())
     assert doc["diffs"]["map_sequence_equal"]
     assert doc["diffs"]["cost"] <= 1e-10
     assert doc["diffs"]["log_partition"] <= 1e-10
     assert doc["diffs"]["p_any_error"] <= 1e-10
     assert all(d <= 1e-10 for d in doc["diffs"]["p_h_errors"])
+    # the enumeration against an independent one on the same statistics
+    env = environment_from_json(env_doc)
+    stats = simulate_ensemble(env, 4, "discrete", SeedSpec(3))
+    brute = oracle_summary(stats, env, "discrete", None if b1 == "none" else env.seq.base(1),
+                           h_max)
+    oracle = doc["oracle"]
+    assert oracle["map_sequence"] == "".join(b.name for b in brute["map"])
+    assert oracle["cost"] == pytest.approx(brute["map_cost"], rel=1e-10)
+    assert oracle["log_partition"] == pytest.approx(brute["log_z"], rel=1e-10)
+    assert oracle["p_any_error"] == pytest.approx(brute["p_any"], rel=1e-10, abs=1e-13)
+    assert [e["h"] for e in oracle["p_h_errors"]] == list(range(1, h_max + 1))
+    for e in oracle["p_h_errors"]:
+        assert e["p"] == pytest.approx(brute["p_blocks"][e["h"]], rel=1e-10, abs=1e-13)
 
 
 def test_infer_grid_rate_fit(tmp_path, env_file):
@@ -393,8 +413,10 @@ def _no_walk(monkeypatch):
     ("simulate", {"mode": "Discrete"}, "config error: mode:"),
     ("infer", {"mode": "Discrete"}, "config error: mode:"),
     ("protocol", {"energies": [1.55, 1.78, 1.55], "mode": "Discrete"}, "config error: mode:"),
+    ("infer", {"prior": {"weights": [0, 0, 0, 0]}}, "config error: prior:"),
+    ("infer", {"prior": {"weights": [float("nan"), 1, 1, 1]}}, "config error: prior:"),
 ], ids=["energies-str", "energies-scalar", "energies-nan", "simulate-mode", "infer-mode",
-        "protocol-mode"])
+        "protocol-mode", "prior-zero", "prior-nan"])
 def test_config_field_refused_before_any_walk(tmp_path, capsys, monkeypatch, command, doc,
                                               message):
     _no_walk(monkeypatch)

@@ -9,12 +9,10 @@ from unzipseq.inference import (
     Prior,
     build_edge_potentials,
     decode_map,
-    empirical_rate,
     empirical_rate_from_logs,
     error_report,
+    log_block_probs,
     log_partition,
-    log_prob_any_error,
-    log_prob_nonsuccessive_errors,
     sequence_log_posterior,
     site_posterior,
 )
@@ -106,7 +104,7 @@ def test_site_posterior_zero_stats_uniform():
             assert post.probs[b] == pytest.approx(0.25, abs=1e-12)
         assert post.tie
         assert (post.map_base, post.tie) == (Base.A, True)
-        assert post.error_probability() == pytest.approx(0.75, abs=1e-12)
+        assert post.p_error == pytest.approx(0.75, abs=1e-12)
 
 
 def test_site_posterior_degenerate_table_returns_prior():
@@ -144,7 +142,7 @@ def test_site_posterior_brute_force_bayes_m3(mode):
     for gamma in BASES:
         assert post.probs[gamma] == pytest.approx(masses[gamma] / Z, abs=1e-10)
     assert post.map_base == max(BASES, key=lambda b: masses[b])
-    assert post.error_probability() == pytest.approx(
+    assert post.p_error == pytest.approx(
         1.0 - max(masses.values()) / Z, abs=1e-10
     )
 
@@ -154,7 +152,7 @@ def test_site_map_estimate_plain():
     post = site_posterior(zero_stats(env.M, "discrete"), env, 2,
                           Prior.iid([0.7, 0.1, 0.1, 0.1], env.M), "discrete")
     assert post.map_base is Base.A and not post.tie
-    assert post.error_probability() == pytest.approx(0.3, abs=1e-12)
+    assert post.p_error == pytest.approx(0.3, abs=1e-12)
 
 
 def test_site_posterior_tie_scales_with_costs():
@@ -177,9 +175,9 @@ def test_site_error_probability_point_mass():
     env = make_env("AAAA", 1.3)
     stats = simulate_ensemble(env, 300, "discrete", SeedSpec(2))
     post = site_posterior(stats, env, 2, None, "discrete")
-    p = post.error_probability()
+    p = post.p_error
     assert 0.0 < p < 1e-6
-    assert post.log_error_probability() == pytest.approx(math.log(p), rel=1e-9)
+    assert post.log_p_error == pytest.approx(math.log(p), rel=1e-9)
 
 
 def test_site_log_error_probability_underflow_regime():
@@ -188,13 +186,13 @@ def test_site_log_error_probability_underflow_regime():
     from unzipseq.walker import accumulate_checkpoints
 
     snaps = accumulate_checkpoints(env, "discrete", SeedSpec(5), grid)
-    lps = [site_posterior(s, env, 3, None, "discrete").log_error_probability()
+    lps = [site_posterior(s, env, 3, None, "discrete").log_p_error
            for s in snaps]
     assert all(math.isfinite(v) for v in lps)
     assert lps[0] > lps[1] > lps[2]
     # in this regime the plain probability may underflow, the log never does
     last = site_posterior(snaps[-1], env, 3, None, "discrete")
-    assert lps[-1] < -500 or last.error_probability() > 0
+    assert lps[-1] < -500 or last.p_error > 0
 
 
 def test_numerical_stability_at_r_1e7():
@@ -212,12 +210,12 @@ def test_numerical_stability_at_r_1e7():
     for x in range(2, M):
         post = site_posterior(stats, env, x, None, "continuous")
         assert post.map_base == env.seq.base(x)
-        lp = post.log_error_probability()
+        lp = post.log_p_error
         assert math.isfinite(lp) and lp < -1e5
     pot = build_edge_potentials(stats, env, None, "continuous")
     dec = decode_map(pot, env.seq.base(1))
     assert str(dec.map_sequence) == "ATCGGA" and not dec.tie
-    lp_any = log_prob_any_error(pot, env.seq.base(1), dec)
+    lp_any = log_block_probs(pot, env.seq.base(1), dec.map_sequence, 1)[0]
     assert math.isfinite(lp_any) and lp_any < -1e5
     rep = error_report(stats, env, None, "continuous", env.seq.base(1))
     assert rep.log_p_any == pytest.approx(lp_any, rel=1e-12)
@@ -287,12 +285,12 @@ def test_oracle_equivalence_small(mode, M):
         dec = decode_map(pot, b1)
         assert tuple(dec.map_sequence.bases) == oracle["map"]
         assert dec.cost == pytest.approx(oracle["map_cost"], rel=1e-10)
-        assert dec.log_partition_value == pytest.approx(oracle["log_z"], rel=1e-10)
-        assert math.exp(log_prob_any_error(pot, b1, dec)) == pytest.approx(
+        assert log_partition(pot, b1) == pytest.approx(oracle["log_z"], rel=1e-10)
+        assert math.exp(log_block_probs(pot, b1, dec.map_sequence, 1)[0]) == pytest.approx(
             oracle["p_any"], rel=1e-10, abs=1e-12
         )
         for h in (1, 2, 3):
-            assert math.exp(log_prob_nonsuccessive_errors(pot, b1, h, dec)) == pytest.approx(
+            assert math.exp(log_block_probs(pot, b1, dec.map_sequence, h)[-1]) == pytest.approx(
                 oracle["p_blocks"][h], rel=1e-10, abs=1e-12
             )
 
@@ -350,7 +348,7 @@ def test_log_partition_zero_potentials():
     assert log_partition(pot, None) == pytest.approx(M * math.log(4), rel=1e-12)
     dec = decode_map(pot, Base.A, tie_cap=8)
     assert dec.truncated and dec.tie
-    assert dec.log_partition_value >= -dec.cost
+    assert log_partition(pot, Base.A) >= -dec.cost
 
 
 def test_sequence_posterior_basics():
@@ -388,7 +386,8 @@ def test_prob_any_error_zero_stats():
     env = make_env("ATCGG", 2.0)
     pot = build_edge_potentials(zero_stats(env.M, "discrete"), env, None, "discrete")
     b1 = Base.A
-    p_any = math.exp(log_prob_any_error(pot, b1))
+    ref = decode_map(pot, b1).map_sequence
+    p_any = math.exp(log_block_probs(pot, b1, ref, 1)[0])
     assert p_any == pytest.approx(1 - 4.0 ** -(env.M - 1), rel=1e-12)
 
 
@@ -397,15 +396,16 @@ def test_prob_nonsuccessive_matches_any_error_at_h1():
     stats = simulate_ensemble(env, 8, "continuous", SeedSpec(41))
     pot = build_edge_potentials(stats, env, None, "continuous")
     b1 = env.seq.base(1)
-    p1 = math.exp(log_prob_any_error(pot, b1))
-    p2 = math.exp(log_prob_nonsuccessive_errors(pot, b1, 1))
+    ref = decode_map(pot, b1).map_sequence
+    p1 = math.exp(log_block_probs(pot, b1, ref, 1)[0])
+    p2 = math.exp(log_block_probs(pot, b1, ref, 6)[0])  # h = 1 does not depend on the cap
     assert p2 == pytest.approx(p1, rel=1e-13)
     # monotone in h, and zero beyond the largest possible block count
-    values = [math.exp(log_prob_nonsuccessive_errors(pot, b1, h)) for h in range(1, 7)]
+    values = [math.exp(log_block_probs(pot, b1, ref, h)[-1]) for h in range(1, 7)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
-    assert math.exp(log_prob_nonsuccessive_errors(pot, b1, env.M)) == 0.0
+    assert math.exp(log_block_probs(pot, b1, ref, env.M)[-1]) == 0.0
     with pytest.raises(ValueError):
-        log_prob_nonsuccessive_errors(pot, b1, 0)
+        log_block_probs(pot, b1, ref, 0)
 
 
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
@@ -427,12 +427,13 @@ def test_shift_invariance():
     b1 = env.seq.base(1)
     d0, d1 = decode_map(pot, b1), decode_map(shifted, b1)
     assert str(d0.map_sequence) == str(d1.map_sequence)
-    assert math.exp(log_prob_any_error(pot, b1)) == pytest.approx(
-        math.exp(log_prob_any_error(shifted, b1)), abs=1e-10
+    r0, r1 = d0.map_sequence, d1.map_sequence
+    assert math.exp(log_block_probs(pot, b1, r0, 1)[0]) == pytest.approx(
+        math.exp(log_block_probs(shifted, b1, r1, 1)[0]), abs=1e-10
     )
     for h in (1, 2):
-        assert math.exp(log_prob_nonsuccessive_errors(pot, b1, h)) == pytest.approx(
-            math.exp(log_prob_nonsuccessive_errors(shifted, b1, h)), abs=1e-10
+        assert math.exp(log_block_probs(pot, b1, r0, h)[-1]) == pytest.approx(
+            math.exp(log_block_probs(shifted, b1, r1, h)[-1]), abs=1e-10
         )
     alpha = BaseSequence.from_string("ACCGG")
     assert math.exp(sequence_log_posterior(alpha, pot, b1)) == pytest.approx(
@@ -457,8 +458,8 @@ def test_error_report_assembly():
 
 def test_empirical_rate_exact_exponential():
     c = 0.0371
-    pts = [(R, math.exp(-c * R)) for R in (10, 50, 200, 1000)]
-    fit = empirical_rate(pts)
+    pts = [(R, -c * R) for R in (10, 50, 200, 1000)]
+    fit = empirical_rate_from_logs(pts)
     assert fit.slope == pytest.approx(c, abs=1e-12)
     assert fit.intercept == pytest.approx(0.0, abs=1e-9)
 
@@ -488,20 +489,24 @@ def test_rate_residuals_diagnostic():
 
 def test_empirical_rate_validation():
     with pytest.raises(ValueError):
-        empirical_rate([(1, 0.5)])
+        empirical_rate_from_logs([(1, math.log(0.5))])
+    with pytest.raises(ValueError):  # p = 0
+        empirical_rate_from_logs([(1, -math.inf), (2, math.log(0.5))])
+    with pytest.raises(ValueError):  # p = 1
+        empirical_rate_from_logs([(1, 0.0), (2, math.log(0.5))])
     with pytest.raises(ValueError):
-        empirical_rate([(1, 0.0), (2, 0.5)])
-    with pytest.raises(ValueError):
-        empirical_rate([(1, 1.0), (2, 0.5)])
-    with pytest.raises(ValueError):
-        empirical_rate([(1, 0.5), (1, 0.4)])
-    fit = empirical_rate([(1, 0.9), (2, 0.8), (3, 0.7)])
+        empirical_rate_from_logs([(1, math.log(0.5)), (1, math.log(0.4))])
+    fit = empirical_rate_from_logs([(1, math.log(0.9)), (2, math.log(0.8)), (3, math.log(0.7))])
     assert math.isfinite(fit.slope_stderr)
 
 
 def test_prior_validation():
+    # 0/0 and NaN compare False with everything: both must still be refused
+    for weights in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [math.nan, 1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError):
+            Prior.iid(weights, 4)
     with pytest.raises(ValueError):
-        Prior.iid([1.0, 0.0, 0.0, 0.0], 4)
+        Prior(np.full((6, 4), np.nan))
     bad = np.full((5, 4), 0.25)
     bad[2] = [0.3, 0.3, 0.3, 0.2]
     with pytest.raises(ValueError):

@@ -8,12 +8,12 @@ directory ``OUTDIR/<case>/``; the inputs it reads are written to
 ``OUTDIR/inputs/``.  ``OUTDIR/<case>/status.txt`` records the exit code (and,
 for a non-zero exit, the first line of stderr), or the type of an exception
 that escaped ``main``.  The corpus covers every command in both time models
-with csv and json output, ``--trace``, ``--oracle``, ``infer --stats``,
-``--R-grid`` with ``--site``, all three protocol schemes (one with bounds too
-large for a float), ensembles that cross the walker's replica chunks, the
-deep ``"A" * 1000`` rates landscape, ``simulate`` and
-``infer`` runs whose settings all come from ``--config``, and configs that
-must be refused with exit 2.  Everything is seeded, so two checkouts can be
+with csv and json output, ``--trace``, ``--oracle`` (also at M = 8 with b_1
+free), ``infer --stats``, ``--R-grid`` with ``--site``, all three protocol
+schemes (one with bounds too large for a float), ensembles that cross the
+walker's replica chunks, the deep ``"A" * 1000`` rates landscape, ``simulate``
+and ``infer`` runs whose settings all come from ``--config``, and configs
+that must be refused with exit 2.  Everything is seeded, so two checkouts can be
 compared file by file:
 
     PYTHONPATH=<checkout A>/src python tools/output_corpus.py /tmp/a
@@ -34,6 +34,8 @@ from unzipseq.cli import main
 ENVS = {
     # M = 7: small enough for the 4^(M-1) oracle
     "short": {"sequence": "ATCGGAC", "beta": 1.0, "r": 1.0, "g1": 2.3},
+    # M = 8: the largest the oracle accepts
+    "oracle-max": {"sequence": "ATCGGACT", "beta": 1.0, "r": 1.0, "g1": 2.3},
     "medium": {"sequence": "ACAATTGGGGCTAGCATCGATTACGGATCA", "beta": 1.1, "r": 0.8, "g1": 2.6},
     "deep": {"sequence": "A" * 1000, "beta": 1.0, "r": 1.0, "g1": 1.0},
 }
@@ -95,6 +97,9 @@ def cases(inputs: Path) -> dict[str, list]:
             runs[f"infer-{mode}-{fmt}"] = [
                 "infer", "--env", env["short"], "--R", 30, "--seed", 6, "--mode", mode,
                 "--format", fmt, "--oracle"]
+        runs[f"infer-oracle-max-{mode}"] = [
+            "infer", "--env", env["oracle-max"], "--R", 30, "--seed", 12, "--mode", mode,
+            "--oracle", "--b1", "none", "--h-max", 4]
         runs[f"infer-stats-{mode}"] = [
             "infer", "--env", env["short"], "--stats",
             inputs.parent / f"simulate-{mode}-json" / "stats.json", "--mode", mode,
