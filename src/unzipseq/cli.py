@@ -407,6 +407,8 @@ def cmd_infer(cfg: dict) -> int:
     if "R_grid" in cfg:
         if "stats" in cfg:
             raise ConfigError("R_grid: cannot be combined with a stats file")
+        if cfg["oracle"]:
+            raise ConfigError("oracle: cannot be combined with R_grid")
         return _infer_grid(cfg, env, mode, prior, b1)
     if cfg["oracle"] and env.M > 8:
         raise ConfigError(f"oracle: exhaustive enumeration limited to M <= 8, got M = {env.M}")
@@ -550,7 +552,7 @@ def _ladder(cfg: dict, energies: list[float]) -> LevelLadder:
 def cmd_protocol(cfg: dict) -> int:
     # the environment, needed unless energies are given, also sets the model parameters
     env = _environment(cfg) if "environment" in cfg or "energies" not in cfg else None
-    energies = cfg["energies"] if "energies" in cfg else env.edge_energies()
+    energies = cfg["energies"] if "energies" in cfg else env.edge_g0[1:].tolist()
     params = env.params if env is not None else ModelParams()
     mode = cfg["mode"]
     scheme = cfg["scheme"]
@@ -570,9 +572,9 @@ def cmd_protocol(cfg: dict) -> int:
             raise RunAbort(f"force level {lv.level_index}: {e}") from None
     out = _outdir(cfg)
     stats = run_protocol(energies, params, plan, seed, mode, step_cap=cfg["step_cap"])
-    _write_json(out / "levels.json", stats.to_json_dict())
-    levels = sorted(stats.stats)
-    aggs = [stats.stats[i] for i in levels]
+    levels = sorted(stats)
+    aggs = [stats[i] for i in levels]
+    _write_json(out / "levels.json", {str(i): agg.to_json_dict() for i, agg in zip(levels, aggs)})
     _write_csv(out / "levels.csv", ("level", "site", "L_plus", "L_minus", "R"), (
         np.repeat(levels, M - 1),
         np.tile(np.arange(1, M), len(levels)),

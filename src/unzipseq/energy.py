@@ -200,10 +200,6 @@ class ForceField:
             raise _out_of_range(x, 1, self.per_site.size)
         return float(self.per_site[x - 1])
 
-    def padded(self) -> np.ndarray:
-        """Length M array with ``arr[x]`` = g1 at site x; slot 0 unused."""
-        return np.concatenate([[0.0], self.per_site])
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -256,7 +252,8 @@ class _SiteModel:
 
     @cached_property
     def g1_padded(self) -> np.ndarray:
-        return _frozen_array(self.force.padded())
+        """Length M array with ``arr[x]`` = g1 at site x; slot 0 unused."""
+        return _frozen_array(np.concatenate([[0.0], self.force.per_site]))
 
     def edge_energy(self, x: int) -> float:
         """Binding energy g0 of the pair at site ``x`` (1 <= x <= M-1)."""
@@ -341,10 +338,6 @@ class Environment(_SiteModel):
     def edge_g0(self) -> np.ndarray:
         b = np.array(self.seq.bases)
         return _frozen_array(np.concatenate([[0.0], self.table.values[b[:-1], b[1:]]]))
-
-    def edge_energies(self) -> list[float]:
-        """g0(b_x, b_x+1) for x = 1..M-1, in site order."""
-        return self.edge_g0[1:].tolist()
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .energy import (
     ModelParams,
     _check_sites,
     _per_site,
-    hop_probability,
 )
 from .rates import gap_value
 from .walker import (
@@ -41,14 +40,10 @@ from .walker import (
 
 __all__ = [
     "LevelLadder",
-    "LadderReport",
-    "validate_ladder",
-    "q_prob",
     "window_schedule",
     "ProtocolPlan",
     "PlanLevel",
     "build_protocol",
-    "LevelStats",
     "ProtocolAbort",
     "run_protocol",
     "EnergyEstimate",
@@ -63,29 +58,21 @@ __all__ = [
 SCHEMES = ("uniform-pair", "focus-at-x", "absorbing-tail")
 
 
-@dataclass(frozen=True)
-class LadderReport:
-    valid: bool
-    violations: tuple[str, ...]
-
-
-def validate_ladder(mu: Sequence[float], r_levels: Sequence[float]) -> LadderReport:
-    """Check the interlacing inequalities of a force ladder.
+def _ladder_violations(mu: tuple[float, ...], r: tuple[float, ...]) -> list[str]:
+    """The interlacing inequalities a force ladder breaks, in check order.
 
     Requirements: mu strictly decreasing (K distinct energies), r strictly
     decreasing with r_{K+1} = 0, and for every k: mu_k - r_k < 0,
     mu_k - r_{k+1} > 0, and mu_i - r_{k+1} < 0 for all i > k.  Together these
     pin the interleaving r_1 > mu_1 > r_2 > mu_2 > ... > r_K > mu_K > 0.
     """
-    mu = [float(v) for v in mu]
-    r = [float(v) for v in r_levels]
     bad: list[str] = []
     K = len(mu)
     if K < 1:
         bad.append("need at least one energy level")
     if len(r) != K + 1:
         bad.append(f"need K+1 = {K + 1} force values, got {len(r)}")
-        return LadderReport(False, tuple(bad))
+        return bad
     for i in range(K - 1):
         if not mu[i] > mu[i + 1]:
             bad.append(f"mu[{i + 1}] > mu[{i + 2}] violated: {mu[i]} <= {mu[i + 1]}")
@@ -102,7 +89,7 @@ def validate_ladder(mu: Sequence[float], r_levels: Sequence[float]) -> LadderRep
         for i in range(k + 1, K + 1):
             if not mu[i - 1] - r[k] < 0:
                 bad.append(f"mu[{i}] - r[{k + 1}] < 0 violated ({mu[i - 1]} - {r[k]})")
-    return LadderReport(not bad, tuple(bad))
+    return bad
 
 
 @dataclass(frozen=True)
@@ -115,9 +102,9 @@ class LevelLadder:
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
         object.__setattr__(self, "r_levels", tuple(float(v) for v in self.r_levels))
-        report = validate_ladder(self.mu, self.r_levels)
-        if not report.valid:
-            raise ValueError("invalid ladder: " + "; ".join(report.violations))
+        bad = _ladder_violations(self.mu, self.r_levels)
+        if bad:
+            raise ValueError("invalid ladder: " + "; ".join(bad))
 
     @property
     def K(self) -> int:
@@ -132,13 +119,6 @@ class LevelLadder:
         if not 1 <= i <= self.K + 1:
             raise IndexError(f"force level {i} out of range [1, {self.K + 1}]")
         return self.r_levels[i - 1]
-
-    def level_of(self, energy: float) -> int:
-        """Ladder index of an exact energy value."""
-        for m, v in enumerate(self.mu, start=1):
-            if v == float(energy):
-                return m
-        raise ValueError(f"energy {energy} is not a ladder level")
 
     @classmethod
     def from_energies(cls, values: Sequence[float]) -> "LevelLadder":
@@ -160,14 +140,6 @@ class LevelLadder:
     @classmethod
     def from_table(cls, table: EnergyTable) -> "LevelLadder":
         return cls.from_energies(table.distinct_values())
-
-
-def q_prob(ladder: LevelLadder, i: int, m: int, beta: float) -> float:
-    """Probability q^i_m of moving right under force f_i in energy mu_m.
-
-    Exceeds 1/2 exactly when mu_m < r_i.
-    """
-    return hop_probability(ladder.mu_at(m) - ladder.r_at(i), beta)
 
 
 def window_schedule(
@@ -209,9 +181,6 @@ class ProtocolPlan:
     scheme: str
     levels: tuple[PlanLevel, ...]
     site: int | None = None
-
-    def level_indices(self) -> list[int]:
-        return [lv.level_index for lv in self.levels]
 
 
 def build_protocol(
@@ -268,22 +237,6 @@ def build_protocol(
     return ProtocolPlan(scheme, tuple(levels), site)
 
 
-@dataclass(frozen=True)
-class LevelStats:
-    """Aggregate statistics keyed by force-level index."""
-
-    stats: dict[int, AggregateStats]
-
-    def level(self, i: int) -> AggregateStats:
-        try:
-            return self.stats[i]
-        except KeyError:
-            raise ValueError(f"no statistics for force level {i}") from None
-
-    def to_json_dict(self) -> dict:
-        return {str(i): agg.to_json_dict() for i, agg in sorted(self.stats.items())}
-
-
 class ProtocolAbort(RuntimeError):
     """A replica of one force level hit the step cap."""
 
@@ -301,8 +254,8 @@ def run_protocol(
     mode: str = "discrete",
     *,
     step_cap: int = DEFAULT_STEP_CAP,
-) -> LevelStats:
-    """Simulate one ensemble per force level of the plan.
+) -> dict[int, AggregateStats]:
+    """Simulate one ensemble per force level of the plan, keyed by level index.
 
     Transitions are driven by the raw energy sequence; each level gets its
     own child seed, so levels are independent and individually reproducible.
@@ -316,7 +269,7 @@ def run_protocol(
             )
         except StepCapExceeded as e:
             raise ProtocolAbort(lv.level_index, e) from e
-    return LevelStats(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -324,14 +277,14 @@ class EnergyEstimate:
     """Ratio-flip estimate of g0 at one site; undecided is reported, never
     replaced by a guess."""
 
-    site: int
     level: int | None
     value: float | None
     undecided: bool
-    ratios: dict[int, float]
 
 
-def estimate_energy(stats: LevelStats, x: int, ladder: LevelLadder) -> EnergyEstimate:
+def estimate_energy(
+    stats: dict[int, AggregateStats], x: int, ladder: LevelLadder
+) -> EnergyEstimate:
     """First ladder level k with L-/L+ < 1 at level k and > 1 at level k+1.
 
     The down/up ratio at x under force r concentrates on e^(beta (g0(x) - r)),
@@ -339,24 +292,21 @@ def estimate_energy(stats: LevelStats, x: int, ladder: LevelLadder) -> EnergyEst
     Scanning stops at the first flip; both levels of every scanned pair must
     be present in the statistics.
     """
-    ratios: dict[int, float] = {}
 
     def ratio(i: int) -> float:
-        if i not in ratios:
-            agg = stats.level(i)
-            if not 1 <= x <= agg.M - 1:
-                raise IndexError(f"site index {x} out of range [1, {agg.M - 1}]")
-            if agg.up[x] == 0:
-                raise ValueError(f"no up-crossings recorded at site {x}, level {i}")
-            ratios[i] = float(agg.down[x]) / float(agg.up[x])
-        return ratios[i]
+        if i not in stats:
+            raise ValueError(f"no statistics for force level {i}")
+        agg = stats[i]
+        if not 1 <= x <= agg.M - 1:
+            raise IndexError(f"site index {x} out of range [1, {agg.M - 1}]")
+        if agg.up[x] == 0:
+            raise ValueError(f"no up-crossings recorded at site {x}, level {i}")
+        return float(agg.down[x]) / float(agg.up[x])
 
     for k in range(1, ladder.K + 1):
         if ratio(k) < 1.0 and ratio(k + 1) > 1.0:
-            return EnergyEstimate(
-                site=x, level=k, value=ladder.mu_at(k), undecided=False, ratios=dict(ratios)
-            )
-    return EnergyEstimate(site=x, level=None, value=None, undecided=True, ratios=dict(ratios))
+            return EnergyEstimate(level=k, value=ladder.mu_at(k), undecided=False)
+    return EnergyEstimate(level=None, value=None, undecided=True)
 
 
 @dataclass(frozen=True)

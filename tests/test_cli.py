@@ -499,6 +499,17 @@ def test_oracle_refused_above_8_sites_before_any_walk(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_oracle_refused_with_R_grid_before_any_walk(tmp_path, env_file, capsys, monkeypatch):
+    # the grid writes no decode to check, so the oracle would be dropped silently
+    _no_walk(monkeypatch)
+    out = tmp_path / "o"
+    rc = run(["infer", "--env", env_file, "--R-grid", "10:30:10", "--seed", 1, "--oracle",
+              "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: oracle: ")
+    assert not out.exists()
+
+
 def test_out_naming_a_file_refused(tmp_path, env_file, capsys):
     taken = tmp_path / "c.json"
     taken.write_text("{}")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from unzipseq.energy import (
     EnergyTable,
     ForceField,
     ModelParams,
+    hop_probability,
 )
 from unzipseq.protocols import (
     LevelLadder,
@@ -17,11 +19,9 @@ from unzipseq.protocols import (
     build_protocol,
     estimate_energy,
     h_margins,
-    q_prob,
     rc_energy,
     run_protocol,
     sequence_from_energies,
-    validate_ladder,
     window_schedule,
 )
 from unzipseq.rates import gap_value, pbar
@@ -33,9 +33,7 @@ TOY = LevelLadder((3.0, 1.0), (4.0, 2.0, 0.0))
 
 
 def _level_stats_from_ratios(M, ratios_by_level, scale=10**6):
-    """Synthetic LevelStats whose down/up ratio at every site is as given."""
-    from unzipseq.protocols import LevelStats
-
+    """Synthetic per-level statistics whose down/up ratio at every site is as given."""
     out = {}
     for lvl, ratios in ratios_by_level.items():
         up = np.zeros(M, dtype=np.int64)
@@ -47,27 +45,28 @@ def _level_stats_from_ratios(M, ratios_by_level, scale=10**6):
             up=up, down=down, sojourn=None, steps=int(up.sum() + down.sum()),
             wall_time=None, mode="discrete", R=scale,
         )
-    return LevelStats(out)
+    return out
 
 
 # ------------------------------------------------------------------- ladder
 
 
 def test_validate_ladder_examples():
-    assert validate_ladder([3, 1], [4, 2, 0]).valid
-    bad = validate_ladder([3, 1], [2, 4, 0])
-    assert not bad.valid
-    assert any("r[1] > r[2]" in v for v in bad.violations)
-    report = validate_ladder([3, 1], [4, 2, 1])
-    assert not report.valid and any("r[K+1]" in v for v in report.violations)
-    assert not validate_ladder([1, 3], [4, 2, 0]).valid
-    assert not validate_ladder([3, 1], [4, 0.5, 0]).valid  # mu_2 - r_2 > 0
+    LevelLadder([3, 1], [4, 2, 0])
+    for mu, r, violation in [
+        ([3, 1], [2, 4, 0], "r[1] > r[2]"),
+        ([3, 1], [4, 2, 1], "r[K+1]"),
+        ([1, 3], [4, 2, 0], "mu[1] > mu[2]"),
+        ([3, 1], [4, 0.5, 0], "mu[2] - r[2] < 0"),
+    ]:
+        with pytest.raises(ValueError, match="^invalid ladder: .*" + re.escape(violation)):
+            LevelLadder(mu, r)
 
 
 def test_ladder_from_table(table1):
     ladder = LevelLadder.from_table(table1)
     assert ladder.K == 10
-    assert validate_ladder(ladder.mu, ladder.r_levels).valid
+    LevelLadder(ladder.mu, ladder.r_levels)
     # every inequality individually re-checked
     for k in range(1, ladder.K + 1):
         assert ladder.mu_at(k) - ladder.r_at(k) < 0
@@ -76,27 +75,26 @@ def test_ladder_from_table(table1):
             assert ladder.mu_at(i) - ladder.r_at(k + 1) < 0
     assert ladder.r_at(ladder.K + 1) == 0.0
     single = LevelLadder.from_energies([2.0, 2.0])
-    assert single.K == 1 and validate_ladder(single.mu, single.r_levels).valid
-
-
-def test_ladder_level_of():
-    assert TOY.level_of(1.0) == 2
-    with pytest.raises(ValueError):
-        TOY.level_of(2.5)
+    assert single.K == 1
+    LevelLadder(single.mu, single.r_levels)
 
 
 def test_q_prob():
+    # q^i_m, the right-move probability under force r_i in energy mu_m
+    def q(ladder, i, m, beta):
+        return hop_probability(ladder.mu_at(m) - ladder.r_at(i), beta)
+
     lad = LevelLadder((3.0, 1.0), (4.0, 3.0 - 1e-12, 0.0))
     # mu_m == r_i (up to fp) gives 1/2
-    assert q_prob(lad, 2, 1, beta=1.0) == pytest.approx(0.5, abs=1e-9)
+    assert q(lad, 2, 1, beta=1.0) == pytest.approx(0.5, abs=1e-9)
     for ladder in (TOY, LevelLadder.from_table(EnergyTable.default())):
-        assert q_prob(ladder, 1, 1, 1.0) > 0.5
+        assert q(ladder, 1, 1, 1.0) > 0.5
         for k in range(1, ladder.K + 1):
-            assert q_prob(ladder, k + 1, k, 1.0) < 0.5
+            assert q(ladder, k + 1, k, 1.0) < 0.5
     with pytest.raises(IndexError):
-        q_prob(TOY, 4, 1, 1.0)
+        q(TOY, 4, 1, 1.0)
     with pytest.raises(IndexError):
-        q_prob(TOY, 1, 3, 1.0)
+        q(TOY, 1, 3, 1.0)
 
 
 # ------------------------------------------------------------------- window
@@ -131,11 +129,11 @@ def test_window_traps_the_walk():
 
 def test_build_protocol_uniform_pair():
     plan = build_protocol("uniform-pair", TOY, M=6, replicas=10, k=1)
-    assert plan.level_indices() == [1, 2]
+    assert [lv.level_index for lv in plan.levels] == [1, 2]
     assert np.all(plan.levels[0].force.per_site == 4.0)
     assert np.all(plan.levels[1].force.per_site == 2.0)
     scan = build_protocol("uniform-pair", TOY, M=6, replicas=10, max_level=3)
-    assert scan.level_indices() == [1, 2, 3]
+    assert [lv.level_index for lv in scan.levels] == [1, 2, 3]
     with pytest.raises(IndexError):
         build_protocol("uniform-pair", TOY, M=6, replicas=10, k=5)
     with pytest.raises(ValueError):
@@ -145,7 +143,7 @@ def test_build_protocol_uniform_pair():
 def test_build_protocol_focus_and_absorbing():
     x = 4
     focus = build_protocol("focus-at-x", TOY, M=8, replicas=5, site=x)
-    assert focus.level_indices() == [1, 2]
+    assert [lv.level_index for lv in focus.levels] == [1, 2]
     for lv in focus.levels:
         assert lv.force.at(x - 1) == TOY.r_at(1)
         assert lv.force.at(x) == TOY.r_at(lv.level_index)
@@ -165,10 +163,10 @@ def test_run_protocol_single_level_equals_plain_ensemble():
     stats = run_protocol(energies, params, plan, SeedSpec(3))
     env1 = EnergyEnvironment(energies, ForceField.constant(TOY.r_at(1), 3), params)
     direct = simulate_ensemble(env1, 25, "discrete", SeedSpec(3).child(1))
-    assert np.array_equal(stats.level(1).up, direct.up)
-    assert np.array_equal(stats.level(1).down, direct.down)
-    for lvl in plan.level_indices():
-        assert verify_conservation(stats.level(lvl)) == []
+    assert np.array_equal(stats[1].up, direct.up)
+    assert np.array_equal(stats[1].down, direct.down)
+    for lv in plan.levels:
+        assert verify_conservation(stats[lv.level_index]) == []
 
 
 def test_run_protocol_forward_drift_at_high_force():
@@ -177,7 +175,7 @@ def test_run_protocol_forward_drift_at_high_force():
     lad = LevelLadder((1.0,), (5.0, 0.0))
     plan = build_protocol("uniform-pair", lad, M=8, replicas=400, k=1)
     stats = run_protocol(energies, ModelParams(beta=1.0), plan, SeedSpec(8))
-    agg = stats.level(1)
+    agg = stats[1]
     for x in range(2, 8):
         assert agg.down[x] < agg.up[x]
 
@@ -210,7 +208,7 @@ def test_estimate_energy_undecided_when_always_descending():
 
 def test_estimate_energy_missing_level():
     stats = _level_stats_from_ratios(5, {1: [0, 0, 0.4, 0.4, 0.4]})
-    with pytest.raises(ValueError, match="level"):
+    with pytest.raises(ValueError, match="^no statistics for force level 2$"):
         estimate_energy(stats, 2, TOY)
 
 

@@ -78,6 +78,8 @@ REFUSED = {
     "R-fraction": ("simulate", "simulate", {"R": 5.9}),
     "trace-str": ("simulate", "simulate", {"trace": "no"}),
     "format-xml": ("infer", "infer", {"format": "xml"}),
+    # the base infer config asks for the oracle, which a grid run would drop
+    "grid-oracle": ("infer", "infer", {"R_grid": "10:30:10"}),
 }
 
 
