@@ -9,11 +9,14 @@ step count.  Full paths are recorded only in the optional trace mode.
 Replica streams are derived counter-style from (master seed, replica index),
 so an ensemble is reproducible bit-for-bit no matter how its replicas are
 scheduled, and stats at R1 < R2 under one master seed are nested.  Ensembles
-use that freedom: a chunk of replicas has its streams derived in one numpy
-pass and steps in lockstep, and the few replicas still walking at the end
-finish one by one in the scalar loop.  Each stream is read strictly in order,
-so the results equal those of single walks summed in replica order, bit for
-bit, whatever the draw block sizes.
+use that freedom: a chunk of replicas has its stream seeds derived in one
+numpy pass and steps in lockstep, and the few replicas still walking at the
+end finish one by one in the scalar loop.  In a large chunk a stream is
+open only while it is drawn from: every replica's streams fill its first
+draw block and are dropped, and a replica that outlives that block reopens
+them past the draws already taken and keeps them.  Each stream is read
+strictly in order, so the results equal those of single walks summed in
+replica order, bit for bit, whatever the draw block sizes.
 """
 
 from __future__ import annotations
@@ -47,14 +50,21 @@ DEFAULT_STEP_CAP = 10**9
 _BLOCK_INIT = 64
 _BLOCK_MAX = 16384
 # Ensembles step chunks of up to _CHUNK replicas together; a chunk's
-# per-replica site rows stay within _CHUNK_CELLS cells and its draw buffers
-# within _DRAW_BUDGET draws per stream.  Absorbed replicas are dropped every
-# _COMPACT_EVERY steps, and once fewer than _LOCKSTEP_MIN are live each
-# finishes alone in _walk: below that, a numpy pass costs more than the
-# scalar steps it replaces.
-_CHUNK = 256
+# per-replica site rows stay within _CHUNK_CELLS cells.  Its draw buffer holds
+# _DRAW_BUDGET draws per stream, shared by the live replicas: a full chunk
+# draws _BLOCK_INIT per replica at first, and no block is ever empty, since
+# no more than _CHUNK replicas share it.  The buffer is filled through a
+# replica-major scratch of _FILL_CELLS draws per stream.  A chunk with at most
+# _OPEN_STREAMS streams keeps them open from its first block (reopening would
+# cost time and save little memory); a larger one drops them after it.
+# Absorbed replicas are dropped every _COMPACT_EVERY steps, and once fewer
+# than _LOCKSTEP_MIN are live each finishes alone in _walk: below that, a
+# numpy pass costs more than the scalar steps it replaces.
+_CHUNK = 1024
 _CHUNK_CELLS = 2**16
-_DRAW_BUDGET = 2**14
+_DRAW_BUDGET = _CHUNK * _BLOCK_INIT
+_FILL_CELLS = 2**12
+_OPEN_STREAMS = 512
 _COMPACT_EVERY = 8
 _LOCKSTEP_MIN = 32
 
@@ -188,11 +198,18 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _streams(seed: SeedSpec, lo: int, hi: int, substream: int) -> list[np.random.Generator]:
-    """``[seed.stream(r, substream) for r in range(lo, hi)]`` from one hash pass."""
-    words = _stream_words(seed, np.arange(lo, hi, dtype=np.uint64), substream)
-    seed_words = _seed_words_type()
-    return [np.random.Generator(np.random.PCG64(seed_words(w))) for w in words]
+def _open_stream(words: np.ndarray, drawn: int = 0, time: bool = False) -> np.random.Generator:
+    """A replica's stream from its PCG64 seed (its row of _stream_words),
+    moved past its first ``drawn`` draws.  A direction stream jumps there
+    exactly, as a uniform takes one PCG64 output; a ``time`` stream draws and
+    discards, as the ziggurat takes a variable number of outputs per
+    exponential."""
+    gen = np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+    if drawn and time:
+        gen.standard_exponential(drawn)
+    elif drawn:
+        gen.bit_generator.advance(drawn)
+    return gen
 
 
 @dataclass(frozen=True)
@@ -483,7 +500,7 @@ def _accumulate(env, mode, seed, checkpoints, step_cap):
     adding single walks in replica order gives.
     """
     continuous = mode == "continuous"
-    chunk = max(1, min(_CHUNK, _CHUNK_CELLS // env.M))
+    chunk = _chunk_size(env.M)
     totals = None
     out = []
     next_ck = 0
@@ -494,7 +511,7 @@ def _accumulate(env, mode, seed, checkpoints, step_cap):
             for part, total in zip(parts, totals):
                 part[0] += total
         sums = [np.cumsum(part, axis=0) for part in parts]
-        totals = [s[-1] for s in sums]
+        totals = [s[-1].copy() for s in sums]
         while next_ck < len(checkpoints) and checkpoints[next_ck] <= hi:
             up, down, *sojourn, steps = (s[checkpoints[next_ck] - lo - 1] for s in sums)
             sojourn = sojourn[0].copy() if continuous else None
@@ -510,7 +527,14 @@ def _accumulate(env, mode, seed, checkpoints, step_cap):
                 )
             )
             next_ck += 1
+        # the next chunk walks without this one's rows held
+        del parts, sums
     return out
+
+
+def _chunk_size(M: int) -> int:
+    """Replicas per lockstep chunk on an M-site chain."""
+    return max(1, min(_CHUNK, _CHUNK_CELLS // M))
 
 
 def _lockstep(env, seed, lo, hi, continuous, step_cap):
@@ -520,69 +544,97 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     mode, sojourns, each of shape (n, M), then step counts (n,), which are
     the number of moves each walk made.
 
-    A replica's state is one cell c = 2 (r (M+1) + x): replica lo + r at
-    site x.  Its move is c + d (d = 0 up, 1 down): ``counts[c + d]`` counts
-    it and ``dest[c + d]`` is the cell it leads to.  Site M is a sink: p = 2
-    there, so an absorbed replica moves "up" onto itself, adding nothing but
-    to the discarded column M, until a compaction drops it.  Live replicas
-    share one step count, so they read one column of the draw buffers.  Once
-    fewer than _LOCKSTEP_MIN are live, or the step cap is reached, each
-    resumes alone in _walk in replica order, so a trapped chunk raises
-    StepCapExceeded for its lowest replica over the cap.
+    Replica lo + r at site x is in cell c = 2x of its own row, which starts
+    at ``base`` = 2 (M+1) r of the per-replica arrays.  Its move is c + d
+    (d = 0 up, 1 down): ``counts[base + c + d]`` counts it and the site table
+    ``dest[c + d]`` is the cell it leads to.  Site M is a sink: p = 2 there,
+    so an absorbed replica moves "up" onto itself, adding nothing but to the
+    discarded column M, until a compaction drops it.  Live replicas share one
+    step count, so they read one row of the step-major draw buffer and have
+    all taken ``drawn`` draws from each stream.  The chunk keeps its streams'
+    seeds, not the streams: a stream is opened to fill its replica's first
+    block and dropped after it, unless the chunk has at most _OPEN_STREAMS
+    streams, and a replica still live at a later refill or in the scalar
+    tail reopens it past ``drawn`` and keeps it.  Once fewer than
+    _LOCKSTEP_MIN are live, or the step cap is reached, each resumes alone in
+    _walk in replica order, so a trapped chunk raises StepCapExceeded for its
+    lowest replica over the cap.
     """
     M = env.M
     n = hi - lo
-    size = 2 * n * (M + 1)
-    gens = [_streams(seed, lo, hi, 0)] + ([_streams(seed, lo, hi, 1)] if continuous else [])
-    counts = np.zeros(size, dtype=np.int64)
-    dest = np.arange(size) + np.tile([2, -3], n * (M + 1))
-    sink = np.arange(2 * M, size, 2 * (M + 1))
-    dest[sink] = sink
-    p = np.zeros(size)
-    p[0::2] = np.tile(np.append(env.up_probabilities, 2.0), n)
+    stride = 2 * (M + 1)
+    words = [_stream_words(seed, np.arange(lo, hi, dtype=np.uint64), sub)
+             for sub in range(1 + continuous)]
+    p = np.append(env.up_probabilities, 2.0).repeat(2)
+    dest = np.arange(stride) + np.tile([2, -3], M + 1)
+    dest[2 * M] = 2 * M
+    counts = np.zeros(n * stride, dtype=np.int64)
     rows = [counts[d::2].reshape(n, M + 1)[:, :M] for d in (0, 1)]
     if continuous:
         fwd, bwd = env.jump_rates
-        inv_rate = np.zeros(size)
-        inv_rate[0::2] = np.tile(np.append(1.0 / (fwd + bwd), 0.0), n)
-        sojourn = np.zeros(size)
+        inv_rate = np.append(1.0 / (fwd + bwd), 0.0).repeat(2)
+        sojourn = np.zeros(n * stride)
         rows.append(sojourn[0::2].reshape(n, M + 1)[:, :M])
-    cell = 2 * (M + 1) * np.arange(n) + 2
+    base = stride * np.arange(n)
+    cell = np.full(n, 2)
     slot = np.arange(n)
-    draws = np.empty((len(gens), 0, n))
-    step = col = 0
+    draws = np.empty((len(words), 0, n))
+    buffer = None
+    kept = {}
+    step = col = drawn = 0
+
+    def streams(r):
+        """Replica r's streams, reopened past ``drawn`` unless kept open."""
+        return kept.get(r) or [_open_stream(w[r], drawn, sub) for sub, w in enumerate(words)]
+
     while step < step_cap:
         if step % _COMPACT_EVERY == 0 or col == draws.shape[1]:
             live = p[cell] <= 1.0
-            cell, slot = cell[live], slot[live]
+            base, cell, slot = base[live], cell[live], slot[live]
             if cell.size < _LOCKSTEP_MIN:
                 break
         if col == draws.shape[1]:
-            # refill: the next draws of each live replica's streams
+            # refill: the next draws of each live replica's streams, a few
+            # replicas at a time into the scratch, then step-major
+            replicas = (base // stride).tolist()
+            if drawn:
+                kept = {r: streams(r) for r in replicas}
+            elif n * len(words) <= _OPEN_STREAMS:  # a small chunk keeps them open
+                kept = dict(zip(replicas, zip(*(map(_open_stream, w) for w in words))))
             width = _DRAW_BUDGET // cell.size
-            draws = np.empty((len(gens), cell.size, width))
-            for i, r in enumerate((cell // (2 * (M + 1))).tolist()):
-                gens[0][r].random(out=draws[0, i])
-                if continuous:
-                    gens[1][r].standard_exponential(out=draws[1, i])
-            draws = draws.transpose(0, 2, 1).copy()
+            fill = max(1, _FILL_CELLS // width)
+            if buffer is None:
+                buffer = np.empty((len(words), _DRAW_BUDGET))
+            draws = buffer[:, : width * cell.size].reshape(len(words), width, cell.size)
+            scratch = np.empty((len(words), min(fill, cell.size), width))
+            for i in range(0, cell.size, fill):
+                batch = replicas[i : i + fill]
+                for sub, rows_out in enumerate(scratch):
+                    # a first block not kept is every replica's, in order
+                    gens = ([kept[r][sub] for r in batch] if kept
+                            else map(_open_stream, words[sub][i : i + fill]))
+                    for gen, out in zip(gens, rows_out):
+                        (gen.standard_exponential if sub else gen.random)(out=out)
+                draws[:, :, i : i + len(batch)] = scratch[:, : len(batch)].transpose(0, 2, 1)
+            drawn += width
             slot = np.arange(cell.size)
             col = 0
         if continuous:
-            sojourn[cell] += draws[1, col][slot] * inv_rate[cell]
+            sojourn[base + cell] += draws[1, col][slot] * inv_rate[cell]
         move = cell + (draws[0, col][slot] >= p[cell])
-        counts[move] += 1
+        counts[base + move] += 1
         cell = dest[move]
         step += 1
         col += 1
     live = p[cell] <= 1.0
-    for c, s in zip(cell[live].tolist(), slot[live].tolist()):
-        r, x = divmod(c // 2, M + 1)
-        rng_time = gens[1][r] if continuous else None
+    for b, c, s in zip(base[live].tolist(), cell[live].tolist(), slot[live].tolist()):
+        r, x = b // stride, c // 2
+        gens = streams(r)
         so_far = (rows[0][r].tolist(), rows[1][r].tolist(),
                   rows[2][r].tolist() if continuous else None)
         unread = (draws[0, col:, s].tolist(), draws[1, col:, s].tolist() if continuous else ())
-        walk = _walk(env, gens[0][r], rng_time, lo + r, step_cap, False, x, step, so_far, unread)
+        walk = _walk(env, gens[0], gens[1] if continuous else None, lo + r, step_cap, False,
+                     x, step, so_far, unread)
         for part, row in zip(rows, (walk.up, walk.down, walk.sojourn)):
             part[r] = row
     return rows + [rows[0].sum(axis=1) + rows[1].sum(axis=1)]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from unzipseq.walker import (
     simulate_discrete_walk,
     simulate_ensemble,
     verify_conservation,
+    _open_stream,
     _stream_words,
-    _streams,
     zero_stats,
 )
 
@@ -247,13 +248,46 @@ def test_batch_seeding_matches_seed_sequence():
                 ]
                 assert np.array_equal(words, np.array(ref)), (master, prefix, substream)
                 keys += len(replicas)
-                for lo, hi in ((0, 12), (2**32 - 2, 2**32 + 2)):
+                for r in [*range(12), *range(2**32 - 2, 2**32 + 2)]:
+                    row = _stream_words(seed, np.array([r], dtype=np.uint64), substream)[0]
                     for draw in ("random", "standard_exponential"):
-                        batch = _streams(seed, lo, hi, substream)
-                        for r, gen in zip(range(lo, hi), batch):
-                            want = getattr(seed.stream(r, substream), draw)(100)
-                            assert np.array_equal(getattr(gen, draw)(100), want)
+                        gen = _open_stream(row)
+                        want = getattr(seed.stream(r, substream), draw)(100)
+                        assert np.array_equal(getattr(gen, draw)(100), want)
     assert keys >= 100_000
+
+
+def _replays_past(seed, replicas, drawn):
+    """How many of the replicas' time streams took more than ``drawn`` PCG64
+    outputs for their first ``drawn`` exponentials (a ziggurat rejection)."""
+    count = 0
+    for r in replicas:
+        gen = seed.stream(r, 1)
+        gen.standard_exponential(drawn)
+        plain = seed.stream(r, 1).bit_generator
+        plain.advance(drawn)
+        count += gen.bit_generator.state["state"] != plain.state["state"]
+    return count
+
+
+def test_reopened_streams_skip_the_draws_taken():
+    # a reopened replica's direction stream jumps past `drawn` uniforms and
+    # its time stream replays `drawn` exponentials; both then read on exactly
+    # as the single walk's streams do, for one- and two-word replica keys
+    seed = SeedSpec(2**40 + 9, (2,))
+    replays = 0
+    for r in (0, 1023, 1024, 2**32 - 1, 2**32 + 5):
+        rows = [_stream_words(seed, np.array([r], dtype=np.uint64), sub)[0] for sub in (0, 1)]
+        for drawn in (1, 63, 64, 2048):
+            direction, time = (_open_stream(w, drawn, sub) for sub, w in enumerate(rows))
+            replays += _replays_past(seed, [r], drawn)
+            want_dir, want_time = seed.stream(r, 0), seed.stream(r, 1)
+            want_dir.random(drawn)
+            want_time.standard_exponential(drawn)
+            assert np.array_equal(direction.random(300), want_dir.random(300)), (r, drawn)
+            assert np.array_equal(time.standard_exponential(300),
+                                  want_time.standard_exponential(300)), (r, drawn)
+    assert replays > 0
 
 
 def _reference_sums(env, mode, seed, checkpoints):
@@ -283,10 +317,15 @@ def test_lockstep_matches_single_walks(M, mode):
     rng = np.random.default_rng(M)
     env = make_env(random_sequence(rng, M), 3.3 if M == 100 else 3.0)
     seed = SeedSpec(2**40 + M, (1,))
-    finals = (1, 31, 32, 255, 256, 257, 1000)
-    ref = _reference_sums(env, mode, seed, set(finals) | {2, 100, 300, 511, 512, 513})
+    # ensembles that end at, or cross, the edges of the walker's chunk at this
+    # M, and those of a 256-replica chunk
+    n = walker._chunk_size(M)
+    edges = {n - 1, n, n + 1, 2 * n + 1}
+    finals = sorted({1, 31, 32, 255, 256, 257, 1000} | edges)
+    marks = {1, 2, 31, 32, 100, 255, 256, 257, 300, 511, 512, 513} | edges
+    ref = _reference_sums(env, mode, seed, set(finals) | marks)
     for R in finals:
-        ckpts = sorted({1, 2, 31, 32, 100, 255, 256, 257, 300, 511, 512, 513} & set(range(R)))
+        ckpts = sorted(marks & set(range(R)))
         got = accumulate_checkpoints(env, mode, seed, ckpts + [R])
         assert [a.R for a in got] == ckpts + [R]
         for agg in got:
@@ -299,19 +338,62 @@ def test_lockstep_matches_single_walks(M, mode):
                 assert agg.sojourn is None and agg.wall_time is None
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_lockstep_reopened_streams_match_single_walks(mode):
+    # a full chunk draws `first` per stream and drops its streams; replicas
+    # still walking reopen them past those draws.  Cases: survivors reopened
+    # at the second refill, survivors of a chunk that stops before that refill
+    # (so they reopen in the scalar tail), and a chunk straddling replica
+    # 2**32, whose upper half has two-word keys
+    n = walker._chunk_size(10)
+    first = walker._DRAW_BUDGET // n
+    walk = simulate_continuous_walk if mode == "continuous" else simulate_discrete_walk
+    for g1, seed, lo, in_tail in ((2.6, SeedSpec(8), 0, False), (3.8, SeedSpec(3), 0, True),
+                                  (2.6, SeedSpec(8, (4,)), 2**32 - n // 2, False)):
+        env = make_env("ATCGGTACGG", g1)
+        walks = [walk(env, seed, r) for r in range(lo, lo + n)]
+        lengths = np.array([w.steps for w in walks])
+        survivors = np.flatnonzero(lengths > first) + lo
+        assert (1 <= survivors.size < 32) if in_tail else survivors.size >= 32
+        if mode == "continuous" and not in_tail:
+            assert _replays_past(seed, survivors.tolist(), first) > 0
+        if lo >= 2**32 - n:
+            assert survivors.max() >= 2**32
+        rows = walker._lockstep(env, seed, lo, lo + n, mode == "continuous", 10**9)
+        assert np.array_equal(rows[0], [w.up for w in walks])
+        assert np.array_equal(rows[1], [w.down for w in walks])
+        assert np.array_equal(rows[-1], lengths)
+        if mode == "continuous":
+            assert np.array_equal(rows[2], [w.sojourn for w in walks])
+        if lo == 0:
+            agg = simulate_ensemble(env, n, mode, seed)
+            up, down, steps, sojourn, wall = _reference_sums(env, mode, seed, {n})[n]
+            assert np.array_equal(agg.up, up) and np.array_equal(agg.down, down)
+            assert agg.steps == steps
+            if mode == "continuous":
+                assert np.array_equal(agg.sojourn, sojourn) and agg.wall_time == wall
+
+
 def test_lockstep_step_cap_names_lowest_replica():
     env = make_env("ATCGGTACGG", 2.6)
     seed = SeedSpec(19)
-    R = 600
+    n = walker._chunk_size(env.M)
+    R = 2 * n + 1
     lengths = np.array([simulate_discrete_walk(env, seed, r).steps for r in range(R)])
     trapped = make_env("GCGCGCGC", 0.0)
-    # caps met first in chunk 0, first in chunk 1 (past replica 255), by every
-    # replica, and by replica 0 on the step that absorbs it, while >= 32 walk
-    cases = [(env, int(np.median(lengths))), (env, int(lengths[:256].max())), (trapped, 50),
-             (env, int(lengths[0]) - 1)]
-    assert lengths[256:].max() > lengths[:256].max()
-    assert np.count_nonzero(lengths[:256] >= lengths[0]) >= 32
-    for case_env, cap in cases:
+    reopened = walker._BLOCK_INIT + 36
+    # caps met first in chunk 0, first in chunk 1 (past replica n - 1), first
+    # past replica 255, by every replica, by replica 0 on the step that
+    # absorbs it while >= 32 walk, and in lockstep by replicas whose streams
+    # were reopened after their first block
+    cases = [(env, int(np.median(lengths))), (env, int(lengths[:n].max())),
+             (env, int(lengths[:256].max())), (trapped, 50), (env, int(lengths[0]) - 1),
+             (env, reopened)]
+    first = [int(np.argmax(lengths > cap)) if case_env is env else 0 for case_env, cap in cases]
+    assert first[1] >= n and first[2] >= 256 and first[4] == 0
+    assert np.count_nonzero(lengths[:n] >= lengths[0]) >= 32
+    assert np.count_nonzero(lengths[:n] > reopened) >= 32
+    for (case_env, cap), replica in zip(cases, first):
         for mode in MODES:
             walk = simulate_continuous_walk if mode == "continuous" else simulate_discrete_walk
             with pytest.raises(StepCapExceeded) as want:
@@ -319,8 +401,33 @@ def test_lockstep_step_cap_names_lowest_replica():
                     walk(case_env, seed, r, step_cap=cap)
             with pytest.raises(StepCapExceeded) as got:
                 simulate_ensemble(case_env, R, mode, seed, step_cap=cap)
-            assert got.value.replica == want.value.replica and got.value.cap == cap
-    assert want.value.replica == 0
+            assert got.value.replica == want.value.replica == replica and got.value.cap == cap
+
+
+def test_lockstep_memory_stays_flat():
+    # a full chunk keeps one step-major draw buffer, its count and sojourn
+    # rows, and open streams only for the replicas that outlive their first
+    # block: a Generator per replica (~760 B each, two per replica) or a
+    # second copy of the draw buffer would break the bound
+    env = make_env("ATCGGTACGG", 3.0)
+    seed = SeedSpec(8)
+    n = walker._chunk_size(env.M)
+    assert n == walker._CHUNK
+    first = walker._DRAW_BUDGET // n
+    survivors = sum(simulate_discrete_walk(env, seed, r).steps > first for r in range(n))
+    draw_buffer = 2 * walker._DRAW_BUDGET * 8  # 1 MiB: two streams of 2**16 float64
+    cells = 2 * 2 * (env.M + 1) * n * 8  # 352 KiB: count and sojourn cells
+    streams = survivors * 2 * 1024  # two reopened streams per survivor, < 1 KiB each
+    rest = 256 * 1024  # fill scratch, stream seeds, result rows, temporaries
+    simulate_ensemble(env, 40, "continuous", seed)  # imports numpy.random
+    tracemalloc.start()
+    try:
+        simulate_ensemble(env, n, "continuous", seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 32 <= survivors < n // 2
+    assert peak < draw_buffer + cells + streams + rest, (peak, survivors)
 
 
 def test_ensemble_uses_batch_seeding(monkeypatch):

@@ -10,8 +10,9 @@ for a non-zero exit, the first line of stderr), or the type of an exception
 that escaped ``main``.  The corpus covers every command in both time models
 with csv and json output, ``--trace``, ``--oracle`` (also at M = 8 with b_1
 free), ``infer --stats``, ``--R-grid`` with ``--site``, all three protocol
-schemes (one with bounds too large for a float), ensembles that cross the
-walker's replica chunks, the deep ``"A" * 1000`` rates landscape, ``simulate``
+schemes (one with bounds too large for a float), ensembles that end in or
+cross 256- and 1024-replica chunks (checkpoints at 1023, 1536 and 2049 among
+them), the deep ``"A" * 1000`` rates landscape, ``simulate``
 and ``infer`` runs whose settings all come from ``--config``, and configs
 that must be refused with exit 2.  Everything is seeded, so two checkouts can be
 compared file by file:
@@ -111,7 +112,7 @@ def cases(inputs: Path) -> dict[str, list]:
             "--mode", mode, "--site", 5]
         runs[f"protocol-focus-{mode}"] = [
             "protocol", "--config", proto["focus"], "--seed", 8, "--mode", mode]
-    # ensembles that end in or cross the walker's 256-replica chunks
+    # ensembles that end in or cross 256-replica chunks, then 1024-replica ones
     runs["chunks-simulate"] = [
         "simulate", "--env", env["short"], "--R", 257, "--seed", 2**40 + 1,
         "--mode", "continuous"]
@@ -119,6 +120,14 @@ def cases(inputs: Path) -> dict[str, list]:
         "infer", "--env", env["medium"], "--R-grid", "100:700:150", "--seed", 10, "--site", 5]
     runs["chunks-protocol"] = [
         "protocol", "--config", proto["pair-k"], "--seed", 11, "--R-per-level", 300]
+    runs["chunks-1024-simulate"] = [
+        "simulate", "--env", env["short"], "--R", 1025, "--seed", 2**40 + 2,
+        "--mode", "continuous"]
+    runs["chunks-1024-infer-grid"] = [
+        "infer", "--env", env["medium"], "--R-grid", "1023:2049:513", "--seed", 13,
+        "--site", 5]
+    runs["chunks-1024-protocol"] = [
+        "protocol", "--config", proto["pair-k"], "--seed", 14, "--R-per-level", 1100]
     runs["rates-medium"] = ["rates", "--env", env["medium"], "--R", 3]
     runs["rates-deep"] = ["rates", "--env", env["deep"]]
     for name in ("pair-scan", "pair-k", "absorbing", "absorbing-long"):
