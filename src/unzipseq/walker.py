@@ -11,12 +11,12 @@ so an ensemble is reproducible bit-for-bit no matter how its replicas are
 scheduled, and stats at R1 < R2 under one master seed are nested.  Ensembles
 use that freedom: a chunk of replicas has its stream seeds derived in one
 numpy pass and steps in lockstep, and the few replicas still walking at the
-end finish one by one in the scalar loop.  In a large chunk a stream is
-open only while it is drawn from: every replica's streams fill its first
-draw block and are dropped, and a replica that outlives that block reopens
-them past the draws already taken and keeps them.  Each stream is read
-strictly in order, so the results equal those of single walks summed in
-replica order, bit for bit, whatever the draw block sizes.
+end finish one by one in the scalar loop.  A chunk keeps its streams'
+seeds, not the streams: every replica's streams fill its first draw block
+and are dropped, and a replica that outlives that block reopens them past
+the draws already taken and keeps them.  Each stream is read strictly in
+order, so the results equal those of single walks summed in replica order,
+bit for bit, whatever the draw block sizes.
 """
 
 from __future__ import annotations
@@ -54,9 +54,7 @@ _BLOCK_MAX = 16384
 # _DRAW_BUDGET draws per stream, shared by the live replicas: a full chunk
 # draws _BLOCK_INIT per replica at first, and no block is ever empty, since
 # no more than _CHUNK replicas share it.  The buffer is filled through a
-# replica-major scratch of _FILL_CELLS draws per stream.  A chunk with at most
-# _OPEN_STREAMS streams keeps them open from its first block (reopening would
-# cost time and save little memory); a larger one drops them after it.
+# replica-major scratch of _FILL_CELLS draws per stream.
 # Absorbed replicas are dropped every _COMPACT_EVERY steps, and once fewer
 # than _LOCKSTEP_MIN are live each finishes alone in _walk: below that, a
 # numpy pass costs more than the scalar steps it replaces.
@@ -64,7 +62,6 @@ _CHUNK = 1024
 _CHUNK_CELLS = 2**16
 _DRAW_BUDGET = _CHUNK * _BLOCK_INIT
 _FILL_CELLS = 2**12
-_OPEN_STREAMS = 512
 _COMPACT_EVERY = 8
 _LOCKSTEP_MIN = 32
 
@@ -553,12 +550,11 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     step count, so they read one row of the step-major draw buffer and have
     all taken ``drawn`` draws from each stream.  The chunk keeps its streams'
     seeds, not the streams: a stream is opened to fill its replica's first
-    block and dropped after it, unless the chunk has at most _OPEN_STREAMS
-    streams, and a replica still live at a later refill or in the scalar
-    tail reopens it past ``drawn`` and keeps it.  Once fewer than
-    _LOCKSTEP_MIN are live, or the step cap is reached, each resumes alone in
-    _walk in replica order, so a trapped chunk raises StepCapExceeded for its
-    lowest replica over the cap.
+    block and dropped after it, and a replica still live at a later refill
+    or in the scalar tail reopens it past ``drawn`` and keeps it.  Once
+    fewer than _LOCKSTEP_MIN are live, or the step cap is reached, each
+    resumes alone in _walk in replica order, so a trapped chunk raises
+    StepCapExceeded for its lowest replica over the cap.
     """
     M = env.M
     n = hi - lo
@@ -599,8 +595,6 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
             replicas = (base // stride).tolist()
             if drawn:
                 kept = {r: streams(r) for r in replicas}
-            elif n * len(words) <= _OPEN_STREAMS:  # a small chunk keeps them open
-                kept = dict(zip(replicas, zip(*(map(_open_stream, w) for w in words))))
             width = _DRAW_BUDGET // cell.size
             fill = max(1, _FILL_CELLS // width)
             if buffer is None:
@@ -610,9 +604,8 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
             for i in range(0, cell.size, fill):
                 batch = replicas[i : i + fill]
                 for sub, rows_out in enumerate(scratch):
-                    # a first block not kept is every replica's, in order
-                    gens = ([kept[r][sub] for r in batch] if kept
-                            else map(_open_stream, words[sub][i : i + fill]))
+                    # a first block's streams are opened here and dropped
+                    gens = [kept[r][sub] if drawn else _open_stream(words[sub][r]) for r in batch]
                     for gen, out in zip(gens, rows_out):
                         (gen.standard_exponential if sub else gen.random)(out=out)
                 draws[:, :, i : i + len(batch)] = scratch[:, : len(batch)].transpose(0, 2, 1)
