@@ -31,7 +31,6 @@ import numpy as np
 from .energy import (
     BASES,
     Base,
-    EnergyEnvironment,
     Environment,
     EnergyTable,
     ModelParams,
@@ -54,7 +53,7 @@ from .protocols import (
     run_protocol,
     window_schedule,
 )
-from .rates import decision_margins, expected_unzip_time, rate_report, rc_site
+from .rates import decision_margins, rate_report, rc_site
 from .walker import (
     DEFAULT_STEP_CAP,
     MODES,
@@ -73,10 +72,6 @@ __all__ = ["main", "cli_entry"]
 
 class ConfigError(ValueError):
     pass
-
-
-class RunAbort(RuntimeError):
-    """A run that cannot finish, refused before any work starts."""
 
 
 _ALL_COMMANDS = ("simulate", "infer", "rates", "protocol")
@@ -236,20 +231,6 @@ def _outdir(cfg: dict) -> Path:
     return out
 
 
-def _require_finishable(env: Environment | EnergyEnvironment, cfg: dict) -> None:
-    """Refuse walks whose analytic expected length is over the step cap.
-
-    Compared in log space: a deep valley's expectation can overflow a float.
-    """
-    cap = cfg["step_cap"]
-    log_steps = expected_unzip_time(env, 1).log_expectation
-    if log_steps > math.log(cap):
-        raise RunAbort(
-            f"expected 10^{log_steps / math.log(10):.1f} steps per walk, over the step cap "
-            f"{cap}; raise the force or the step cap"
-        )
-
-
 def _jsonable(obj):
     """Repackage for canonical JSON: NaN/inf become null."""
     if isinstance(obj, np.ndarray):
@@ -321,7 +302,6 @@ def cmd_simulate(cfg: dict) -> int:
     R = _require(cfg, "R")
     seed = SeedSpec(_require(cfg, "seed"))
     out = _outdir(cfg)
-    _require_finishable(env, cfg)
     agg = simulate_ensemble(env, R, mode, seed, step_cap=cfg["step_cap"])
     _write_json(out / "stats.json", agg.to_json_dict())
     if cfg["format"] == "csv":
@@ -419,7 +399,6 @@ def cmd_infer(cfg: dict) -> int:
     else:
         R = _require(cfg, "R")
         seed = SeedSpec(_require(cfg, "seed"))
-        _require_finishable(env, cfg)
         agg = simulate_ensemble(env, R, mode, seed, step_cap=cfg["step_cap"])
 
     report = error_report(agg, env, prior, mode, b1, h_max)
@@ -469,7 +448,6 @@ def _infer_grid(cfg, env, mode, prior, b1) -> int:
     site = cfg.get("site")
     if site is not None and not 2 <= site <= env.M - 1:
         raise ConfigError(f"site: expected an interior site in [2, {env.M - 1}], got {site!r}")
-    _require_finishable(env, cfg)
     out = _outdir(cfg)
     stats_seq = accumulate_checkpoints(env, mode, seed, grid, step_cap=cfg["step_cap"])
     # one error pass per checkpoint: the any-error curve and, optionally, one site's
@@ -565,11 +543,6 @@ def cmd_protocol(cfg: dict) -> int:
                               k=cfg.get("k"), max_level=cfg.get("max_level"))
     except (ValueError, IndexError) as e:
         raise ConfigError(f"protocol: {e}") from None
-    for lv in plan.levels:
-        try:
-            _require_finishable(EnergyEnvironment(energies, lv.force, params), cfg)
-        except RunAbort as e:
-            raise RunAbort(f"force level {lv.level_index}: {e}") from None
     out = _outdir(cfg)
     stats = run_protocol(energies, params, plan, seed, mode, step_cap=cfg["step_cap"])
     levels = sorted(stats)
@@ -601,8 +574,14 @@ def cmd_protocol(cfg: dict) -> int:
     _write_json(out / "estimates.json", est_docs)
 
     bound_sites = np.arange(2, M)
-    bounds = rc_energy(energies, bound_sites, ladder, params.beta, scheme,
-                       k=cfg.get("k", 1) if scheme == "uniform-pair" else None)
+    if scheme == "uniform-pair" and "k" not in cfg:
+        # a scan prices each decided site at the pair its estimate flipped at
+        flips = [d["level"] for d in est_docs]
+        priced = {k: rc_energy(energies, bound_sites, ladder, params.beta, scheme, k=k).tolist()
+                  for k in set(flips) - {None}}
+        bounds = ["" if k is None else priced[k][i] for i, k in enumerate(flips)]
+    else:
+        bounds = rc_energy(energies, bound_sites, ladder, params.beta, scheme, k=cfg.get("k"))
     _write_csv(out / "bounds.csv", ("site", "scheme", "rate_lower_bound"),
                (bound_sites, itertools.repeat(scheme), bounds))
     return 0
@@ -619,7 +598,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (StepCapExceeded, ProtocolAbort, RunAbort) as e:
+    except (StepCapExceeded, ProtocolAbort) as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return 1
 

@@ -35,7 +35,6 @@ __all__ = [
     "DEFAULT_G0",
     "hop_probability",
     "check_injectivity",
-    "transition_rates",
     "environment_from_json",
 ]
 
@@ -293,6 +292,14 @@ class _SiteModel:
         return out
 
     @cached_property
+    def log_steps_per_walk(self) -> float:
+        """log of the expected steps of one walk, sum_{x=1..M-1} (1/p_bar_{x-1}
+        + 1/p_bar_x - 1) = 2 S - (M - 1) with S = sum_x 1/p_bar_x >= M - 1
+        (1/p_bar_0 = 1/p_bar_{M-1} = 1), formed in log space."""
+        log_s = float(np.logaddexp.reduce(self.log_inv_pbar[1:]))
+        return log_s + math.log(2.0 - (self.M - 1) * math.exp(-log_s))
+
+    @cached_property
     def jump_rates(self) -> np.ndarray:
         """Continuous-time rates out of each site: row 0 forward,
         r e^(-beta g0(x)), row 1 backward, r e^(-beta g1(x)); column 0 is
@@ -371,18 +378,6 @@ class EnergyEnvironment(_SiteModel):
     @cached_property
     def edge_g0(self) -> np.ndarray:
         return _frozen_array(np.concatenate([[0.0], self.energies]))
-
-
-def transition_rates(env: _SiteModel, x):
-    """Continuous-time (forward, backward) jump rates out of site ``x``, a
-    site (floats) or an array of sites (arrays).
-
-    Backward rate is 0 at x = 1: the first base of the molecule is always
-    open, so the walk can only advance from there.
-    """
-    xs = _check_sites(x, 1, env.M - 1)
-    forward, backward = env.jump_rates[:, xs]
-    return _per_site(xs, forward), _per_site(xs, backward)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .walker import (
     AggregateStats,
     SeedSpec,
     StepCapExceeded,
+    _require_finishable,
     simulate_ensemble,
 )
 
@@ -238,7 +239,8 @@ def build_protocol(
 
 
 class ProtocolAbort(RuntimeError):
-    """A replica of one force level hit the step cap."""
+    """One force level cannot finish: its expected walk length is over the
+    step cap (``replica`` None), or one of its replicas hit the cap."""
 
     def __init__(self, level: int, cause: StepCapExceeded):
         super().__init__(f"force level {level}: {cause}")
@@ -259,16 +261,19 @@ def run_protocol(
 
     Transitions are driven by the raw energy sequence; each level gets its
     own child seed, so levels are independent and individually reproducible.
+    Every level is checked against the step cap before the first one walks.
     """
+    envs = [EnergyEnvironment(energies, lv.force, params) for lv in plan.levels]
     out: dict[int, AggregateStats] = {}
-    for lv in plan.levels:
-        env = EnergyEnvironment(energies, lv.force, params)
-        try:
+    try:
+        for lv, env in zip(plan.levels, envs):
+            _require_finishable(env, step_cap)
+        for lv, env in zip(plan.levels, envs):
             out[lv.level_index] = simulate_ensemble(
                 env, lv.replicas, mode, seed.child(lv.level_index), step_cap=step_cap
             )
-        except StepCapExceeded as e:
-            raise ProtocolAbort(lv.level_index, e) from e
+    except StepCapExceeded as e:
+        raise ProtocolAbort(lv.level_index, e) from e
     return out
 
 

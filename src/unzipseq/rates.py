@@ -290,15 +290,12 @@ class UnzipTime:
 
 def expected_unzip_time(env: _SiteModel, R: int) -> UnzipTime:
     """E[tau_M^R] = R * sum_{x=1..M-1} (1/pbar_{x-1} + 1/pbar_x - 1), with
-    1/pbar_0 = 1 (site 1 is crossed upward on first touch).
-
-    Since 1/pbar_0 = 1/pbar_{M-1} = 1 the sum is 2 S - (M - 1) with
-    S = sum_{x=1..M-1} 1/pbar_x >= M - 1, which is formed in log space.
+    1/pbar_0 = 1 (site 1 is crossed upward on first touch); the per-walk sum
+    is the landscape's ``log_steps_per_walk``.
     """
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
-    log_s = float(np.logaddexp.reduce(env.log_inv_pbar[1:]))
-    log_walk = log_s + math.log(2.0 - (env.M - 1) * math.exp(-log_s))
+    log_walk = env.log_steps_per_walk
     barrier = float(np.max(obstacle_height(env, np.arange(env.M - 1))))
     with np.errstate(over="ignore"):
         per_walk, scale = np.exp([log_walk, env.beta * barrier])

@@ -22,6 +22,7 @@ bit for bit, whatever the draw block sizes.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -69,16 +70,28 @@ MODES = ("discrete", "continuous")
 
 
 class StepCapExceeded(RuntimeError):
-    """A replica exceeded the hard step cap before reaching site M.
+    """A replica exceeded the hard step cap before reaching site M, or
+    (``replica`` None) an ensemble whose expected walk length is over the cap
+    was refused before its first step.
 
     Deep valleys at low force make absorption astronomically slow; aborting
     loudly beats silent truncation of the statistics.
     """
 
-    def __init__(self, replica: int, cap: int):
-        super().__init__(f"replica {replica} exceeded step cap {cap} before absorption")
+    def __init__(self, replica: int | None, cap: int, message: str | None = None):
+        super().__init__(message or f"replica {replica} exceeded step cap {cap} before absorption")
         self.replica = replica
         self.cap = cap
+
+
+def _require_finishable(env: _SiteModel, step_cap: int) -> None:
+    """Refuse walks whose analytic expected length is over the step cap
+    (compared in log space: a deep valley's expectation overflows a float)."""
+    log_steps = env.log_steps_per_walk
+    if step_cap < 1 or log_steps > math.log(step_cap):
+        raise StepCapExceeded(None, step_cap, f"expected 10^{log_steps / math.log(10):.1f} "
+                              f"steps per walk, over the step cap {step_cap}; "
+                              "raise the force or the step cap")
 
 
 @dataclass(frozen=True)
@@ -428,7 +441,11 @@ def simulate_discrete_walk(
     step_cap: int = DEFAULT_STEP_CAP,
     trace: bool = False,
 ) -> WalkStats:
-    """One discrete-time walk from site 1 to absorption at M, exact counts."""
+    """One discrete-time walk from site 1 to absorption at M, exact counts.
+
+    Stopped only by ``step_cap``: unlike ensembles, single walks (the reference
+    the fuzz tests run a million of) skip the ~0.1 ms expected-length check.
+    """
     return _walk(env, seed.stream(replica, 0), None, replica, step_cap, trace)
 
 
@@ -440,7 +457,8 @@ def simulate_continuous_walk(
     step_cap: int = DEFAULT_STEP_CAP,
     trace: bool = False,
 ) -> WalkStats:
-    """One continuous-time walk: discrete jump chain plus exponential sojourns."""
+    """One continuous-time walk: discrete jump chain plus exponential sojourns
+    (unchecked against its expected length, as ``simulate_discrete_walk``)."""
     return _walk(env, seed.stream(replica, 0), seed.stream(replica, 1), replica, step_cap, trace)
 
 
@@ -461,7 +479,8 @@ def simulate_ensemble(
 
     Replica streams never interact, so the result is bit-identical for a
     fixed master seed; summation runs in replica order to keep the float
-    sojourn sums reproducible as well.
+    sojourn sums reproducible as well.  Walks expected to outlast
+    ``step_cap`` are refused before the first step (replica None).
     """
     _require_mode(mode)
     if R < 1:
@@ -480,7 +499,7 @@ def accumulate_checkpoints(
     """Cumulative ensemble statistics at each R in ``checkpoints`` (one pass).
 
     Equivalent to simulate_ensemble at every checkpoint, since stats under a
-    common master seed are nested in R.
+    common master seed are nested in R; refused as it is.
     """
     _require_mode(mode)
     ckpts = [int(c) for c in checkpoints]
@@ -496,6 +515,7 @@ def _accumulate(env, mode, seed, checkpoints, step_cap):
     carried from the chunks before it, so every float sum is the one that
     adding single walks in replica order gives.
     """
+    _require_finishable(env, step_cap)
     continuous = mode == "continuous"
     chunk = _chunk_size(env.M)
     totals = None

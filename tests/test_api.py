@@ -1,13 +1,13 @@
-"""The public surface: ``unzipseq.__all__``, ``unzipseq.inference.__all__`` and
-``unzipseq.protocols.__all__`` are pinned, so a removed wrapper cannot come back
-(nor a public name vanish) unnoticed."""
+"""The public surface: ``unzipseq.__all__`` and the ``__all__`` of every library
+module are pinned, so a removed wrapper cannot come back (nor a public name
+vanish) unnoticed."""
 
 import importlib
 
 import pytest
 
 import unzipseq
-from unzipseq import inference, protocols
+from unzipseq import energy, inference, protocols, rates, walker
 
 PUBLIC = {
     "AggregateStats", "BASES", "Base", "BaseSequence", "DecodeResult", "EdgePotentials",
@@ -21,7 +21,7 @@ PUBLIC = {
     "log_partition", "obstacle_height", "pbar", "rate_report", "rate_residuals",
     "rc_energy", "rc_site", "run_protocol", "sequence_from_energies",
     "simulate_continuous_walk", "simulate_discrete_walk", "simulate_ensemble",
-    "site_posterior", "transition_rates", "verify_conservation",
+    "site_posterior", "verify_conservation",
     "window_schedule",
 }
 INFERENCE = {
@@ -29,6 +29,21 @@ INFERENCE = {
     "site_posterior", "build_edge_potentials", "decode_map", "log_partition",
     "sequence_log_posterior", "log_block_probs", "error_report", "empirical_rate_from_logs",
     "rate_residuals",
+}
+ENERGY = {
+    "Base", "BASES", "BaseSequence", "EnergyTable", "ForceField", "ModelParams", "Environment",
+    "EnergyEnvironment", "InjectivityReport", "DEFAULT_G0", "hop_probability",
+    "check_injectivity", "environment_from_json",
+}
+RATES = {
+    "pbar", "log_inv_pbar", "SiteMoments", "count_moments", "joint_up_count_log_pmf",
+    "pair_count_log_pmf", "gap_value", "MarginSet", "decision_margins", "rc_site", "lc_bound",
+    "obstacle_height", "UnzipTime", "expected_unzip_time", "RateReport", "rate_report",
+}
+WALKER = {
+    "SeedSpec", "WalkStats", "AggregateStats", "StepCapExceeded", "DEFAULT_STEP_CAP",
+    "simulate_discrete_walk", "simulate_continuous_walk", "simulate_ensemble",
+    "accumulate_checkpoints", "verify_conservation", "zero_stats",
 }
 PROTOCOLS = {
     "LevelLadder", "window_schedule", "ProtocolPlan", "PlanLevel", "build_protocol",
@@ -52,6 +67,13 @@ def test_inference_all_is_pinned():
 def test_protocols_all_is_pinned():
     assert len(protocols.__all__) == len(set(protocols.__all__))
     assert set(protocols.__all__) == PROTOCOLS
+
+
+@pytest.mark.parametrize("module,names", [(energy, ENERGY), (rates, RATES), (walker, WALKER)],
+                         ids=["energy", "rates", "walker"])
+def test_module_all_is_pinned(module, names):
+    assert len(module.__all__) == len(set(module.__all__))
+    assert set(module.__all__) == names
 
 
 @pytest.mark.parametrize("module", ["energy", "walker", "inference", "rates", "protocols", "cli"])

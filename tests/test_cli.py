@@ -11,6 +11,7 @@ from unzipseq import cli
 from unzipseq.cli import canonical_json, main
 from unzipseq.energy import BASES, environment_from_json
 from unzipseq.inference import error_report, site_posterior
+from unzipseq.protocols import LevelLadder, rc_energy
 from unzipseq.walker import AggregateStats, SeedSpec, simulate_ensemble
 
 from bruteforce import oracle_summary
@@ -197,8 +198,23 @@ def test_protocol_command(tmp_path):
     assert run(["protocol", "--config", cfg, "--seed", 21, "--out", out]) == 0
     est = json.loads((out / "estimates.json").read_text())
     assert [e["value"] for e in est] == [1.78, 3.14, 1.78, 1.78]
+    # a scan prices each site at the pair (k, k + 1) its estimate flipped at
+    assert [e["level"] for e in est] == [2, 1, 2, 2]
+    ladder = LevelLadder.from_energies([3.14, 1.78, 3.14, 1.78, 1.78])
     bounds = (out / "bounds.csv").read_text().strip().split("\n")
-    assert all(float(line.split(",")[2]) > 0 for line in bounds[1:])
+    assert len(bounds) == 1 + len(est)
+    for line, e in zip(bounds[1:], est):
+        site, scheme, bound = line.split(",")
+        assert int(site) == e["site"] and scheme == "uniform-pair"
+        want = rc_energy([3.14, 1.78, 3.14, 1.78, 1.78], e["site"], ladder, 1.0,
+                         "uniform-pair", k=e["level"])
+        assert float(bound) == want > 0
+    # stopped at level 2, the 1.78 sites never reach their pair: their cells stay empty
+    out_short = tmp_path / "short"
+    assert run(["protocol", "--config", cfg, "--seed", 21, "--max-level", 2,
+                "--out", out_short]) == 0
+    short = (out_short / "bounds.csv").read_text().strip().split("\n")[1:]
+    assert [line.split(",")[2] for line in short] == ["", bounds[2].split(",")[2], "", ""]
     out2 = tmp_path / "o2"
     assert run(["protocol", "--config", cfg, "--seed", 21, "--out", out2]) == 0
     for name in ("levels.json", "levels.csv", "estimates.json", "estimates.csv", "bounds.csv"):

@@ -18,7 +18,6 @@ from unzipseq.energy import (
     environment_from_json,
     environment_to_json_dict,
     hop_probability,
-    transition_rates,
 )
 
 from conftest import make_env
@@ -121,25 +120,24 @@ def test_injectivity_constant_table():
     assert not any(report.cols_injective.values())
 
 
-def test_transition_rates():
+def test_jump_rates():
     env = make_env("AAAA", 0.0, beta=1.0, r=1.0)
-    fwd, bwd = transition_rates(env, 1)
+    assert env.jump_rates.shape == (2, 4)
+    fwd, bwd = env.jump_rates[:, 1]
     assert bwd == 0.0
-    fwd, bwd = transition_rates(env, 2)
+    fwd, bwd = env.jump_rates[:, 2]
     assert fwd == pytest.approx(math.exp(-1.78), rel=1e-15)
     assert bwd == pytest.approx(1.0)
     # zero energies at zero force: both rates reduce to the bare scale r
     env0 = make_env("AAAA", 0.0, beta=1.7, r=2.5, table=EnergyTable(np.zeros((4, 4))))
-    fwd, bwd = transition_rates(env0, 2)
+    fwd, bwd = env0.jump_rates[:, 2]
     assert fwd == 2.5 and bwd == 2.5
-    with pytest.raises(IndexError):
-        transition_rates(env, 4)
 
 
 def test_discrete_hop_matches_embedded_chain():
     env = make_env("ATCGGTAC", 1.9, beta=1.3, r=0.7)
     for x in range(2, env.M):
-        fwd, bwd = transition_rates(env, x)
+        fwd, bwd = env.jump_rates[:, x]
         dg = env.edge_energy(x) - env.force.at(x)
         assert hop_probability(dg, env.beta) == pytest.approx(
             fwd / (fwd + bwd), abs=1e-12

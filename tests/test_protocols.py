@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from unzipseq.energy import (
     ModelParams,
     hop_probability,
 )
+from unzipseq import protocols
 from unzipseq.protocols import (
     LevelLadder,
     ProtocolAbort,
@@ -25,7 +27,13 @@ from unzipseq.protocols import (
     window_schedule,
 )
 from unzipseq.rates import gap_value, pbar
-from unzipseq.walker import AggregateStats, SeedSpec, simulate_ensemble, verify_conservation
+from unzipseq.walker import (
+    AggregateStats,
+    SeedSpec,
+    StepCapExceeded,
+    simulate_ensemble,
+    verify_conservation,
+)
 
 from bruteforce import brute_pbar
 
@@ -181,11 +189,57 @@ def test_run_protocol_forward_drift_at_high_force():
 
 
 def test_run_protocol_step_cap_names_level():
+    # level 2 expects ~5.9e4 steps per walk, level 3 ~2e13: refused at level 2
     energies = tuple([3.0] * 6)
     plan = build_protocol("uniform-pair", TOY, M=7, replicas=3, k=2)
     with pytest.raises(ProtocolAbort) as err:
         run_protocol(energies, ModelParams(beta=2.0), plan, SeedSpec(4), step_cap=20)
-    assert err.value.level in (2, 3)
+    assert err.value.level == 2 and err.value.replica is None
+    assert str(err.value).startswith("force level 2: expected 10^4.8 steps per walk")
+
+
+def test_run_protocol_walk_over_cap_names_level_and_replica():
+    # a cap that every level's expectation is under: the levels walk, and the
+    # first replica over the cap, in plan order, is named with its level
+    energies = tuple([3.0] * 6)
+    params = ModelParams(beta=1.0)
+    plan = build_protocol("uniform-pair", TOY, M=7, replicas=200, k=1)
+    envs = [EnergyEnvironment(energies, lv.force, params) for lv in plan.levels]
+    cap = math.ceil(max(math.exp(env.log_steps_per_walk) for env in envs))
+    want = None
+    for lv, env in zip(plan.levels, envs):
+        try:
+            simulate_ensemble(env, lv.replicas, "discrete", SeedSpec(4).child(lv.level_index),
+                              step_cap=cap)
+        except StepCapExceeded as e:
+            want = (lv.level_index, e.replica)
+            break
+    assert want is not None and want[1] is not None
+    with pytest.raises(ProtocolAbort) as err:
+        run_protocol(energies, params, plan, SeedSpec(4), step_cap=cap)
+    assert (err.value.level, err.value.replica) == want
+    assert str(err.value) == (f"force level {want[0]}: replica {want[1]} exceeded step cap "
+                              f"{cap} before absorption")
+
+
+def test_run_protocol_refuses_trap_before_any_level_walks(monkeypatch):
+    # a from-table scan of 200 sites: levels 1-9 expect at most 10^4.7 steps
+    # per walk, level 10 (the last) 10^32.9, so the plan is refused at once
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a level walked before the plan was checked")
+
+    monkeypatch.setattr(protocols, "simulate_ensemble", no_walk)
+    energies = np.random.default_rng(800).choice([1.55, 1.78], size=200).tolist()
+    ladder = LevelLadder.from_table(EnergyTable.default())
+    plan = build_protocol("uniform-pair", ladder, M=201, replicas=5, max_level=10)
+    assert plan.levels[-1].level_index == 10
+    t0 = time.perf_counter()
+    with pytest.raises(ProtocolAbort) as err:
+        run_protocol(energies, ModelParams(), plan, SeedSpec(1))
+    assert time.perf_counter() - t0 < 1.0
+    assert err.value.level == 10 and err.value.replica is None
+    assert str(err.value) == ("force level 10: expected 10^32.9 steps per walk, over the "
+                              "step cap 1000000000; raise the force or the step cap")
 
 
 # ------------------------------------------------------------------- estimate

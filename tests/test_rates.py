@@ -4,7 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from unzipseq.energy import BASES, Base, EnergyTable, ModelParams, transition_rates
+from unzipseq.energy import BASES, Base, EnergyTable, ModelParams
 from unzipseq.inference import site_posterior
 from unzipseq.rates import (
     count_moments,
@@ -385,7 +385,6 @@ SITE_FUNCTIONS = {
     "site_posterior": (
         lambda x: _posterior_fields(site_posterior(STATS40, ENV40, x, None, "continuous")), 2, 39
     ),
-    "transition_rates": (lambda x: transition_rates(ENV40, x), 1, 39),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -375,33 +376,64 @@ def test_lockstep_reopened_streams_match_single_walks(mode):
 
 
 def test_lockstep_step_cap_names_lowest_replica():
+    # E = 172.2 steps per walk: every cap here is at or over it, so each
+    # ensemble starts walking and stops at its lowest replica over the cap
     env = make_env("ATCGGTACGG", 2.6)
     seed = SeedSpec(19)
     n = walker._chunk_size(env.M)
     R = 2 * n + 1
     lengths = np.array([simulate_discrete_walk(env, seed, r).steps for r in range(R)])
-    trapped = make_env("GCGCGCGC", 0.0)
-    reopened = walker._BLOCK_INIT + 36
-    # caps met first in chunk 0, first in chunk 1 (past replica n - 1), first
-    # past replica 255, by every replica, by replica 0 on the step that
-    # absorbs it while >= 32 walk, and in lockstep by replicas whose streams
-    # were reopened after their first block
-    cases = [(env, int(np.median(lengths))), (env, int(lengths[:n].max())),
-             (env, int(lengths[:256].max())), (trapped, 50), (env, int(lengths[0]) - 1),
-             (env, reopened)]
-    first = [int(np.argmax(lengths > cap)) if case_env is env else 0 for case_env, cap in cases]
-    assert first[1] >= n and first[2] >= 256 and first[4] == 0
-    assert np.count_nonzero(lengths[:n] >= lengths[0]) >= 32
-    assert np.count_nonzero(lengths[:n] > reopened) >= 32
-    for (case_env, cap), replica in zip(cases, first):
+    expected = math.ceil(math.exp(env.log_steps_per_walk))
+    # caps met in lockstep by replicas whose streams were reopened after
+    # their first block: at the expectation itself, by replica 0 on the step
+    # that absorbs it, and just past that step, where replica 0 finishes on
+    # the cap and a later one is named; then first in chunk 1 (past replica
+    # n - 1), and first past replica 255
+    caps = [expected, int(lengths[0]) - 1, int(lengths[0]), int(lengths[:n].max()),
+            int(lengths[:256].max())]
+    first = [int(np.argmax(lengths > cap)) for cap in caps]
+    assert expected == 173 and min(caps) > walker._DRAW_BUDGET // n
+    assert first[:2] == [0, 0] and first[2] > 0 and first[3] >= n and first[4] >= 256
+    assert all(np.count_nonzero(lengths[:n] > cap) >= 32 for cap in caps[:3])
+    for cap, replica in zip(caps, first):
         for mode in MODES:
             walk = simulate_continuous_walk if mode == "continuous" else simulate_discrete_walk
             with pytest.raises(StepCapExceeded) as want:
                 for r in range(R):
-                    walk(case_env, seed, r, step_cap=cap)
+                    walk(env, seed, r, step_cap=cap)
             with pytest.raises(StepCapExceeded) as got:
-                simulate_ensemble(case_env, R, mode, seed, step_cap=cap)
+                simulate_ensemble(env, R, mode, seed, step_cap=cap)
             assert got.value.replica == want.value.replica == replica and got.value.cap == cap
+
+
+@pytest.mark.parametrize("letters,g1,cap,log10_steps", [
+    ("ATCGGTACGG", 2.6, 172, "2.2"),  # one step under the expectation
+    ("ATCGGTACGG", 2.6, 135, "2.2"),  # the median walk
+    ("ATCGGTACGG", 2.6, 100, "2.2"),  # past the first draw block
+    ("GCGCGCGC", 0.0, 50, "10.4"),
+    ("GC" * 20, 2.0, walker.DEFAULT_STEP_CAP, "31.4"),
+], ids=["under-expectation", "median", "reopen", "gc-zero-force", "gc40-default-cap"])
+def test_ensemble_refused_when_expected_walk_exceeds_cap(letters, g1, cap, log10_steps):
+    # refused before the first step, by every ensemble entry point; a single
+    # walk is not checked, so it still walks until it meets the cap
+    env = make_env(letters, g1)
+    message = (f"expected 10^{log10_steps} steps per walk, over the step cap {cap}; "
+               f"raise the force or the step cap")
+    t0 = time.perf_counter()
+    for mode in MODES:
+        for run in (lambda: simulate_ensemble(env, 2000, mode, SeedSpec(19), step_cap=cap),
+                    lambda: accumulate_checkpoints(env, mode, SeedSpec(19), [10, 2000],
+                                                   step_cap=cap)):
+            with pytest.raises(StepCapExceeded) as err:
+                run()
+            assert str(err.value) == message
+            assert err.value.replica is None and err.value.cap == cap
+    assert time.perf_counter() - t0 < 1.0
+    if cap < 10**6:
+        with pytest.raises(StepCapExceeded) as err:
+            for r in range(2000):
+                simulate_discrete_walk(env, SeedSpec(19), r, step_cap=cap)
+        assert err.value.replica is not None
 
 
 def test_lockstep_memory_stays_flat():

@@ -13,8 +13,11 @@ free), ``infer --stats``, ``--R-grid`` with ``--site``, all three protocol
 schemes (one with bounds too large for a float), ensembles that end in or
 cross 256- and 1024-replica chunks (checkpoints at 1023, 1536 and 2049 among
 them), the deep ``"A" * 1000`` rates landscape, ``simulate``
-and ``infer`` runs whose settings all come from ``--config``, and configs
-that must be refused with exit 2.  Everything is seeded, so two checkouts can be
+and ``infer`` runs whose settings all come from ``--config``, configs
+that must be refused with exit 2, and runs that cannot finish, refused with
+exit 1 before any walk: ``simulate`` and ``infer --R-grid`` on a
+``"GC" * 20`` trap, and a 200-site table-ladder scan whose level 10 expects
+10^32.0 steps per walk.  Everything is seeded, so two checkouts can be
 compared file by file:
 
     PYTHONPATH=<checkout A>/src python tools/output_corpus.py /tmp/a
@@ -27,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -39,7 +43,10 @@ ENVS = {
     "oracle-max": {"sequence": "ATCGGACT", "beta": 1.0, "r": 1.0, "g1": 2.3},
     "medium": {"sequence": "ACAATTGGGGCTAGCATCGATTACGGATCA", "beta": 1.1, "r": 0.8, "g1": 2.6},
     "deep": {"sequence": "A" * 1000, "beta": 1.0, "r": 1.0, "g1": 1.0},
+    # ~10^31.4 steps per walk
+    "trap": {"sequence": "GC" * 20, "beta": 1.0, "r": 1.0, "g1": 2.0},
 }
+_TRAP_RNG = random.Random(200)
 # protocol configs, with the replicas per level of each run
 PROTOCOLS = {
     "pair-scan": {"energies": [1.78, 1.55, 1.78, 1.78, 1.55, 1.78, 1.55, 1.55, 1.78],
@@ -56,6 +63,10 @@ PROTOCOLS = {
     # 801 sites: the absorbing factor e^(1.55 (M - x)) overflows a float for x <= 343
     "absorbing-long": {"energies": [1.55, 1.78] * 400, "scheme": "absorbing-tail",
                        "site": 799, "R_per_level": 5},
+    # refused: level 10 of the table ladder expects 10^32.0 steps per walk
+    "trap-scan": {"energies": [_TRAP_RNG.choice((1.55, 1.78)) for _ in range(200)],
+                  "ladder": "from-table", "scheme": "uniform-pair", "max_level": 10,
+                  "R_per_level": 5},
 }
 
 # simulate / infer configs that set everything but --out, with the command
@@ -130,8 +141,14 @@ def cases(inputs: Path) -> dict[str, list]:
         "protocol", "--config", proto["pair-k"], "--seed", 14, "--R-per-level", 1100]
     runs["rates-medium"] = ["rates", "--env", env["medium"], "--R", 3]
     runs["rates-deep"] = ["rates", "--env", env["deep"]]
-    for name in ("pair-scan", "pair-k", "absorbing", "absorbing-long"):
+    for name in ("pair-scan", "pair-k", "absorbing", "absorbing-long", "trap-scan"):
         runs[f"protocol-{name}"] = ["protocol", "--config", proto[name], "--seed", 9]
+    # runs that cannot finish: refused with exit 1
+    runs["trap-simulate"] = [
+        "simulate", "--env", env["trap"], "--R", 5, "--seed", 1, "--step-cap", 100000000]
+    runs["trap-infer-grid"] = [
+        "infer", "--env", env["trap"], "--R-grid", "10:30:10", "--seed", 1,
+        "--step-cap", 100000000]
     for name, (command, _) in CONFIGS.items():
         runs[f"config-{name}"] = [command, "--config", inputs / f"config-{name}.json"]
     for name, (command, _, _) in REFUSED.items():
