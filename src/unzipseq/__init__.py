@@ -17,7 +17,6 @@ from .energy import (
     Environment,
     ForceField,
     ModelParams,
-    check_injectivity,
     environment_from_json,
     hop_probability,
 )
@@ -33,7 +32,6 @@ from .inference import (
     empirical_rate_from_logs,
     error_report,
     log_partition,
-    rate_residuals,
     site_posterior,
 )
 from .protocols import (
@@ -100,7 +98,6 @@ __all__ = [
     "accumulate_checkpoints",
     "build_edge_potentials",
     "build_protocol",
-    "check_injectivity",
     "count_moments",
     "decision_margins",
     "decode_map",
@@ -117,7 +114,6 @@ __all__ = [
     "obstacle_height",
     "pbar",
     "rate_report",
-    "rate_residuals",
     "rc_energy",
     "rc_site",
     "run_protocol",

@@ -41,7 +41,6 @@ from .inference import (
     build_edge_potentials,
     empirical_rate_from_logs,
     error_report,
-    rate_residuals,
 )
 from .protocols import (
     SCHEMES,
@@ -274,7 +273,10 @@ def _parse_grid(spec: str) -> list[int]:
         raise ConfigError(f"R_grid: expected 'start:stop:step', got {spec!r}") from None
     if a < 1 or step < 1 or b < a:
         raise ConfigError(f"R_grid: bad range {spec!r}")
-    return list(range(a, b + 1, step))
+    grid = list(range(a, b + 1, step))
+    if len(grid) < 2:
+        raise ConfigError(f"R_grid: {spec!r} gives one checkpoint, a rate fit needs at least 2")
+    return grid
 
 
 # --------------------------------------------------------------------------
@@ -336,6 +338,9 @@ def _prior(cfg: dict, M: int) -> Prior:
     if "prior" not in cfg:
         return Prior.uniform(M)
     doc = cfg["prior"]
+    unknown = set(doc) - {"weights"}
+    if unknown:
+        raise ConfigError(f"prior: unknown key(s) {sorted(unknown)}")
     if "weights" not in doc:
         raise ConfigError("prior: expected {'weights': [wA, wT, wC, wG]}")
     try:
@@ -463,7 +468,13 @@ def _infer_grid(cfg, env, mode, prior, b1) -> int:
         columns += [lp_site, [math.exp(min(lp, 0.0)) for lp in lp_site]]
         header += ["log_p_site_error", "p_site_error"]
     _write_csv(out / "error_curve.csv", header, columns)
-    fit = empirical_rate_from_logs(zip(grid, lp_any))
+    # a log P that rounds to 0 cannot be fitted: the curve stays, rate_fit.json is not written
+    try:
+        fit = empirical_rate_from_logs(zip(grid, lp_any))
+        fit_site = empirical_rate_from_logs(zip(grid, lp_site)) if site is not None else None
+    except ValueError as e:
+        print(f"runtime error: rate fit: {e}", file=sys.stderr)
+        return 1
     field = env.force.per_site
     if mode == "continuous" or bool(np.all(field == field[0])):
         margins = decision_margins(env.table, env.beta, g1=float(field[0]), mode=mode)
@@ -478,16 +489,16 @@ def _infer_grid(cfg, env, mode, prior, b1) -> int:
         "margin_lower_bound": margin_bound,
     }
     if site is not None:
-        pts_site = list(zip(grid, lp_site))
-        fit_site = empirical_rate_from_logs(pts_site)
         rc = rc_site(env, site, mode)
         doc["site"] = site
         doc["slope_site_error"] = fit_site.slope
         doc["slope_site_stderr"] = fit_site.slope_stderr
         doc["rc_site"] = rc
-        # finite-R residual against the analytic rate; diagnostic only
+        # finite-R residual -log P - R rc against the analytic rate: its correction
+        # carries an unspecified constant (~sqrt(R log log R)), so it is
+        # diagnostic only and never asserted against
         doc["site_residuals"] = [
-            {"R": r, "residual": v} for r, v in rate_residuals(pts_site, rc)
+            {"R": float(r), "residual": -lp - r * rc} for r, lp in zip(grid, lp_site)
         ]
     _write_json(out / "rate_fit.json", doc)
     return 0

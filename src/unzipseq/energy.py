@@ -31,10 +31,8 @@ __all__ = [
     "ModelParams",
     "Environment",
     "EnergyEnvironment",
-    "InjectivityReport",
     "DEFAULT_G0",
     "hop_probability",
-    "check_injectivity",
     "environment_from_json",
 ]
 
@@ -121,23 +119,6 @@ class EnergyTable:
         """The standard room-temperature table (A, T, C, G order)."""
         return cls(np.array(DEFAULT_G0))
 
-    def value(self, a: Base, c: Base) -> float:
-        """Binding free energy of a pair holding base ``a``, followed by ``c``."""
-        return float(self.values[a, c])
-
-    def row(self, a: Base) -> np.ndarray:
-        return self.values[a]
-
-    def column(self, c: Base) -> np.ndarray:
-        return self.values[:, c]
-
-    def distinct_values(self) -> list[float]:
-        """Distinct energies, sorted descending (ladder construction order)."""
-        return sorted(set(float(v) for v in self.values.ravel()), reverse=True)
-
-    def to_nested(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.values]
-
 
 @dataclass(frozen=True)
 class BaseSequence:
@@ -193,12 +174,6 @@ class ForceField:
     def __len__(self) -> int:
         return self.per_site.size
 
-    def at(self, x: int) -> float:
-        """Stretch work at 1-indexed site ``x``."""
-        if not 1 <= x <= self.per_site.size:
-            raise _out_of_range(x, 1, self.per_site.size)
-        return float(self.per_site[x - 1])
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -253,18 +228,6 @@ class _SiteModel:
     def g1_padded(self) -> np.ndarray:
         """Length M array with ``arr[x]`` = g1 at site x; slot 0 unused."""
         return _frozen_array(np.concatenate([[0.0], self.force.per_site]))
-
-    def edge_energy(self, x: int) -> float:
-        """Binding energy g0 of the pair at site ``x`` (1 <= x <= M-1)."""
-        if not 1 <= x <= self.M - 1:
-            raise _out_of_range(x, 1, self.M - 1)
-        return float(self.edge_g0[x])
-
-    def delta_g_site(self, x: int) -> float:
-        """Free-energy increment g(x) - g(x-1) at this environment's force."""
-        if not 1 <= x <= self.M - 1:
-            raise _out_of_range(x, 1, self.M - 1)
-        return float(self.edge_g0[x] - self.g1_padded[x])
 
     @cached_property
     def profile(self) -> np.ndarray:
@@ -380,46 +343,6 @@ class EnergyEnvironment(_SiteModel):
         return _frozen_array(np.concatenate([[0.0], self.energies]))
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
-    """Which of the 8 restricted maps g0(a, .), g0(., a) are injective."""
-
-    rows_injective: dict[Base, bool]
-    cols_injective: dict[Base, bool]
-    violations: tuple[tuple[str, Base, Base, Base], ...]
-
-    @property
-    def satisfied(self) -> bool:
-        return not self.violations
-
-    @property
-    def failing_map_count(self) -> int:
-        failing = {(axis, a) for axis, a, _, _ in self.violations}
-        return len(failing)
-
-
-def check_injectivity(table: EnergyTable, tol: float = 0.0) -> InjectivityReport:
-    """Check that g0 is injective in each variable with the other fixed.
-
-    Entries are exact decimal inputs, so the default comparison is exact;
-    pass ``tol`` to flag near-collisions as well.  Each violation is
-    (axis, fixed base, first colliding base, second colliding base).
-    """
-    rows_ok: dict[Base, bool] = {}
-    cols_ok: dict[Base, bool] = {}
-    violations: list[tuple[str, Base, Base, Base]] = []
-    for a in BASES:
-        for axis, vec, ok in (("row", table.row(a), rows_ok), ("col", table.column(a), cols_ok)):
-            bad = []
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if abs(vec[i] - vec[j]) <= tol:
-                        bad.append((axis, a, BASES[i], BASES[j]))
-            ok[a] = not bad
-            violations.extend(bad)
-    return InjectivityReport(rows_ok, cols_ok, tuple(violations))
-
-
 _ENV_KEYS = {"sequence", "g0", "beta", "r", "g1"}
 
 
@@ -448,14 +371,3 @@ def environment_from_json(doc: str | dict) -> Environment:
         force = ForceField(np.asarray(g1, dtype=float))
     params = ModelParams(beta=float(data["beta"]), rate_scale=float(data["r"]))
     return Environment(seq, table, force, params)
-
-
-def environment_to_json_dict(env: Environment) -> dict:
-    """Inverse of environment_from_json (g1 always written per-site)."""
-    return {
-        "sequence": str(env.seq),
-        "g0": env.table.to_nested(),
-        "beta": env.params.beta,
-        "r": env.params.rate_scale,
-        "g1": [float(v) for v in env.force.per_site],
-    }

@@ -29,8 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .energy import (BASES, Base, BaseSequence, Environment, _check_sites, _out_of_range,
-                     _per_site)
+from .energy import BASES, Base, BaseSequence, Environment, _check_sites, _per_site
 from .walker import AggregateStats, WalkStats, _require_mode
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "log_block_probs",
     "error_report",
     "empirical_rate_from_logs",
-    "rate_residuals",
 ]
 
 # Two costs are tied when they differ by at most this many ulps of the
@@ -96,11 +94,6 @@ class Prior:
     @property
     def M(self) -> int:
         return self.probs.shape[0] - 1
-
-    def log_w(self, x: int, base: Base) -> float:
-        if not 1 <= x <= self.M:
-            raise _out_of_range(x, 1, self.M)
-        return math.log(float(self.probs[x, base]))
 
 
 @dataclass(frozen=True)
@@ -472,15 +465,3 @@ def empirical_rate_from_logs(points: Iterable[tuple[float, float]]) -> RateFit:
     else:
         stderr = float("nan")
     return RateFit(slope=slope, intercept=intercept, slope_stderr=stderr, n=n)
-
-
-def rate_residuals(
-    points: Iterable[tuple[float, float]], rate: float
-) -> list[tuple[float, float]]:
-    """Diagnostic residuals (R, -log P - R * rate) from (R, log P) pairs.
-
-    The finite-R correction to the exponential decay carries an unspecified
-    constant (it grows roughly like sqrt(R log log R)), so residuals are
-    reported for inspection and never asserted against.
-    """
-    return [(float(r), float(-lp - r * rate)) for r, lp in points]

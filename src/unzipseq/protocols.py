@@ -140,7 +140,7 @@ class LevelLadder:
 
     @classmethod
     def from_table(cls, table: EnergyTable) -> "LevelLadder":
-        return cls.from_energies(table.distinct_values())
+        return cls.from_energies(table.values.ravel())
 
 
 def window_schedule(
@@ -154,6 +154,8 @@ def window_schedule(
     """
     if C <= 0:
         raise ValueError(f"window slope C must be positive, got {C}")
+    if A < 0:
+        raise ValueError(f"window half-width A must be >= 0, got {A}")
     if not (1 <= y - A and y + A <= M - 1):
         raise ValueError(
             f"window [{y - A}, {y + A}] out of range [1, {M - 1}] for M = {M}"
@@ -419,16 +421,6 @@ class ReconstructionResult:
     sequences: tuple[BaseSequence, ...]
     failed_site: int | None = None
 
-    @property
-    def ambiguous(self) -> bool:
-        return len(self.sequences) > 1
-
-    @property
-    def unique(self) -> BaseSequence:
-        if len(self.sequences) != 1:
-            raise ValueError("reconstruction is not unique")
-        return self.sequences[0]
-
 
 def sequence_from_energies(
     energies: Sequence[float],
@@ -467,7 +459,7 @@ def sequence_from_energies(
         if x == len(energies) + 1:
             results.append(tuple(prefix))
             continue
-        row = table.row(a)
+        row = table.values[a]
         candidates = [c for c in BASES if abs(float(row[c]) - energies[x - 1]) <= tol]
         if not candidates and x > fail_site:
             fail_site, fail_row = x, a

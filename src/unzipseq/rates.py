@@ -172,10 +172,13 @@ class MarginSet:
     """Smallest decision gaps per flanking base, and their global minima.
 
     minus(gamma) prices the worst confusion within row gamma (base gamma on
-    the left of the edge), plus(gamma) within column gamma.  All margins are
-    strictly positive when the table passes the injectivity check; a
-    degenerate table yields zero margins and the warning flag (the theory
-    then gives R_c = infinity rather than an error).
+    the left of the edge), plus(gamma) within column gamma.  The margins are
+    the injectivity check: bases are recoverable only if g0 is injective in
+    each argument, and a row's or column's margin is 0 exactly when two of
+    its energies collide.  The gaps grow like the square of the separation,
+    so in discrete mode a separation below ~1e-8 also rounds to a margin
+    <= 0.  ``degenerate`` flags any such margin; the theory then gives
+    R_c = infinity rather than an error.
     """
 
     mode: str

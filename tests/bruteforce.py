@@ -22,7 +22,7 @@ def brute_profile(env) -> list[float]:
     """Free-energy landscape accumulated by direct summation."""
     g = [0.0]
     for x in range(1, env.M):
-        g.append(g[-1] + env.edge_energy(x) - env.force.at(x))
+        g.append(g[-1] + float(env.edge_g0[x]) - float(env.force.per_site[x - 1]))
     return g
 
 
@@ -38,7 +38,8 @@ def brute_pbar(env, x: int) -> float:
 def brute_p_up(env, x: int) -> float:
     if x == 1:
         return 1.0
-    return 1.0 / (1.0 + math.exp(env.beta * (env.edge_energy(x) - env.force.at(x))))
+    dg = float(env.edge_g0[x]) - float(env.force.per_site[x - 1])
+    return 1.0 / (1.0 + math.exp(env.beta * dg))
 
 
 def brute_pair_pmf(env, x: int, a: int, c: int) -> float:
@@ -75,9 +76,9 @@ def law_stats(env, R: int, mode: str, rng: np.random.Generator) -> AggregateStat
     if mode == "continuous":
         sojourn = np.zeros(M)
         for x in range(1, M):
-            rate = env.rate * math.exp(-env.beta * env.edge_energy(x))
+            rate = env.rate * math.exp(-env.beta * float(env.edge_g0[x]))
             if x > 1:
-                rate += env.rate * math.exp(-env.beta * env.force.at(x))
+                rate += env.rate * math.exp(-env.beta * float(env.force.per_site[x - 1]))
             sojourn[x] = rng.standard_gamma(up[x] + down[x]) / rate
     return AggregateStats(
         up=up,
@@ -103,11 +104,11 @@ def edge_cost_tables(stats, env, mode: str) -> np.ndarray:
     for x in range(1, M):
         for u in BASES:
             for v in BASES:
-                g0 = env.table.value(u, v)
+                g0 = float(env.table.values[u, v])
                 if mode == "discrete":
                     if x == 1:
                         continue
-                    z = env.beta * (g0 - env.force.at(x))
+                    z = env.beta * (g0 - float(env.force.per_site[x - 1]))
                     up_cost = math.log1p(math.exp(z)) if z < 500 else z
                     dn_cost = math.log1p(math.exp(-z)) if z > -500 else -z
                     tables[x, u, v] = (

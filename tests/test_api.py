@@ -15,25 +15,21 @@ PUBLIC = {
     "ForceField", "LevelLadder", "MarginSet", "ModelParams", "Prior",
     "ProtocolPlan", "RateFit", "RateReport", "SeedSpec", "SitePosterior", "StepCapExceeded",
     "WalkStats", "accumulate_checkpoints", "build_edge_potentials", "build_protocol",
-    "check_injectivity", "count_moments", "decision_margins", "decode_map",
-    "empirical_rate_from_logs", "environment_from_json", "error_report", "estimate_energy",
-    "expected_unzip_time", "gap_value", "h_margins", "hop_probability", "lc_bound",
-    "log_partition", "obstacle_height", "pbar", "rate_report", "rate_residuals",
-    "rc_energy", "rc_site", "run_protocol", "sequence_from_energies",
-    "simulate_continuous_walk", "simulate_discrete_walk", "simulate_ensemble",
-    "site_posterior", "verify_conservation",
-    "window_schedule",
+    "count_moments", "decision_margins", "decode_map", "empirical_rate_from_logs",
+    "environment_from_json", "error_report", "estimate_energy", "expected_unzip_time",
+    "gap_value", "h_margins", "hop_probability", "lc_bound", "log_partition",
+    "obstacle_height", "pbar", "rate_report", "rc_energy", "rc_site", "run_protocol",
+    "sequence_from_energies", "simulate_continuous_walk", "simulate_discrete_walk",
+    "simulate_ensemble", "site_posterior", "verify_conservation", "window_schedule",
 }
 INFERENCE = {
     "Prior", "SitePosterior", "EdgePotentials", "DecodeResult", "ErrorReport", "RateFit",
     "site_posterior", "build_edge_potentials", "decode_map", "log_partition",
     "sequence_log_posterior", "log_block_probs", "error_report", "empirical_rate_from_logs",
-    "rate_residuals",
 }
 ENERGY = {
     "Base", "BASES", "BaseSequence", "EnergyTable", "ForceField", "ModelParams", "Environment",
-    "EnergyEnvironment", "InjectivityReport", "DEFAULT_G0", "hop_probability",
-    "check_injectivity", "environment_from_json",
+    "EnergyEnvironment", "DEFAULT_G0", "hop_probability", "environment_from_json",
 }
 RATES = {
     "pbar", "log_inv_pbar", "SiteMoments", "count_moments", "joint_up_count_log_pmf",

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import random
 import time
 from pathlib import Path
 
@@ -145,6 +146,28 @@ def test_infer_grid_rate_fit(tmp_path, env_file):
     assert len(lines) == 6
     fit = json.loads((out / "rate_fit.json").read_text())
     assert fit["slope_any_error"] > 0 and fit["rc_site"] > 0
+    # each site residual is -log P_site - R rc_site, R written as a float
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(type(e["R"]), e["R"]) for e in fit["site_residuals"]] == [
+        (float, float(row[0])) for row in rows]
+    assert [e["residual"] for e in fit["site_residuals"]] == [
+        -float(row[3]) - int(row[0]) * fit["rc_site"] for row in rows]
+
+
+def test_infer_grid_refuses_a_fit_of_log_p_zero(tmp_path, capsys):
+    # at 400 sites log P(any error) rounds to 0.0 at every R: the curve is
+    # written, the fit is refused with exit 1 and no rate_fit.json
+    rnd = random.Random(3)
+    envp = tmp_path / "env.json"
+    envp.write_text(json.dumps({"sequence": "".join(rnd.choice("ATCG") for _ in range(400)),
+                                "beta": 1.0, "r": 1.0, "g1": 3.2}))
+    out = tmp_path / "o"
+    assert run(["infer", "--env", envp, "--R-grid", "1:3:1", "--seed", 1, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        "runtime error: rate fit: log probability must be finite and < 0")
+    assert (out / "error_curve.csv").read_text().split("\n")[1:4] == [
+        "1,0.0,1.0", "2,0.0,1.0", "3,0.0,1.0"]
+    assert not (out / "rate_fit.json").exists()
 
 
 def test_infer_stats_mismatch_rejected(tmp_path, env_file, capsys):
@@ -431,8 +454,16 @@ def _no_walk(monkeypatch):
     ("protocol", {"energies": [1.55, 1.78, 1.55], "mode": "Discrete"}, "config error: mode:"),
     ("infer", {"prior": {"weights": [0, 0, 0, 0]}}, "config error: prior:"),
     ("infer", {"prior": {"weights": [float("nan"), 1, 1, 1]}}, "config error: prior:"),
+    ("infer", {"prior": {"weights": [1, 1, 1, 1], "wieghts": 3}},
+     "config error: prior: unknown key(s) ['wieghts']"),
+    # a single checkpoint walks every replica, then has nothing to fit
+    ("infer", {"R_grid": "5:5:1"}, "config error: R_grid:"),
+    ("infer", {"R_grid": "5:9:10"}, "config error: R_grid:"),
+    # a negative half-width used to leave the force field unchanged
+    ("simulate", {"window": "4:-2:1.0"}, "config error: window: window half-width"),
 ], ids=["energies-str", "energies-scalar", "energies-nan", "simulate-mode", "infer-mode",
-        "protocol-mode", "prior-zero", "prior-nan"])
+        "protocol-mode", "prior-zero", "prior-nan", "prior-unknown-key", "grid-one-point",
+        "grid-step-past-stop", "window-negative-A"])
 def test_config_field_refused_before_any_walk(tmp_path, capsys, monkeypatch, command, doc,
                                               message):
     _no_walk(monkeypatch)
@@ -441,6 +472,7 @@ def test_config_field_refused_before_any_walk(tmp_path, capsys, monkeypatch, com
     cfg.write_text(json.dumps({**doc, **sized, "seed": 1}))
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_string_sequence_refused(tmp_path, capsys):

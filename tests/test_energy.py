@@ -14,20 +14,19 @@ from unzipseq.energy import (
     Environment,
     ForceField,
     ModelParams,
-    check_injectivity,
     environment_from_json,
-    environment_to_json_dict,
     hop_probability,
 )
+from unzipseq.rates import decision_margins
 
 from conftest import make_env
 
 
 def test_table1_values(table1):
-    assert table1.value(Base.A, Base.A) == 1.78
-    assert table1.value(Base.T, Base.A) == 1.06
-    assert table1.value(Base.G, Base.C) == 3.90
-    assert table1.value(Base.C, Base.G) == 3.85
+    assert table1.values[Base.A, Base.A] == 1.78
+    assert table1.values[Base.T, Base.A] == 1.06
+    assert table1.values[Base.G, Base.C] == 3.90
+    assert table1.values[Base.C, Base.G] == 3.85
 
 
 def test_base_order_and_letters():
@@ -38,17 +37,17 @@ def test_base_order_and_letters():
     assert str(BaseSequence.from_string("ATCG")) == "ATCG"
 
 
+def _delta_g(env, x):
+    return env.edge_g0[x] - env.g1_padded[x]
+
+
 def test_delta_g_examples():
     env = make_env("AAA", 1.78)
-    assert env.delta_g_site(1) == pytest.approx(0.0, abs=1e-15)
+    assert _delta_g(env, 1) == pytest.approx(0.0, abs=1e-15)
     env0 = make_env("TAA", 0.0)
-    assert env0.delta_g_site(1) == 1.06
+    assert _delta_g(env0, 1) == 1.06
     env1 = make_env("GCC", 1.0)
-    assert env1.delta_g_site(1) == pytest.approx(2.90)
-    with pytest.raises(IndexError):
-        env.delta_g_site(3)
-    with pytest.raises(IndexError):
-        env.delta_g_site(0)
+    assert _delta_g(env1, 1) == pytest.approx(2.90)
 
 
 def test_hop_probability_values():
@@ -93,31 +92,40 @@ def test_profile_increments_match_delta_g():
     g = env.profile
     for x in range(1, env.M):
         b, c = env.seq.base(x), env.seq.base(x + 1)
-        assert g[x] - g[x - 1] == pytest.approx(env.table.value(b, c) - env.force.at(x), abs=1e-12)
-        assert g[x] - g[x - 1] == pytest.approx(env.delta_g_site(x), abs=1e-12)
+        dg = env.table.values[b, c] - env.force.per_site[x - 1]
+        assert g[x] - g[x - 1] == pytest.approx(dg, abs=1e-12)
+        assert g[x] - g[x - 1] == pytest.approx(_delta_g(env, x), abs=1e-12)
+
+
+def _zero_margins(table):
+    """Rows and columns whose decision margin is zero, and the degenerate
+    flag, in each mode: g0 is injective in a row (column) exactly when its
+    margin is nonzero, so the margins are the injectivity check."""
+    found = set()
+    for mode in ("discrete", "continuous"):
+        m = decision_margins(table, 1.0, g1=1.5, mode=mode)
+        rows = frozenset(b for b, v in m.minus_per_base.items() if v <= 0.0)
+        cols = frozenset(b for b, v in m.plus_per_base.items() if v <= 0.0)
+        found.add((rows, cols, m.degenerate))
+    (verdict,) = found  # both modes agree
+    return verdict
 
 
 def test_injectivity_table1(table1):
-    report = check_injectivity(table1)
-    assert report.satisfied
-    assert all(report.rows_injective.values()) and all(report.cols_injective.values())
+    assert _zero_margins(table1) == (set(), set(), False)
 
 
 def test_injectivity_constructed_collision(table1):
     values = table1.values.copy()
     values[Base.A, Base.T] = values[Base.A, Base.A]
-    report = check_injectivity(EnergyTable(values))
-    assert not report.satisfied
-    assert ("row", Base.A, Base.A, Base.T) in report.violations
-    assert not report.rows_injective[Base.A]
+    # g0(A, T) := g0(A, A) = 1.78 collides in row A, and with g0(T, T) = 1.78
+    # in column T; every other row and column stays injective
+    assert _zero_margins(EnergyTable(values)) == ({Base.A}, {Base.T}, True)
 
 
 def test_injectivity_constant_table():
-    report = check_injectivity(EnergyTable(np.full((4, 4), 2.0)))
-    assert not report.satisfied
-    assert report.failing_map_count == 8
-    assert not any(report.rows_injective.values())
-    assert not any(report.cols_injective.values())
+    rows, cols, degenerate = _zero_margins(EnergyTable(np.full((4, 4), 2.0)))
+    assert rows == cols == set(BASES) and degenerate
 
 
 def test_jump_rates():
@@ -138,7 +146,7 @@ def test_discrete_hop_matches_embedded_chain():
     env = make_env("ATCGGTAC", 1.9, beta=1.3, r=0.7)
     for x in range(2, env.M):
         fwd, bwd = env.jump_rates[:, x]
-        dg = env.edge_energy(x) - env.force.at(x)
+        dg = env.edge_g0[x] - env.force.per_site[x - 1]
         assert hop_probability(dg, env.beta) == pytest.approx(
             fwd / (fwd + bwd), abs=1e-12
         )
@@ -160,29 +168,28 @@ def test_force_field_validation():
             ModelParams(),
         )
     f = ForceField(np.array([1.0, 2.0]))
-    assert f.at(2) == 2.0
-    with pytest.raises(IndexError):
-        f.at(3)
+    assert f.per_site.tolist() == [1.0, 2.0] and len(f) == 2
 
 
-def test_environment_json_roundtrip():
+def test_environment_json_default_and_explicit_table():
     doc = {"sequence": "ATCG", "beta": 1.5, "r": 2.0, "g1": 1.1}
     env = environment_from_json(json.dumps(doc))
     assert str(env.seq) == "ATCG"
-    assert env.table.value(Base.G, Base.C) == 3.90  # default table applies
+    assert env.table.values[Base.G, Base.C] == 3.90  # default table applies
     assert np.all(env.force.per_site == 1.1)
-    back = environment_to_json_dict(env)
-    env2 = environment_from_json(back)
-    assert str(env2.seq) == str(env.seq)
-    assert np.array_equal(env2.table.values, env.table.values)
-    assert np.array_equal(env2.force.per_site, env.force.per_site)
+    assert (env.params.beta, env.params.rate_scale) == (1.5, 2.0)
+    g0 = [[1.0 + i + 0.25 * j for j in range(4)] for i in range(4)]
+    env = environment_from_json(json.dumps({**doc, "g0": g0, "g1": [0.5, 1.0, 1.5]}))
+    assert np.array_equal(env.table.values, np.array(g0))
+    assert np.array_equal(env.force.per_site, [0.5, 1.0, 1.5])
+    assert env.edge_g0[1:].tolist() == [g0[0][1], g0[1][2], g0[2][3]]  # A-T, T-C, C-G
 
 
 def test_environment_json_per_site_force_and_errors():
     env = environment_from_json(
         {"sequence": "ATCG", "beta": 1.0, "r": 1.0, "g1": [0.5, 1.0, 1.5]}
     )
-    assert env.force.at(3) == 1.5
+    assert env.force.per_site.tolist() == [0.5, 1.0, 1.5]
     with pytest.raises(ValueError, match="unknown"):
         environment_from_json({"sequence": "AT", "beta": 1, "r": 1, "g1": 0, "oops": 1})
     with pytest.raises(ValueError, match="g1"):

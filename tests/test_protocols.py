@@ -110,14 +110,23 @@ def test_q_prob():
 
 def test_window_schedule_values():
     field = window_schedule(y=5, A=3, C=0.4, M=12, baseline=1.1)
-    assert field.at(5 + 3) == pytest.approx(0.0)
-    assert field.at(5) == pytest.approx(0.4 * 3)
-    assert field.at(5 - 3) == pytest.approx(0.4 * 6)
-    assert field.at(1) == 1.1 and field.at(11) == 1.1
+    g1 = field.per_site  # g1[x - 1] is site x
+    assert g1[7] == pytest.approx(0.0)
+    assert g1[4] == pytest.approx(0.4 * 3)
+    assert g1[1] == pytest.approx(0.4 * 6)
+    assert g1[0] == 1.1 and g1[10] == 1.1
     with pytest.raises(ValueError):
         window_schedule(y=2, A=3, C=0.4, M=12)
     with pytest.raises(ValueError):
         window_schedule(y=5, A=3, C=-1.0, M=12)
+
+
+def test_window_schedule_half_width():
+    # A = 0 sets the one site y to C * 0; a negative A used to change nothing
+    point = window_schedule(y=5, A=0, C=0.4, M=12, baseline=1.1)
+    assert point.per_site.tolist() == [1.1] * 4 + [0.0] + [1.1] * 6
+    with pytest.raises(ValueError, match="half-width"):
+        window_schedule(y=5, A=-2, C=1.0, M=12, baseline=1.1)
 
 
 def test_window_traps_the_walk():
@@ -153,13 +162,14 @@ def test_build_protocol_focus_and_absorbing():
     focus = build_protocol("focus-at-x", TOY, M=8, replicas=5, site=x)
     assert [lv.level_index for lv in focus.levels] == [1, 2]
     for lv in focus.levels:
-        assert lv.force.at(x - 1) == TOY.r_at(1)
-        assert lv.force.at(x) == TOY.r_at(lv.level_index)
-        assert lv.force.at(x + 1) == TOY.r_at(TOY.K)
+        g1 = lv.force.per_site  # g1[x - 1] is site x
+        assert g1[x - 2] == TOY.r_at(1)
+        assert g1[x - 1] == TOY.r_at(lv.level_index)
+        assert g1[x] == TOY.r_at(TOY.K)
     absorbing = build_protocol("absorbing-tail", TOY, M=8, replicas=5, site=x)
     for lv in absorbing.levels:
-        assert lv.force.at(x) == TOY.r_at(lv.level_index)
-        assert all(lv.force.at(z) == 0.0 for z in range(x + 1, 8))
+        assert lv.force.per_site[x - 1] == TOY.r_at(lv.level_index)
+        assert np.all(lv.force.per_site[x:] == 0.0)  # sites x+1..7
     with pytest.raises(ValueError):
         build_protocol("focus-at-x", TOY, M=8, replicas=5, site=1)
 
@@ -454,24 +464,22 @@ def test_rc_energy_focus_positive_and_tail_dependent():
 
 def test_sequence_from_energies_unique(table1):
     res = sequence_from_energies([1.78, 1.78], table1, Base.A)
-    assert str(res.unique) == "AAA"
-    assert not res.ambiguous
+    assert [str(s) for s in res.sequences] == ["AAA"]
 
 
 def test_sequence_from_energies_homopolymer_twins(table1):
     res = sequence_from_energies([3.14, 3.14, 3.14], table1, None)
     names = {str(s) for s in res.sequences}
-    assert names == {"CCCC", "GGGG"}
-    assert res.ambiguous
+    assert names == {"CCCC", "GGGG"} and len(res.sequences) == 2
     capped = sequence_from_energies([3.14, 3.14, 3.14], table1, None, cap=1)
     assert capped.sequences == res.sequences[:1]
 
 
 def test_sequence_from_energies_alternation_twins(table1):
     truth = BaseSequence.from_string("ACACAC")
-    energies = [table1.value(truth.base(x), truth.base(x + 1)) for x in range(1, 6)]
+    energies = [table1.values[truth.base(x), truth.base(x + 1)] for x in range(1, 6)]
     with_b1 = sequence_from_energies(energies, table1, Base.A)
-    assert str(with_b1.unique) == "ACACAC"
+    assert [str(s) for s in with_b1.sequences] == ["ACACAC"]
     free = sequence_from_energies(energies, table1, None)
     assert {str(s) for s in free.sequences} == {"ACACAC", "GTGTGT"}
 
@@ -482,9 +490,9 @@ def test_sequence_from_energies_roundtrip_random(table1):
         M = int(rng.integers(3, 12))
         letters = "".join(rng.choice(list("ATCG"), size=M))
         seq = BaseSequence.from_string(letters)
-        energies = [table1.value(seq.base(x), seq.base(x + 1)) for x in range(1, M)]
+        energies = [table1.values[seq.base(x), seq.base(x + 1)] for x in range(1, M)]
         res = sequence_from_energies(energies, table1, seq.base(1))
-        assert str(res.unique) == letters  # row injectivity: unique given b1
+        assert [str(s) for s in res.sequences] == [letters]  # row injectivity: unique given b1
         free = sequence_from_energies(energies, table1, None)
         assert letters in {str(s) for s in free.sequences}
 
@@ -495,7 +503,8 @@ def test_sequence_from_energies_1200_sites(table1):
     seq = BaseSequence.from_string(letters)
     b = np.array(seq.bases)
     energies = table1.values[b[:-1], b[1:]].tolist()
-    assert str(sequence_from_energies(energies, table1, seq.base(1)).unique) == letters
+    res = sequence_from_energies(energies, table1, seq.base(1))
+    assert [str(s) for s in res.sequences] == [letters]
     free = sequence_from_energies(energies, table1, None)
     assert letters in {str(s) for s in free.sequences}
 
@@ -507,4 +516,4 @@ def test_sequence_from_energies_errors(table1):
     with pytest.raises(ValueError, match="absent from row A"):
         sequence_from_energies([1.06], table1, Base.A)
     res = sequence_from_energies([1.06], table1, None)
-    assert str(res.unique) == "TA"
+    assert [str(s) for s in res.sequences] == ["TA"]

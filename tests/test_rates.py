@@ -227,7 +227,7 @@ def test_decision_margins_table1_brute(table1):
         for u in BASES:
             for v in BASES:
                 if u != v:
-                    d = table1.value(gamma, u) - table1.value(gamma, v)
+                    d = table1.values[gamma, u] - table1.values[gamma, v]
                     best = min(best, math.exp(d) - 1.0 - d)
     assert margins.minus == pytest.approx(best, rel=1e-12)
     assert not margins.degenerate

@@ -14,10 +14,13 @@ schemes (one with bounds too large for a float), ensembles that end in or
 cross 256- and 1024-replica chunks (checkpoints at 1023, 1536 and 2049 among
 them), the deep ``"A" * 1000`` rates landscape, ``simulate``
 and ``infer`` runs whose settings all come from ``--config``, configs
-that must be refused with exit 2, and runs that cannot finish, refused with
-exit 1 before any walk: ``simulate`` and ``infer --R-grid`` on a
-``"GC" * 20`` trap, and a 200-site table-ladder scan whose level 10 expects
-10^32.0 steps per walk.  Everything is seeded, so two checkouts can be
+that must be refused with exit 2 (among them a one-checkpoint grid, an
+unknown ``prior`` key and a negative window half-width), and runs that cannot
+finish, refused with exit 1 before any walk: ``simulate`` and
+``infer --R-grid`` on a ``"GC" * 20`` trap, and a 200-site table-ladder scan
+whose level 10 expects 10^32.0 steps per walk.  A 400-site ``--R-grid`` whose
+log P(any error) rounds to 0.0 writes its curve and then exits 1: the rate
+fit is refused.  Everything is seeded, so two checkouts can be
 compared file by file:
 
     PYTHONPATH=<checkout A>/src python tools/output_corpus.py /tmp/a
@@ -45,6 +48,9 @@ ENVS = {
     "deep": {"sequence": "A" * 1000, "beta": 1.0, "r": 1.0, "g1": 1.0},
     # ~10^31.4 steps per walk
     "trap": {"sequence": "GC" * 20, "beta": 1.0, "r": 1.0, "g1": 2.0},
+    # 400 sites: log P(any error) rounds to 0.0 at R = 1..3, so no rate can be fitted
+    "certain-error": {"sequence": "".join(random.Random(3).choice("ATCG") for _ in range(400)),
+                      "beta": 1.0, "r": 1.0, "g1": 3.2},
 }
 _TRAP_RNG = random.Random(200)
 # protocol configs, with the replicas per level of each run
@@ -92,6 +98,10 @@ REFUSED = {
     "format-xml": ("infer", "infer", {"format": "xml"}),
     # the base infer config asks for the oracle, which a grid run would drop
     "grid-oracle": ("infer", "infer", {"R_grid": "10:30:10"}),
+    "grid-one-point": ("infer", "infer", {"R_grid": "5:5:1", "oracle": False}),
+    "prior-unknown-key": ("infer", "infer",
+                          {"prior": {"weights": [0.4, 0.1, 0.3, 0.2], "wieghts": 3}}),
+    "window-negative": ("simulate", "simulate", {"window": "3:-2:0.5"}),
 }
 
 
@@ -149,6 +159,9 @@ def cases(inputs: Path) -> dict[str, list]:
     runs["trap-infer-grid"] = [
         "infer", "--env", env["trap"], "--R-grid", "10:30:10", "--seed", 1,
         "--step-cap", 100000000]
+    # the curve is written, then the fit of a log P of 0.0 is refused with exit 1
+    runs["certain-error-infer-grid"] = [
+        "infer", "--env", env["certain-error"], "--R-grid", "1:3:1", "--seed", 1]
     for name, (command, _) in CONFIGS.items():
         runs[f"config-{name}"] = [command, "--config", inputs / f"config-{name}.json"]
     for name, (command, _, _) in REFUSED.items():
