@@ -37,6 +37,7 @@ from .energy import (
     environment_from_json,
 )
 from .inference import (
+    ErrorReport,
     Prior,
     build_edge_potentials,
     empirical_rate_from_logs,
@@ -52,7 +53,7 @@ from .protocols import (
     run_protocol,
     window_schedule,
 )
-from .rates import decision_margins, rate_report, rc_site
+from .rates import RateReport, decision_margins, rate_report, rc_site
 from .walker import (
     DEFAULT_STEP_CAP,
     MODES,
@@ -230,39 +231,74 @@ def _outdir(cfg: dict) -> Path:
     return out
 
 
-def _jsonable(obj):
-    """Repackage for canonical JSON: NaN/inf become null."""
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            obj = np.where(np.isfinite(obj), obj, None)
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+class _Json(str):
+    """Text already in canonical JSON form."""
+
+
+def _json(obj) -> str:
+    """Canonical JSON text: sorted keys, no spaces, NaN/inf as null; the
+    same bytes as ``json.dumps(..., sort_keys=True, separators=(",", ":"))``.
+    The commonest values are tested first."""
+    if isinstance(obj, float):  # np.float64 too
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return repr(int(obj))
+    if isinstance(obj, _Json):
+        return obj
+    if isinstance(obj, dict):
+        keys = sorted(obj, key=str)
+        return "{" + ",".join(json.dumps(str(k)) + ":" + _json(obj[k]) for k in keys) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_json, obj)) + "]"
+    if isinstance(obj, np.floating):
+        return _json(float(obj))
+    return json.dumps(obj)
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    return _json(obj) + "\n"
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(canonical_json(obj))
 
 
+def _cells(col) -> list[str]:
+    """A numeric column's entries as text, in one pass: the repr of each
+    Python int or float, ``nan``, ``inf`` or ``-inf`` where not finite."""
+    return list(map(repr, col.tolist() if isinstance(col, np.ndarray) else col))
+
+
+def _json_column(col, cells: list[str]) -> list[str]:
+    """The ``cells`` of a numeric column as JSON values: null where not finite."""
+    bad = np.flatnonzero(~np.isfinite(col)).tolist()
+    if bad:
+        cells = cells.copy()
+        for i in bad:
+            cells[i] = "null"
+    return cells
+
+
+def _json_array(cells: list[str]) -> _Json:
+    return _Json("[" + ",".join(cells) + "]")
+
+
+def _json_rows(columns: dict[str, list[str]]) -> list[str]:
+    """One JSON object per row of the text ``columns``, keys sorted."""
+    keys = sorted(columns)
+    template = "{" + ",".join(json.dumps(k) + ":%s" for k in keys) + "}"
+    return [template % row for row in zip(*(columns[k] for k in keys))]
+
+
 def _write_csv(path: Path, header, columns) -> None:
     """One row per entry of the columns (arrays, lists or iterators; the
-    shortest sets the row count).  ``str`` of a Python float is its repr."""
-    cells = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in zip(*cells)]
+    shortest sets the row count).  An array is turned into text by
+    ``_cells``, other cells by ``str``; a column already in text passes
+    through unchanged."""
+    cells = [_cells(col) if isinstance(col, np.ndarray) else map(str, col) for col in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -406,12 +442,7 @@ def cmd_infer(cfg: dict) -> int:
         seed = SeedSpec(_require(cfg, "seed"))
         agg = simulate_ensemble(env, R, mode, seed, step_cap=cfg["step_cap"])
 
-    report = error_report(agg, env, prior, mode, b1, h_max)
-    doc = report.to_json_dict()
-    _write_json(out / "decode.json", doc)
-    if cfg["format"] == "csv":
-        _write_csv(out / "posteriors.csv", ("site", "p_A", "p_T", "p_C", "p_G"),
-                   (range(2, env.M), *report.sites.probs.T))
+    doc = _write_decode(out, error_report(agg, env, prior, mode, b1, h_max), cfg["format"])
     if cfg["oracle"]:
         pot = build_edge_potentials(agg, env, prior, mode)
         oracle = _oracle_enumeration(pot, b1, h_max)
@@ -421,6 +452,37 @@ def cmd_infer(cfg: dict) -> int:
                                for o, m in zip(oracle["p_h_errors"], doc["p_h_errors"])]
         _write_json(out / "oracle.json", {"oracle": oracle, "diffs": diffs})
     return 0
+
+
+def _write_decode(out: Path, report: ErrorReport, fmt: str) -> dict:
+    """decode.json and, for csv, posteriors.csv; each float column of the
+    site records is turned into text once, for both files.  Returns the
+    decode document."""
+    post = report.sites
+    sites = _cells(post.site)
+    probs = [_cells(col) for col in post.probs.T]  # in Base order
+    posteriors = _json_rows({b.name: _json_column(col, cells)
+                             for b, col, cells in zip(BASES, post.probs.T, probs)})
+    doc = {
+        "map_sequence": str(report.decode.map_sequence),
+        "cost": report.decode.cost,
+        "log_partition": report.log_partition,
+        "ties": [str(t) for t in report.decode.ties],
+        "tie": report.decode.tie,
+        "p_any_error": report.p_any,
+        "log_p_any_error": report.log_p_any,
+        "p_h_errors": [{"h": h, "p": p, "log_p": lp} for h, p, lp in report.p_blocks],
+        "site_errors": _json_array(_json_rows({
+            "site": sites,
+            "p": _json_column(post.p_error, _cells(post.p_error)),
+            "log_p": _json_column(post.log_p_error, _cells(post.log_p_error)),
+        })),
+        "site_posteriors": _json_array(_json_rows({"site": sites, "probs": posteriors})),
+    }
+    _write_json(out / "decode.json", doc)
+    if fmt == "csv":
+        _write_csv(out / "posteriors.csv", ("site", "p_A", "p_T", "p_C", "p_G"), (sites, *probs))
+    return doc
 
 
 def _load_stats(path: str, env: Environment, mode: str) -> AggregateStats:
@@ -511,12 +573,19 @@ def _infer_grid(cfg, env, mode, prior, b1) -> int:
 def cmd_rates(cfg: dict) -> int:
     env = _environment(cfg)
     out = _outdir(cfg)
-    report = rate_report(env, cfg.get("R", 1))
-    _write_json(out / "rates.json", report.to_json_dict())
-    _write_csv(out / "rates.csv", report.CSV_HEADER,
-               [range(1, env.M)] + [getattr(report, n)[1:] for n in report.CSV_HEADER[1:]])
+    _write_rates(out, rate_report(env, cfg.get("R", 1)))
     _write_csv(out / "profile.csv", ("x", "g"), (range(env.M), env.profile))
     return 0
+
+
+def _write_rates(out: Path, report: RateReport) -> None:
+    """rates.json and rates.csv; each column is turned into text once, for
+    both files."""
+    doc = report.to_json_dict()
+    text = {n: _cells(doc[n]) for n in report.CSV_HEADER}
+    _write_csv(out / "rates.csv", report.CSV_HEADER, text.values())
+    doc.update((n, _json_array(_json_column(doc[n], cells))) for n, cells in text.items())
+    _write_json(out / "rates.json", doc)
 
 
 # --------------------------------------------------------------------------

@@ -58,6 +58,7 @@ class Base(IntEnum):
 
 
 BASES: tuple[Base, ...] = (Base.A, Base.T, Base.C, Base.G)
+_LETTERS = "".join(b.name for b in BASES)  # _LETTERS[b] is the letter of Base b
 
 # Binding free energies (units of k_B T) for DNA at room temperature.
 # Row = current base, column = next base; stacking makes the table asymmetric.
@@ -140,7 +141,7 @@ class BaseSequence:
         return len(self.bases)
 
     def __str__(self) -> str:
-        return "".join(b.name for b in self.bases)
+        return "".join(map(_LETTERS.__getitem__, self.bases))
 
     def base(self, x: int) -> Base:
         """Base at 1-indexed site ``x``."""

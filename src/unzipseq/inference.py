@@ -23,6 +23,7 @@ the sojourn at site 1 is informative and edge 1 enters like any other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -328,6 +329,36 @@ def sequence_log_posterior(
     return -pot.sequence_cost(alpha) - log_partition(pot, b1)
 
 
+@functools.lru_cache(maxsize=16)
+def _block_maps(h_max: int) -> np.ndarray:
+    """Index maps of one step of the block pass, by the reference base r.
+
+    States (u, m, t) are base, mismatch flag and block count, flattened to
+    (u * 2 + m) * H + t with H = h_max + 1; B's entries (m, t, v) flatten to
+    (m * H + t) * 4 + v, and index 8H names a -inf slot.  A step takes
+    A = logaddexp(B[c], logaddexp(B[a], B[b])) with maps[r] = (c, a, b):
+    a match (u = r) clears the flag and keeps the count; a mismatch continues
+    an open block, or opens one, with the count capped at h_max.  Unused
+    operands are the -inf slot, and logaddexp(y, -inf) == y and logaddexp's
+    symmetry make each entry the same bits as the two-term sum it stands for.
+    """
+    H = h_max + 1
+    t = np.arange(H)
+    maps = np.full((4, 3, 4, 2, H), 8 * H)
+    for r in range(4):
+        for u in range(4):
+            if u == r:  # from B[1, t, u] and B[0, t, u]
+                maps[r, 0, u, 0] = (H + t) * 4 + u
+                maps[r, 1, u, 0] = t * 4 + u
+            else:  # from B[1, t, u], B[0, t - 1, u] and, at the cap, B[0, h_max, u]
+                maps[r, 0, u, 1] = (H + t) * 4 + u
+                maps[r, 1, u, 1, 1:] = t[:-1] * 4 + u
+                maps[r, 2, u, 1, h_max] = h_max * 4 + u
+    maps = maps.reshape(4, 3, 8 * H)
+    maps.setflags(write=False)
+    return maps
+
+
 def log_block_probs(
     pot: EdgePotentials, b1: Base | None, ref: BaseSequence, h_max: int
 ) -> np.ndarray:
@@ -340,32 +371,35 @@ def log_block_probs(
     weighs exactly e^0 and loser masses far below float underflow keep their
     logarithms (no 1 - (1 - tiny) cancellation).  Relative to the MAP
     sequence of ``decode_map`` these are the decoder's error probabilities.
+    Each site is one reduce into the entering masses B and two gathered
+    logaddexp calls through ``_block_maps``.  M sites hold at most (M+1)//2
+    blocks, so the states stop there and larger h get log P = -inf.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
     M = pot.M
+    h_states = min(h_max, (M + 1) // 2)
+    H = h_states + 1
     r = np.array(ref.bases)
     psi = pot.phi[1:] - pot.phi[np.arange(1, M), r[:-1], r[1:]][:, None, None]
-    wrong = np.arange(4) != r[:, None]  # wrong[x - 1, v]: base v mismatches site x
-    A = np.full((4, 2, h_max + 1), -np.inf)
+    psi = psi[:, :, None, None, :]  # psi[x - 1, u, 0, 0, v]: edge x, base u -> v
+    maps = _block_maps(h_states)
+    A = np.full(8 * H, -np.inf)
+    A4 = A.reshape(4, 2, H, 1)
     for u in _init_states(b1):
         m = int(u != r[0])
-        A[u, m, m] = 0.0
-    for x in range(1, M):
-        # B[m, t, v]: mass entering base v at site x+1 from flag m, count t
-        B = np.logaddexp.reduce(A[:, :, :, None] - psi[x - 1][:, None, None, :], axis=0)
-        w = wrong[x]
-        A = np.full((4, 2, h_max + 1), -np.inf)
-        # a match clears the flag and keeps the count
-        A[r[x], 0] = np.logaddexp(B[0, :, r[x]], B[1, :, r[x]])
-        # a mismatch continues an open block, or opens one (count capped)
-        opened = np.full((h_max + 1, 3), -np.inf)
-        opened[1:] = B[0, :-1][:, w]
-        opened[-1] = np.logaddexp(opened[-1], B[0, -1, w])
-        A[w, 1] = np.logaddexp(B[1][:, w], opened).T
-    mass = np.logaddexp.reduce(A, axis=(0, 1))  # by block count
+        A4[u, m, m] = 0.0
+    # B[m, t, v]: mass entering base v at the next site from flag m, count t
+    buf = np.full(8 * H + 1, -np.inf)
+    B = buf[:-1].reshape(2, H, 4)
+    for x, rx in enumerate(r[1:].tolist()):
+        np.logaddexp.reduce(A4 - psi[x], axis=0, out=B)
+        c, a, b = buf[maps[rx]]
+        np.logaddexp(c, np.logaddexp(a, b), out=A)
+    mass = np.logaddexp.reduce(A.reshape(4, 2, H), axis=(0, 1))  # by block count
     at_least = np.logaddexp.accumulate(mass[::-1])[::-1]
-    return at_least[1:] - np.logaddexp.reduce(mass)
+    log_p = at_least[1:] - np.logaddexp.reduce(mass)
+    return np.concatenate([log_p, np.full(h_max - h_states, -np.inf)])
 
 
 @dataclass(frozen=True)
@@ -383,30 +417,6 @@ class ErrorReport:
     log_p_any: float
     p_blocks: tuple[tuple[int, float, float], ...]
     sites: SitePosterior
-
-    def to_json_dict(self) -> dict:
-        sites = self.sites
-        site_list = sites.site.tolist()
-        return {
-            "map_sequence": str(self.decode.map_sequence),
-            "cost": self.decode.cost,
-            "log_partition": self.log_partition,
-            "ties": [str(s) for s in self.decode.ties],
-            "tie": self.decode.tie,
-            "p_any_error": self.p_any,
-            "log_p_any_error": self.log_p_any,
-            "p_h_errors": [
-                {"h": h, "p": p, "log_p": lp} for h, p, lp in self.p_blocks
-            ],
-            "site_errors": [
-                {"site": x, "p": p, "log_p": lp}
-                for x, p, lp in zip(site_list, sites.p_error.tolist(), sites.log_p_error.tolist())
-            ],
-            "site_posteriors": [
-                {"site": x, "probs": dict(zip((b.name for b in BASES), row))}
-                for x, row in zip(site_list, sites.probs.tolist())
-            ],
-        }
 
 
 def error_report(

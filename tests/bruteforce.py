@@ -198,3 +198,33 @@ def oracle_site_conditional(stats, env, mode, x: int, prior_probs=None):
     weights = {u: math.exp(-(c - mn)) for u, c in masses.items()}
     Z = sum(weights.values())
     return {u: wv / Z for u, wv in weights.items()}
+
+
+def block_recursion(pot, b1: Base | None, ref, h_max: int) -> np.ndarray:
+    """log P(at least h separated error blocks), h = 1..h_max, relative to
+    ``ref``: the block pass written state by state, with one two-term
+    logaddexp per entry, as the reference for ``inference.log_block_probs``.
+    """
+    M = pot.M
+    r = np.array(ref.bases)
+    psi = pot.phi[1:] - pot.phi[np.arange(1, M), r[:-1], r[1:]][:, None, None]
+    wrong = np.arange(4) != r[:, None]  # wrong[x - 1, v]: base v mismatches site x
+    A = np.full((4, 2, h_max + 1), -np.inf)
+    for u in ([int(b1)] if b1 is not None else range(4)):
+        m = int(u != r[0])
+        A[u, m, m] = 0.0
+    for x in range(1, M):
+        # B[m, t, v]: mass entering base v at site x+1 from flag m, count t
+        B = np.logaddexp.reduce(A[:, :, :, None] - psi[x - 1][:, None, None, :], axis=0)
+        w = wrong[x]
+        A = np.full((4, 2, h_max + 1), -np.inf)
+        # a match clears the flag and keeps the count
+        A[r[x], 0] = np.logaddexp(B[0, :, r[x]], B[1, :, r[x]])
+        # a mismatch continues an open block, or opens one (count capped)
+        opened = np.full((h_max + 1, 3), -np.inf)
+        opened[1:] = B[0, :-1][:, w]
+        opened[-1] = np.logaddexp(opened[-1], B[0, -1, w])
+        A[w, 1] = np.logaddexp(B[1][:, w], opened).T
+    mass = np.logaddexp.reduce(A, axis=(0, 1))  # by block count
+    at_least = np.logaddexp.accumulate(mass[::-1])[::-1]
+    return at_least[1:] - np.logaddexp.reduce(mass)

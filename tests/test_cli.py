@@ -10,12 +10,20 @@ import pytest
 
 from unzipseq import cli
 from unzipseq.cli import canonical_json, main
-from unzipseq.energy import BASES, environment_from_json
-from unzipseq.inference import error_report, site_posterior
+from unzipseq.energy import BASES, BaseSequence, environment_from_json
+from unzipseq.inference import (
+    DecodeResult,
+    ErrorReport,
+    SitePosterior,
+    error_report,
+    site_posterior,
+)
 from unzipseq.protocols import LevelLadder, rc_energy
+from unzipseq.rates import rate_report
 from unzipseq.walker import AggregateStats, SeedSpec, simulate_ensemble
 
-from bruteforce import oracle_summary
+from bruteforce import law_stats, oracle_summary
+from conftest import random_sequence
 
 ENV_DOC = {"sequence": "ATCGG", "beta": 1.0, "r": 1.0, "g1": 2.2}
 
@@ -83,13 +91,124 @@ def test_infer_roundtrip_matches_in_memory(tmp_path, env_file):
     env = environment_from_json(ENV_DOC)
     agg = simulate_ensemble(env, 25, "continuous", SeedSpec(11))
     rep = error_report(agg, env, mode="continuous", b1=env.seq.base(1), h_max=3)
-    doc = rep.to_json_dict()
+    doc = _generic_decode_doc(rep)
     doc["site_posteriors"] = [
         {"site": x, "probs": {b.name: p for b, p in
                               zip(BASES, site_posterior(agg, env, x, None, "continuous").probs)}}
         for x in range(2, env.M)
     ]
-    assert canonical_json(doc).encode() == written
+    assert _generic_json(doc) == written
+
+
+# -------------------------------------------------------- columnar writers
+
+
+def _generic_json(obj) -> bytes:
+    """The generic route: NaN/inf become null, then json.dumps."""
+    def clean(o):
+        if isinstance(o, dict):
+            return {str(k): clean(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple, np.ndarray)):
+            return [clean(v) for v in (o.tolist() if isinstance(o, np.ndarray) else o)]
+        return None if isinstance(o, float) and not math.isfinite(o) else o
+    return (json.dumps(clean(obj), sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _generic_csv(header, columns) -> bytes:
+    """The generic route: str of each cell of the ``.tolist()`` columns."""
+    cells = [col.tolist() for col in columns]
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in zip(*cells)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _generic_decode_doc(report) -> dict:
+    """decode.json built from one Python dict per site."""
+    sites = report.sites
+    site_list = sites.site.tolist()
+    return {
+        "map_sequence": str(report.decode.map_sequence),
+        "cost": report.decode.cost,
+        "log_partition": report.log_partition,
+        "ties": [str(s) for s in report.decode.ties],
+        "tie": report.decode.tie,
+        "p_any_error": report.p_any,
+        "log_p_any_error": report.log_p_any,
+        "p_h_errors": [{"h": h, "p": p, "log_p": lp} for h, p, lp in report.p_blocks],
+        "site_errors": [
+            {"site": x, "p": p, "log_p": lp}
+            for x, p, lp in zip(site_list, sites.p_error.tolist(), sites.log_p_error.tolist())
+        ],
+        "site_posteriors": [
+            {"site": x, "probs": dict(zip((b.name for b in BASES), row))}
+            for x, row in zip(site_list, sites.probs.tolist())
+        ],
+    }
+
+
+def _law_report(sequence: str, R: int, mode: str, h_max: int):
+    env = environment_from_json({**ENV_DOC, "sequence": sequence, "g1": 3.0})
+    stats = law_stats(env, R, mode, np.random.default_rng([len(sequence), R]))
+    return error_report(stats, env, mode=mode, b1=None, h_max=h_max)
+
+
+def _nonfinite_report():
+    nan, inf = float("nan"), float("inf")
+    probs = np.array([[0.25] * 4, [nan, 0.5, 0.5, 0.0], [inf, -inf, 0.0, 1.0], [1e-300] * 4])
+    sites = SitePosterior(
+        site=np.arange(2, 6), log_unnormalized=np.zeros((4, 4)), probs=probs,
+        map_base=np.zeros(4, dtype=int), tie=np.zeros(4, dtype=bool),
+        p_error=np.array([0.75, nan, inf, -inf]), log_p_error=np.array([-0.3, -inf, nan, inf]))
+    seq = BaseSequence.from_string("ATCGGA")
+    return ErrorReport(decode=DecodeResult(seq, 12.5, (seq,), False), log_partition=-inf,
+                       p_any=nan, log_p_any=nan, p_blocks=((1, 0.5, -0.69), (2, 0.0, -inf)),
+                       sites=sites)
+
+
+DECODE_REPORTS = {
+    # no interior site; P(>= 2 blocks) = 0 on two sites, so its log_p is null
+    "M2": lambda: _law_report("AT", 10**3, "discrete", 4),
+    # discrete time, b_1 free: edge 1 costs nothing, so the four first bases tie
+    "M1000-ties": lambda: _law_report(random_sequence(np.random.default_rng(5), 1000),
+                                      10**3, "discrete", 4),
+    "nonfinite": _nonfinite_report,
+}
+
+
+@pytest.mark.parametrize("case", list(DECODE_REPORTS))
+def test_decode_writer_matches_generic_route(tmp_path, case):
+    report = DECODE_REPORTS[case]()
+    doc = cli._write_decode(tmp_path, report, "csv")
+    written = (tmp_path / "decode.json").read_bytes()
+    assert written == _generic_json(_generic_decode_doc(report))
+    assert doc["map_sequence"] == str(report.decode.map_sequence)
+    sites = report.sites
+    csv = (tmp_path / "posteriors.csv").read_bytes()
+    assert csv == _generic_csv(("site", "p_A", "p_T", "p_C", "p_G"), (sites.site, *sites.probs.T))
+    if case == "M2":
+        assert b'"site_errors":[]' in written and b'"site_posteriors":[]' in written
+        assert b'"log_p":null' in written
+    elif case == "M1000-ties":
+        assert len(report.decode.ties) == 4 and len(report.p_blocks) == 4
+    else:
+        assert written.count(b"null") == 13 and b"nan" not in written
+        assert b",nan," in csv and b",-inf," in csv
+
+
+def test_rates_writer_matches_generic_route(tmp_path):
+    env_doc = {"sequence": "A" * 1000, "beta": 1.0, "r": 1.0, "g1": 1.0}
+    envp = tmp_path / "env.json"
+    envp.write_text(json.dumps(env_doc))
+    out = tmp_path / "o"
+    assert run(["rates", "--env", envp, "--out", out]) == 0
+    report = rate_report(environment_from_json(env_doc), 1)
+    written = (out / "rates.json").read_bytes()
+    assert written == _generic_json(report.to_json_dict())
+    csv = (out / "rates.csv").read_bytes()
+    header = report.CSV_HEADER
+    assert csv == _generic_csv(header, [np.arange(1, 1000)] + [getattr(report, n)[1:]
+                                                                for n in header[1:]])
+    assert b"null" in written and b"inf" not in written and b"nan" not in written
+    assert b",inf," in csv and b",nan" in csv
 
 
 def test_infer_zero_r_uniform_posteriors(tmp_path, env_file):
@@ -314,6 +433,14 @@ def test_step_cap_runtime_error(tmp_path, capsys):
 def test_canonical_json_sorted_and_nan_free():
     s = canonical_json({"b": 1, "a": float("nan"), "c": [1.5, float("inf")]})
     assert s == '{"a":null,"b":1,"c":[1.5,null]}\n'
+    # numpy scalars, non-string keys, escapes and subnormals: json.dumps's bytes
+    def doc(f, i, b):
+        return {"z": [f(0.1), i(-3), b(True), None, True, "\u00e9\"\n", f(np.float32(2.5))],
+                10: {"b": -0.0, "a": f("-inf"), "c": []}, "2": (1, 2.5e-320, {})}
+    plain = _generic_json(doc(float, int, bool))
+    assert canonical_json(doc(np.float64, np.int64, np.bool_)).encode() == plain
+    assert canonical_json(doc(float, int, bool)).encode() == plain
+    assert canonical_json([np.float32(2.5), np.float32("nan")]) == "[2.5,null]\n"
 
 
 def _stats_doc(env_doc, mode, tmp_path):

@@ -26,6 +26,7 @@ from unzipseq.walker import (
 )
 
 from bruteforce import (
+    block_recursion,
     brute_pair_pmf,
     edge_cost_tables,
     law_stats,
@@ -408,6 +409,27 @@ def test_prob_nonsuccessive_matches_any_error_at_h1():
         log_block_probs(pot, b1, ref, 0)
 
 
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+@pytest.mark.parametrize("M", [2, 3, 50, 1000])
+def test_block_pass_equals_state_by_state_recursion(M, mode):
+    # the gathered step is the reference recursion's arithmetic, bit for bit,
+    # relative to the MAP and to a sequence that is not the MAP
+    rng = np.random.default_rng([M, len(mode), 14])
+    env = make_env(random_sequence(rng, M), 3.0)
+    for R in (10**3, 10**7):
+        pot = build_edge_potentials(law_stats(env, R, mode, rng), env, None, mode)
+        for b1 in (env.seq.base(1), None):
+            decoded = decode_map(pot, b1).map_sequence
+            other = decoded
+            while other == decoded:
+                other = BaseSequence.from_string(random_sequence(rng, M))
+            for ref in (decoded, other):
+                for h_max in (1, 2, 3, 4):
+                    got = log_block_probs(pot, b1, ref, h_max)
+                    want = block_recursion(pot, b1, ref, h_max)
+                    assert np.array_equal(got, want), (R, b1, str(ref)[:8], h_max)
+
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
 def test_site_posterior_consistent_with_global_conditional(mode):
     env = make_env("TACGG", 2.1)
@@ -445,12 +467,12 @@ def test_error_report_assembly():
     env = make_env("ATCGG", 2.2)
     stats = simulate_ensemble(env, 10, "continuous", SeedSpec(53))
     rep = error_report(stats, env, mode="continuous", b1=env.seq.base(1), h_max=2)
-    doc = rep.to_json_dict()
-    assert set(doc) >= {"map_sequence", "cost", "log_partition", "p_any_error",
-                        "p_h_errors", "site_errors", "ties"}
-    assert len(doc["p_h_errors"]) == 2
-    assert doc["p_h_errors"][0]["p"] == pytest.approx(doc["p_any_error"], rel=1e-12)
-    assert [d["site"] for d in doc["site_errors"]] == [2, 3, 4]
+    assert rep.decode.ties[0] == rep.decode.map_sequence
+    assert math.isfinite(rep.log_partition)
+    assert [h for h, _, _ in rep.p_blocks] == [1, 2]
+    assert rep.p_blocks[0][1] == pytest.approx(rep.p_any, rel=1e-12)
+    assert rep.p_blocks[0][2] == rep.log_p_any
+    assert rep.sites.site.tolist() == [2, 3, 4]
 
 
 # ---------------------------------------------------------------- rate fits

@@ -12,7 +12,8 @@ with csv and json output, ``--trace``, ``--oracle`` (also at M = 8 with b_1
 free), ``infer --stats``, ``--R-grid`` with ``--site``, all three protocol
 schemes (one with bounds too large for a float), ensembles that end in or
 cross 256- and 1024-replica chunks (checkpoints at 1023, 1536 and 2049 among
-them), the deep ``"A" * 1000`` rates landscape, ``simulate``
+them), the deep ``"A" * 1000`` rates landscape, ``infer`` (posteriors,
+b_1 free, h_max 4) and ``rates`` on a 1000-site sequence, ``simulate``
 and ``infer`` runs whose settings all come from ``--config``, configs
 that must be refused with exit 2 (among them a one-checkpoint grid, an
 unknown ``prior`` key and a negative window half-width), and runs that cannot
@@ -51,6 +52,9 @@ ENVS = {
     # 400 sites: log P(any error) rounds to 0.0 at R = 1..3, so no rate can be fitted
     "certain-error": {"sequence": "".join(random.Random(3).choice("ATCG") for _ in range(400)),
                       "beta": 1.0, "r": 1.0, "g1": 3.2},
+    # 1000 sites, the decode benchmark's scale: ~10^3.7 steps per walk
+    "sites-1000": {"sequence": "".join(random.Random(1000).choice("ATCG") for _ in range(1000)),
+                   "beta": 1.0, "r": 1.0, "g1": 3.5},
 }
 _TRAP_RNG = random.Random(200)
 # protocol configs, with the replicas per level of each run
@@ -151,6 +155,10 @@ def cases(inputs: Path) -> dict[str, list]:
         "protocol", "--config", proto["pair-k"], "--seed", 14, "--R-per-level", 1100]
     runs["rates-medium"] = ["rates", "--env", env["medium"], "--R", 3]
     runs["rates-deep"] = ["rates", "--env", env["deep"]]
+    runs["sites-1000-infer"] = [
+        "infer", "--env", env["sites-1000"], "--R", 50, "--seed", 5, "--mode", "continuous",
+        "--format", "csv", "--h-max", 4, "--b1", "none"]
+    runs["sites-1000-rates"] = ["rates", "--env", env["sites-1000"], "--R", 50]
     for name in ("pair-scan", "pair-k", "absorbing", "absorbing-long", "trap-scan"):
         runs[f"protocol-{name}"] = ["protocol", "--config", proto[name], "--seed", 9]
     # runs that cannot finish: refused with exit 1

@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Time each inference and writer stage in-process, best of 5.
+
+    PYTHONPATH=src python tools/stage_times.py [OUT.json]
+
+At M = 1000 and 10000, in both time models, the statistics come from the
+walker (a seeded random sequence, g1 = 3.5, R = 8).  The stages are
+``build_edge_potentials``, ``decode_map``, ``log_block_probs`` (h_max 3,
+relative to the MAP), ``log_partition``, the site records (sites 2..M-1),
+the ``decode.json`` text, ``rate_report`` and the ``rates.*`` text.  The
+result, with the commit, numpy version and host, goes to ``OUT.json``
+(default ``BENCH_stages.json``), in milliseconds.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from unzipseq import cli, inference
+from unzipseq.energy import environment_from_json
+from unzipseq.rates import rate_report
+from unzipseq.walker import SeedSpec, simulate_ensemble
+
+
+def best_ms(fn, repeats: int = 5) -> float:
+    times = []
+    for _ in range(repeats):
+        t = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t)
+    return round(min(times) * 1e3, 3)
+
+
+def stages(M: int, mode: str, out: Path) -> dict[str, float]:
+    seq = "".join(random.Random(M).choice("ATCG") for _ in range(M))
+    env = environment_from_json({"sequence": seq, "beta": 1.0, "r": 1.0, "g1": 3.5})
+    stats = simulate_ensemble(env, 8, mode, SeedSpec(M))
+    pot = inference.build_edge_potentials(stats, env, None, mode)
+    b1 = env.seq.base(1)
+    ref = inference.decode_map(pot, b1).map_sequence
+    report = inference.error_report(stats, env, None, mode, b1, 3)
+    rates = rate_report(env, 8)
+    return {
+        "build_edge_potentials": best_ms(lambda: inference.build_edge_potentials(stats, env, None, mode)),
+        "decode_map": best_ms(lambda: inference.decode_map(pot, b1)),
+        "log_block_probs": best_ms(lambda: inference.log_block_probs(pot, b1, ref, 3)),
+        "log_partition": best_ms(lambda: inference.log_partition(pot, b1)),
+        "site_records": best_ms(lambda: inference._site_record(pot, env.seq, np.arange(2, M))),
+        "decode_json_text": best_ms(lambda: cli._write_decode(out, report, "json")),
+        "rate_report": best_ms(lambda: rate_report(env, 8)),
+        "rates_text": best_ms(lambda: cli._write_rates(out, rates)),
+    }
+
+
+def main(path: Path) -> None:
+    git = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                         cwd=Path(__file__).resolve().parent)
+    commit = git.stdout.strip() or "unknown"
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {f"M={M} {mode}": stages(M, mode, Path(tmp))
+                 for M in (1000, 10000) for mode in ("discrete", "continuous")}
+    doc = {"commit": commit, "numpy": np.__version__, "python": platform.python_version(),
+           "host": f"{platform.machine()}, {os.cpu_count()} CPUs", "best_of": 5,
+           "unit": "ms", "stages": table}
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    for name, row in table.items():
+        print(name, " ".join(f"{k}={v}" for k, v in row.items()))
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1] if len(sys.argv) > 1 else "BENCH_stages.json"))
