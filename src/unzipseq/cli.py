@@ -19,6 +19,7 @@ field), 1 runtime failure (e.g. a step-cap abort).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -137,9 +138,11 @@ def _keys(command: str) -> dict[str, _Key]:
     return {key: spec for key, spec in _CONFIG_KEYS.items() if command in spec.commands}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """One subcommand per command; each flag's dest is the config key it
-    overrides, and a flag left out stays out of the namespace."""
+    overrides, and a flag left out stays out of the namespace.  Built on the
+    first call and kept: parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(prog="unzipseq", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _ALL_COMMANDS:

@@ -59,6 +59,10 @@ class Base(IntEnum):
 
 BASES: tuple[Base, ...] = (Base.A, Base.T, Base.C, Base.G)
 _LETTERS = "".join(b.name for b in BASES)  # _LETTERS[b] is the letter of Base b
+# Base members by value and by letter (either case); a member looks itself up
+# by value, since it hashes and compares as its int
+_BY_VALUE = {int(b): b for b in BASES}
+_BY_LETTER = {**{b.name: b for b in BASES}, **{b.name.lower(): b for b in BASES}}
 
 # Binding free energies (units of k_B T) for DNA at room temperature.
 # Row = current base, column = next base; stacking makes the table asymmetric.
@@ -128,14 +132,23 @@ class BaseSequence:
     bases: tuple[Base, ...]
 
     def __post_init__(self):
-        bases = tuple(Base(b) for b in self.bases)
+        bases = tuple(self.bases)
+        try:
+            bases = tuple(map(_BY_VALUE.__getitem__, bases))
+        except (KeyError, TypeError):  # Base() raises the error naming the entry
+            bases = tuple(map(Base, bases))
         if len(bases) < 2:
             raise ValueError("sequence length must be at least 2")
         object.__setattr__(self, "bases", bases)
 
     @classmethod
     def from_string(cls, letters: str) -> "BaseSequence":
-        return cls(tuple(Base.from_letter(c) for c in letters))
+        chars = tuple(letters)
+        try:
+            bases = tuple(map(_BY_LETTER.__getitem__, chars))
+        except (KeyError, TypeError):  # from_letter raises the error naming the letter
+            bases = tuple(map(Base.from_letter, chars))
+        return cls(bases)
 
     def __len__(self) -> int:
         return len(self.bases)

@@ -5,9 +5,9 @@ the chain, so the posterior over sequences is a chain graphical model with
 one central object, the (M, 4, 4) edge-potential tensor phi.  Everything
 inferred is a sum or a minimum over it: site posteriors are slices of phi,
 the global MAP comes from min-sum dynamic programming with an iterative
-traceback, the partition function from a log-space sum-product pass, and the
-error probabilities (at least one wrong base, at least h separated error
-blocks) from one forward pass relative to the decoded sequence.
+traceback, and the partition function and the error probabilities (at least
+one wrong base, at least h separated error blocks, relative to the decoded
+sequence) from one log-space forward sweep.
 
 All likelihood arithmetic is done in log-space; no R-fold products are ever
 formed, so the formulas stay exact up to R ~ 1e7 replicas and error
@@ -56,6 +56,9 @@ __all__ = [
 # terms reach 1e10 at R ~ 1e7, where any fixed absolute tolerance either
 # splits true ties or, worse, drops the optimum itself.
 _TIE_ULPS = 8.0
+# decode_map's backward pass turns this many edges of phi into Python floats
+# at a time, so its scratch stays small at any M
+_DECODE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -261,13 +264,35 @@ def _init_states(b1: Base | None) -> list[Base]:
 
 
 def log_partition(pot: EdgePotentials, b1: Base | None) -> float:
-    """log sum over sequences (first base fixed to b1 unless None) of e^{-I}."""
-    L = np.full(4, -np.inf)
-    for u in _init_states(b1):
-        L[u] = 0.0
-    for x in range(1, pot.M):
-        L = np.logaddexp.reduce(L[:, None] - pot.phi[x], axis=0)
-    return float(np.logaddexp.reduce(L))
+    """log sum over sequences (first base fixed to b1 unless None) of e^{-I}:
+    the partition column of the forward sweep, which no reference base
+    touches, so the sweep runs relative to all-A."""
+    return _forward_sweep(pot, b1, np.zeros(pot.M, dtype=int), 1)[1]
+
+
+def _suffix_minima(phi: np.ndarray) -> np.ndarray:
+    """E[x, u] = min over v of phi[x, u, v] + E[x + 1, v], with E[M] = 0
+    (row 0 unused), over Python floats taken from phi _DECODE_ROWS edges at
+    a time.  The rows of phi[x] unpack in Base order, a = A, t = T, c = C,
+    g = G."""
+    M = phi.shape[0]
+    E = np.zeros((M + 1, 4))
+    e0 = e1 = e2 = e3 = 0.0
+    for hi in range(M, 1, -_DECODE_ROWS):
+        lo = max(hi - _DECODE_ROWS, 1)
+        suffix = []
+        for a0, a1, a2, a3, t0, t1, t2, t3, c0, c1, c2, c3, g0, g1, g2, g3 in reversed(
+            phi[lo:hi].reshape(hi - lo, 16).tolist()
+        ):
+            e0, e1, e2, e3 = (
+                min(a0 + e0, a1 + e1, a2 + e2, a3 + e3),
+                min(t0 + e0, t1 + e1, t2 + e2, t3 + e3),
+                min(c0 + e0, c1 + e1, c2 + e2, c3 + e3),
+                min(g0 + e0, g1 + e1, g2 + e2, g3 + e3),
+            )
+            suffix.append((e0, e1, e2, e3))
+        E[lo:hi] = suffix[::-1]
+    return E
 
 
 def decode_map(
@@ -283,22 +308,31 @@ def decode_map(
     sum of the remaining edges' largest |phi|: the rounding two suffix sums
     can differ by.  Ties come out in Base order (up to ``tie_cap``), so the
     reported MAP sequence is the lexicographically first co-optimal one.
+    While the optimum is unique the walk follows each row's one tight step;
+    from the first co-optimal start, or row with two tight steps, it
+    branches depth first.
     """
     M = pot.M
     phi = pot.phi
-    E = np.zeros((M + 1, 4))
-    for x in range(M - 1, 0, -1):
-        E[x] = (phi[x] + E[x + 1]).min(axis=1)
+    E = _suffix_minima(phi)
     remaining = np.cumsum(_edge_scale(phi)[::-1])[::-1]  # sum over edges x..M-1
     tol = _TIE_ULPS * np.finfo(float).eps * (M - np.arange(M)) * remaining
-    # tight[x - 1][u][v]: the step u -> v across edge x stays co-optimal
-    tight = (phi[1:] + E[2:, None, :] <= E[1:M, :, None] + tol[1:, None, None]).tolist()
+    # tight[x - 1, u, v]: the step u -> v across edge x stays co-optimal
+    tight = phi[1:] + E[2:, None, :] <= E[1:M, :, None] + tol[1:, None, None]
     starts = _init_states(b1)
     cost = min(float(E[1, u]) for u in starts)
 
-    sequences: list[BaseSequence] = []
     path: list[int] = []
     stack = [(1, int(u)) for u in reversed(starts) if E[1, u] <= cost + tol[1]]
+    if len(stack) == 1:
+        path = _unique_prefix(tight, stack[0][1])
+        if len(path) == M:
+            seq = BaseSequence(tuple(path))
+            return DecodeResult(map_sequence=seq, cost=cost, ties=(seq,), truncated=False)
+        stack = [(len(path), path[-1])]
+    fork = stack[0][0]  # the site every branch starts from
+    rows = tight[fork - 1 :].tolist()
+    sequences: list[BaseSequence] = []
     while stack:
         x, u = stack.pop()
         del path[x - 1 :]
@@ -308,7 +342,7 @@ def decode_map(
             if len(sequences) >= tie_cap:
                 break
         else:
-            row = tight[x - 1][u]
+            row = rows[x - fork][u]
             stack.extend((x + 1, v) for v in (3, 2, 1, 0) if row[v])
     return DecodeResult(
         map_sequence=sequences[0],
@@ -316,6 +350,20 @@ def decode_map(
         ties=tuple(sequences),
         truncated=bool(stack),
     )
+
+
+def _unique_prefix(tight: np.ndarray, u: int) -> list[int]:
+    """The bases from ``u`` at site 1 on, while each row on the way has one
+    tight step: all M sites, or up to the first site whose row has two."""
+    # step[4 (x - 1) + u]: the one tight step from u across edge x, or -1
+    step = np.where(tight.sum(axis=2) == 1, tight.argmax(axis=2), -1).ravel().tolist()
+    path = [u]
+    for row in range(0, len(step), 4):
+        u = step[row + u]
+        if u < 0:
+            break
+        path.append(u)
+    return path
 
 
 def sequence_log_posterior(
@@ -330,76 +378,99 @@ def sequence_log_posterior(
 
 
 @functools.lru_cache(maxsize=16)
-def _block_maps(h_max: int) -> np.ndarray:
-    """Index maps of one step of the block pass, by the reference base r.
+def _sweep_maps(h_max: int) -> np.ndarray:
+    """Index maps of one step of the forward sweep, by the reference base r.
 
-    States (u, m, t) are base, mismatch flag and block count, flattened to
-    (u * 2 + m) * H + t with H = h_max + 1; B's entries (m, t, v) flatten to
-    (m * H + t) * 4 + v, and index 8H names a -inf slot.  A step takes
-    A = logaddexp(B[c], logaddexp(B[a], B[b])) with maps[r] = (c, a, b):
-    a match (u = r) clears the flag and keeps the count; a mismatch continues
-    an open block, or opens one, with the count capped at h_max.  Unused
-    operands are the -inf slot, and logaddexp(y, -inf) == y and logaddexp's
-    symmetry make each entry the same bits as the two-term sum it stands for.
+    A site's state A[u, k] holds, for base u, the block states k = m * H + t
+    (mismatch flag m, block count t, H = h_max + 1) and, at k = 2H, the
+    partition column.  The entering masses B[v, k] flatten to v * K + k with
+    K = 2H + 1, and index 4K names a -inf slot.  A step takes
+    A = logaddexp(logaddexp(B[a], B[b]), B[c]) with maps[r] = (a, b, c): a
+    match (u = r) clears the flag and keeps the count; a mismatch continues
+    an open block, or opens one, with the count capped at h_max; the
+    partition column passes through.  Unused operands are the -inf slot, and
+    logaddexp(y, -inf) == y and logaddexp's symmetry make each entry the
+    same bits as the two-term sum it stands for.
     """
     H = h_max + 1
+    K = 2 * H + 1
     t = np.arange(H)
-    maps = np.full((4, 3, 4, 2, H), 8 * H)
+    maps = np.full((4, 3, 4, K), 4 * K)
     for r in range(4):
         for u in range(4):
-            if u == r:  # from B[1, t, u] and B[0, t, u]
-                maps[r, 0, u, 0] = (H + t) * 4 + u
-                maps[r, 1, u, 0] = t * 4 + u
-            else:  # from B[1, t, u], B[0, t - 1, u] and, at the cap, B[0, h_max, u]
-                maps[r, 0, u, 1] = (H + t) * 4 + u
-                maps[r, 1, u, 1, 1:] = t[:-1] * 4 + u
-                maps[r, 2, u, 1, h_max] = h_max * 4 + u
-    maps = maps.reshape(4, 3, 8 * H)
+            B_u = u * K
+            maps[r, 2, u, 2 * H] = B_u + 2 * H
+            if u == r:  # from B[u, (1, t)] and B[u, (0, t)]
+                maps[r, 2, u, :H] = B_u + H + t
+                maps[r, 0, u, :H] = B_u + t
+            else:  # from B[u, (1, t)], B[u, (0, t - 1)] and, at the cap, B[u, (0, h_max)]
+                maps[r, 2, u, H:2 * H] = B_u + H + t
+                maps[r, 0, u, H + 1:2 * H] = B_u + t[:-1]
+                maps[r, 1, u, H + h_max] = B_u + h_max
+    maps = maps.reshape(4, 3, 4 * K)
     maps.setflags(write=False)
     return maps
+
+
+def _forward_sweep(
+    pot: EdgePotentials, b1: Base | None, r: np.ndarray, h_max: int
+) -> tuple[np.ndarray, float]:
+    """log P(at least h separated error blocks) for h = 1..h_max, relative to
+    the bases ``r`` (Base indices, r[x - 1] at site x), and log Z, from one
+    forward pass.
+
+    The states are (base, site mismatched, block count capped at h_max); a
+    block opens when a mismatch follows a match.  Their potentials are taken
+    relative to the reference path's own edge costs, so that path weighs
+    exactly e^0 and loser masses far below float underflow keep their
+    logarithms (no 1 - (1 - tiny) cancellation).  One more column per base
+    carries the partition sum over the potentials themselves.  Each site is
+    two subtractions, one reduce into the entering masses B, and one gather
+    through ``_sweep_maps`` reduced into the next state.  M sites hold at
+    most (M+1)//2 blocks, so the states stop there and larger h get
+    log P = -inf.
+    """
+    M = pot.M
+    h_states = min(h_max, (M + 1) // 2)
+    H = h_states + 1
+    K = 2 * H + 1
+    phi = pot.phi
+    psi = phi[1:] - phi[np.arange(1, M), r[:-1], r[1:]][:, None, None]
+    maps = _sweep_maps(h_states)
+    A = np.full(4 * K, -np.inf)
+    state = A.reshape(4, K)
+    for u in _init_states(b1):
+        m = int(u != r[0])
+        state[u, m * H + m] = 0.0
+        state[u, -1] = 0.0
+    # T[u, v, k]: state k of base u carried across the edge to base v
+    T = np.empty((4, 4, K))
+    T_blocks, T_z = T[:, :, :-1], T[:, :, -1]
+    blocks, z = state[:, None, :-1], state[:, -1:]
+    buf = np.full(4 * K + 1, -np.inf)
+    B = buf[:-1].reshape(4, K)
+    for psi_x, phi_x, rx in zip(psi[..., None], phi[1:], r[1:].tolist()):
+        np.subtract(blocks, psi_x, out=T_blocks)
+        np.subtract(z, phi_x, out=T_z)
+        np.logaddexp.reduce(T, axis=0, out=B)
+        np.logaddexp.reduce(buf[maps[rx]], axis=0, out=A)
+    log_z = float(np.logaddexp.reduce(state[:, -1]))
+    mass = np.logaddexp.reduce(state[:, :-1].reshape(4, 2, H), axis=(0, 1))  # by block count
+    at_least = np.logaddexp.accumulate(mass[::-1])[::-1]
+    log_p = at_least[1:] - np.logaddexp.reduce(mass)
+    return np.concatenate([log_p, np.full(h_max - h_states, -np.inf)]), log_z
 
 
 def log_block_probs(
     pot: EdgePotentials, b1: Base | None, ref: BaseSequence, h_max: int
 ) -> np.ndarray:
     """log P(at least h separated error blocks) for h = 1..h_max, relative to
-    ``ref``; h = 1 is log P(at least one wrong base).
-
-    One forward pass over states (base, site mismatched, block count capped
-    at h_max); a block opens when a mismatch follows a match.  Potentials are
-    taken relative to the reference path's own edge costs, so that path
-    weighs exactly e^0 and loser masses far below float underflow keep their
-    logarithms (no 1 - (1 - tiny) cancellation).  Relative to the MAP
+    ``ref``; h = 1 is log P(at least one wrong base).  Relative to the MAP
     sequence of ``decode_map`` these are the decoder's error probabilities.
-    Each site is one reduce into the entering masses B and two gathered
-    logaddexp calls through ``_block_maps``.  M sites hold at most (M+1)//2
-    blocks, so the states stop there and larger h get log P = -inf.
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
-    M = pot.M
-    h_states = min(h_max, (M + 1) // 2)
-    H = h_states + 1
-    r = np.array(ref.bases)
-    psi = pot.phi[1:] - pot.phi[np.arange(1, M), r[:-1], r[1:]][:, None, None]
-    psi = psi[:, :, None, None, :]  # psi[x - 1, u, 0, 0, v]: edge x, base u -> v
-    maps = _block_maps(h_states)
-    A = np.full(8 * H, -np.inf)
-    A4 = A.reshape(4, 2, H, 1)
-    for u in _init_states(b1):
-        m = int(u != r[0])
-        A4[u, m, m] = 0.0
-    # B[m, t, v]: mass entering base v at the next site from flag m, count t
-    buf = np.full(8 * H + 1, -np.inf)
-    B = buf[:-1].reshape(2, H, 4)
-    for x, rx in enumerate(r[1:].tolist()):
-        np.logaddexp.reduce(A4 - psi[x], axis=0, out=B)
-        c, a, b = buf[maps[rx]]
-        np.logaddexp(c, np.logaddexp(a, b), out=A)
-    mass = np.logaddexp.reduce(A.reshape(4, 2, H), axis=(0, 1))  # by block count
-    at_least = np.logaddexp.accumulate(mass[::-1])[::-1]
-    log_p = at_least[1:] - np.logaddexp.reduce(mass)
-    return np.concatenate([log_p, np.full(h_max - h_states, -np.inf)])
+    return _forward_sweep(pot, b1, np.array(ref.bases), h_max)[0]
 
 
 @dataclass(frozen=True)
@@ -430,10 +501,11 @@ def error_report(
     """Run the full decode + error-probability pipeline on one statistics set."""
     pot = build_edge_potentials(stats, env, prior, mode)
     decoded = decode_map(pot, b1)
-    log_p = log_block_probs(pot, b1, decoded.map_sequence, max(h_max, 1)).tolist()
+    log_p, log_z = _forward_sweep(pot, b1, np.array(decoded.map_sequence.bases), max(h_max, 1))
+    log_p = log_p.tolist()
     return ErrorReport(
         decode=decoded,
-        log_partition=log_partition(pot, b1),
+        log_partition=log_z,
         p_any=math.exp(min(log_p[0], 0.0)),
         log_p_any=log_p[0],
         p_blocks=tuple((h, math.exp(min(lp, 0.0)), lp) for h, lp in enumerate(log_p[:h_max], 1)),

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from unzipseq.energy import BASES, Base
+from unzipseq.inference import _TIE_ULPS
 from unzipseq.walker import AggregateStats
 
 
@@ -202,8 +203,9 @@ def oracle_site_conditional(stats, env, mode, x: int, prior_probs=None):
 
 def block_recursion(pot, b1: Base | None, ref, h_max: int) -> np.ndarray:
     """log P(at least h separated error blocks), h = 1..h_max, relative to
-    ``ref``: the block pass written state by state, with one two-term
-    logaddexp per entry, as the reference for ``inference.log_block_probs``.
+    ``ref``: the block states of the forward sweep written state by state,
+    with one two-term logaddexp per entry, as the reference for
+    ``inference.log_block_probs``.
     """
     M = pot.M
     r = np.array(ref.bases)
@@ -228,3 +230,48 @@ def block_recursion(pot, b1: Base | None, ref, h_max: int) -> np.ndarray:
     mass = np.logaddexp.reduce(A, axis=(0, 1))  # by block count
     at_least = np.logaddexp.accumulate(mass[::-1])[::-1]
     return at_least[1:] - np.logaddexp.reduce(mass)
+
+
+def partition_recursion(pot, b1: Base | None) -> float:
+    """log sum over sequences (first base fixed to b1 unless None) of e^{-I}:
+    the sum-product pass over the four bases alone, one site at a time, as
+    the reference for the forward sweep's partition column."""
+    L = np.full(4, -np.inf)
+    for u in (BASES if b1 is None else [Base(b1)]):
+        L[u] = 0.0
+    for x in range(1, pot.M):
+        L = np.logaddexp.reduce(L[:, None] - pot.phi[x], axis=0)
+    return float(np.logaddexp.reduce(L))
+
+
+def map_dfs(pot, b1: Base | None, tie_cap: int = 16):
+    """(map_sequence, ties, truncated) of the min-sum decode, each sequence a
+    tuple of Base indices: the numpy backward pass and a depth-first walk
+    over every co-optimal step from site 1, as the reference for
+    ``inference.decode_map``'s traceback.  The tie tolerance is the
+    decoder's: ``_TIE_ULPS`` ulps per remaining edge of the remaining edges'
+    largest |phi|."""
+    M, phi = pot.M, pot.phi
+    E = np.zeros((M + 1, 4))
+    for x in range(M - 1, 0, -1):
+        E[x] = (phi[x] + E[x + 1]).min(axis=1)
+    scale = np.abs(phi).max(axis=(1, 2))
+    scale[0] = 0.0
+    remaining = np.cumsum(scale[::-1])[::-1]
+    tol = _TIE_ULPS * np.finfo(float).eps * (M - np.arange(M)) * remaining
+    tight = (phi[1:] + E[2:, None, :] <= E[1:M, :, None] + tol[1:, None, None]).tolist()
+    starts = list(BASES) if b1 is None else [Base(b1)]
+    cost = min(float(E[1, u]) for u in starts)
+    sequences, path = [], []
+    stack = [(1, int(u)) for u in reversed(starts) if E[1, u] <= cost + tol[1]]
+    while stack:
+        x, u = stack.pop()
+        del path[x - 1 :]
+        path.append(u)
+        if x == M:
+            sequences.append(tuple(path))
+            if len(sequences) >= tie_cap:
+                break
+        else:
+            stack.extend((x + 1, v) for v in (3, 2, 1, 0) if tight[x - 1][u][v])
+    return sequences[0], tuple(sequences), bool(stack)

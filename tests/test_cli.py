@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -70,6 +73,26 @@ def test_simulate_rerun_byte_identical(tmp_path, env_file):
         assert run(args) == 0
     for name in ("stats.json", "stats.csv", "trace.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_parser_built_once_and_flags_do_not_leak(tmp_path, env_file, monkeypatch):
+    # the parser is built on the first main call, not at import, and reused;
+    # a flag given to one call is absent from the next call's config
+    code = "import unzipseq.cli as c; print(c._build_parser.cache_info().currsize)"
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert fresh.stdout.strip() == "0", fresh.stderr
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "infer", lambda cfg: seen.append(cfg) or 0)
+    base = ["infer", "--env", env_file, "--R", 3, "--seed", 1]
+    assert run(base) == 0
+    assert run(base + ["--format", "csv", "--oracle", "--h-max", 4, "--b1", "none",
+                       "--out", tmp_path / "o"]) == 0
+    assert run(base) == 0
+    assert seen[2] == seen[0]
+    assert {k: seen[1][k] for k in ("format", "oracle", "h_max", "b1", "out")} == {
+        "format": "csv", "oracle": True, "h_max": 4, "b1": "none", "out": str(tmp_path / "o")}
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

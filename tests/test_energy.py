@@ -37,6 +37,26 @@ def test_base_order_and_letters():
     assert str(BaseSequence.from_string("ATCG")) == "ATCG"
 
 
+def test_base_sequence_converts_each_base_once():
+    # letters go through one table, either case; Base members are kept as
+    # they are and ints become members; a bad letter or int is named
+    seq = BaseSequence.from_string("atcGa")
+    assert seq.bases == (Base.A, Base.T, Base.C, Base.G, Base.A)
+    assert all(type(b) is Base for b in seq.bases)
+    members = (Base.G, Base.A, Base.T)
+    assert all(a is b for a, b in zip(BaseSequence(members).bases, members))
+    assert BaseSequence((3, 0, 2)).bases == (Base.G, Base.A, Base.C)
+    assert all(type(b) is Base for b in BaseSequence((3, 0)).bases)
+    for letters, bad in (("AXG", "X"), ("AT-", "-"), ("ATn", "n")):
+        with pytest.raises(ValueError, match=f"^unknown base letter '{bad}'$"):
+            BaseSequence.from_string(letters)
+    for value in (4, -1):
+        with pytest.raises(ValueError, match=f"^{value} is not a valid Base$"):
+            BaseSequence((0, value))
+    with pytest.raises(ValueError, match="at least 2"):
+        BaseSequence.from_string("a")
+
+
 def _delta_g(env, x):
     return env.edge_g0[x] - env.g1_padded[x]
 

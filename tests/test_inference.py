@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from unzipseq import inference
 from unzipseq.energy import BASES, Base, BaseSequence, EnergyTable
 from unzipseq.inference import (
     EdgePotentials,
     Prior,
+    _forward_sweep,
     build_edge_potentials,
     decode_map,
     empirical_rate_from_logs,
@@ -30,8 +33,10 @@ from bruteforce import (
     brute_pair_pmf,
     edge_cost_tables,
     law_stats,
+    map_dfs,
     oracle_site_conditional,
     oracle_summary,
+    partition_recursion,
 )
 from conftest import make_env, random_sequence
 
@@ -342,6 +347,75 @@ def test_decode_regression_grid_exact_law(M, mode):
             assert dec.map_sequence == env.seq, R
 
 
+def _twin_chain(M, twins, rng):
+    """Random potentials under which bases C and G are interchangeable, and
+    preferred, at each site in ``twins``: the MAP ties there and only there."""
+    phi = rng.uniform(1.0, 5.0, (M, 4, 4))
+    phi[0] = 0.0
+    for s in twins:
+        phi[s - 1, :, Base.C] = phi[s - 1, :, Base.G] = 0.0
+        if s < M:
+            phi[s, Base.C] = phi[s, Base.G] = rng.uniform(1.0, 5.0, 4)
+    return EdgePotentials(phi, "continuous")
+
+
+@pytest.mark.parametrize(
+    "twins, b1, tie_cap, n_ties, truncated",
+    [
+        ((), Base.A, 16, 1, False),  # one path: no fork
+        ((700,), Base.A, 16, 2, False),  # the only tie lies past M/2
+        ((600, 800, 950), Base.A, 8, 8, False),  # exactly tie_cap co-optimal
+        ((600, 800, 950), Base.A, 4, 4, True),  # cut at tie_cap
+        ((1, 700), None, 16, 4, False),  # co-optimal starts: no prefix to follow
+        ((1000,), Base.T, 16, 2, False),  # the last site
+    ],
+)
+def test_traceback_hands_over_to_depth_first_at_a_fork(twins, b1, tie_cap, n_ties, truncated):
+    M = 1000
+    pot = _twin_chain(M, twins, np.random.default_rng([M, len(twins), tie_cap]))
+    if 1 in twins:  # the start itself is the twin site
+        pot.phi[1, Base.A] = pot.phi[1, Base.T] = 9.0
+    got = decode_map(pot, b1, tie_cap=tie_cap)
+    want_map, want_ties, want_truncated = map_dfs(pot, b1, tie_cap)
+    assert got.map_sequence.bases == want_map
+    assert tuple(t.bases for t in got.ties) == want_ties
+    assert got.truncated is want_truncated is truncated
+    assert len(got.ties) == n_ties
+    assert {got.map_sequence.base(s) for s in twins} <= {Base.C}
+    assert got.cost == pytest.approx(pot.sequence_cost(got.map_sequence), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode, b1_free", [("discrete", True), ("continuous", False)])
+def test_error_report_memory_is_bounded(mode, b1_free):
+    # error_report at M = 10,000 keeps to a few phi-sized arrays (phi is
+    # 1.28 MB): build_edge_potentials' temporaries are its peak, ~5.7 MiB
+    # with phi held, and no later stage goes past it, whether the decode
+    # follows one path (b1 fixed) or branches (b1 free in discrete time,
+    # where the four starts tie).  The forward sweep alone holds one
+    # phi-sized array, its relative potentials; a (M-1, 4, 2H+1, 4) stack of
+    # sweep potentials would be 11.5 MB.
+    M = 10_000
+    env = make_env(random_sequence(np.random.default_rng(16), M), 3.5)
+    stats = law_stats(env, 10**3, mode, np.random.default_rng(17))
+    b1 = None if b1_free else env.seq.base(1)
+    pot = build_edge_potentials(stats, env, None, mode)
+    ref = error_report(stats, env, None, mode, b1, 3).decode.map_sequence  # warms the caches
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    report_peak = peak(lambda: error_report(stats, env, None, mode, b1, 3))
+    sweep_peak = peak(lambda: log_block_probs(pot, b1, ref, 3))
+    assert decode_map(pot, b1).tie is b1_free
+    assert report_peak < 8 * 2**20, report_peak
+    assert sweep_peak < 1.5 * pot.phi.nbytes, sweep_peak
+
+
 def test_log_partition_zero_potentials():
     M = 5
     pot = EdgePotentials(np.zeros((M, 4, 4)), "discrete")
@@ -413,22 +487,49 @@ def test_prob_nonsuccessive_matches_any_error_at_h1():
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
 @pytest.mark.parametrize("M", [2, 3, 50, 1000])
 def test_block_pass_equals_state_by_state_recursion(M, mode):
-    # the gathered step is the reference recursion's arithmetic, bit for bit,
-    # relative to the MAP and to a sequence that is not the MAP
+    # one forward sweep gives the reference recursions' arithmetic, bit for
+    # bit: its block states relative to the MAP and to a sequence that is not
+    # the MAP, and its partition column, on law stats and on zero stats
     rng = np.random.default_rng([M, len(mode), 14])
     env = make_env(random_sequence(rng, M), 3.0)
-    for R in (10**3, 10**7):
-        pot = build_edge_potentials(law_stats(env, R, mode, rng), env, None, mode)
+    cases = [law_stats(env, R, mode, rng) for R in (10**3, 10**7)] + [zero_stats(M, mode, 1)]
+    for stats in cases:
+        pot = build_edge_potentials(stats, env, None, mode)
         for b1 in (env.seq.base(1), None):
+            log_z = partition_recursion(pot, b1)
+            assert repr(log_partition(pot, b1)) == repr(log_z), (stats.R, b1)
             decoded = decode_map(pot, b1).map_sequence
             other = decoded
             while other == decoded:
                 other = BaseSequence.from_string(random_sequence(rng, M))
             for ref in (decoded, other):
                 for h_max in (1, 2, 3, 4):
-                    got = log_block_probs(pot, b1, ref, h_max)
                     want = block_recursion(pot, b1, ref, h_max)
-                    assert np.array_equal(got, want), (R, b1, str(ref)[:8], h_max)
+                    got, got_z = _forward_sweep(pot, b1, np.array(ref.bases), h_max)
+                    assert np.array_equal(got, want), (stats.R, b1, str(ref)[:8], h_max)
+                    assert repr(got_z) == repr(log_z), (stats.R, b1, str(ref)[:8], h_max)
+                    assert np.array_equal(log_block_probs(pot, b1, ref, h_max), want)
+
+
+def test_error_report_reads_one_sweep(monkeypatch):
+    # the report's log Z and block probabilities are the reference
+    # recursions' values, and the partition is not recomputed on the side
+    def no_second_pass(*args):
+        raise AssertionError("error_report ran log_partition")
+
+    monkeypatch.setattr(inference, "log_partition", no_second_pass)
+    rng = np.random.default_rng(15)
+    env = make_env(random_sequence(rng, 200), 3.0)
+    for mode in ("discrete", "continuous"):
+        stats = law_stats(env, 10**4, mode, rng)
+        pot = build_edge_potentials(stats, env, None, mode)
+        for b1 in (env.seq.base(1), None):
+            rep = error_report(stats, env, None, mode, b1, 3)
+            assert repr(rep.log_partition) == repr(partition_recursion(pot, b1))
+            want = block_recursion(pot, b1, rep.decode.map_sequence, 3).tolist()
+            assert [lp for _, _, lp in rep.p_blocks] == want
+            assert rep.log_p_any == want[0]
+
 
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
 def test_site_posterior_consistent_with_global_conditional(mode):

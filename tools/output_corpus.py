@@ -13,7 +13,9 @@ free), ``infer --stats``, ``--R-grid`` with ``--site``, all three protocol
 schemes (one with bounds too large for a float), ensembles that end in or
 cross 256- and 1024-replica chunks (checkpoints at 1023, 1536 and 2049 among
 them), the deep ``"A" * 1000`` rates landscape, ``infer`` (posteriors,
-b_1 free, h_max 4) and ``rates`` on a 1000-site sequence, ``simulate``
+b_1 free, h_max 4) and ``rates`` on a 1000-site sequence, ``infer`` on
+1000-site sequences whose MAP ties only past site 500 (2 co-optimal
+sequences, and 32 cut at the tie cap), ``simulate``
 and ``infer`` runs whose settings all come from ``--config``, configs
 that must be refused with exit 2 (among them a one-checkpoint grid, an
 unknown ``prior`` key and a negative window half-width), and runs that cannot
@@ -40,6 +42,17 @@ from pathlib import Path
 
 from unzipseq.cli import main
 
+
+def _twin_env(c_sites: set[int]) -> dict:
+    """1000 random A/T sites with a C at each of ``c_sites``, under a table
+    whose C and G rows and columns are equal."""
+    rng = random.Random(1001)
+    seq = "".join("C" if x in c_sites else rng.choice("AT") for x in range(1, 1001))
+    return {"sequence": seq, "beta": 1.0, "r": 1.0, "g1": 2.5,
+            "g0": [[1.0, 1.6, 2.8, 2.8], [1.6, 1.2, 2.8, 2.8],
+                   [2.8, 2.8, 3.4, 3.4], [2.8, 2.8, 3.4, 3.4]]}
+
+
 ENVS = {
     # M = 7: small enough for the 4^(M-1) oracle
     "short": {"sequence": "ATCGGAC", "beta": 1.0, "r": 1.0, "g1": 2.3},
@@ -55,6 +68,10 @@ ENVS = {
     # 1000 sites, the decode benchmark's scale: ~10^3.7 steps per walk
     "sites-1000": {"sequence": "".join(random.Random(1000).choice("ATCG") for _ in range(1000)),
                    "beta": 1.0, "r": 1.0, "g1": 3.5},
+    # C and G are interchangeable under this table, so the MAP ties only at
+    # its C/G sites, here all past site 500
+    "twin-one": _twin_env({701}),
+    "twin-five": _twin_env({601, 701, 801, 851, 951}),
 }
 _TRAP_RNG = random.Random(200)
 # protocol configs, with the replicas per level of each run
@@ -159,6 +176,10 @@ def cases(inputs: Path) -> dict[str, list]:
         "infer", "--env", env["sites-1000"], "--R", 50, "--seed", 5, "--mode", "continuous",
         "--format", "csv", "--h-max", 4, "--b1", "none"]
     runs["sites-1000-rates"] = ["rates", "--env", env["sites-1000"], "--R", 50]
+    # 2 co-optimal sequences, and 32 cut at the tie cap of 16
+    for name in ("twin-one", "twin-five"):
+        runs[f"{name}-infer"] = [
+            "infer", "--env", env[name], "--R", 50, "--seed", 5, "--mode", "continuous"]
     for name in ("pair-scan", "pair-k", "absorbing", "absorbing-long", "trap-scan"):
         runs[f"protocol-{name}"] = ["protocol", "--config", proto[name], "--seed", 9]
     # runs that cannot finish: refused with exit 1

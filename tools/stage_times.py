@@ -5,11 +5,11 @@
 
 At M = 1000 and 10000, in both time models, the statistics come from the
 walker (a seeded random sequence, g1 = 3.5, R = 8).  The stages are
-``build_edge_potentials``, ``decode_map``, ``log_block_probs`` (h_max 3,
-relative to the MAP), ``log_partition``, the site records (sites 2..M-1),
-the ``decode.json`` text, ``rate_report`` and the ``rates.*`` text.  The
-result, with the commit, numpy version and host, goes to ``OUT.json``
-(default ``BENCH_stages.json``), in milliseconds.
+``build_edge_potentials``, ``decode_map``, the forward sweep (the block
+probabilities to h_max 3, relative to the MAP, and log Z in one pass), the
+site records (sites 2..M-1), the ``decode.json`` text, ``rate_report`` and
+the ``rates.*`` text.  The result, with the commit, numpy version and host,
+goes to ``OUT.json`` (default ``BENCH_stages.json``), in milliseconds.
 """
 
 from __future__ import annotations
@@ -47,14 +47,13 @@ def stages(M: int, mode: str, out: Path) -> dict[str, float]:
     stats = simulate_ensemble(env, 8, mode, SeedSpec(M))
     pot = inference.build_edge_potentials(stats, env, None, mode)
     b1 = env.seq.base(1)
-    ref = inference.decode_map(pot, b1).map_sequence
+    ref = np.array(inference.decode_map(pot, b1).map_sequence.bases)
     report = inference.error_report(stats, env, None, mode, b1, 3)
     rates = rate_report(env, 8)
     return {
         "build_edge_potentials": best_ms(lambda: inference.build_edge_potentials(stats, env, None, mode)),
         "decode_map": best_ms(lambda: inference.decode_map(pot, b1)),
-        "log_block_probs": best_ms(lambda: inference.log_block_probs(pot, b1, ref, 3)),
-        "log_partition": best_ms(lambda: inference.log_partition(pot, b1)),
+        "forward_sweep": best_ms(lambda: inference._forward_sweep(pot, b1, ref, 3)),
         "site_records": best_ms(lambda: inference._site_record(pot, env.seq, np.arange(2, M))),
         "decode_json_text": best_ms(lambda: cli._write_decode(out, report, "json")),
         "rate_report": best_ms(lambda: rate_report(env, 8)),
