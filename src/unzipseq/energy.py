@@ -64,6 +64,60 @@ _LETTERS = "".join(b.name for b in BASES)  # _LETTERS[b] is the letter of Base b
 _BY_VALUE = {int(b): b for b in BASES}
 _BY_LETTER = {**{b.name: b for b in BASES}, **{b.name.lower(): b for b in BASES}}
 
+
+def _start_bases(b1: Base | None) -> list[Base]:
+    """The bases a path may start from: b1, or all four when it is None."""
+    return list(BASES) if b1 is None else [Base(b1)]
+
+
+def _trellis_paths(
+    allowed: np.ndarray, starts: list[int], cap: int
+) -> tuple[list[list[int]], bool, tuple[int, int] | None]:
+    """The paths of Base indices through a 4-state trellis, in Base order.
+
+    A path starts at one of ``starts`` (in Base order) and steps from base u
+    at site x to v at x+1 where ``allowed[x - 1, u, v]`` (shape (M-1, 4, 4)).
+    From one start the walk follows each row's one allowed step, and from
+    the first fork (or several starts) it branches depth first, up to the
+    path past ``cap``.  Returns the first ``cap`` paths, whether more exist,
+    and the first (site, base) reached at the deepest site whose row allows
+    no step (None if none was reached).
+    """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    M = allowed.shape[0] + 1
+    path: list[int] = []
+    stack = [(1, u) for u in reversed(starts)]
+    if len(starts) == 1:
+        # step[4 (x - 1) + u]: the one allowed step from u across edge x, or -1
+        step = np.where(allowed.sum(axis=2) == 1, allowed.argmax(axis=2), -1).ravel().tolist()
+        u = starts[0]
+        path = [u]
+        for row in range(0, len(step), 4):
+            u = step[row + u]
+            if u < 0:
+                break
+            path.append(u)
+        stack = [(len(path), path.pop())]
+    fork = stack[0][0]  # the site every branch starts from
+    rows = allowed[fork - 1 :].tolist()
+    paths: list[list[int]] = []
+    dead_end = None
+    while stack and len(paths) <= cap:
+        x, u = stack.pop()
+        del path[x - 1 :]
+        path.append(u)
+        if x == M:
+            paths.append(path[:])
+            continue
+        row = rows[x - fork][u]
+        steps = [(x + 1, v) for v in (3, 2, 1, 0) if row[v]]
+        if not steps and (dead_end is None or x > dead_end[0]):
+            dead_end = (x, u)
+        stack.extend(steps)
+    return paths[:cap], len(paths) > cap, dead_end
+
+
 # Binding free energies (units of k_B T) for DNA at room temperature.
 # Row = current base, column = next base; stacking makes the table asymmetric.
 DEFAULT_G0: tuple[tuple[float, ...], ...] = (

@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .energy import BASES, Base, BaseSequence, Environment, _check_sites, _per_site
+from .energy import _start_bases, _trellis_paths
 from .walker import AggregateStats, WalkStats, _require_mode
 
 __all__ = [
@@ -259,10 +260,6 @@ class DecodeResult:
         return len(self.ties) > 1
 
 
-def _init_states(b1: Base | None) -> list[Base]:
-    return list(BASES) if b1 is None else [Base(b1)]
-
-
 def log_partition(pot: EdgePotentials, b1: Base | None) -> float:
     """log sum over sequences (first base fixed to b1 unless None) of e^{-I}:
     the partition column of the forward sweep, which no reference base
@@ -308,9 +305,9 @@ def decode_map(
     sum of the remaining edges' largest |phi|: the rounding two suffix sums
     can differ by.  Ties come out in Base order (up to ``tie_cap``), so the
     reported MAP sequence is the lexicographically first co-optimal one.
-    While the optimum is unique the walk follows each row's one tight step;
-    from the first co-optimal start, or row with two tight steps, it
-    branches depth first.
+    The walk is ``energy._trellis_paths`` over the tight steps: it follows
+    each row's one tight step while the optimum is unique and branches depth
+    first from the first co-optimal start, or row with two tight steps.
     """
     M = pot.M
     phi = pot.phi
@@ -319,51 +316,11 @@ def decode_map(
     tol = _TIE_ULPS * np.finfo(float).eps * (M - np.arange(M)) * remaining
     # tight[x - 1, u, v]: the step u -> v across edge x stays co-optimal
     tight = phi[1:] + E[2:, None, :] <= E[1:M, :, None] + tol[1:, None, None]
-    starts = _init_states(b1)
-    cost = min(float(E[1, u]) for u in starts)
-
-    path: list[int] = []
-    stack = [(1, int(u)) for u in reversed(starts) if E[1, u] <= cost + tol[1]]
-    if len(stack) == 1:
-        path = _unique_prefix(tight, stack[0][1])
-        if len(path) == M:
-            seq = BaseSequence(tuple(path))
-            return DecodeResult(map_sequence=seq, cost=cost, ties=(seq,), truncated=False)
-        stack = [(len(path), path[-1])]
-    fork = stack[0][0]  # the site every branch starts from
-    rows = tight[fork - 1 :].tolist()
-    sequences: list[BaseSequence] = []
-    while stack:
-        x, u = stack.pop()
-        del path[x - 1 :]
-        path.append(u)
-        if x == M:
-            sequences.append(BaseSequence(tuple(path)))
-            if len(sequences) >= tie_cap:
-                break
-        else:
-            row = rows[x - fork][u]
-            stack.extend((x + 1, v) for v in (3, 2, 1, 0) if row[v])
-    return DecodeResult(
-        map_sequence=sequences[0],
-        cost=cost,
-        ties=tuple(sequences),
-        truncated=bool(stack),
-    )
-
-
-def _unique_prefix(tight: np.ndarray, u: int) -> list[int]:
-    """The bases from ``u`` at site 1 on, while each row on the way has one
-    tight step: all M sites, or up to the first site whose row has two."""
-    # step[4 (x - 1) + u]: the one tight step from u across edge x, or -1
-    step = np.where(tight.sum(axis=2) == 1, tight.argmax(axis=2), -1).ravel().tolist()
-    path = [u]
-    for row in range(0, len(step), 4):
-        u = step[row + u]
-        if u < 0:
-            break
-        path.append(u)
-    return path
+    cost = min(float(E[1, u]) for u in _start_bases(b1))
+    starts = [int(u) for u in _start_bases(b1) if E[1, u] <= cost + tol[1]]
+    paths, truncated, _ = _trellis_paths(tight, starts, tie_cap)
+    sequences = tuple(BaseSequence(tuple(p)) for p in paths)
+    return DecodeResult(sequences[0], cost, sequences, truncated)
 
 
 def sequence_log_posterior(
@@ -439,7 +396,7 @@ def _forward_sweep(
     maps = _sweep_maps(h_states)
     A = np.full(4 * K, -np.inf)
     state = A.reshape(4, K)
-    for u in _init_states(b1):
+    for u in _start_bases(b1):
         m = int(u != r[0])
         state[u, m * H + m] = 0.0
         state[u, -1] = 0.0

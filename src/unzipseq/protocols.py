@@ -28,6 +28,8 @@ from .energy import (
     ModelParams,
     _check_sites,
     _per_site,
+    _start_bases,
+    _trellis_paths,
 )
 from .rates import gap_value
 from .walker import (
@@ -411,14 +413,16 @@ def rc_energy(
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Base sequences compatible with an energy sequence.
+    """Base sequences compatible with an energy sequence, in Base order.
 
-    One entry: unambiguous recovery.  Several: the energies cannot separate
-    them (degenerate repeats).  None: every candidate start dies at
+    One entry, not ``truncated``: unambiguous recovery.  Several, or
+    ``truncated`` (more than the cap let through): the energies cannot
+    separate them (degenerate repeats).  None: every candidate start dies at
     ``failed_site`` because the required energy is absent from that row.
     """
 
     sequences: tuple[BaseSequence, ...]
+    truncated: bool = False
     failed_site: int | None = None
 
 
@@ -432,44 +436,25 @@ def sequence_from_energies(
 ) -> ReconstructionResult:
     """Walk the energy chain left to right, resolving each next base.
 
-    Given the current base a, the next base is any c with g0(a, c) equal to
-    the observed energy (unique under row injectivity).  With b1 fixed, a
-    missing energy in the current row is an error; without b1, all four
-    starts are explored and every complete reconstruction is reported.
+    Given the current base a, the next base is any c with g0(a, c) within
+    ``tol`` of the observed energy (unique under row injectivity).  With b1
+    fixed, a missing energy in the current row is an error; without b1, all
+    four starts are explored; up to ``cap`` reconstructions are reported.
     """
     energies = np.asarray(energies, dtype=float)
-    nowhere = ~np.any(np.abs(energies[:, None] - table.values.ravel()) <= tol, axis=1)
+    # allowed[x - 1, a, c]: g0(a, c) matches the energy of edge x
+    allowed = np.abs(energies[:, None, None] - table.values) <= tol
+    nowhere = ~allowed.any(axis=(1, 2))
     if np.any(nowhere):
         i = int(np.argmax(nowhere))
         raise ValueError(f"energy {energies[i]} at site {i + 1} appears nowhere in the table")
-    energies = energies.tolist()
-
-    results: list[tuple[Base, ...]] = []
-    fail_site = 0
-    fail_row: Base | None = None
-    # depth-first, candidates in Base order: stack entries are (depth, base)
-    starts = [Base(b1)] if b1 is not None else list(BASES)
-    stack = [(0, b) for b in reversed(starts)]
-    prefix: list[Base] = []
-    while stack and len(results) < cap:
-        depth, a = stack.pop()
-        del prefix[depth:]
-        prefix.append(a)
-        x = depth + 1
-        if x == len(energies) + 1:
-            results.append(tuple(prefix))
-            continue
-        row = table.values[a]
-        candidates = [c for c in BASES if abs(float(row[c]) - energies[x - 1]) <= tol]
-        if not candidates and x > fail_site:
-            fail_site, fail_row = x, a
-        stack.extend((x, c) for c in reversed(candidates))
-
-    if not results:
-        if b1 is not None:
-            raise ValueError(
-                f"energy {energies[fail_site - 1]} absent from row {fail_row.name} "
-                f"at site {fail_site} (walking from b1 = {Base(b1).name})"
-            )
-        return ReconstructionResult(sequences=(), failed_site=fail_site)
-    return ReconstructionResult(sequences=tuple(BaseSequence(s) for s in results))
+    paths, truncated, dead_end = _trellis_paths(allowed, _start_bases(b1), cap)
+    if paths:
+        return ReconstructionResult(tuple(BaseSequence(tuple(p)) for p in paths), truncated)
+    site, row = dead_end
+    if b1 is not None:
+        raise ValueError(
+            f"energy {energies[site - 1]} absent from row {BASES[row].name} "
+            f"at site {site} (walking from b1 = {Base(b1).name})"
+        )
+    return ReconstructionResult(sequences=(), failed_site=site)

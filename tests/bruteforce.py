@@ -9,6 +9,7 @@ tautology.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -275,3 +276,39 @@ def map_dfs(pot, b1: Base | None, tie_cap: int = 16):
         else:
             stack.extend((x + 1, v) for v in (3, 2, 1, 0) if tight[x - 1][u][v])
     return sequences[0], tuple(sequences), bool(stack)
+
+
+@functools.lru_cache(maxsize=None)
+def _base_strings(length: int) -> np.ndarray:
+    """Every string of ``length`` Base indices, in lexicographic order."""
+    return np.array(list(itertools.product(range(4), repeat=length)))
+
+
+def trellis_paths_product(allowed: np.ndarray, starts, cap: int):
+    """(paths, truncated, dead_end) of ``energy._trellis_paths`` from
+    ``itertools.product`` over every base string.
+
+    The paths are the allowed full strings in lexicographic (Base) order,
+    cut at ``cap``.  A walk that is cut stops at the string past the cap,
+    so it has reached exactly the allowed prefixes that sort before that
+    string; dead_end is the lexicographically first of those, at the
+    deepest site, whose last row allows no step.
+    """
+    M = allowed.shape[0] + 1
+
+    def valid(length: int) -> list[tuple[int, ...]]:
+        strings = _base_strings(length)
+        steps = allowed[np.arange(length - 1), strings[:, :-1], strings[:, 1:]]
+        keep = np.isin(strings[:, 0], starts) & steps.all(axis=1)
+        return [tuple(p) for p in strings[keep].tolist()]
+
+    full = valid(M)
+    stop = full[cap] if len(full) > cap else None
+    dead_end = None
+    for length in range(M - 1, 0, -1):
+        ends = [p for p in valid(length)
+                if not allowed[length - 1, p[-1]].any() and (stop is None or p < stop[:length])]
+        if ends:
+            dead_end = (length, ends[0][-1])
+            break
+    return [list(p) for p in full[:cap]], len(full) > cap, dead_end

@@ -14,11 +14,13 @@ from unzipseq.energy import (
     Environment,
     ForceField,
     ModelParams,
+    _trellis_paths,
     environment_from_json,
     hop_probability,
 )
 from unzipseq.rates import decision_margins
 
+from bruteforce import trellis_paths_product
 from conftest import make_env
 
 
@@ -220,3 +222,26 @@ def test_environment_json_per_site_force_and_errors():
 def test_environment_json_non_string_sequence_refused(sequence):
     with pytest.raises(ValueError, match="sequence"):
         environment_from_json({"sequence": sequence, "beta": 1, "r": 1, "g1": 1})
+
+
+def test_trellis_paths_match_product_enumeration():
+    # random step masks, sparse ones with dead ends and dense ones with many
+    # paths: every path in Base order, the cut, and the deepest dead end
+    # agree with an enumeration of all 4^M base strings
+    rng = np.random.default_rng(16)
+    seen_dead_end = seen_cut = 0
+    for M in range(2, 8):
+        for density in (0.25, 0.4, 0.7):
+            for _ in range(6):
+                allowed = rng.random((M - 1, 4, 4)) < density
+                starts = sorted(rng.choice(4, size=int(rng.integers(1, 5)), replace=False).tolist())
+                n_paths = len(trellis_paths_product(allowed, starts, 4**M)[0])
+                for cap in sorted({1, 2, 3, max(n_paths - 1, 1), max(n_paths, 1), n_paths + 1}):
+                    got = _trellis_paths(allowed, starts, cap)
+                    want = trellis_paths_product(allowed, starts, cap)
+                    assert got == want, (M, density, starts, cap)
+                    seen_cut += got[1]
+                    seen_dead_end += got[2] is not None
+    assert seen_cut > 50 and seen_dead_end > 50
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        _trellis_paths(np.ones((2, 4, 4), bool), [0], 0)

@@ -471,8 +471,11 @@ def test_sequence_from_energies_homopolymer_twins(table1):
     res = sequence_from_energies([3.14, 3.14, 3.14], table1, None)
     names = {str(s) for s in res.sequences}
     assert names == {"CCCC", "GGGG"} and len(res.sequences) == 2
+    assert not res.truncated
     capped = sequence_from_energies([3.14, 3.14, 3.14], table1, None, cap=1)
     assert capped.sequences == res.sequences[:1]
+    assert capped.truncated  # one sequence came back, and another exists
+    assert not sequence_from_energies([3.14, 3.14, 3.14], table1, None, cap=2).truncated
 
 
 def test_sequence_from_energies_alternation_twins(table1):
@@ -517,3 +520,27 @@ def test_sequence_from_energies_errors(table1):
         sequence_from_energies([1.06], table1, Base.A)
     res = sequence_from_energies([1.06], table1, None)
     assert [str(s) for s in res.sequences] == ["TA"]
+
+
+def test_sequence_from_energies_failed_site_with_b1_free(table1):
+    # 1.06 lies only at (T, A): the walk from T reaches A at site 2, whose
+    # row has no 1.06, and the other three starts die at site 1
+    res = sequence_from_energies([1.06, 1.06], table1, None)
+    assert res.sequences == () and res.failed_site == 2 and not res.truncated
+    want = r"^energy 1.06 absent from row A at site 2 \(walking from b1 = T\)$"
+    with pytest.raises(ValueError, match=want):
+        sequence_from_energies([1.06, 1.06], table1, Base.T)
+
+
+def test_sequence_from_energies_dead_end_past_a_fork(table1):
+    # within tol = 0.16, row A forks to C and G (2.52, 2.22), and C -> G and
+    # G -> C (3.85, 3.90) both go on; neither row G nor row C has 1.06, so
+    # both branches die at site 3, and the first to get there is A, C, G
+    energies = [2.37, 3.87, 1.06]
+    fork = sequence_from_energies(energies[:2], table1, Base.A, tol=0.16)
+    assert [str(s) for s in fork.sequences] == ["ACG", "AGC"]
+    want = r"^energy 1.06 absent from row G at site 3 \(walking from b1 = A\)$"
+    with pytest.raises(ValueError, match=want):
+        sequence_from_energies(energies, table1, Base.A, tol=0.16)
+    res = sequence_from_energies(energies, table1, None, tol=0.16)
+    assert res.sequences == () and res.failed_site == 3

@@ -21,9 +21,10 @@ that must be refused with exit 2 (among them a one-checkpoint grid, an
 unknown ``prior`` key and a negative window half-width), and runs that cannot
 finish, refused with exit 1 before any walk: ``simulate`` and
 ``infer --R-grid`` on a ``"GC" * 20`` trap, and a 200-site table-ladder scan
-whose level 10 expects 10^32.0 steps per walk.  A 400-site ``--R-grid`` whose
-log P(any error) rounds to 0.0 writes its curve and then exits 1: the rate
-fit is refused.  Everything is seeded, so two checkouts can be
+whose level 10 expects 10^32.0 steps per walk.  A 400-site ``infer`` and
+``--R-grid`` run where an error is near certain (R = 1..3), and a 1000-site
+``--R-grid`` whose log P(any error) rounds to 0.0, which writes its curve and
+then exits 1: the rate fit is refused.  Everything is seeded, so two checkouts can be
 compared file by file:
 
     PYTHONPATH=<checkout A>/src python tools/output_corpus.py /tmp/a
@@ -53,6 +54,11 @@ def _twin_env(c_sites: set[int]) -> dict:
                    [2.8, 2.8, 3.4, 3.4], [2.8, 2.8, 3.4, 3.4]]}
 
 
+def _certain_error_env(M: int) -> dict:
+    return {"sequence": "".join(random.Random(3).choice("ATCG") for _ in range(M)),
+            "beta": 1.0, "r": 1.0, "g1": 3.2}
+
+
 ENVS = {
     # M = 7: small enough for the 4^(M-1) oracle
     "short": {"sequence": "ATCGGAC", "beta": 1.0, "r": 1.0, "g1": 2.3},
@@ -62,9 +68,11 @@ ENVS = {
     "deep": {"sequence": "A" * 1000, "beta": 1.0, "r": 1.0, "g1": 1.0},
     # ~10^31.4 steps per walk
     "trap": {"sequence": "GC" * 20, "beta": 1.0, "r": 1.0, "g1": 2.0},
-    # 400 sites: log P(any error) rounds to 0.0 at R = 1..3, so no rate can be fitted
-    "certain-error": {"sequence": "".join(random.Random(3).choice("ATCG") for _ in range(400)),
-                      "beta": 1.0, "r": 1.0, "g1": 3.2},
+    # 400 sites: an error is near certain at R = 1..3, log P(MAP correct) ~ -300
+    "certain-error": _certain_error_env(400),
+    # 1000 sites: log P(MAP correct) < -900 at R = 1..3, so log P(any error)
+    # rounds to 0.0 and no rate can be fitted
+    "certain-error-1000": _certain_error_env(1000),
     # 1000 sites, the decode benchmark's scale: ~10^3.7 steps per walk
     "sites-1000": {"sequence": "".join(random.Random(1000).choice("ATCG") for _ in range(1000)),
                    "beta": 1.0, "r": 1.0, "g1": 3.5},
@@ -188,9 +196,12 @@ def cases(inputs: Path) -> dict[str, list]:
     runs["trap-infer-grid"] = [
         "infer", "--env", env["trap"], "--R-grid", "10:30:10", "--seed", 1,
         "--step-cap", 100000000]
-    # the curve is written, then the fit of a log P of 0.0 is refused with exit 1
+    runs["certain-error-infer"] = ["infer", "--env", env["certain-error"], "--R", 3, "--seed", 1]
     runs["certain-error-infer-grid"] = [
         "infer", "--env", env["certain-error"], "--R-grid", "1:3:1", "--seed", 1]
+    # the curve is written, then the fit of a log P of 0.0 is refused with exit 1
+    runs["certain-error-1000-infer-grid"] = [
+        "infer", "--env", env["certain-error-1000"], "--R-grid", "1:3:1", "--seed", 1]
     for name, (command, _) in CONFIGS.items():
         runs[f"config-{name}"] = [command, "--config", inputs / f"config-{name}.json"]
     for name, (command, _, _) in REFUSED.items():
