@@ -54,7 +54,7 @@ from .protocols import (
     run_protocol,
     window_schedule,
 )
-from .rates import RateReport, decision_margins, rate_report, rc_site
+from .rates import RateReport, _margin_g1, decision_margins, rate_report, rc_site
 from .walker import (
     DEFAULT_STEP_CAP,
     MODES,
@@ -540,12 +540,8 @@ def _infer_grid(cfg, env, mode, prior, b1) -> int:
     except ValueError as e:
         print(f"runtime error: rate fit: {e}", file=sys.stderr)
         return 1
-    field = env.force.per_site
-    if mode == "continuous" or bool(np.all(field == field[0])):
-        margins = decision_margins(env.table, env.beta, g1=float(field[0]), mode=mode)
-        margin_bound = margins.minus
-    else:
-        margin_bound = None  # discrete margins need one constant stretch work
+    g1 = _margin_g1(env, mode)
+    margin_bound = None if g1 is None else decision_margins(env.table, env.beta, g1, mode).minus
     doc = {
         "mode": mode,
         "slope_any_error": fit.slope,

@@ -207,6 +207,12 @@ class BaseSequence:
     def __len__(self) -> int:
         return len(self.bases)
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The bases as a read-only integer array: ``array[x - 1]`` is the
+        Base index at site x."""
+        return _frozen_array(np.frombuffer(bytes(self.bases), dtype=np.uint8), np.intp)
+
     def __str__(self) -> str:
         return "".join(map(_LETTERS.__getitem__, self.bases))
 
@@ -374,7 +380,7 @@ class Environment(_SiteModel):
 
     @cached_property
     def edge_g0(self) -> np.ndarray:
-        b = np.array(self.seq.bases)
+        b = self.seq.array
         return _frozen_array(np.concatenate([[0.0], self.table.values[b[:-1], b[1:]]]))
 
 

@@ -112,17 +112,17 @@ class EdgePotentials:
     """
 
     phi: np.ndarray
-    mode: str
 
     @property
     def M(self) -> int:
         return self.phi.shape[0]
 
     def sequence_cost(self, alpha: BaseSequence | Sequence[Base]) -> float:
-        bases = alpha.bases if isinstance(alpha, BaseSequence) else tuple(alpha)
-        if len(bases) != self.M:
-            raise ValueError(f"sequence length {len(bases)} != M = {self.M}")
-        b = np.array(bases, dtype=int)
+        if not isinstance(alpha, BaseSequence):
+            alpha = BaseSequence(tuple(alpha))
+        if len(alpha) != self.M:
+            raise ValueError(f"sequence length {len(alpha)} != M = {self.M}")
+        b = alpha.array
         # edges 1..M-1 summed left to right, as the oracle sums them
         return float(sum(self.phi[np.arange(1, self.M), b[:-1], b[1:]].tolist()))
 
@@ -161,7 +161,7 @@ def build_edge_potentials(
     phi = np.zeros((env.M, 4, 4))
     phi[1:] = cost - log_w[2:, None, :]
     phi[1] -= log_w[1][:, None]
-    return EdgePotentials(phi, mode)
+    return EdgePotentials(phi)
 
 
 def _edge_scale(phi: np.ndarray) -> np.ndarray:
@@ -201,7 +201,7 @@ def _site_record(pot: EdgePotentials, seq: BaseSequence, site: np.ndarray) -> Si
     b_{x+1}]).  The MAP breaks ties in Base order; with s the log odds of the
     losing bases against the best one, P(error) = s/(1+s) and log P(error) =
     s - log(1 + e^s)."""
-    b = np.array(seq.bases)  # b[x - 1] is the base at site x
+    b = seq.array  # b[x - 1] is the base at site x
     log_w = -(pot.phi[site - 1, b[site - 2], :] + pot.phi[site, :, b[site]])
     best = np.argmax(log_w, axis=-1)
     gap = log_w - log_w.max(axis=-1, keepdims=True)
@@ -427,7 +427,7 @@ def log_block_probs(
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
-    return _forward_sweep(pot, b1, np.array(ref.bases), h_max)[0]
+    return _forward_sweep(pot, b1, ref.array, h_max)[0]
 
 
 @dataclass(frozen=True)
@@ -458,7 +458,7 @@ def error_report(
     """Run the full decode + error-probability pipeline on one statistics set."""
     pot = build_edge_potentials(stats, env, prior, mode)
     decoded = decode_map(pot, b1)
-    log_p, log_z = _forward_sweep(pot, b1, np.array(decoded.map_sequence.bases), max(h_max, 1))
+    log_p, log_z = _forward_sweep(pot, b1, decoded.map_sequence.array, max(h_max, 1))
     log_p = log_p.tolist()
     return ErrorReport(
         decode=decoded,

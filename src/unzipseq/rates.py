@@ -236,7 +236,7 @@ def rc_site(env: Environment, x, mode: str):
     site = _check_sites(x, 2, env.M - 1)
     _require_mode(mode)
     xs = np.atleast_1d(site)
-    b = np.array(env.seq.bases)  # b[x - 1] is the base at site x
+    b = env.seq.array  # b[x - 1] is the base at site x
     prev, here, nxt = b[xs - 2], b[xs - 1], b[xs]
     g0 = env.table.values
     g1 = env.g1_padded
@@ -358,6 +358,16 @@ class RateReport:
         return doc
 
 
+def _margin_g1(env: Environment, mode: str) -> float | None:
+    """The stretch work the margins of ``mode`` are taken at: the discrete
+    margins need one constant g1 across the field (None when it varies);
+    the continuous margins do not read it."""
+    if mode == "continuous":
+        return 0.0
+    field = env.force.per_site
+    return float(field[0]) if np.all(field == field[0]) else None
+
+
 def rate_report(env: Environment, R: int = 1) -> RateReport:
     """Assemble the per-site analytic report for a base-sequence environment.
 
@@ -375,9 +385,8 @@ def rate_report(env: Environment, R: int = 1) -> RateReport:
     sites = np.arange(1, M)
     inner = np.arange(2, M)
     m = count_moments(env, sites)
-    field = env.force.per_site
-    constant_force = bool(np.all(field == field[0]))
-    lc_d = lc_bound(env.table, env.beta, "discrete", g1=float(field[0])) if constant_force else nan
+    g1 = _margin_g1(env, "discrete")
+    lc_d = nan if g1 is None else lc_bound(env.table, env.beta, "discrete", g1=g1)
     lc_c = lc_bound(env.table, env.beta, "continuous")
     return RateReport(
         pbar=site_array(pbar(env, sites), 1),

@@ -22,7 +22,7 @@ from unzipseq.inference import (
     site_posterior,
 )
 from unzipseq.protocols import LevelLadder, rc_energy
-from unzipseq.rates import rate_report
+from unzipseq.rates import decision_margins, rate_report
 from unzipseq.walker import AggregateStats, SeedSpec, simulate_ensemble
 
 from bruteforce import law_stats, oracle_summary
@@ -294,6 +294,27 @@ def test_infer_grid_rate_fit(tmp_path, env_file):
         (float, float(row[0])) for row in rows]
     assert [e["residual"] for e in fit["site_residuals"]] == [
         -float(row[3]) - int(row[0]) * fit["rc_site"] for row in rows]
+
+
+@pytest.mark.parametrize("g1", [2.2, [2.0, 2.2, 2.4, 2.6]])
+def test_infer_grid_margin_bound_needs_constant_g1_in_discrete_time(tmp_path, g1):
+    # the discrete margins are taken at the one constant stretch work; a
+    # varying field has none, so the bound is null there, as rate_report's
+    # discrete L_c bound is NaN; the continuous margins do not read g1
+    envp = tmp_path / "env.json"
+    envp.write_text(json.dumps({**ENV_DOC, "g1": g1}))
+    env = environment_from_json(json.loads(envp.read_text()))
+    for mode in ("discrete", "continuous"):
+        out = tmp_path / mode
+        assert run(["infer", "--env", envp, "--R-grid", "20:60:20", "--seed", 3,
+                    "--mode", mode, "--out", out]) == 0
+        bound = json.loads((out / "rate_fit.json").read_text())["margin_lower_bound"]
+        if mode == "discrete" and isinstance(g1, list):
+            assert bound is None
+            assert math.isnan(rate_report(env).inv_lc_discrete)
+        else:
+            g1_at = g1 if mode == "discrete" else 0.0
+            assert bound == decision_margins(env.table, env.beta, g1_at, mode).minus
 
 
 def test_infer_grid_refuses_a_fit_of_log_p_zero(tmp_path, capsys):

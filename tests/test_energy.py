@@ -59,6 +59,14 @@ def test_base_sequence_converts_each_base_once():
         BaseSequence.from_string("a")
 
 
+def test_base_sequence_array_is_one_read_only_copy():
+    seq = BaseSequence.from_string("GATCCA")
+    assert seq.array.tolist() == [int(b) for b in seq.bases]
+    assert seq.array.dtype == np.intp and not seq.array.flags.writeable
+    assert seq.array is seq.array  # built once
+    assert seq == BaseSequence.from_string("GATCCA")  # not part of equality
+
+
 def _delta_g(env, x):
     return env.edge_g0[x] - env.g1_padded[x]
 

@@ -356,7 +356,7 @@ def _twin_chain(M, twins, rng):
         phi[s - 1, :, Base.C] = phi[s - 1, :, Base.G] = 0.0
         if s < M:
             phi[s, Base.C] = phi[s, Base.G] = rng.uniform(1.0, 5.0, 4)
-    return EdgePotentials(phi, "continuous")
+    return EdgePotentials(phi)
 
 
 @pytest.mark.parametrize(
@@ -418,7 +418,7 @@ def test_error_report_memory_is_bounded(mode, b1_free):
 
 def test_log_partition_zero_potentials():
     M = 5
-    pot = EdgePotentials(np.zeros((M, 4, 4)), "discrete")
+    pot = EdgePotentials(np.zeros((M, 4, 4)))
     assert log_partition(pot, Base.A) == pytest.approx((M - 1) * math.log(4), rel=1e-12)
     assert log_partition(pot, None) == pytest.approx(M * math.log(4), rel=1e-12)
     dec = decode_map(pot, Base.A, tie_cap=8)
@@ -546,7 +546,7 @@ def test_shift_invariance():
     env = make_env("ATCGG", 2.2)
     stats = simulate_ensemble(env, 5, "continuous", SeedSpec(47))
     pot = build_edge_potentials(stats, env, None, "continuous")
-    shifted = EdgePotentials(pot.phi + 13.7, pot.mode)
+    shifted = EdgePotentials(pot.phi + 13.7)
     b1 = env.seq.base(1)
     d0, d1 = decode_map(pot, b1), decode_map(shifted, b1)
     assert str(d0.map_sequence) == str(d1.map_sequence)

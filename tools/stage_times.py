@@ -47,7 +47,7 @@ def stages(M: int, mode: str, out: Path) -> dict[str, float]:
     stats = simulate_ensemble(env, 8, mode, SeedSpec(M))
     pot = inference.build_edge_potentials(stats, env, None, mode)
     b1 = env.seq.base(1)
-    ref = np.array(inference.decode_map(pot, b1).map_sequence.bases)
+    ref = inference.decode_map(pot, b1).map_sequence.array
     report = inference.error_report(stats, env, None, mode, b1, 3)
     rates = rate_report(env, 8)
     return {
