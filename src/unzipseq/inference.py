@@ -385,7 +385,9 @@ def _forward_sweep(
     two subtractions, one reduce into the entering masses B, and one gather
     through ``_sweep_maps`` reduced into the next state.  M sites hold at
     most (M+1)//2 blocks, so the states stop there and larger h get
-    log P = -inf.
+    log P = -inf.  log P(>= h) is -log(1 + below / at_least) over the masses
+    below h blocks and at or above it, so it stays negative, not 0.0, when
+    P rounds to 1; a log P above -5e-324 comes out as -0.0.
     """
     M = pot.M
     h_states = min(h_max, (M + 1) // 2)
@@ -414,7 +416,8 @@ def _forward_sweep(
     log_z = float(np.logaddexp.reduce(state[:, -1]))
     mass = np.logaddexp.reduce(state[:, :-1].reshape(4, 2, H), axis=(0, 1))  # by block count
     at_least = np.logaddexp.accumulate(mass[::-1])[::-1]
-    log_p = at_least[1:] - np.logaddexp.reduce(mass)
+    below = np.logaddexp.accumulate(mass)[:-1]
+    log_p = -np.logaddexp(0.0, below - at_least[1:])
     return np.concatenate([log_p, np.full(h_max - h_states, -np.inf)]), log_z
 
 

@@ -230,7 +230,8 @@ def block_recursion(pot, b1: Base | None, ref, h_max: int) -> np.ndarray:
         A[w, 1] = np.logaddexp(B[1][:, w], opened).T
     mass = np.logaddexp.reduce(A, axis=(0, 1))  # by block count
     at_least = np.logaddexp.accumulate(mass[::-1])[::-1]
-    return at_least[1:] - np.logaddexp.reduce(mass)
+    below = np.logaddexp.accumulate(mass)[:-1]
+    return -np.logaddexp(0.0, below - at_least[1:])
 
 
 def partition_recursion(pot, b1: Base | None) -> float:

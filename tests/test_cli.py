@@ -317,19 +317,34 @@ def test_infer_grid_margin_bound_needs_constant_g1_in_discrete_time(tmp_path, g1
             assert bound == decision_margins(env.table, env.beta, g1_at, mode).minus
 
 
-def test_infer_grid_refuses_a_fit_of_log_p_zero(tmp_path, capsys):
-    # at 400 sites log P(any error) rounds to 0.0 at every R: the curve is
-    # written, the fit is refused with exit 1 and no rate_fit.json
+def test_infer_grid_fits_a_near_certain_error(tmp_path):
+    # at 400 random sites and R = 1..3, log P(MAP correct) is -367 to -287:
+    # P(any error) rounds to 1, but its log stays negative, so the rate fit
+    # is made
     rnd = random.Random(3)
     envp = tmp_path / "env.json"
     envp.write_text(json.dumps({"sequence": "".join(rnd.choice("ATCG") for _ in range(400)),
                                 "beta": 1.0, "r": 1.0, "g1": 3.2}))
     out = tmp_path / "o"
+    assert run(["infer", "--env", envp, "--R-grid", "1:3:1", "--seed", 1, "--out", out]) == 0
+    rows = [line.split(",") for line in (out / "error_curve.csv").read_text().split()[1:]]
+    assert [row[2] for row in rows] == ["1.0"] * 3
+    assert all(-1e-100 < float(row[1]) < 0.0 for row in rows), rows
+    assert (out / "rate_fit.json").exists()
+
+
+def test_infer_grid_refuses_a_fit_of_log_p_zero(tmp_path, capsys):
+    # "T" * 1000 at R = 1..3: log P(MAP correct) is -1116, -998 and -920, so
+    # log P(any error) underflows to -0.0: the curve is written, the fit is
+    # refused with exit 1 and no rate_fit.json
+    envp = tmp_path / "env.json"
+    envp.write_text(json.dumps({"sequence": "T" * 1000, "beta": 1.0, "r": 1.0, "g1": 3.2}))
+    out = tmp_path / "o"
     assert run(["infer", "--env", envp, "--R-grid", "1:3:1", "--seed", 1, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(
-        "runtime error: rate fit: log probability must be finite and < 0")
+        "runtime error: rate fit: log probability must be finite and < 0, got -0.0")
     assert (out / "error_curve.csv").read_text().split("\n")[1:4] == [
-        "1,0.0,1.0", "2,0.0,1.0", "3,0.0,1.0"]
+        "1,-0.0,1.0", "2,-0.0,1.0", "3,-0.0,1.0"]
     assert not (out / "rate_fit.json").exists()
 
 

@@ -22,6 +22,7 @@ from unzipseq.inference import (
 from unzipseq.walker import (
     AggregateStats,
     SeedSpec,
+    accumulate_checkpoints,
     simulate_continuous_walk,
     simulate_discrete_walk,
     simulate_ensemble,
@@ -529,6 +530,35 @@ def test_error_report_reads_one_sweep(monkeypatch):
             want = block_recursion(pot, b1, rep.decode.map_sequence, 3).tolist()
             assert [lp for _, _, lp in rep.p_blocks] == want
             assert rep.log_p_any == want[0]
+
+
+def test_log_p_any_stays_negative_when_an_error_is_near_certain():
+    # "T" * 400 at g1 = 3.2, discrete, R = 1..3 (the output corpus's
+    # certain-error grid): log P(MAP correct) = -cost - log Z is -446, -399
+    # and -368, so P(any error) rounds to 1, and its log is -P(MAP correct),
+    # which -exp(-cost - log Z) gives apart from the sweep's block masses
+    env = make_env("T" * 400, 3.2)
+    for agg in accumulate_checkpoints(env, "discrete", SeedSpec(1), [1, 2, 3]):
+        rep = error_report(agg, env, None, "discrete", env.seq.base(1), 3)
+        log_p_correct = -rep.decode.cost - rep.log_partition
+        assert -700 < log_p_correct < -300, agg.R
+        assert rep.p_any == 1.0
+        assert rep.log_p_any == pytest.approx(-math.exp(log_p_correct), rel=1e-9)
+        log_p = [lp for _, _, lp in rep.p_blocks]
+        assert 0.0 > log_p[0] >= log_p[1] >= log_p[2] > -1e-30, log_p
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_log_p_any_matches_enumeration_in_log_form(mode):
+    # at M = 8 and R = 1 an error is likely; log P(>= h) matches the log of
+    # the enumerated masses at every h
+    env = make_env("ATCGGACT", 2.3)
+    stats = simulate_ensemble(env, 1, mode, SeedSpec(71))
+    rep = error_report(stats, env, None, mode, env.seq.base(1), 3)
+    oracle = oracle_summary(stats, env, mode, env.seq.base(1))
+    assert tuple(rep.decode.map_sequence.bases) == oracle["map"]
+    for h, _, lp in rep.p_blocks:
+        assert lp == pytest.approx(math.log(oracle["p_blocks"][h]), rel=1e-9, abs=1e-13), h
 
 
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])

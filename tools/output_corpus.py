@@ -23,7 +23,7 @@ finish, refused with exit 1 before any walk: ``simulate`` and
 ``infer --R-grid`` on a ``"GC" * 20`` trap, and a 200-site table-ladder scan
 whose level 10 expects 10^32.0 steps per walk.  A 400-site ``infer`` and
 ``--R-grid`` run where an error is near certain (R = 1..3), and a 1000-site
-``--R-grid`` whose log P(any error) rounds to 0.0, which writes its curve and
+``--R-grid`` whose log P(any error) rounds to zero, which writes its curve and
 then exits 1: the rate fit is refused.  Everything is seeded, so two checkouts can be
 compared file by file:
 
@@ -55,8 +55,7 @@ def _twin_env(c_sites: set[int]) -> dict:
 
 
 def _certain_error_env(M: int) -> dict:
-    return {"sequence": "".join(random.Random(3).choice("ATCG") for _ in range(M)),
-            "beta": 1.0, "r": 1.0, "g1": 3.2}
+    return {"sequence": "T" * M, "beta": 1.0, "r": 1.0, "g1": 3.2}
 
 
 ENVS = {
@@ -68,10 +67,10 @@ ENVS = {
     "deep": {"sequence": "A" * 1000, "beta": 1.0, "r": 1.0, "g1": 1.0},
     # ~10^31.4 steps per walk
     "trap": {"sequence": "GC" * 20, "beta": 1.0, "r": 1.0, "g1": 2.0},
-    # 400 sites: an error is near certain at R = 1..3, log P(MAP correct) ~ -300
+    # 400 sites: an error is near certain at R = 1..3, log P(MAP correct) < -360
     "certain-error": _certain_error_env(400),
     # 1000 sites: log P(MAP correct) < -900 at R = 1..3, so log P(any error)
-    # rounds to 0.0 and no rate can be fitted
+    # rounds to zero and no rate can be fitted
     "certain-error-1000": _certain_error_env(1000),
     # 1000 sites, the decode benchmark's scale: ~10^3.7 steps per walk
     "sites-1000": {"sequence": "".join(random.Random(1000).choice("ATCG") for _ in range(1000)),
