@@ -155,11 +155,17 @@ def gap_value(kind: str, a, u, beta: float):
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if kind == "G":
-        return (
-            np.logaddexp(0.0, beta * u)
-            - np.logaddexp(0.0, beta * a)
-            + np.exp(beta * a) * (np.logaddexp(0.0, -beta * u) - np.logaddexp(0.0, -beta * a))
-        )
+        x, d = beta * a, beta * (u - a)
+        # near the minimum the logaddexp differences cancel (a separation of
+        # 1e-8 rounds the gap to <= 0), so there each softplus difference is
+        # log1p(expm1(+-d) sigma(+-x)); past |d| = 1, where expm1 may
+        # overflow, they no longer cancel
+        near = np.clip(d, -1.0, 1.0)
+        sig, sig_neg = np.exp(-np.logaddexp(0.0, -x)), np.exp(-np.logaddexp(0.0, x))
+        close = np.log1p(np.expm1(near) * sig) + np.exp(x) * np.log1p(np.expm1(-near) * sig_neg)
+        far = (np.logaddexp(0.0, beta * u) - np.logaddexp(0.0, x)
+               + np.exp(x) * (np.logaddexp(0.0, -beta * u) - np.logaddexp(0.0, -x)))
+        return np.where(np.abs(d) < 1.0, close, far)[()]
     if kind == "F":
         return np.expm1(beta * u) - beta * u
     if kind == "H":
@@ -176,8 +182,8 @@ class MarginSet:
     the injectivity check: bases are recoverable only if g0 is injective in
     each argument, and a row's or column's margin is 0 exactly when two of
     its energies collide.  The gaps grow like the square of the separation,
-    so in discrete mode a separation below ~1e-8 also rounds to a margin
-    <= 0.  ``degenerate`` flags any such margin; the theory then gives
+    so entries an ulp apart can also round to a margin of 0.
+    ``degenerate`` flags any such margin; the theory then gives
     R_c = infinity rather than an error.
     """
 

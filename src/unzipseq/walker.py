@@ -56,14 +56,18 @@ _BLOCK_MAX = 16384
 # draws _BLOCK_INIT per replica at first, and no block is ever empty, since
 # no more than _CHUNK replicas share it.  The buffer is filled through a
 # replica-major scratch of _FILL_CELLS draws per stream.
-# Absorbed replicas are dropped every _COMPACT_EVERY steps, and once fewer
-# than _LOCKSTEP_MIN are live each finishes alone in _walk: below that, a
-# numpy pass costs more than the scalar steps it replaces.
+# Live replicas step in windows of _WINDOW_CELLS // live steps (6 for a
+# full chunk, 30 for 200 replicas): a step only finds each replica's move,
+# and a window's counts and sojourns are added once at its end, where its
+# move log, time draws and their rates are three arrays of that many cells.
+# Absorbed replicas are dropped between windows, and once fewer than
+# _LOCKSTEP_MIN are live each finishes alone in _walk: below that, a numpy
+# pass costs more than the scalar steps it replaces.
 _CHUNK = 1024
 _CHUNK_CELLS = 2**16
 _DRAW_BUDGET = _CHUNK * _BLOCK_INIT
 _FILL_CELLS = 2**12
-_COMPACT_EVERY = 8
+_WINDOW_CELLS = 6 * _CHUNK
 _LOCKSTEP_MIN = 32
 
 MODES = ("discrete", "continuous")
@@ -566,9 +570,13 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     (d = 0 up, 1 down): ``counts[base + c + d]`` counts it and the site table
     ``dest[c + d]`` is the cell it leads to.  Site M is a sink: p = 2 there,
     so an absorbed replica moves "up" onto itself, adding nothing but to the
-    discarded column M, until a compaction drops it.  Live replicas share one
-    step count, so they read one row of the step-major draw buffer and have
-    all taken ``drawn`` draws from each stream.  The chunk keeps its streams'
+    discarded column M, until the end of the window drops it.  Live replicas
+    share one step count, so a window of steps reads a block of rows of the
+    step-major draw buffer, and they have all taken ``drawn`` draws from each
+    stream.  A step only logs each move; at the window's end ``np.add.at``,
+    which is unbuffered, adds the log to the counts and, with the time draws
+    over the rates of the cells left, to the sojourns, each replica's terms
+    in step order, as _walk adds them.  The chunk keeps its streams'
     seeds, not the streams: a stream is opened to fill its replica's first
     block and dropped after it, and a replica still live at a later refill
     or in the scalar tail reopens it past ``drawn`` and keeps it.  Once
@@ -604,11 +612,10 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
         return kept.get(r) or [_open_stream(w[r], drawn, sub) for sub, w in enumerate(words)]
 
     while step < step_cap:
-        if step % _COMPACT_EVERY == 0 or col == draws.shape[1]:
-            live = p[cell] <= 1.0
-            base, cell, slot = base[live], cell[live], slot[live]
-            if cell.size < _LOCKSTEP_MIN:
-                break
+        live = p[cell] <= 1.0
+        base, cell, slot = base[live], cell[live], slot[live]
+        if cell.size < _LOCKSTEP_MIN:
+            break
         if col == draws.shape[1]:
             # refill: the next draws of each live replica's streams, a few
             # replicas at a time into the scratch, then step-major
@@ -629,16 +636,29 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
                     for gen, out in zip(gens, rows_out):
                         (gen.standard_exponential if sub else gen.random)(out=out)
                 draws[:, :, i : i + len(batch)] = scratch[:, : len(batch)].transpose(0, 2, 1)
+            del scratch
             drawn += width
             slot = np.arange(cell.size)
             col = 0
+        span = min(_WINDOW_CELLS // cell.size, draws.shape[1] - col, step_cap - step)
+        window = np.take(draws[0, col : col + span], slot, axis=1)
+        log = np.empty(window.shape, dtype=cell.dtype)
+        for u, move in zip(window, log):
+            np.add(cell, u >= p[cell], out=move)
+            cell = dest[move]
         if continuous:
-            sojourn[base + cell] += draws[1, col][slot] * inv_rate[cell]
-        move = cell + (draws[0, col][slot] >= p[cell])
-        counts[base + move] += 1
-        cell = dest[move]
-        step += 1
-        col += 1
+            # inv_rate[c + d] is the rate at c, the cell the move left
+            window = np.take(draws[1, col : col + span], slot, axis=1)
+            window *= inv_rate[log]
+        log += base
+        flat = log.ravel()  # np.add.at is ~5x slower on 2-d float values
+        np.add.at(counts, flat, 1)
+        if continuous:
+            flat &= ~1
+            np.add.at(sojourn, flat, window.ravel())
+        del window, log, flat  # not held through the next refill
+        step += span
+        col += span
     live = p[cell] <= 1.0
     for b, c, s in zip(base[live].tolist(), cell[live].tolist(), slot[live].tolist()):
         r, x = b // stride, c // 2

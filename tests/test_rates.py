@@ -213,6 +213,28 @@ def test_gap_value_f_and_h():
         gap_value("F", 0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_margins_at_tiny_separations(table1, mode):
+    # row A with g0(A, T) = g0(A, A) + delta: its margin is about
+    # beta^2/2 sigma(beta a) delta^2 in discrete time (a = g0 - g1) and
+    # beta^2/2 delta^2 in continuous time.  A G gap formed as a difference of
+    # logaddexp terms gave -2.4e-16 at delta = 1e-8, a degenerate table
+    beta, g1 = 1.0, 1.5
+    for k in range(6, 13):
+        values = table1.values.copy()
+        values[Base.A, Base.T] = values[Base.A, Base.A] + 10.0**-k
+        delta = values[Base.A, Base.T] - values[Base.A, Base.A]
+        margins = decision_margins(EnergyTable(values), beta, g1=g1, mode=mode)
+        a = values[Base.A, Base.A] - g1
+        scale = 1.0 / (1.0 + math.exp(-beta * a)) if mode == "discrete" else 1.0
+        want = 0.5 * beta**2 * scale * delta**2
+        got = margins.minus_per_base[Base.A]
+        assert got > 0.0 and not margins.degenerate, (k, got)
+        # 1e-6 for the quadratic's error, plus the rounding of the two
+        # first-order terms of size delta that cancel
+        assert abs(got / want - 1.0) < 1e-6 + 4 * np.finfo(float).eps / delta, (k, got, want)
+
+
 def test_decision_margins_constant_table():
     margins = decision_margins(EnergyTable(np.full((4, 4), 2.0)), 1.0, mode="continuous")
     assert margins.minus == 0.0 and margins.plus == 0.0

@@ -312,6 +312,28 @@ def _reference_sums(env, mode, seed, checkpoints):
     return out
 
 
+def _windows(lengths, step_cap=walker.DEFAULT_STEP_CAP):
+    """The lockstep windows of one chunk whose walks take ``lengths`` steps,
+    replayed from the walker's constants: (first step, width, cut) for each,
+    where cut names what ended it, "budget" (_WINDOW_CELLS // live), "refill"
+    (the end of the draw block) or "cap" (the step cap)."""
+    step = col = block = 0
+    out = []
+    while step < step_cap:
+        live = int(np.count_nonzero(lengths > step))
+        if live < walker._LOCKSTEP_MIN:
+            break
+        if col == block:
+            block, col = walker._DRAW_BUDGET // live, 0
+        ends = {"budget": walker._WINDOW_CELLS // live, "refill": block - col,
+                "cap": step_cap - step}
+        cut = min(ends, key=ends.get)
+        out.append((step, ends[cut], cut))
+        step += ends[cut]
+        col += ends[cut]
+    return out
+
+
 @pytest.mark.parametrize("M", [2, 3, 10, 100])
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
 def test_lockstep_matches_single_walks(M, mode):
@@ -325,9 +347,21 @@ def test_lockstep_matches_single_walks(M, mode):
     finals = sorted({1, 31, 32, 255, 256, 257, 1000} | edges)
     marks = {1, 2, 31, 32, 100, 255, 256, 257, 300, 511, 512, 513} | edges
     ref = _reference_sums(env, mode, seed, set(finals) | marks)
-    for R in finals:
+    # the first chunk's windows: as long as the budget gives (6 steps for a
+    # full chunk, 9 for the 655 replicas of a chunk at M = 100), cut short by
+    # refills at M >= 10, with replicas absorbed inside them; a step cap at
+    # the longest walk cuts the one window at M = 2
+    lengths = np.array([simulate_discrete_walk(env, seed, r).steps for r in range(n)])
+    cap = int(lengths.max())
+    windows = _windows(lengths)
+    assert windows[0][1] == walker._WINDOW_CELLS // n == (9 if M == 100 else 6)
+    assert ("refill" in {cut for *_, cut in windows}) == (M >= 10)
+    assert any(start < L < start + width for start, width, _ in windows for L in lengths)
+    assert (_windows(lengths, cap)[-1][2] == "cap") == (M == 2)
+    runs = [(R, walker.DEFAULT_STEP_CAP) for R in finals] + [(n, cap)]
+    for R, step_cap in runs:
         ckpts = sorted(marks & set(range(R)))
-        got = accumulate_checkpoints(env, mode, seed, ckpts + [R])
+        got = accumulate_checkpoints(env, mode, seed, ckpts + [R], step_cap=step_cap)
         assert [a.R for a in got] == ckpts + [R]
         for agg in got:
             up, down, steps, sojourn, wall = ref[agg.R]
@@ -388,13 +422,19 @@ def test_lockstep_step_cap_names_lowest_replica():
     # their first block: at the expectation itself, by replica 0 on the step
     # that absorbs it, and just past that step, where replica 0 finishes on
     # the cap and a later one is named; then first in chunk 1 (past replica
-    # n - 1), and first past replica 255
+    # n - 1), and first past replica 255; then caps that cut chunk 0's
+    # windows, a 16-step one after its first step and a window that a
+    # refill would cut after 15 steps
     caps = [expected, int(lengths[0]) - 1, int(lengths[0]), int(lengths[:n].max()),
-            int(lengths[:256].max())]
+            int(lengths[:256].max()), 184, 265]
     first = [int(np.argmax(lengths > cap)) for cap in caps]
     assert expected == 173 and min(caps) > walker._DRAW_BUDGET // n
     assert first[:2] == [0, 0] and first[2] > 0 and first[3] >= n and first[4] >= 256
-    assert all(np.count_nonzero(lengths[:n] > cap) >= 32 for cap in caps[:3])
+    assert all(np.count_nonzero(lengths[:n] > cap) >= 32 for cap in caps[:3] + caps[5:])
+    windows = _windows(lengths[:n])
+    assert (183, 16, "budget") in windows and (260, 15, "refill") in windows
+    for cap in (expected, *caps[5:]):
+        assert _windows(lengths[:n], cap)[-1][2] == "cap"
     for cap, replica in zip(caps, first):
         for mode in MODES:
             walk = simulate_continuous_walk if mode == "continuous" else simulate_discrete_walk

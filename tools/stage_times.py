@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Time each inference and writer stage in-process, best of 5.
+"""Time each walker, inference and writer stage in-process, best of 5.
 
     PYTHONPATH=src python tools/stage_times.py [OUT.json]
 
-At M = 1000 and 10000, in both time models, the statistics come from the
-walker (a seeded random sequence, g1 = 3.5, R = 8).  The stages are
+The walker stage is ``simulate_ensemble`` in steps per second, in both time
+models, on seeded random sequences at the sizes of the benchmark's walk
+workloads: M = 100 at g1 = 3.2 with R = 200, and M = 10 at g1 = 3.0 with
+R = 10^4.  At M = 1000 and 10000, in both time models, the statistics come
+from the walker (a seeded random sequence, g1 = 3.5, R = 8).  The stages are
 ``build_edge_potentials``, ``decode_map``, the forward sweep (the block
 probabilities to h_max 3, relative to the MAP, and log Z in one pass), the
 site records (sites 2..M-1), the ``decode.json`` text, ``rate_report`` and
-the ``rates.*`` text.  The result, with the commit, numpy version and host,
-goes to ``OUT.json`` (default ``BENCH_stages.json``), in milliseconds.
+the ``rates.*`` text, in milliseconds.  The result, with the commit, numpy
+version and host, goes to ``OUT.json`` (default ``BENCH_stages.json``).
 """
 
 from __future__ import annotations
@@ -41,9 +44,24 @@ def best_ms(fn, repeats: int = 5) -> float:
     return round(min(times) * 1e3, 3)
 
 
-def stages(M: int, mode: str, out: Path) -> dict[str, float]:
+def random_env(M: int, g1: float):
     seq = "".join(random.Random(M).choice("ATCG") for _ in range(M))
-    env = environment_from_json({"sequence": seq, "beta": 1.0, "r": 1.0, "g1": 3.5})
+    return environment_from_json({"sequence": seq, "beta": 1.0, "r": 1.0, "g1": g1})
+
+
+def walker_stages() -> dict[str, int]:
+    """``simulate_ensemble`` steps per second, best of 5."""
+    table = {}
+    for M, g1, R in ((100, 3.2, 200), (10, 3.0, 10**4)):
+        env = random_env(M, g1)
+        for mode in ("discrete", "continuous"):
+            run = lambda: simulate_ensemble(env, R, mode, SeedSpec(M))
+            table[f"M={M} R={R} {mode}"] = round(run().steps / best_ms(run) * 1e3)
+    return table
+
+
+def stages(M: int, mode: str, out: Path) -> dict[str, float]:
+    env = random_env(M, 3.5)
     stats = simulate_ensemble(env, 8, mode, SeedSpec(M))
     pot = inference.build_edge_potentials(stats, env, None, mode)
     b1 = env.seq.base(1)
@@ -68,10 +86,13 @@ def main(path: Path) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         table = {f"M={M} {mode}": stages(M, mode, Path(tmp))
                  for M in (1000, 10000) for mode in ("discrete", "continuous")}
+    walks = walker_stages()
     doc = {"commit": commit, "numpy": np.__version__, "python": platform.python_version(),
            "host": f"{platform.machine()}, {os.cpu_count()} CPUs", "best_of": 5,
-           "unit": "ms", "stages": table}
+           "walker_unit": "steps/s", "walker": walks, "unit": "ms", "stages": table}
     path.write_text(json.dumps(doc, indent=1) + "\n")
+    for name, rate in walks.items():
+        print(name, f"steps/s={rate}")
     for name, row in table.items():
         print(name, " ".join(f"{k}={v}" for k, v in row.items()))
 
