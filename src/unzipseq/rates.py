@@ -160,11 +160,12 @@ def gap_value(kind: str, a, u, beta: float):
         # 1e-8 rounds the gap to <= 0), so there each softplus difference is
         # log1p(expm1(+-d) sigma(+-x)); past |d| = 1, where expm1 may
         # overflow, they no longer cancel
+        ex = np.exp(x)
+        sig_neg = 1.0 / (1.0 + ex)  # sigma(-x); sigma(x) = ex sigma(-x)
         near = np.clip(d, -1.0, 1.0)
-        sig, sig_neg = np.exp(-np.logaddexp(0.0, -x)), np.exp(-np.logaddexp(0.0, x))
-        close = np.log1p(np.expm1(near) * sig) + np.exp(x) * np.log1p(np.expm1(-near) * sig_neg)
+        close = np.log1p(np.expm1(near) * (ex * sig_neg)) + ex * np.log1p(np.expm1(-near) * sig_neg)
         far = (np.logaddexp(0.0, beta * u) - np.logaddexp(0.0, x)
-               + np.exp(x) * (np.logaddexp(0.0, -beta * u) - np.logaddexp(0.0, -x)))
+               + ex * (np.logaddexp(0.0, -beta * u) - np.logaddexp(0.0, -x)))
         return np.where(np.abs(d) < 1.0, close, far)[()]
     if kind == "F":
         return np.expm1(beta * u) - beta * u
