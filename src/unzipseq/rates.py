@@ -162,8 +162,8 @@ def gap_value(kind: str, a, u, beta: float):
         # overflow, they no longer cancel
         ex = np.exp(x)
         sig_neg = 1.0 / (1.0 + ex)  # sigma(-x); sigma(x) = ex sigma(-x)
-        near = np.clip(d, -1.0, 1.0)
-        close = np.log1p(np.expm1(near) * (ex * sig_neg)) + ex * np.log1p(np.expm1(-near) * sig_neg)
+        dn = np.clip(d, -1.0, 1.0)
+        close = np.log1p(np.expm1(dn) * (ex * sig_neg)) + ex * np.log1p(np.expm1(-dn) * sig_neg)
         far = (np.logaddexp(0.0, beta * u) - np.logaddexp(0.0, x)
                + ex * (np.logaddexp(0.0, -beta * u) - np.logaddexp(0.0, -x)))
         return np.where(np.abs(d) < 1.0, close, far)[()]

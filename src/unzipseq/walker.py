@@ -559,7 +559,7 @@ def _chunk_size(M: int) -> int:
 
 
 def _lockstep(env, seed, lo, hi, continuous, step_cap):
-    """Walk replicas lo..hi-1 together, one numpy pass per step.
+    """Walk replicas lo..hi-1 together, in windows of lockstep steps.
 
     Returns their per-replica rows: up and down counts and, in continuous
     mode, sojourns, each of shape (n, M), then step counts (n,), which are
@@ -647,7 +647,7 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
             np.add(cell, u >= p[cell], out=move)
             cell = dest[move]
         if continuous:
-            # inv_rate[c + d] is the rate at c, the cell the move left
+            # inv_rate[c + d] = inv_rate[c], of the cell the move left
             window = np.take(draws[1, col : col + span], slot, axis=1)
             window *= inv_rate[log]
         log += base
