@@ -11,12 +11,13 @@ so an ensemble is reproducible bit-for-bit no matter how its replicas are
 scheduled, and stats at R1 < R2 under one master seed are nested.  Ensembles
 use that freedom: a chunk of replicas has its stream seeds derived in one
 numpy pass and steps in lockstep, and the few replicas still walking at the
-end finish one by one in the scalar loop.  A chunk keeps its streams'
-seeds, not the streams: every replica's streams fill its first draw block
-and are dropped, and a replica that outlives that block reopens them past
-the draws already taken and keeps them.  Each stream is read strictly in
-order, so the results equal those of single walks summed in replica order,
-bit for bit, whatever the draw block sizes.
+end finish one by one in the scalar loop.  Each time stream is opened
+once: its bit generator is kept from its replica's first draw block until
+the replica is absorbed.  A direction stream is dropped after that block and
+reopened, with an exact jump past the draws taken, only by a replica that
+outlives it.  Each stream is read strictly in order, so the results equal
+those of single walks summed in replica order, bit for bit, whatever the
+draw block sizes.
 """
 
 from __future__ import annotations
@@ -61,14 +62,16 @@ _BLOCK_MAX = 16384
 # and a window's counts and sojourns are added once at its end, where its
 # move log, time draws and their rates are three arrays of that many cells.
 # Absorbed replicas are dropped between windows, and once fewer than
-# _LOCKSTEP_MIN are live each finishes alone in _walk: below that, a numpy
-# pass costs more than the scalar steps it replaces.
+# _LOCKSTEP_MIN are live each finishes alone in _walk: below that, a step's
+# four numpy calls cost more than the scalar steps they replace; above it,
+# less than a tail replica's own set-up (its direction stream reopened, its
+# rows copied to lists and back).
 _CHUNK = 1024
 _CHUNK_CELLS = 2**16
 _DRAW_BUDGET = _CHUNK * _BLOCK_INIT
 _FILL_CELLS = 2**12
 _WINDOW_CELLS = 6 * _CHUNK
-_LOCKSTEP_MIN = 32
+_LOCKSTEP_MIN = 16
 
 MODES = ("discrete", "continuous")
 
@@ -198,30 +201,31 @@ def _stream_words(seed: SeedSpec, replicas: np.ndarray, substream: int) -> np.nd
 
 @functools.cache
 def _seed_words_type() -> type:
-    """A seed sequence that hands PCG64 words precomputed by _stream_words
-    (made on first use: importing numpy.random is a tenth of the CLI's
-    import time)."""
+    """A seed sequence that hands PCG64 one row of the words precomputed by
+    _stream_words, the row ``row`` names.  A chunk's streams share one, so a
+    kept stream holds no seed object of its own (made on first use:
+    importing numpy.random is a tenth of the CLI's import time)."""
 
     class SeedWords(np.random.bit_generator.ISeedSequence):
         def __init__(self, words: np.ndarray):
             self.words = words
+            self.row = 0
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
+            return self.words[self.row]
 
     return SeedWords
 
 
-def _open_stream(words: np.ndarray, drawn: int = 0, time: bool = False) -> np.random.Generator:
-    """A replica's stream from its PCG64 seed (its row of _stream_words),
-    moved past its first ``drawn`` draws.  A direction stream jumps there
-    exactly, as a uniform takes one PCG64 output; a ``time`` stream draws and
-    discards, as the ziggurat takes a variable number of outputs per
-    exponential."""
-    gen = np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
-    if drawn and time:
-        gen.standard_exponential(drawn)
-    elif drawn:
+def _open_stream(seeds, row: int, drawn: int = 0) -> np.random.Generator:
+    """The stream seeded by row ``row`` of ``seeds`` (a SeedWords), jumped
+    exactly past its first ``drawn`` draws.  Only direction streams are
+    jumped, as a uniform takes one PCG64 output; the ziggurat takes a
+    variable number per exponential, so a time stream is opened once and
+    kept."""
+    seeds.row = row
+    gen = np.random.Generator(np.random.PCG64(seeds))
+    if drawn:
         gen.bit_generator.advance(drawn)
     return gen
 
@@ -576,10 +580,13 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     stream.  A step only logs each move; at the window's end ``np.add.at``,
     which is unbuffered, adds the log to the counts and, with the time draws
     over the rates of the cells left, to the sojourns, each replica's terms
-    in step order, as _walk adds them.  The chunk keeps its streams'
-    seeds, not the streams: a stream is opened to fill its replica's first
-    block and dropped after it, and a replica still live at a later refill
-    or in the scalar tail reopens it past ``drawn`` and keeps it.  Once
+    in step order, as _walk adds them.  A replica's streams are opened to
+    fill its first block; its time stream's bit generator is kept, and its
+    direction stream dropped.  A replica still live at a later refill or in
+    the scalar tail reopens its direction stream past ``drawn``, takes up
+    its time stream where the first block left it, and keeps both; the
+    time streams of replicas absorbed in their first block are dropped at
+    the next refill, before any survivor's streams are built.  Once
     fewer than _LOCKSTEP_MIN are live, or the step cap is reached, each
     resumes alone in _walk in replica order, so a trapped chunk raises
     StepCapExceeded for its lowest replica over the cap.
@@ -587,7 +594,7 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     M = env.M
     n = hi - lo
     stride = 2 * (M + 1)
-    words = [_stream_words(seed, np.arange(lo, hi, dtype=np.uint64), sub)
+    seeds = [_seed_words_type()(_stream_words(seed, np.arange(lo, hi, dtype=np.uint64), sub))
              for sub in range(1 + continuous)]
     p = np.append(env.up_probabilities, 2.0).repeat(2)
     dest = np.arange(stride) + np.tile([2, -3], M + 1)
@@ -602,14 +609,22 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     base = stride * np.arange(n)
     cell = np.full(n, 2)
     slot = np.arange(n)
-    draws = np.empty((len(words), 0, n))
+    draws = np.empty((len(seeds), 0, n))
     buffer = None
-    kept = {}
+    kept = {}  # replica -> its streams, from its second block on
+    clocks = {}  # replica -> its time stream's bit generator, in its first block
     step = col = drawn = 0
 
     def streams(r):
-        """Replica r's streams, reopened past ``drawn`` unless kept open."""
-        return kept.get(r) or [_open_stream(w[r], drawn, sub) for sub, w in enumerate(words)]
+        """Replica r's streams: kept open, or its direction stream opened
+        past ``drawn`` and its time stream, fresh or on the bit generator
+        its first block kept."""
+        if r in kept:
+            return kept[r]
+        gens = [_open_stream(seeds[0], r, drawn)]
+        if continuous:
+            gens.append(np.random.Generator(clocks.pop(r)) if drawn else _open_stream(seeds[1], r))
+        return gens
 
     while step < step_cap:
         live = p[cell] <= 1.0
@@ -621,22 +636,25 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
             # replicas at a time into the scratch, then step-major
             replicas = (base // stride).tolist()
             if drawn:
+                clocks = {r: clocks[r] for r in replicas if r in clocks}
                 kept = {r: streams(r) for r in replicas}
             width = _DRAW_BUDGET // cell.size
             fill = max(1, _FILL_CELLS // width)
             if buffer is None:
-                buffer = np.empty((len(words), _DRAW_BUDGET))
-            draws = buffer[:, : width * cell.size].reshape(len(words), width, cell.size)
-            scratch = np.empty((len(words), min(fill, cell.size), width))
+                buffer = np.empty((len(seeds), _DRAW_BUDGET))
+            draws = buffer[:, : width * cell.size].reshape(len(seeds), width, cell.size)
+            scratch = np.empty((len(seeds), min(fill, cell.size), width))
             for i in range(0, cell.size, fill):
                 batch = replicas[i : i + fill]
+                gens = [streams(r) for r in batch]
+                if continuous and not drawn:
+                    # a first block keeps only its time streams' bit generators
+                    clocks.update((r, g[1].bit_generator) for r, g in zip(batch, gens))
                 for sub, rows_out in enumerate(scratch):
-                    # a first block's streams are opened here and dropped
-                    gens = [kept[r][sub] if drawn else _open_stream(words[sub][r]) for r in batch]
-                    for gen, out in zip(gens, rows_out):
+                    for gen, out in zip((g[sub] for g in gens), rows_out):
                         (gen.standard_exponential if sub else gen.random)(out=out)
                 draws[:, :, i : i + len(batch)] = scratch[:, : len(batch)].transpose(0, 2, 1)
-            del scratch
+            del scratch, gens
             drawn += width
             slot = np.arange(cell.size)
             col = 0

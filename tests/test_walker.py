@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -249,46 +250,32 @@ def test_batch_seeding_matches_seed_sequence():
                 ]
                 assert np.array_equal(words, np.array(ref)), (master, prefix, substream)
                 keys += len(replicas)
-                for r in [*range(12), *range(2**32 - 2, 2**32 + 2)]:
-                    row = _stream_words(seed, np.array([r], dtype=np.uint64), substream)[0]
-                    for draw in ("random", "standard_exponential"):
-                        gen = _open_stream(row)
+                # streams opened one after another from one shared seed
+                # object each read on as their own replica's stream
+                some = [*range(12), *range(2**32 - 2, 2**32 + 2)]
+                seeds = walker._seed_words_type()(
+                    _stream_words(seed, np.array(some, dtype=np.uint64), substream))
+                for draw in ("random", "standard_exponential"):
+                    gens = [_open_stream(seeds, i) for i in range(len(some))]
+                    for r, gen in zip(some, gens):
                         want = getattr(seed.stream(r, substream), draw)(100)
                         assert np.array_equal(getattr(gen, draw)(100), want)
     assert keys >= 100_000
 
 
-def _replays_past(seed, replicas, drawn):
-    """How many of the replicas' time streams took more than ``drawn`` PCG64
-    outputs for their first ``drawn`` exponentials (a ziggurat rejection)."""
-    count = 0
-    for r in replicas:
-        gen = seed.stream(r, 1)
-        gen.standard_exponential(drawn)
-        plain = seed.stream(r, 1).bit_generator
-        plain.advance(drawn)
-        count += gen.bit_generator.state["state"] != plain.state["state"]
-    return count
-
-
 def test_reopened_streams_skip_the_draws_taken():
     # a reopened replica's direction stream jumps past `drawn` uniforms and
-    # its time stream replays `drawn` exponentials; both then read on exactly
-    # as the single walk's streams do, for one- and two-word replica keys
+    # then reads on exactly as the single walk's stream does, for one- and
+    # two-word replica keys
     seed = SeedSpec(2**40 + 9, (2,))
-    replays = 0
-    for r in (0, 1023, 1024, 2**32 - 1, 2**32 + 5):
-        rows = [_stream_words(seed, np.array([r], dtype=np.uint64), sub)[0] for sub in (0, 1)]
+    replicas = [0, 1023, 1024, 2**32 - 1, 2**32 + 5]
+    seeds = walker._seed_words_type()(_stream_words(seed, np.array(replicas, dtype=np.uint64), 0))
+    for i, r in enumerate(replicas):
         for drawn in (1, 63, 64, 2048):
-            direction, time = (_open_stream(w, drawn, sub) for sub, w in enumerate(rows))
-            replays += _replays_past(seed, [r], drawn)
-            want_dir, want_time = seed.stream(r, 0), seed.stream(r, 1)
-            want_dir.random(drawn)
-            want_time.standard_exponential(drawn)
-            assert np.array_equal(direction.random(300), want_dir.random(300)), (r, drawn)
-            assert np.array_equal(time.standard_exponential(300),
-                                  want_time.standard_exponential(300)), (r, drawn)
-    assert replays > 0
+            want = seed.stream(r, 0)
+            want.random(drawn)
+            got = _open_stream(seeds, i, drawn).random(300)
+            assert np.array_equal(got, want.random(300)), (r, drawn)
 
 
 def _reference_sums(env, mode, seed, checkpoints):
@@ -341,23 +328,25 @@ def test_lockstep_matches_single_walks(M, mode):
     env = make_env(random_sequence(rng, M), 3.3 if M == 100 else 3.0)
     seed = SeedSpec(2**40 + M, (1,))
     # ensembles that end at, or cross, the edges of the walker's chunk at this
-    # M, and those of a 256-replica chunk
+    # M and those of a 256-replica chunk, and ensembles just under and at the
+    # fewest replicas that step in lockstep
     n = walker._chunk_size(M)
     edges = {n - 1, n, n + 1, 2 * n + 1}
-    finals = sorted({1, 31, 32, 255, 256, 257, 1000} | edges)
+    least = walker._LOCKSTEP_MIN
+    finals = sorted({1, least - 1, least, 31, 32, 255, 256, 257, 1000} | edges)
     marks = {1, 2, 31, 32, 100, 255, 256, 257, 300, 511, 512, 513} | edges
     ref = _reference_sums(env, mode, seed, set(finals) | marks)
     # the first chunk's windows: as long as the budget gives (6 steps for a
     # full chunk, 9 for the 655 replicas of a chunk at M = 100), cut short by
     # refills at M >= 10, with replicas absorbed inside them; a step cap at
-    # the longest walk cuts the one window at M = 2
+    # the longest walk cuts the one window at M = 2 and the last at M = 10
     lengths = np.array([simulate_discrete_walk(env, seed, r).steps for r in range(n)])
     cap = int(lengths.max())
     windows = _windows(lengths)
     assert windows[0][1] == walker._WINDOW_CELLS // n == (9 if M == 100 else 6)
     assert ("refill" in {cut for *_, cut in windows}) == (M >= 10)
     assert any(start < L < start + width for start, width, _ in windows for L in lengths)
-    assert (_windows(lengths, cap)[-1][2] == "cap") == (M == 2)
+    assert (_windows(lengths, cap)[-1][2] == "cap") == (M in (2, 10))
     runs = [(R, walker.DEFAULT_STEP_CAP) for R in finals] + [(n, cap)]
     for R, step_cap in runs:
         ckpts = sorted(marks & set(range(R)))
@@ -375,23 +364,23 @@ def test_lockstep_matches_single_walks(M, mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_lockstep_reopened_streams_match_single_walks(mode):
-    # a full chunk draws `first` per stream and drops its streams; replicas
-    # still walking reopen them past those draws.  Cases: survivors reopened
-    # at the second refill, survivors of a chunk that stops before that refill
-    # (so they reopen in the scalar tail), and a chunk straddling replica
-    # 2**32, whose upper half has two-word keys
+    # a full chunk draws `first` per stream, drops its direction streams and
+    # keeps its time streams; replicas still walking reopen their direction
+    # streams past those draws and read on from their time streams.  Cases:
+    # survivors that do so at the second refill, survivors of a chunk that
+    # stops before that refill (so they do so in the scalar tail), and a
+    # chunk straddling replica 2**32, whose upper half has two-word keys
     n = walker._chunk_size(10)
     first = walker._DRAW_BUDGET // n
+    least = walker._LOCKSTEP_MIN
     walk = simulate_continuous_walk if mode == "continuous" else simulate_discrete_walk
-    for g1, seed, lo, in_tail in ((2.6, SeedSpec(8), 0, False), (3.8, SeedSpec(3), 0, True),
+    for g1, seed, lo, in_tail in ((2.6, SeedSpec(8), 0, False), (3.6, SeedSpec(8), 0, True),
                                   (2.6, SeedSpec(8, (4,)), 2**32 - n // 2, False)):
         env = make_env("ATCGGTACGG", g1)
         walks = [walk(env, seed, r) for r in range(lo, lo + n)]
         lengths = np.array([w.steps for w in walks])
         survivors = np.flatnonzero(lengths > first) + lo
-        assert (1 <= survivors.size < 32) if in_tail else survivors.size >= 32
-        if mode == "continuous" and not in_tail:
-            assert _replays_past(seed, survivors.tolist(), first) > 0
+        assert (1 <= survivors.size < least) if in_tail else survivors.size >= least
         if lo >= 2**32 - n:
             assert survivors.max() >= 2**32
         rows = walker._lockstep(env, seed, lo, lo + n, mode == "continuous", 10**9)
@@ -477,10 +466,13 @@ def test_ensemble_refused_when_expected_walk_exceeds_cap(letters, g1, cap, log10
 
 
 def test_lockstep_memory_stays_flat():
-    # a full chunk keeps one step-major draw buffer, its count and sojourn
-    # rows, and open streams only for the replicas that outlive their first
-    # block: a Generator per replica (~760 B each, two per replica) or a
-    # second copy of the draw buffer would break the bound
+    # a full chunk keeps one step-major draw buffer and its count and sojourn
+    # rows.  Through its first block it keeps each replica's time stream as
+    # a bare PCG64 bit generator (~520 B), and from then on both streams
+    # only of the replicas that outlive that block; the absorbed replicas'
+    # bit generators go at that refill.  Keeping a Generator (~760 B) per
+    # replica for each stream, the direction streams' bit generators as
+    # well, or a second copy of the draw buffer would break the bound
     env = make_env("ATCGGTACGG", 3.0)
     seed = SeedSpec(8)
     n = walker._chunk_size(env.M)
@@ -489,7 +481,7 @@ def test_lockstep_memory_stays_flat():
     survivors = sum(simulate_discrete_walk(env, seed, r).steps > first for r in range(n))
     draw_buffer = 2 * walker._DRAW_BUDGET * 8  # 1 MiB: two streams of 2**16 float64
     cells = 2 * 2 * (env.M + 1) * n * 8  # 352 KiB: count and sojourn cells
-    streams = survivors * 2 * 1024  # two reopened streams per survivor, < 1 KiB each
+    streams = survivors * 2 * 1024  # two open streams per survivor, < 1 KiB each
     rest = 256 * 1024  # fill scratch, stream seeds, result rows, temporaries
     simulate_ensemble(env, 40, "continuous", seed)  # imports numpy.random
     tracemalloc.start()
@@ -518,3 +510,31 @@ def test_ensemble_uses_batch_seeding(monkeypatch):
     assert calls == []
     SeedSpec(4).stream(0)
     assert len(calls) == 1
+
+
+def test_ensemble_opens_each_time_stream_once(monkeypatch):
+    # an exponential takes a variable number of PCG64 outputs, so a time
+    # stream cannot jump past the draws it has taken: every replica's time
+    # stream is seeded once, also when it outlives its first block, and
+    # across a chunk edge
+    seeded = []
+    pcg64 = np.random.PCG64
+
+    def counted(seed):
+        seeded.append(tuple(seed.generate_state(4, np.uint64).tolist()))
+        return pcg64(seed)
+
+    monkeypatch.setattr(walker.np.random, "PCG64", counted)
+    short = make_env("ATCGGTACGG", 3.0)
+    long = make_env(random_sequence(np.random.default_rng(100), 100), 3.3)
+    for env, R in ((short, 1024), (short, 2049), (long, 200)):
+        seed = SeedSpec(8, (R,))
+        first = walker._DRAW_BUDGET // min(R, walker._chunk_size(env.M))
+        lengths = [simulate_discrete_walk(env, seed, r).steps for r in range(R)]
+        assert sum(L > first for L in lengths) >= walker._LOCKSTEP_MIN, R
+        seeded.clear()
+        agg = simulate_ensemble(env, R, "continuous", seed)
+        assert agg.steps == sum(lengths)
+        times = _stream_words(seed, np.arange(R, dtype=np.uint64), 1)
+        opened = Counter(seeded)
+        assert [opened[w] for w in map(tuple, times.tolist())] == [1] * R, R
