@@ -155,18 +155,23 @@ def gap_value(kind: str, a, u, beta: float):
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if kind == "G":
-        x, d = beta * a, beta * (u - a)
+        x, d, bu = np.broadcast_arrays(beta * a, beta * (u - a), beta * u)
         # near the minimum the logaddexp differences cancel (a separation of
         # 1e-8 rounds the gap to <= 0), so there each softplus difference is
         # log1p(expm1(+-d) sigma(+-x)); past |d| = 1, where expm1 may
-        # overflow, they no longer cancel
-        ex = np.exp(x)
+        # overflow, they no longer cancel.  Each form runs on its own elements
+        close = np.abs(d) < 1.0
+        out = np.empty(close.shape)
+        xc, dc = x[close], d[close]
+        ex = np.exp(xc)
         sig_neg = 1.0 / (1.0 + ex)  # sigma(-x); sigma(x) = ex sigma(-x)
-        dn = np.clip(d, -1.0, 1.0)
-        close = np.log1p(np.expm1(dn) * (ex * sig_neg)) + ex * np.log1p(np.expm1(-dn) * sig_neg)
-        far = (np.logaddexp(0.0, beta * u) - np.logaddexp(0.0, x)
-               + ex * (np.logaddexp(0.0, -beta * u) - np.logaddexp(0.0, -x)))
-        return np.where(np.abs(d) < 1.0, close, far)[()]
+        out[close] = (np.log1p(np.expm1(dc) * (ex * sig_neg))
+                      + ex * np.log1p(np.expm1(-dc) * sig_neg))
+        far = ~close
+        xf, bf = x[far], bu[far]
+        out[far] = (np.logaddexp(0.0, bf) - np.logaddexp(0.0, xf)
+                    + np.exp(xf) * (np.logaddexp(0.0, -bf) - np.logaddexp(0.0, -xf)))
+        return out[()]
     if kind == "F":
         return np.expm1(beta * u) - beta * u
     if kind == "H":

@@ -192,6 +192,29 @@ def test_gap_value_g():
                 assert v >= -1e-14
                 if abs(u - a) > 1e-9:
                     assert v > 0.0
+    # at |d| = beta |u - a| = 1 exactly the logaddexp form is taken, and the
+    # expm1 form agrees with it; scalars and 0-d arrays give 0-d results equal
+    # to those of the arrays they come from
+    a = np.array([-2.0, -0.5, 0.0, 1.5])
+    for beta, step in ((1.0, 1.0), (1.0, -1.0), (2.0, 0.5), (2.0, -0.5)):
+        x, bu = beta * a, beta * (a + step)
+        far = (np.logaddexp(0.0, bu) - np.logaddexp(0.0, x)
+               + np.exp(x) * (np.logaddexp(0.0, -bu) - np.logaddexp(0.0, -x)))
+        sig = 1.0 / (1.0 + np.exp(-x))
+        d = bu - x
+        near = np.log1p(np.expm1(d) * sig) + np.exp(x) * np.log1p(np.expm1(-d) * (1.0 - sig))
+        got = gap_value("G", a, a + step, beta)
+        assert np.array_equal(got, far) and np.allclose(got, near, rtol=1e-12, atol=0.0)
+        # and broadcast against a column of separations on both sides of 1
+        steps = np.array([[step * 0.999], [step], [step * 1.001]])
+        grid = gap_value("G", a, a + steps, beta)
+        assert grid.shape == (3, 4) and np.array_equal(grid[1], got)
+        for i, ai in enumerate(a.tolist()):
+            for ui in (ai + step, np.array(ai + step)):
+                v = gap_value("G", np.array(ai) if i % 2 else ai, ui, beta)
+                assert np.ndim(v) == 0 and v == got[i]
+                for row in range(3):
+                    assert gap_value("G", ai, ai + float(steps[row, 0]), beta) == grid[row, i]
 
 
 def test_gap_value_f_and_h():
