@@ -6,8 +6,11 @@
 The walker stage is ``simulate_ensemble`` in steps per second, in both time
 models, on seeded random sequences at the sizes of the benchmark's walk
 workloads: M = 100 at g1 = 3.2 with R = 200, and M = 10 at g1 = 3.0 with
-R = 10^4.  At M = 1000 and 10000, in both time models, the statistics come
-from the walker (a seeded random sequence, g1 = 3.5, R = 8).  The stages are
+R = 10^4.  ``walker_peak_bytes`` is the tracemalloc peak of one continuous
+1024-replica chunk at M = 10, the case whose memory
+``test_lockstep_memory_stays_flat`` bounds.  At M = 1000 and 10000, in both
+time models, the statistics come from the walker (a seeded random sequence,
+g1 = 3.5, R = 8).  The stages are
 ``build_edge_potentials``, ``decode_map``, the forward sweep (the block
 probabilities to h_max 3, relative to the MAP, and log Z in one pass), the
 site records (sites 2..M-1), the ``decode.json`` text, ``rate_report`` and
@@ -25,6 +28,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +64,18 @@ def walker_stages() -> dict[str, int]:
     return table
 
 
+def walker_peak_bytes() -> int:
+    """Peak traced memory of ``simulate_ensemble`` on one full chunk."""
+    env = environment_from_json({"sequence": "ATCGGTACGG", "beta": 1.0, "r": 1.0, "g1": 3.0})
+    simulate_ensemble(env, 40, "continuous", SeedSpec(8))  # imports numpy.random
+    tracemalloc.start()
+    try:
+        simulate_ensemble(env, 1024, "continuous", SeedSpec(8))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def stages(M: int, mode: str, out: Path) -> dict[str, float]:
     env = random_env(M, 3.5)
     stats = simulate_ensemble(env, 8, mode, SeedSpec(M))
@@ -87,12 +103,15 @@ def main(path: Path) -> None:
         table = {f"M={M} {mode}": stages(M, mode, Path(tmp))
                  for M in (1000, 10000) for mode in ("discrete", "continuous")}
     walks = walker_stages()
+    peak = walker_peak_bytes()
     doc = {"commit": commit, "numpy": np.__version__, "python": platform.python_version(),
            "host": f"{platform.machine()}, {os.cpu_count()} CPUs", "best_of": 5,
-           "walker_unit": "steps/s", "walker": walks, "unit": "ms", "stages": table}
+           "walker_unit": "steps/s", "walker": walks, "walker_peak_bytes": peak,
+           "unit": "ms", "stages": table}
     path.write_text(json.dumps(doc, indent=1) + "\n")
     for name, rate in walks.items():
         print(name, f"steps/s={rate}")
+    print("walker_peak_bytes", peak)
     for name, row in table.items():
         print(name, " ".join(f"{k}={v}" for k, v in row.items()))
 
