@@ -65,9 +65,8 @@ from .walker import (
     StepCapExceeded,
     WalkStats,
     accumulate_checkpoints,
-    simulate_continuous_walk,
-    simulate_discrete_walk,
     simulate_ensemble,
+    simulate_walk,
     verify_conservation,
 )
 
@@ -118,9 +117,8 @@ __all__ = [
     "rc_site",
     "run_protocol",
     "sequence_from_energies",
-    "simulate_continuous_walk",
-    "simulate_discrete_walk",
     "simulate_ensemble",
+    "simulate_walk",
     "site_posterior",
     "verify_conservation",
     "window_schedule",

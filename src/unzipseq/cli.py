@@ -62,9 +62,8 @@ from .walker import (
     SeedSpec,
     StepCapExceeded,
     accumulate_checkpoints,
-    simulate_discrete_walk,
-    simulate_continuous_walk,
     simulate_ensemble,
+    simulate_walk,
     verify_conservation,
 )
 
@@ -350,8 +349,7 @@ def cmd_simulate(cfg: dict) -> int:
         _write_csv(out / "stats.csv", ("site", "L_plus", "L_minus", "S", "R"),
                    (range(1, agg.M), agg.up[1:], agg.down[1:], S, itertools.repeat(agg.R)))
     if cfg["trace"]:
-        walk_fn = simulate_discrete_walk if mode == "discrete" else simulate_continuous_walk
-        walk = walk_fn(env, seed, 0, trace=True, step_cap=cfg["step_cap"])
+        walk = simulate_walk(env, mode, seed, 0, trace=True, step_cap=cfg["step_cap"])
         _write_csv(out / "trace.csv", ("step", "site", "time"),
                    (range(walk.path.size), walk.path, walk.path_times))
     return 0
@@ -445,9 +443,9 @@ def cmd_infer(cfg: dict) -> int:
         seed = SeedSpec(_require(cfg, "seed"))
         agg = simulate_ensemble(env, R, mode, seed, step_cap=cfg["step_cap"])
 
-    doc = _write_decode(out, error_report(agg, env, prior, mode, b1, h_max), cfg["format"])
+    doc = _write_decode(out, error_report(agg, env, prior, b1, h_max), cfg["format"])
     if cfg["oracle"]:
-        pot = build_edge_potentials(agg, env, prior, mode)
+        pot = build_edge_potentials(agg, env, prior)
         oracle = _oracle_enumeration(pot, b1, h_max)
         diffs = {k: abs(oracle[k] - doc[k]) for k in ("cost", "log_partition", "p_any_error")}
         diffs["map_sequence_equal"] = oracle["map_sequence"] == doc["map_sequence"]
@@ -523,7 +521,7 @@ def _infer_grid(cfg, env, mode, prior, b1) -> int:
     # one error pass per checkpoint: the any-error curve and, optionally, one site's
     lp_any, lp_site = [], []
     for agg in stats_seq:
-        report = error_report(agg, env, prior, mode, b1, h_max=1)
+        report = error_report(agg, env, prior, b1, h_max=1)
         lp_any.append(report.log_p_any)
         if site is not None:
             lp_site.append(float(report.sites.log_p_error[site - 2]))

@@ -16,9 +16,13 @@ through their logarithms.  Ties are decided within a tolerance scaled to the
 magnitude of the costs compared, so the rounding of sums of 1e5-1e10 sized
 terms never splits a true tie nor hides the optimum.
 
-Mode conventions: in discrete time, transitions out of site 1 are
-deterministic (p_1 = 1), so edge 1 contributes no cost; in continuous time
-the sojourn at site 1 is informative and edge 1 enters like any other.
+The time model is the one the statistics record (``stats.mode``), fixed by
+the experiment that produced them.  In discrete time, transitions out of
+site 1 are deterministic (p_1 = 1), so edge 1 contributes no cost; in
+continuous time the sojourn at site 1 is informative and edge 1 enters like
+any other.  The discrete model runs on continuous statistics through their
+discrete view, ``dataclasses.replace(stats, mode="discrete", sojourn=None,
+wall_time=None)``.
 """
 
 from __future__ import annotations
@@ -131,23 +135,27 @@ def build_edge_potentials(
     stats: WalkStats | AggregateStats,
     env: Environment,
     prior: Prior | None = None,
-    mode: str = "continuous",
 ) -> EdgePotentials:
     """Assemble the chain decomposition of the global information I.
 
     The log-likelihood cost of edge x holding the pair (u, v) is, with
-    z = beta (g0(u, v) - g1_x):
+    z = beta (g0(u, v) - g1_x), in the time model of ``stats.mode``:
     discrete, L+_x log(1 + e^z) + L-_x log(1 + e^-z), and zero on edge 1
     because the walk leaves site 1 with probability one;
     continuous, beta g0(u, v) L+_x + S_x r e^{-beta g0(u, v)}.
     Edge x then carries -log prior(x+1, v), and edge 1 also -log prior(1, u).
+    Statistics or a prior over another number of sites than ``env`` are
+    refused.
     """
-    _require_mode(mode)
+    _require_mode(stats.mode)
     if prior is None:
         prior = Prior.uniform(env.M)
+    for what, M in (("statistics", stats.M), ("prior", prior.M)):
+        if M != env.M:
+            raise ValueError(f"{what}: M = {M} does not match environment M = {env.M}")
     g0 = env.table.values[None, :, :]
     up = np.asarray(stats.up, dtype=float)[1:, None, None]
-    if mode == "discrete":
+    if stats.mode == "discrete":
         down = np.asarray(stats.down, dtype=float)[1:, None, None]
         z = env.beta * (g0 - env.g1_padded[1:, None, None])
         cost = up * np.logaddexp(0.0, z) + down * np.logaddexp(0.0, -z)
@@ -230,13 +238,11 @@ def site_posterior(
     env: Environment,
     x,
     prior: Prior | None = None,
-    mode: str = "continuous",
 ) -> SitePosterior:
     """Exact posterior P(b_x = u | stats, all other bases) for u in A,T,C,G,
     at a site or an array of sites in [2, M-1]."""
-    _require_mode(mode)
     site = _check_sites(x, 2, env.M - 1)
-    return _site_record(build_edge_potentials(stats, env, prior, mode), env.seq, site)
+    return _site_record(build_edge_potentials(stats, env, prior), env.seq, site)
 
 
 @dataclass(frozen=True)
@@ -454,12 +460,11 @@ def error_report(
     stats: WalkStats | AggregateStats,
     env: Environment,
     prior: Prior | None = None,
-    mode: str = "continuous",
     b1: Base | None = None,
     h_max: int = 3,
 ) -> ErrorReport:
     """Run the full decode + error-probability pipeline on one statistics set."""
-    pot = build_edge_potentials(stats, env, prior, mode)
+    pot = build_edge_potentials(stats, env, prior)
     decoded = decode_map(pot, b1)
     log_p, log_z = _forward_sweep(pot, b1, decoded.map_sequence.array, max(h_max, 1))
     log_p = log_p.tolist()

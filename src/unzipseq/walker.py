@@ -4,7 +4,10 @@ A replica starts at site 1 (the first pair is always open), moves up with
 probability p_x (p_1 = 1) or down otherwise, and is absorbed on first hitting
 site M.  Only the sufficient statistics are retained: per-site up-counts
 L+_x, down-counts L-_x, sojourn times S_x (continuous mode), and the total
-step count.  Full paths are recorded only in the optional trace mode.
+step count.  Full paths are recorded only in the optional trace mode.  Every
+entry point takes the time model as its ``mode`` argument: ``simulate_walk``
+runs one replica, ``simulate_ensemble`` and ``accumulate_checkpoints`` sum
+replicas 0..R-1.
 
 Replica streams are derived counter-style from (master seed, replica index),
 so an ensemble is reproducible bit-for-bit no matter how its replicas are
@@ -38,8 +41,7 @@ __all__ = [
     "AggregateStats",
     "StepCapExceeded",
     "DEFAULT_STEP_CAP",
-    "simulate_discrete_walk",
-    "simulate_continuous_walk",
+    "simulate_walk",
     "simulate_ensemble",
     "accumulate_checkpoints",
     "verify_conservation",
@@ -441,33 +443,24 @@ def _walk(
     )
 
 
-def simulate_discrete_walk(
+def simulate_walk(
     env: _SiteModel,
+    mode: str,
     seed: SeedSpec,
     replica: int,
     *,
     step_cap: int = DEFAULT_STEP_CAP,
     trace: bool = False,
 ) -> WalkStats:
-    """One discrete-time walk from site 1 to absorption at M, exact counts.
+    """One walk from site 1 to absorption at M, exact counts; in continuous
+    time also exponential sojourns, drawn from the replica's second stream.
 
     Stopped only by ``step_cap``: unlike ensembles, single walks (the reference
     the fuzz tests run a million of) skip the ~0.1 ms expected-length check.
     """
-    return _walk(env, seed.stream(replica, 0), None, replica, step_cap, trace)
-
-
-def simulate_continuous_walk(
-    env: _SiteModel,
-    seed: SeedSpec,
-    replica: int,
-    *,
-    step_cap: int = DEFAULT_STEP_CAP,
-    trace: bool = False,
-) -> WalkStats:
-    """One continuous-time walk: discrete jump chain plus exponential sojourns
-    (unchecked against its expected length, as ``simulate_discrete_walk``)."""
-    return _walk(env, seed.stream(replica, 0), seed.stream(replica, 1), replica, step_cap, trace)
+    _require_mode(mode)
+    rng_time = seed.stream(replica, 1) if mode == "continuous" else None
+    return _walk(env, seed.stream(replica, 0), rng_time, replica, step_cap, trace)
 
 
 def _require_mode(mode: str) -> None:

@@ -37,9 +37,8 @@ from unzipseq.rates import decision_margins, rc_site
 from unzipseq.walker import (
     SeedSpec,
     accumulate_checkpoints,
-    simulate_continuous_walk,
-    simulate_discrete_walk,
     simulate_ensemble,
+    simulate_walk,
     verify_conservation,
 )
 
@@ -84,7 +83,7 @@ def test_criterion_1_oracle_equivalence():
             R = int(rng.choice([1, 10]))
             env = make_env(random_sequence(rng, M), float(rng.uniform(1.8, 2.9)), beta=beta)
             stats = simulate_ensemble(env, R, mode, SeedSpec(int(rng.integers(1 << 30))))
-            pot = build_edge_potentials(stats, env, None, mode)
+            pot = build_edge_potentials(stats, env)
             b1 = env.seq.base(1)
             oracle = oracle_summary(stats, env, mode, b1, h_max=3)
             dec = decode_map(pot, b1)
@@ -122,7 +121,7 @@ def test_criterion_2_count_law_verification(env10):
     for x in range(1, M):
         means[x] = count_moments(env10, x).e_up
     for rep in range(R):
-        w = simulate_discrete_walk(env10, SeedSpec(SIM_SEED), rep)
+        w = simulate_walk(env10, "discrete", SeedSpec(SIM_SEED), rep)
         up = w.up
         down = w.down
         for x in range(1, M):
@@ -183,7 +182,7 @@ def test_criterion_3_rate_function(env10, grid_curves):
         for x in (2, 3, 5, 7):
             pts = []
             for R, agg in zip(grid, curves[mode]):
-                sp = site_posterior(agg, env10, x, None, mode)
+                sp = site_posterior(agg, env10, x)
                 pts.append((R, sp.log_p_error))
             fit = empirical_rate_from_logs(pts)
             rc = rc_site(env10, x, mode)
@@ -198,7 +197,7 @@ def test_criterion_4_any_error_bound(env10, grid_curves):
     b1 = env10.seq.base(1)
     pts = []
     for R, agg in zip(grid, curves["continuous"]):
-        pot = build_edge_potentials(agg, env10, None, "continuous")
+        pot = build_edge_potentials(agg, env10)
         pts.append((R, log_block_probs(pot, b1, decode_map(pot, b1).map_sequence, 1)[0]))
     fit = empirical_rate_from_logs(pts)
     delta_f_minus = decision_margins(env10.table, env10.beta, mode="continuous").minus
@@ -215,15 +214,14 @@ def test_criterion_5_flow_invariants_fuzz():
     walks_per_env = 4000
     for e in range(n_envs):
         M = int(rng.integers(2, 8))
-        continuous = e % 5 == 0
+        mode = "continuous" if e % 5 == 0 else "discrete"
         g1 = float(rng.uniform(1.2, 1.9)) if M <= 4 and e % 3 == 0 else float(
             rng.uniform(1.9, 3.3)
         )
         env = make_env(random_sequence(rng, M), g1)
         seed = SeedSpec(int(rng.integers(1 << 40)))
-        walk_fn = simulate_continuous_walk if continuous else simulate_discrete_walk
         for rep in range(walks_per_env):
-            w = walk_fn(env, seed, rep)
+            w = simulate_walk(env, mode, seed, rep)
             ok = w.up[M - 1] == 1 and w.steps == int(np.sum(w.up)) + int(np.sum(w.down))
             for x in range(2, M):
                 if w.down[x] != w.up[x - 1] - 1:
@@ -240,7 +238,7 @@ def test_criterion_6_degeneracy_handling():
     # all-C molecule vs the all-G twin
     env = make_env("CCCCCCCC", 2.5)
     stats = simulate_ensemble(env, 500, "continuous", SeedSpec(606))
-    pot = build_edge_potentials(stats, env, None, "continuous")
+    pot = build_edge_potentials(stats, env)
     cost_c = pot.sequence_cost(BaseSequence.from_string("C" * 8))
     cost_g = pot.sequence_cost(BaseSequence.from_string("G" * 8))
     assert cost_c == cost_g  # exact tie, bit for bit
@@ -252,7 +250,7 @@ def test_criterion_6_degeneracy_handling():
     # the AC alternation and its GT twin
     env2 = make_env("ACACACAC", 2.4)
     stats2 = simulate_ensemble(env2, 500, "continuous", SeedSpec(607))
-    pot2 = build_edge_potentials(stats2, env2, None, "continuous")
+    pot2 = build_edge_potentials(stats2, env2)
     cost_ac = pot2.sequence_cost(BaseSequence.from_string("ACACACAC"))
     cost_gt = pot2.sequence_cost(BaseSequence.from_string("GTGTGTGT"))
     assert cost_ac == cost_gt
@@ -263,7 +261,7 @@ def test_criterion_6_degeneracy_handling():
 
     # discrete-mode twin costs also tie exactly
     stats_d = simulate_ensemble(env, 500, "discrete", SeedSpec(608))
-    pot_d = build_edge_potentials(stats_d, env, None, "discrete")
+    pot_d = build_edge_potentials(stats_d, env)
     assert pot_d.sequence_cost(BaseSequence.from_string("C" * 8)) == pot_d.sequence_cost(
         BaseSequence.from_string("G" * 8)
     )
@@ -346,7 +344,7 @@ def test_invariant_decode_convergence_50_seeds():
     wrong = 0
     for seed in range(50):
         stats = simulate_ensemble(env, 5000, "discrete", SeedSpec(5000 + seed))
-        pot = build_edge_potentials(stats, env, None, "discrete")
+        pot = build_edge_potentials(stats, env)
         dec = decode_map(pot, env.seq.base(1))
         wrong += sum(
             1 for a, b in zip(str(dec.map_sequence), letters) if a != b

@@ -19,8 +19,8 @@ PUBLIC = {
     "environment_from_json", "error_report", "estimate_energy", "expected_unzip_time",
     "gap_value", "h_margins", "hop_probability", "lc_bound", "log_partition",
     "obstacle_height", "pbar", "rate_report", "rc_energy", "rc_site", "run_protocol",
-    "sequence_from_energies", "simulate_continuous_walk", "simulate_discrete_walk",
-    "simulate_ensemble", "site_posterior", "verify_conservation", "window_schedule",
+    "sequence_from_energies", "simulate_ensemble", "simulate_walk", "site_posterior",
+    "verify_conservation", "window_schedule",
 }
 INFERENCE = {
     "Prior", "SitePosterior", "EdgePotentials", "DecodeResult", "ErrorReport", "RateFit",
@@ -38,8 +38,8 @@ RATES = {
 }
 WALKER = {
     "SeedSpec", "WalkStats", "AggregateStats", "StepCapExceeded", "DEFAULT_STEP_CAP",
-    "simulate_discrete_walk", "simulate_continuous_walk", "simulate_ensemble",
-    "accumulate_checkpoints", "verify_conservation", "zero_stats",
+    "simulate_walk", "simulate_ensemble", "accumulate_checkpoints", "verify_conservation",
+    "zero_stats",
 }
 PROTOCOLS = {
     "LevelLadder", "window_schedule", "ProtocolPlan", "PlanLevel", "build_protocol",

@@ -113,11 +113,11 @@ def test_infer_roundtrip_matches_in_memory(tmp_path, env_file):
 
     env = environment_from_json(ENV_DOC)
     agg = simulate_ensemble(env, 25, "continuous", SeedSpec(11))
-    rep = error_report(agg, env, mode="continuous", b1=env.seq.base(1), h_max=3)
+    rep = error_report(agg, env, b1=env.seq.base(1), h_max=3)
     doc = _generic_decode_doc(rep)
     doc["site_posteriors"] = [
         {"site": x, "probs": {b.name: p for b, p in
-                              zip(BASES, site_posterior(agg, env, x, None, "continuous").probs)}}
+                              zip(BASES, site_posterior(agg, env, x).probs)}}
         for x in range(2, env.M)
     ]
     assert _generic_json(doc) == written
@@ -171,7 +171,7 @@ def _generic_decode_doc(report) -> dict:
 def _law_report(sequence: str, R: int, mode: str, h_max: int):
     env = environment_from_json({**ENV_DOC, "sequence": sequence, "g1": 3.0})
     stats = law_stats(env, R, mode, np.random.default_rng([len(sequence), R]))
-    return error_report(stats, env, mode=mode, b1=None, h_max=h_max)
+    return error_report(stats, env, b1=None, h_max=h_max)
 
 
 def _nonfinite_report():
@@ -625,8 +625,7 @@ def _no_walk(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("a walk ran before the config was checked")
 
-    for name in ("simulate_ensemble", "run_protocol", "accumulate_checkpoints",
-                 "simulate_discrete_walk", "simulate_continuous_walk"):
+    for name in ("simulate_ensemble", "run_protocol", "accumulate_checkpoints", "simulate_walk"):
         monkeypatch.setattr(cli, name, no_walk)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,9 +24,8 @@ from unzipseq.walker import (
     AggregateStats,
     SeedSpec,
     accumulate_checkpoints,
-    simulate_continuous_walk,
-    simulate_discrete_walk,
     simulate_ensemble,
+    simulate_walk,
     zero_stats,
 )
 
@@ -63,11 +63,11 @@ def _stats_with(env, mode, up=None, down=None, sojourn=None, R=1):
 # ---------------------------------------------------------------- local info
 
 
-def local_information(stats, env, x, triple, mode):
+def local_information(stats, env, x, triple):
     """Likelihood cost of the two edges meeting at x for candidate bases
     (a_{x-1}, a_x, a_{x+1}), read off the potentials with the uniform prior's
     log 4 per site (sites x, x+1, and site 1 when x = 2) added back."""
-    phi = build_edge_potentials(stats, env, None, mode).phi
+    phi = build_edge_potentials(stats, env).phi
     a, b, c = triple
     return phi[x - 1, a, b] + phi[x, b, c] - (3 if x == 2 else 2) * math.log(4.0)
 
@@ -76,14 +76,14 @@ def test_local_information_zero_stats_continuous():
     env = make_env("ATCG", 2.0)
     stats = zero_stats(env.M, "continuous")
     triple = (Base.A, Base.T, Base.C)
-    assert local_information(stats, env, 2, triple, "continuous") == 0.0
+    assert local_information(stats, env, 2, triple) == 0.0
 
 
 def test_local_information_single_count_log2():
     # one up-crossing on an edge with dg = 0 costs exactly log 2
     env = make_env("AAAA", 1.78)
     stats = _stats_with(env, "discrete", up={2: 1})
-    val = local_information(stats, env, 2, (Base.A, Base.A, Base.A), "discrete")
+    val = local_information(stats, env, 2, (Base.A, Base.A, Base.A))
     assert val == pytest.approx(math.log(2.0), rel=1e-15)
 
 
@@ -94,10 +94,10 @@ def test_local_information_matches_hand_expansion():
     for x in (2, 3):
         for triple in ((Base.A, Base.C, Base.G), (Base.T, Base.T, Base.A)):
             expected = tables[x - 1, triple[0], triple[1]] + tables[x, triple[1], triple[2]]
-            got = local_information(stats, env, x, triple, "discrete")
+            got = local_information(stats, env, x, triple)
             assert got == pytest.approx(expected, rel=1e-12)
     with pytest.raises(IndexError):
-        site_posterior(stats, env, 1, None, "discrete")
+        site_posterior(stats, env, 1)
 
 
 # ---------------------------------------------------------------- site level
@@ -106,7 +106,7 @@ def test_local_information_matches_hand_expansion():
 def test_site_posterior_zero_stats_uniform():
     env = make_env("ATCG", 2.0)
     for mode in ("discrete", "continuous"):
-        post = site_posterior(zero_stats(env.M, mode), env, 2, None, mode)
+        post = site_posterior(zero_stats(env.M, mode), env, 2)
         for b in BASES:
             assert post.probs[b] == pytest.approx(0.25, abs=1e-12)
         assert post.tie
@@ -118,7 +118,7 @@ def test_site_posterior_degenerate_table_returns_prior():
     env = make_env("ATCG", 2.0, table=EnergyTable(np.full((4, 4), 2.5)))
     prior = Prior.iid([0.4, 0.3, 0.2, 0.1], env.M)
     stats = simulate_ensemble(env, 20, "discrete", SeedSpec(8))
-    post = site_posterior(stats, env, 2, prior, "discrete")
+    post = site_posterior(stats, env, 2, prior)
     for i, b in enumerate(BASES):
         assert post.probs[b] == pytest.approx([0.4, 0.3, 0.2, 0.1][i], abs=1e-12)
 
@@ -127,9 +127,7 @@ def test_site_posterior_degenerate_table_returns_prior():
 def test_site_posterior_brute_force_bayes_m3(mode):
     # exact Bayes by enumerating the closed-form likelihood of the statistics
     env = make_env("ATG", 2.0)
-    walk = (simulate_discrete_walk if mode == "discrete" else simulate_continuous_walk)(
-        env, SeedSpec(13), 0
-    )
+    walk = simulate_walk(env, mode, SeedSpec(13), 0)
     a, c = int(walk.up[2]), int(walk.down[2])
     masses = {}
     for gamma in BASES:
@@ -145,7 +143,7 @@ def test_site_posterior_brute_force_bayes_m3(mode):
             like *= lam2**n2 * s2 ** (n2 - 1) * math.exp(-lam2 * s2) / math.gamma(n2)
         masses[gamma] = 0.25 * like
     Z = sum(masses.values())
-    post = site_posterior(walk, env, 2, None, mode)
+    post = site_posterior(walk, env, 2)
     for gamma in BASES:
         assert post.probs[gamma] == pytest.approx(masses[gamma] / Z, abs=1e-10)
     assert post.map_base == max(BASES, key=lambda b: masses[b])
@@ -157,7 +155,7 @@ def test_site_posterior_brute_force_bayes_m3(mode):
 def test_site_map_estimate_plain():
     env = make_env("ATCG", 2.0)
     post = site_posterior(zero_stats(env.M, "discrete"), env, 2,
-                          Prior.iid([0.7, 0.1, 0.1, 0.1], env.M), "discrete")
+                          Prior.iid([0.7, 0.1, 0.1, 0.1], env.M))
     assert post.map_base is Base.A and not post.tie
     assert post.p_error == pytest.approx(0.3, abs=1e-12)
 
@@ -166,14 +164,14 @@ def test_site_posterior_tie_scales_with_costs():
     # a real 4e-11 edge of A over T at costs of order 1 is a decision, not a tie
     env = make_env("ATCG", 2.0)
     prior = Prior.iid([0.25 + 1e-11, 0.25 - 1e-11, 0.25, 0.25], env.M)
-    post = site_posterior(zero_stats(env.M, "discrete"), env, 2, prior, "discrete")
+    post = site_posterior(zero_stats(env.M, "discrete"), env, 2, prior)
     assert post.map_base is Base.A and not post.tie
     # an exact tie among costs of order 1e10 (R ~ 1e7) is still a tie
     flat = make_env("ATCG", 2.0, table=EnergyTable(np.full((4, 4), 2.5)))
     stats = _stats_with(flat, "continuous", up={1: 3 * 10**9, 2: 2 * 10**9, 3: 10**7},
                         down={2: 3 * 10**9 - 10**7, 3: 2 * 10**9 - 10**7},
                         sojourn={1: 4.1e9, 2: 3.3e9, 3: 2.2e9}, R=10**7)
-    post = site_posterior(stats, flat, 2, None, "continuous")
+    post = site_posterior(stats, flat, 2)
     assert post.tie and post.map_base is Base.A
     assert np.all(post.probs == 0.25)
 
@@ -181,7 +179,7 @@ def test_site_posterior_tie_scales_with_costs():
 def test_site_error_probability_point_mass():
     env = make_env("AAAA", 1.3)
     stats = simulate_ensemble(env, 300, "discrete", SeedSpec(2))
-    post = site_posterior(stats, env, 2, None, "discrete")
+    post = site_posterior(stats, env, 2)
     p = post.p_error
     assert 0.0 < p < 1e-6
     assert post.log_p_error == pytest.approx(math.log(p), rel=1e-9)
@@ -193,12 +191,12 @@ def test_site_log_error_probability_underflow_regime():
     from unzipseq.walker import accumulate_checkpoints
 
     snaps = accumulate_checkpoints(env, "discrete", SeedSpec(5), grid)
-    lps = [site_posterior(s, env, 3, None, "discrete").log_p_error
+    lps = [site_posterior(s, env, 3).log_p_error
            for s in snaps]
     assert all(math.isfinite(v) for v in lps)
     assert lps[0] > lps[1] > lps[2]
     # in this regime the plain probability may underflow, the log never does
-    last = site_posterior(snaps[-1], env, 3, None, "discrete")
+    last = site_posterior(snaps[-1], env, 3)
     assert lps[-1] < -500 or last.p_error > 0
 
 
@@ -215,20 +213,20 @@ def test_numerical_stability_at_r_1e7():
     soj = {x: R * count_moments(env, x).e_sojourn for x in range(1, M)}
     stats = _stats_with(env, "continuous", up=up, down=down, sojourn=soj, R=R)
     for x in range(2, M):
-        post = site_posterior(stats, env, x, None, "continuous")
+        post = site_posterior(stats, env, x)
         assert post.map_base == env.seq.base(x)
         lp = post.log_p_error
         assert math.isfinite(lp) and lp < -1e5
-    pot = build_edge_potentials(stats, env, None, "continuous")
+    pot = build_edge_potentials(stats, env)
     dec = decode_map(pot, env.seq.base(1))
     assert str(dec.map_sequence) == "ATCGGA" and not dec.tie
     lp_any = log_block_probs(pot, env.seq.base(1), dec.map_sequence, 1)[0]
     assert math.isfinite(lp_any) and lp_any < -1e5
-    rep = error_report(stats, env, None, "continuous", env.seq.base(1))
+    rep = error_report(stats, env, None, env.seq.base(1))
     assert rep.log_p_any == pytest.approx(lp_any, rel=1e-12)
     assert rep.p_any == 0.0  # honest underflow
     with pytest.raises(IndexError):
-        site_posterior(stats, env, 1, None, "continuous")
+        site_posterior(stats, env, 1)
 
 
 # ---------------------------------------------------------------- potentials
@@ -240,7 +238,7 @@ def test_edge_potentials_reconstruct_global_cost(mode):
     env = make_env("ATCGGT", 2.2)
     stats = simulate_ensemble(env, 5, mode, SeedSpec(19))
     prior = Prior.iid([0.4, 0.25, 0.2, 0.15], env.M)
-    pot = build_edge_potentials(stats, env, prior, mode)
+    pot = build_edge_potentials(stats, env, prior)
     tables = edge_cost_tables(stats, env, mode)
     prior_arr = prior.probs
     for _ in range(40):
@@ -252,7 +250,7 @@ def test_edge_potentials_reconstruct_global_cost(mode):
 
 def test_edge_potentials_zero_stats_constant():
     env = make_env("ATCGG", 2.0)
-    pot = build_edge_potentials(zero_stats(env.M, "continuous"), env, None, "continuous")
+    pot = build_edge_potentials(zero_stats(env.M, "continuous"), env)
     for e in range(1, env.M):
         assert np.ptp(pot.phi[e]) == pytest.approx(0.0, abs=1e-15)
 
@@ -260,7 +258,7 @@ def test_edge_potentials_zero_stats_constant():
 def test_edge_potentials_continuous_hand_expansion():
     env = make_env("ATCG", 1.9, r=1.3)
     stats = simulate_ensemble(env, 1, "continuous", SeedSpec(29))
-    pot = build_edge_potentials(stats, env, None, "continuous")
+    pot = build_edge_potentials(stats, env)
     for e in range(1, env.M):
         for u in BASES:
             for v in BASES:
@@ -286,7 +284,7 @@ def test_oracle_equivalence_small(mode, M):
                        float(rng.uniform(1.8, 2.8)), beta=float(rng.choice([0.5, 1.0, 2.0])))
         R = int(rng.choice([1, 10]))
         stats = simulate_ensemble(env, R, mode, SeedSpec(int(rng.integers(1 << 30))))
-        pot = build_edge_potentials(stats, env, None, mode)
+        pot = build_edge_potentials(stats, env)
         b1 = env.seq.base(1)
         oracle = oracle_summary(stats, env, mode, b1, h_max=3)
         dec = decode_map(pot, b1)
@@ -302,10 +300,38 @@ def test_oracle_equivalence_small(mode, M):
             )
 
 
+def test_inference_follows_the_recorded_time_model():
+    # the statistics fix the time model: discrete ones are decoded without a
+    # mode argument, the discrete view of continuous ones runs the discrete
+    # model, and a mode outside MODES is refused
+    env = make_env("ACATTG", 2.3)
+    b1 = env.seq.base(1)
+    continuous = simulate_ensemble(env, 20, "continuous", SeedSpec(41))
+    view = dataclasses.replace(continuous, mode="discrete", sojourn=None, wall_time=None)
+    for stats in (simulate_ensemble(env, 20, "discrete", SeedSpec(43)), view):
+        rep = error_report(stats, env, b1=b1)
+        oracle = oracle_summary(stats, env, "discrete", b1)
+        assert tuple(rep.decode.map_sequence.bases) == oracle["map"]
+        assert rep.log_partition == pytest.approx(oracle["log_z"], rel=1e-10)
+        assert rep.p_any == pytest.approx(oracle["p_any"], rel=1e-10, abs=1e-12)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        build_edge_potentials(dataclasses.replace(view, mode="quantum"), env)
+
+
+def test_site_count_mismatch_is_refused():
+    env = make_env("ACAATTGGGG", 2.3)
+    with pytest.raises(ValueError, match="statistics: M = 2 does not match environment M = 10"):
+        build_edge_potentials(simulate_ensemble(make_env("AC", 2.3), 5, "discrete", SeedSpec(3)), env)
+    stats = simulate_ensemble(env, 5, "discrete", SeedSpec(3))
+    for M in (2, 7):
+        with pytest.raises(ValueError, match=f"prior: M = {M} does not match environment M = 10"):
+            build_edge_potentials(stats, env, Prior.uniform(M))
+
+
 def test_decode_homopolymer_degeneracy():
     env = make_env("CCCCCC", 2.5)
     stats = simulate_ensemble(env, 50, "continuous", SeedSpec(7))
-    pot = build_edge_potentials(stats, env, None, "continuous")
+    pot = build_edge_potentials(stats, env)
     with_b1 = decode_map(pot, Base.C)
     assert str(with_b1.map_sequence) == "CCCCCC"
     assert not with_b1.tie
@@ -323,7 +349,7 @@ def test_decode_converges_at_desk_scale():
     letters = random_sequence(rng, 20)
     env = make_env(letters, 2.3)
     stats = simulate_ensemble(env, 1000, "discrete", SeedSpec(17))
-    pot = build_edge_potentials(stats, env, None, "discrete")
+    pot = build_edge_potentials(stats, env)
     dec = decode_map(pot, env.seq.base(1))
     assert str(dec.map_sequence) == letters
 
@@ -338,7 +364,7 @@ def test_decode_regression_grid_exact_law(M, mode):
     env = make_env(random_sequence(rng, M), 3.0)
     for R in (10**3, 10**5, 10**7):
         stats = law_stats(env, R, mode, rng)
-        pot = build_edge_potentials(stats, env, None, mode)
+        pot = build_edge_potentials(stats, env)
         dec = decode_map(pot, env.seq.base(1))
         assert dec.ties[0] == dec.map_sequence
         assert pot.sequence_cost(dec.map_sequence) == pytest.approx(dec.cost, rel=1e-12)
@@ -399,8 +425,8 @@ def test_error_report_memory_is_bounded(mode, b1_free):
     env = make_env(random_sequence(np.random.default_rng(16), M), 3.5)
     stats = law_stats(env, 10**3, mode, np.random.default_rng(17))
     b1 = None if b1_free else env.seq.base(1)
-    pot = build_edge_potentials(stats, env, None, mode)
-    ref = error_report(stats, env, None, mode, b1, 3).decode.map_sequence  # warms the caches
+    pot = build_edge_potentials(stats, env)
+    ref = error_report(stats, env, None, b1, 3).decode.map_sequence  # warms the caches
 
     def peak(fn):
         tracemalloc.start()
@@ -410,7 +436,7 @@ def test_error_report_memory_is_bounded(mode, b1_free):
         finally:
             tracemalloc.stop()
 
-    report_peak = peak(lambda: error_report(stats, env, None, mode, b1, 3))
+    report_peak = peak(lambda: error_report(stats, env, None, b1, 3))
     sweep_peak = peak(lambda: log_block_probs(pot, b1, ref, 3))
     assert decode_map(pot, b1).tie is b1_free
     assert report_peak < 8 * 2**20, report_peak
@@ -430,7 +456,7 @@ def test_log_partition_zero_potentials():
 def test_sequence_posterior_basics():
     env = make_env("ATCG", 2.0)
     stats = zero_stats(env.M, "continuous")
-    pot = build_edge_potentials(stats, env, None, "continuous")
+    pot = build_edge_potentials(stats, env)
     b1 = Base.A
     alpha = BaseSequence.from_string("ACCG")
     assert math.exp(sequence_log_posterior(alpha, pot, b1)) == pytest.approx(
@@ -444,7 +470,7 @@ def test_sequence_posterior_basics():
 def test_sequence_posterior_sums_to_one(mode):
     env = make_env("ATCG", 2.3)
     stats = simulate_ensemble(env, 3, mode, SeedSpec(37))
-    pot = build_edge_potentials(stats, env, None, mode)
+    pot = build_edge_potentials(stats, env)
     b1 = env.seq.base(1)
     oracle = oracle_summary(stats, env, mode, b1)
     total = sum(
@@ -460,7 +486,7 @@ def test_sequence_posterior_sums_to_one(mode):
 
 def test_prob_any_error_zero_stats():
     env = make_env("ATCGG", 2.0)
-    pot = build_edge_potentials(zero_stats(env.M, "discrete"), env, None, "discrete")
+    pot = build_edge_potentials(zero_stats(env.M, "discrete"), env)
     b1 = Base.A
     ref = decode_map(pot, b1).map_sequence
     p_any = math.exp(log_block_probs(pot, b1, ref, 1)[0])
@@ -470,7 +496,7 @@ def test_prob_any_error_zero_stats():
 def test_prob_nonsuccessive_matches_any_error_at_h1():
     env = make_env("ATCGGT", 2.2)
     stats = simulate_ensemble(env, 8, "continuous", SeedSpec(41))
-    pot = build_edge_potentials(stats, env, None, "continuous")
+    pot = build_edge_potentials(stats, env)
     b1 = env.seq.base(1)
     ref = decode_map(pot, b1).map_sequence
     p1 = math.exp(log_block_probs(pot, b1, ref, 1)[0])
@@ -495,7 +521,7 @@ def test_block_pass_equals_state_by_state_recursion(M, mode):
     env = make_env(random_sequence(rng, M), 3.0)
     cases = [law_stats(env, R, mode, rng) for R in (10**3, 10**7)] + [zero_stats(M, mode, 1)]
     for stats in cases:
-        pot = build_edge_potentials(stats, env, None, mode)
+        pot = build_edge_potentials(stats, env)
         for b1 in (env.seq.base(1), None):
             log_z = partition_recursion(pot, b1)
             assert repr(log_partition(pot, b1)) == repr(log_z), (stats.R, b1)
@@ -523,9 +549,9 @@ def test_error_report_reads_one_sweep(monkeypatch):
     env = make_env(random_sequence(rng, 200), 3.0)
     for mode in ("discrete", "continuous"):
         stats = law_stats(env, 10**4, mode, rng)
-        pot = build_edge_potentials(stats, env, None, mode)
+        pot = build_edge_potentials(stats, env)
         for b1 in (env.seq.base(1), None):
-            rep = error_report(stats, env, None, mode, b1, 3)
+            rep = error_report(stats, env, None, b1, 3)
             assert repr(rep.log_partition) == repr(partition_recursion(pot, b1))
             want = block_recursion(pot, b1, rep.decode.map_sequence, 3).tolist()
             assert [lp for _, _, lp in rep.p_blocks] == want
@@ -539,7 +565,7 @@ def test_log_p_any_stays_negative_when_an_error_is_near_certain():
     # which -exp(-cost - log Z) gives apart from the sweep's block masses
     env = make_env("T" * 400, 3.2)
     for agg in accumulate_checkpoints(env, "discrete", SeedSpec(1), [1, 2, 3]):
-        rep = error_report(agg, env, None, "discrete", env.seq.base(1), 3)
+        rep = error_report(agg, env, None, env.seq.base(1), 3)
         log_p_correct = -rep.decode.cost - rep.log_partition
         assert -700 < log_p_correct < -300, agg.R
         assert rep.p_any == 1.0
@@ -554,7 +580,7 @@ def test_log_p_any_matches_enumeration_in_log_form(mode):
     # the enumerated masses at every h
     env = make_env("ATCGGACT", 2.3)
     stats = simulate_ensemble(env, 1, mode, SeedSpec(71))
-    rep = error_report(stats, env, None, mode, env.seq.base(1), 3)
+    rep = error_report(stats, env, None, env.seq.base(1), 3)
     oracle = oracle_summary(stats, env, mode, env.seq.base(1))
     assert tuple(rep.decode.map_sequence.bases) == oracle["map"]
     for h, _, lp in rep.p_blocks:
@@ -566,7 +592,7 @@ def test_site_posterior_consistent_with_global_conditional(mode):
     env = make_env("TACGG", 2.1)
     stats = simulate_ensemble(env, 4, mode, SeedSpec(43))
     for x in (2, 3, 4):
-        post = site_posterior(stats, env, x, None, mode)
+        post = site_posterior(stats, env, x)
         cond = oracle_site_conditional(stats, env, mode, x)
         for b in BASES:
             assert post.probs[b] == pytest.approx(cond[b], abs=1e-10)
@@ -575,7 +601,7 @@ def test_site_posterior_consistent_with_global_conditional(mode):
 def test_shift_invariance():
     env = make_env("ATCGG", 2.2)
     stats = simulate_ensemble(env, 5, "continuous", SeedSpec(47))
-    pot = build_edge_potentials(stats, env, None, "continuous")
+    pot = build_edge_potentials(stats, env)
     shifted = EdgePotentials(pot.phi + 13.7)
     b1 = env.seq.base(1)
     d0, d1 = decode_map(pot, b1), decode_map(shifted, b1)
@@ -597,7 +623,7 @@ def test_shift_invariance():
 def test_error_report_assembly():
     env = make_env("ATCGG", 2.2)
     stats = simulate_ensemble(env, 10, "continuous", SeedSpec(53))
-    rep = error_report(stats, env, mode="continuous", b1=env.seq.base(1), h_max=2)
+    rep = error_report(stats, env, b1=env.seq.base(1), h_max=2)
     assert rep.decode.ties[0] == rep.decode.map_sequence
     assert math.isfinite(rep.log_partition)
     assert [h for h, _, _ in rep.p_blocks] == [1, 2]

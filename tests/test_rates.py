@@ -22,9 +22,8 @@ from unzipseq.rates import (
 )
 from unzipseq.walker import (
     SeedSpec,
-    simulate_continuous_walk,
-    simulate_discrete_walk,
     simulate_ensemble,
+    simulate_walk,
 )
 
 from bruteforce import brute_p_up, brute_pair_pmf, brute_pbar
@@ -82,7 +81,7 @@ def test_count_moments_monte_carlo():
     soj = np.zeros((n, env.M))
     downs = np.zeros((n, env.M))
     for rep in range(n):
-        w = simulate_continuous_walk(env, SeedSpec(61), rep)
+        w = simulate_walk(env, "continuous", SeedSpec(61), rep)
         ups[rep] = w.up
         downs[rep] = w.down
         soj[rep] = w.sojourn
@@ -352,7 +351,7 @@ def test_expected_unzip_time_monte_carlo():
     env = make_env("ATCGGTACGG", 2.3)
     R = 10000
     steps = np.array(
-        [simulate_discrete_walk(env, SeedSpec(71), rep).steps for rep in range(R)],
+        [simulate_walk(env, "discrete", SeedSpec(71), rep).steps for rep in range(R)],
         dtype=float,
     )
     expect = expected_unzip_time(env, R).expectation
@@ -428,7 +427,7 @@ SITE_FUNCTIONS = {
     "rc_site-continuous": (lambda x: (rc_site(ENV40, x, "continuous"),), 2, 39),
     "obstacle_height": (lambda x: (obstacle_height(ENV40, x),), 0, 38),
     "site_posterior": (
-        lambda x: _posterior_fields(site_posterior(STATS40, ENV40, x, None, "continuous")), 2, 39
+        lambda x: _posterior_fields(site_posterior(STATS40, ENV40, x)), 2, 39
     ),
 }
 

@@ -14,9 +14,8 @@ from unzipseq.walker import (
     SeedSpec,
     StepCapExceeded,
     accumulate_checkpoints,
-    simulate_continuous_walk,
-    simulate_discrete_walk,
     simulate_ensemble,
+    simulate_walk,
     verify_conservation,
     _open_stream,
     _stream_words,
@@ -30,7 +29,7 @@ from conftest import make_env, random_sequence
 def test_m2_single_forced_step():
     env = make_env("AT", 0.4)
     for seed in (0, 1, 99):
-        w = simulate_discrete_walk(env, SeedSpec(seed), 0)
+        w = simulate_walk(env, "discrete", SeedSpec(seed), 0)
         assert w.up[1] == 1 and w.steps == 1
         assert verify_conservation(w) == []
 
@@ -40,9 +39,8 @@ def test_flow_identities_random_walks():
     for _ in range(60):
         M = int(rng.integers(2, 8))
         env = make_env(random_sequence(rng, M), float(rng.uniform(1.8, 3.2)))
-        mode_cont = bool(rng.integers(0, 2))
-        fn = simulate_continuous_walk if mode_cont else simulate_discrete_walk
-        w = fn(env, SeedSpec(int(rng.integers(1 << 30))), 0)
+        mode = MODES[int(rng.integers(0, 2))]
+        w = simulate_walk(env, mode, SeedSpec(int(rng.integers(1 << 30))), 0)
         assert verify_conservation(w) == []
         assert w.up[M - 1] == 1
         for x in range(2, M):
@@ -58,7 +56,7 @@ def test_geometric_up_count_m3():
     n = 20000
     tot = 0
     for rep in range(n):
-        w = simulate_discrete_walk(env, SeedSpec(5), rep)
+        w = simulate_walk(env, "discrete", SeedSpec(5), rep)
         assert w.up[2] == 1  # the killing edge is crossed exactly once
         tot += int(w.up[1])
     mean = tot / n
@@ -69,8 +67,8 @@ def test_geometric_up_count_m3():
 def test_continuous_embedded_chain_matches_discrete():
     env = make_env("ATCGG", 2.1)
     for rep in range(10):
-        wd = simulate_discrete_walk(env, SeedSpec(17), rep)
-        wc = simulate_continuous_walk(env, SeedSpec(17), rep)
+        wd = simulate_walk(env, "discrete", SeedSpec(17), rep)
+        wc = simulate_walk(env, "continuous", SeedSpec(17), rep)
         assert np.array_equal(wd.up, wc.up) and np.array_equal(wd.down, wc.down)
         assert wc.sojourn is not None and wd.sojourn is None
         assert wc.wall_time == pytest.approx(float(np.sum(wc.sojourn)), abs=0.0)
@@ -117,7 +115,7 @@ def test_pair_frequencies_match_closed_form():
     R = 30000
     counts: dict[tuple[int, int], int] = {}
     for rep in range(R):
-        w = simulate_discrete_walk(env, SeedSpec(53), rep)
+        w = simulate_walk(env, "discrete", SeedSpec(53), rep)
         key = (int(w.up[2]), int(w.down[2]))
         counts[key] = counts.get(key, 0) + 1
     checked = 0
@@ -134,7 +132,7 @@ def test_pair_frequencies_match_closed_form():
 def test_ensemble_basics():
     env = make_env("ATCGG", 2.0)
     seed = SeedSpec(11)
-    single = simulate_discrete_walk(env, seed, 0)
+    single = simulate_walk(env, "discrete", seed, 0)
     ens1 = simulate_ensemble(env, 1, "discrete", seed)
     assert np.array_equal(single.up, ens1.up) and ens1.R == 1
     ens = simulate_ensemble(env, 40, "discrete", seed)
@@ -170,7 +168,7 @@ def test_step_cap_abort():
     # zero force on a GC-rich molecule: absorption needs ~e^{beta sum g0} steps
     env = make_env("GCGCGCGC", 0.0)
     with pytest.raises(StepCapExceeded) as err:
-        simulate_discrete_walk(env, SeedSpec(3), 4, step_cap=50)
+        simulate_walk(env, "discrete", SeedSpec(3), 4, step_cap=50)
     assert err.value.replica == 4 and err.value.cap == 50
 
 
@@ -212,13 +210,13 @@ def test_zero_stats():
 
 def test_trace_mode():
     env = make_env("ATCGG", 2.0)
-    w = simulate_discrete_walk(env, SeedSpec(5), 0, trace=True)
+    w = simulate_walk(env, "discrete", SeedSpec(5), 0, trace=True)
     assert (w.path[0], w.path_times[0]) == (1, 0.0)
     assert w.path[-1] == env.M
     assert w.path.size == w.path_times.size == w.steps + 1
-    wc = simulate_continuous_walk(env, SeedSpec(5), 0, trace=True)
+    wc = simulate_walk(env, "continuous", SeedSpec(5), 0, trace=True)
     assert np.all(np.diff(wc.path_times) >= 0)
-    plain = simulate_discrete_walk(env, SeedSpec(5), 0)
+    plain = simulate_walk(env, "discrete", SeedSpec(5), 0)
     assert plain.path is None and plain.path_times is None
 
 
@@ -280,14 +278,13 @@ def test_reopened_streams_skip_the_draws_taken():
 
 def _reference_sums(env, mode, seed, checkpoints):
     """Single walks summed in replica order, as the ensemble contract states."""
-    walk = simulate_continuous_walk if mode == "continuous" else simulate_discrete_walk
     up = np.zeros(env.M, dtype=np.int64)
     down = np.zeros(env.M, dtype=np.int64)
     sojourn = np.zeros(env.M)
     steps = 0
     out = {}
     for replica in range(max(checkpoints)):
-        w = walk(env, seed, replica)
+        w = simulate_walk(env, mode, seed, replica)
         up += w.up
         down += w.down
         steps += w.steps
@@ -340,7 +337,7 @@ def test_lockstep_matches_single_walks(M, mode):
     # full chunk, 9 for the 655 replicas of a chunk at M = 100), cut short by
     # refills at M >= 10, with replicas absorbed inside them; a step cap at
     # the longest walk cuts the one window at M = 2 and the last at M = 10
-    lengths = np.array([simulate_discrete_walk(env, seed, r).steps for r in range(n)])
+    lengths = np.array([simulate_walk(env, "discrete", seed, r).steps for r in range(n)])
     cap = int(lengths.max())
     windows = _windows(lengths)
     assert windows[0][1] == walker._WINDOW_CELLS // n == (9 if M == 100 else 6)
@@ -373,11 +370,10 @@ def test_lockstep_reopened_streams_match_single_walks(mode):
     n = walker._chunk_size(10)
     first = walker._DRAW_BUDGET // n
     least = walker._LOCKSTEP_MIN
-    walk = simulate_continuous_walk if mode == "continuous" else simulate_discrete_walk
     for g1, seed, lo, in_tail in ((2.6, SeedSpec(8), 0, False), (3.6, SeedSpec(8), 0, True),
                                   (2.6, SeedSpec(8, (4,)), 2**32 - n // 2, False)):
         env = make_env("ATCGGTACGG", g1)
-        walks = [walk(env, seed, r) for r in range(lo, lo + n)]
+        walks = [simulate_walk(env, mode, seed, r) for r in range(lo, lo + n)]
         lengths = np.array([w.steps for w in walks])
         survivors = np.flatnonzero(lengths > first) + lo
         assert (1 <= survivors.size < least) if in_tail else survivors.size >= least
@@ -405,7 +401,7 @@ def test_lockstep_step_cap_names_lowest_replica():
     seed = SeedSpec(19)
     n = walker._chunk_size(env.M)
     R = 2 * n + 1
-    lengths = np.array([simulate_discrete_walk(env, seed, r).steps for r in range(R)])
+    lengths = np.array([simulate_walk(env, "discrete", seed, r).steps for r in range(R)])
     expected = math.ceil(math.exp(env.log_steps_per_walk))
     # caps met in lockstep by replicas whose streams were reopened after
     # their first block: at the expectation itself, by replica 0 on the step
@@ -426,10 +422,9 @@ def test_lockstep_step_cap_names_lowest_replica():
         assert _windows(lengths[:n], cap)[-1][2] == "cap"
     for cap, replica in zip(caps, first):
         for mode in MODES:
-            walk = simulate_continuous_walk if mode == "continuous" else simulate_discrete_walk
             with pytest.raises(StepCapExceeded) as want:
                 for r in range(R):
-                    walk(env, seed, r, step_cap=cap)
+                    simulate_walk(env, mode, seed, r, step_cap=cap)
             with pytest.raises(StepCapExceeded) as got:
                 simulate_ensemble(env, R, mode, seed, step_cap=cap)
             assert got.value.replica == want.value.replica == replica and got.value.cap == cap
@@ -461,7 +456,7 @@ def test_ensemble_refused_when_expected_walk_exceeds_cap(letters, g1, cap, log10
     if cap < 10**6:
         with pytest.raises(StepCapExceeded) as err:
             for r in range(2000):
-                simulate_discrete_walk(env, SeedSpec(19), r, step_cap=cap)
+                simulate_walk(env, "discrete", SeedSpec(19), r, step_cap=cap)
         assert err.value.replica is not None
 
 
@@ -478,7 +473,7 @@ def test_lockstep_memory_stays_flat():
     n = walker._chunk_size(env.M)
     assert n == walker._CHUNK
     first = walker._DRAW_BUDGET // n
-    survivors = sum(simulate_discrete_walk(env, seed, r).steps > first for r in range(n))
+    survivors = sum(simulate_walk(env, "discrete", seed, r).steps > first for r in range(n))
     draw_buffer = 2 * walker._DRAW_BUDGET * 8  # 1 MiB: two streams of 2**16 float64
     cells = 2 * 2 * (env.M + 1) * n * 8  # 352 KiB: count and sojourn cells
     streams = survivors * 2 * 1024  # two open streams per survivor, < 1 KiB each
@@ -530,7 +525,7 @@ def test_ensemble_opens_each_time_stream_once(monkeypatch):
     for env, R in ((short, 1024), (short, 2049), (long, 200)):
         seed = SeedSpec(8, (R,))
         first = walker._DRAW_BUDGET // min(R, walker._chunk_size(env.M))
-        lengths = [simulate_discrete_walk(env, seed, r).steps for r in range(R)]
+        lengths = [simulate_walk(env, "discrete", seed, r).steps for r in range(R)]
         assert sum(L > first for L in lengths) >= walker._LOCKSTEP_MIN, R
         seeded.clear()
         agg = simulate_ensemble(env, R, "continuous", seed)

@@ -79,13 +79,13 @@ def walker_peak_bytes() -> int:
 def stages(M: int, mode: str, out: Path) -> dict[str, float]:
     env = random_env(M, 3.5)
     stats = simulate_ensemble(env, 8, mode, SeedSpec(M))
-    pot = inference.build_edge_potentials(stats, env, None, mode)
+    pot = inference.build_edge_potentials(stats, env)
     b1 = env.seq.base(1)
     ref = inference.decode_map(pot, b1).map_sequence.array
-    report = inference.error_report(stats, env, None, mode, b1, 3)
+    report = inference.error_report(stats, env, None, b1, 3)
     rates = rate_report(env, 8)
     return {
-        "build_edge_potentials": best_ms(lambda: inference.build_edge_potentials(stats, env, None, mode)),
+        "build_edge_potentials": best_ms(lambda: inference.build_edge_potentials(stats, env)),
         "decode_map": best_ms(lambda: inference.decode_map(pot, b1)),
         "forward_sweep": best_ms(lambda: inference._forward_sweep(pot, b1, ref, 3)),
         "site_records": best_ms(lambda: inference._site_record(pot, env.seq, np.arange(2, M))),
