@@ -12,15 +12,15 @@ replicas 0..R-1.
 Replica streams are derived counter-style from (master seed, replica index),
 so an ensemble is reproducible bit-for-bit no matter how its replicas are
 scheduled, and stats at R1 < R2 under one master seed are nested.  Ensembles
-use that freedom: a chunk of replicas has its stream seeds derived in one
-numpy pass and steps in lockstep, and the few replicas still walking at the
-end finish one by one in the scalar loop.  Each time stream is opened
-once: its bit generator is kept from its replica's first draw block until
-the replica is absorbed.  A direction stream is dropped after that block and
-reopened, with an exact jump past the draws taken, only by a replica that
-outlives it.  Each stream is read strictly in order, so the results equal
-those of single walks summed in replica order, bit for bit, whatever the
-draw block sizes.
+use that freedom: a chunk of replicas steps in lockstep, and the few
+replicas still walking at the end finish one by one in the scalar loop.  A
+PCG64 stream is 256 bits of state, so a chunk holds each kind of stream as
+one (n, 4) array of its replicas' PCG64 states, computed in one numpy pass
+from their seeds, and reads them all through one generator per kind: a
+replica's row is loaded into the generator, a block drawn, and the state
+saved back to the row.  Each stream is read strictly in order, so the
+results equal those of single walks summed in replica order, bit for bit,
+whatever the draw block sizes.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ _BLOCK_MAX = 16384
 # Absorbed replicas are dropped between windows, and once fewer than
 # _LOCKSTEP_MIN are live each finishes alone in _walk: below that, a step's
 # four numpy calls cost more than the scalar steps they replace; above it,
-# less than a tail replica's own set-up (its direction stream reopened, its
-# rows copied to lists and back).
+# less than a tail replica's own set-up (its stream states loaded, its rows
+# copied to lists and back, _walk's tables built).
 _CHUNK = 1024
 _CHUNK_CELLS = 2**16
 _DRAW_BUDGET = _CHUNK * _BLOCK_INIT
@@ -201,35 +201,89 @@ def _stream_words(seed: SeedSpec, replicas: np.ndarray, substream: int) -> np.nd
     return out
 
 
+# PCG64's 128-bit LCG multiplier (O'Neill 2014), as (high, low) words
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+
+
+def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products a * b of uint64 arrays."""
+    m32 = np.uint64(_MASK32)
+    s32 = np.uint64(32)
+    a0, a1, b0, b1 = a & m32, a >> s32, b & m32, b >> s32
+    lo, mid_a, mid_b = a0 * b0, a0 * b1, a1 * b0
+    carry = ((lo >> s32) + (mid_a & m32) + (mid_b & m32)) >> s32
+    return a1 * b1 + (mid_a >> s32) + (mid_b >> s32) + carry
+
+
+def _stream_states(seed: SeedSpec, replicas: np.ndarray, substream: int) -> np.ndarray:
+    """The PCG64 state of ``seed.stream(r, substream)`` for every replica r
+    before its first draw, shape (n, 4), each row in the word order of
+    PCG64's C state (see _word_order).  PCG64 seeds from the words w of
+    _stream_words, read as 128-bit (high, low) pairs: inc = 2 w[2:4] + 1 and
+    state = (inc + w[0:2]) mult + inc, mod 2**128."""
+    w = _stream_words(seed, replicas, substream).T
+    one, s63 = np.uint64(1), np.uint64(63)
+    inc_hi = (w[2] << one) | (w[3] >> s63)
+    inc_lo = (w[3] << one) | one
+    lo = inc_lo + w[1]
+    hi = inc_hi + w[0] + (lo < inc_lo)
+    m_hi, m_lo = np.uint64(_PCG_MULT_HI), np.uint64(_PCG_MULT_LO)
+    prod_lo = lo * m_lo
+    prod_hi = _mul_hi(lo, m_lo) + lo * m_hi + hi * m_lo
+    state_lo = prod_lo + inc_lo
+    state_hi = prod_hi + inc_hi + (state_lo < prod_lo)
+    out = np.empty((w.shape[1], 4), dtype=np.uint64)
+    out[:, list(_word_order())] = np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+    return out
+
+
+def _state_view(bit_generator) -> memoryview:
+    """The four uint64 words of a PCG64's C state, its 128-bit LCG state and
+    increment, as a writable memoryview.  It does not keep the bit generator
+    alive, so hold it only beside the generator that owns it."""
+    import ctypes  # only ensembles use it
+
+    # ctypes.state_address is numpy's pcg64_state, whose first field points
+    # at the {state, inc} pair
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    return memoryview((ctypes.c_uint64 * 4).from_address(address)).cast("B").cast("Q")
+
+
 @functools.cache
-def _seed_words_type() -> type:
-    """A seed sequence that hands PCG64 one row of the words precomputed by
-    _stream_words, the row ``row`` names.  A chunk's streams share one, so a
-    kept stream holds no seed object of its own (made on first use:
-    importing numpy.random is a tenth of the CLI's import time)."""
+def _word_order() -> tuple[int, int, int, int]:
+    """Where PCG64's C state keeps the (high, low) words of its state and of
+    its increment, as their four positions in _state_view: a known state
+    is set through the public ``state`` setter and found in the view."""
+    bit_generator = np.random.PCG64(0)
+    words = (0x0123456789ABCDEF, 0x1122334455667788, 0x2233445566778899, 0x3344556677889901)
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": words[0] << 64 | words[1], "inc": words[2] << 64 | words[3]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    found = _state_view(bit_generator).tolist()
+    if sorted(found) != sorted(words):
+        raise RuntimeError(f"numpy {np.__version__}: PCG64's C state does not hold its "
+                           "state and increment as four 64-bit words")
+    return tuple(found.index(word) for word in words)
 
-    class SeedWords(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-            self.row = 0
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words[self.row]
+def _shared_stream() -> tuple[np.random.Generator, memoryview]:
+    """A generator that reads any replica's stream of one kind, and the view
+    of its state through which rows of _stream_states (as ``_words``) are
+    loaded and saved.  Only ``random`` and ``standard_exponential`` are drawn
+    from it: neither reads the ``has_uint32`` word PCG64 caches for 32-bit
+    draws, so the four state words are the whole of a stream's position."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    return gen, _state_view(gen.bit_generator)
 
-    return SeedWords
 
-
-def _open_stream(seeds, row: int, drawn: int = 0) -> np.random.Generator:
-    """The stream seeded by row ``row`` of ``seeds`` (a SeedWords), jumped
-    exactly past its first ``drawn`` draws.  Only direction streams are
-    jumped, as a uniform takes one PCG64 output; the ziggurat takes a
-    variable number per exponential, so a time stream is opened once and
-    kept."""
-    seeds.row = row
-    gen = np.random.Generator(np.random.PCG64(seeds))
-    if drawn:
-        gen.bit_generator.advance(drawn)
-    return gen
+def _words(states: np.ndarray) -> memoryview:
+    """The (n, 4) uint64 ``states`` as one flat memoryview of n * 4 words:
+    row r is ``[4 r : 4 r + 4]``, and copying it to or from a state view
+    costs half what a numpy row assignment does."""
+    return memoryview(states).cast("B").cast("Q")
 
 
 @dataclass(frozen=True)
@@ -569,26 +623,23 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     so an absorbed replica moves "up" onto itself, adding nothing but to the
     discarded column M, until the end of the window drops it.  Live replicas
     share one step count, so a window of steps reads a block of rows of the
-    step-major draw buffer, and they have all taken ``drawn`` draws from each
-    stream.  A step only logs each move; at the window's end ``np.add.at``,
-    which is unbuffered, adds the log to the counts and, with the time draws
-    over the rates of the cells left, to the sojourns, each replica's terms
-    in step order, as _walk adds them.  A replica's streams are opened to
-    fill its first block; its time stream's bit generator is kept, and its
-    direction stream dropped.  A replica still live at a later refill or in
-    the scalar tail reopens its direction stream past ``drawn``, takes up
-    its time stream where the first block left it, and keeps both; the
-    time streams of replicas absorbed in their first block are dropped at
-    the next refill, before any survivor's streams are built.  Once
-    fewer than _LOCKSTEP_MIN are live, or the step cap is reached, each
-    resumes alone in _walk in replica order, so a trapped chunk raises
-    StepCapExceeded for its lowest replica over the cap.
+    step-major draw buffer.  A step only logs each move; at the window's end
+    ``np.add.at``, which is unbuffered, adds the log to the counts and, with
+    the time draws over the rates of the cells left, to the sojourns, each
+    replica's terms in step order, as _walk adds them.  Each replica's stream of each kind
+    is its row of ``states``, read through that kind's shared generator: a
+    refill loads a live replica's row, draws its next block and saves the
+    state back to the row.  Once fewer than _LOCKSTEP_MIN are live, or the
+    step cap is reached, each survivor's rows are loaded and it resumes
+    alone on the shared generators in _walk, in replica order, so a trapped
+    chunk raises StepCapExceeded for its lowest replica over the cap.
     """
     M = env.M
     n = hi - lo
     stride = 2 * (M + 1)
-    seeds = [_seed_words_type()(_stream_words(seed, np.arange(lo, hi, dtype=np.uint64), sub))
-             for sub in range(1 + continuous)]
+    ids = np.arange(lo, hi, dtype=np.uint64)
+    states = [_words(_stream_states(seed, ids, sub)) for sub in range(1 + continuous)]
+    streams = [_shared_stream() for _ in states]
     p = np.append(env.up_probabilities, 2.0).repeat(2)
     dest = np.arange(stride) + np.tile([2, -3], M + 1)
     dest[2 * M] = 2 * M
@@ -602,23 +653,9 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     base = stride * np.arange(n)
     cell = np.full(n, 2)
     slot = np.arange(n)
-    draws = np.empty((len(seeds), 0, n))
+    draws = np.empty((len(states), 0, n))
     buffer = None
-    kept = {}  # replica -> its streams, from its second block on
-    clocks = {}  # replica -> its time stream's bit generator, in its first block
-    step = col = drawn = 0
-
-    def streams(r):
-        """Replica r's streams: kept open, or its direction stream opened
-        past ``drawn`` and its time stream, fresh or on the bit generator
-        its first block kept."""
-        if r in kept:
-            return kept[r]
-        gens = [_open_stream(seeds[0], r, drawn)]
-        if continuous:
-            gens.append(np.random.Generator(clocks.pop(r)) if drawn else _open_stream(seeds[1], r))
-        return gens
-
+    step = col = 0
     while step < step_cap:
         live = p[cell] <= 1.0
         base, cell, slot = base[live], cell[live], slot[live]
@@ -628,27 +665,24 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
             # refill: the next draws of each live replica's streams, a few
             # replicas at a time into the scratch, then step-major
             replicas = (base // stride).tolist()
-            if drawn:
-                clocks = {r: clocks[r] for r in replicas if r in clocks}
-                kept = {r: streams(r) for r in replicas}
             width = _DRAW_BUDGET // cell.size
             fill = max(1, _FILL_CELLS // width)
             if buffer is None:
-                buffer = np.empty((len(seeds), _DRAW_BUDGET))
-            draws = buffer[:, : width * cell.size].reshape(len(seeds), width, cell.size)
-            scratch = np.empty((len(seeds), min(fill, cell.size), width))
+                buffer = np.empty((len(states), _DRAW_BUDGET))
+            draws = buffer[:, : width * cell.size].reshape(len(states), width, cell.size)
+            scratch = np.empty((len(states), min(fill, cell.size), width))
             for i in range(0, cell.size, fill):
                 batch = replicas[i : i + fill]
-                gens = [streams(r) for r in batch]
-                if continuous and not drawn:
-                    # a first block keeps only its time streams' bit generators
-                    clocks.update((r, g[1].bit_generator) for r, g in zip(batch, gens))
-                for sub, rows_out in enumerate(scratch):
-                    for gen, out in zip((g[sub] for g in gens), rows_out):
-                        (gen.standard_exponential if sub else gen.random)(out=out)
+                for sub, (gen, view) in enumerate(streams):
+                    draw = gen.standard_exponential if sub else gen.random
+                    words = states[sub]
+                    for r, out in zip(batch, scratch[sub]):
+                        w = 4 * r
+                        view[:] = words[w : w + 4]
+                        draw(out=out)
+                        words[w : w + 4] = view
                 draws[:, :, i : i + len(batch)] = scratch[:, : len(batch)].transpose(0, 2, 1)
-            del scratch, gens
-            drawn += width
+            del scratch
             slot = np.arange(cell.size)
             col = 0
         span = min(_WINDOW_CELLS // cell.size, draws.shape[1] - col, step_cap - step)
@@ -673,12 +707,13 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     live = p[cell] <= 1.0
     for b, c, s in zip(base[live].tolist(), cell[live].tolist(), slot[live].tolist()):
         r, x = b // stride, c // 2
-        gens = streams(r)
+        for (_, view), words in zip(streams, states):
+            view[:] = words[4 * r : 4 * r + 4]
         so_far = (rows[0][r].tolist(), rows[1][r].tolist(),
                   rows[2][r].tolist() if continuous else None)
         unread = (draws[0, col:, s].tolist(), draws[1, col:, s].tolist() if continuous else ())
-        walk = _walk(env, gens[0], gens[1] if continuous else None, lo + r, step_cap, False,
-                     x, step, so_far, unread)
+        walk = _walk(env, streams[0][0], streams[1][0] if continuous else None, lo + r,
+                     step_cap, False, x, step, so_far, unread)
         for part, row in zip(rows, (walk.up, walk.down, walk.sojourn)):
             part[r] = row
     return rows + [rows[0].sum(axis=1) + rows[1].sum(axis=1)]

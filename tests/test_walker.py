@@ -1,7 +1,8 @@
+import gc
 import math
+import random
 import time
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from unzipseq.walker import (
     simulate_ensemble,
     simulate_walk,
     verify_conservation,
-    _open_stream,
+    _stream_states,
     _stream_words,
     zero_stats,
 )
@@ -232,48 +233,71 @@ def test_pbar_consistency_with_brute():
 
 def test_batch_seeding_matches_seed_sequence():
     # SeedSequence's hash run over arrays must give numpy's words exactly,
-    # across master sizes (2**200 is longer than the pool), prefixes,
-    # substreams and replica indices that take one or two key words
+    # and the PCG64 arithmetic on them numpy's seeded states, across master
+    # sizes (2**200 is longer than the pool), prefixes, substreams and
+    # replica indices that take one or two key words
     replicas = list(range(2794)) + [2**32 - 1, 2**32, 2**32 + 7, 2**40 + 3, 2**64 - 1]
+    order = walker._word_order()
     keys = 0
     for master in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200):
         for prefix in ((), (3,), (0, 5)):
             seed = SeedSpec(master, prefix)
             for substream in (0, 1):
-                words = _stream_words(seed, np.array(replicas, dtype=np.uint64), substream)
-                ref = [
-                    np.random.SeedSequence(master, spawn_key=prefix + (r, substream))
-                    .generate_state(4, np.uint64)
-                    for r in replicas
-                ]
-                assert np.array_equal(words, np.array(ref)), (master, prefix, substream)
+                ids = np.array(replicas, dtype=np.uint64)
+                words = _stream_words(seed, ids, substream)
+                states = _stream_states(seed, ids, substream).tolist()
+                ref_words, ref_states = [], []
+                for r in replicas:
+                    ss = np.random.SeedSequence(master, spawn_key=prefix + (r, substream))
+                    ref_words.append(ss.generate_state(4, np.uint64))
+                    ref_states.append(np.random.PCG64(ss).state["state"])
+                assert np.array_equal(words, np.array(ref_words)), (master, prefix, substream)
+                got = [{"state": row[order[0]] << 64 | row[order[1]],
+                        "inc": row[order[2]] << 64 | row[order[3]]} for row in states]
+                assert got == ref_states, (master, prefix, substream)
                 keys += len(replicas)
-                # streams opened one after another from one shared seed
-                # object each read on as their own replica's stream
-                some = [*range(12), *range(2**32 - 2, 2**32 + 2)]
-                seeds = walker._seed_words_type()(
-                    _stream_words(seed, np.array(some, dtype=np.uint64), substream))
-                for draw in ("random", "standard_exponential"):
-                    gens = [_open_stream(seeds, i) for i in range(len(some))]
-                    for r, gen in zip(some, gens):
-                        want = getattr(seed.stream(r, substream), draw)(100)
-                        assert np.array_equal(getattr(gen, draw)(100), want)
     assert keys >= 100_000
 
 
-def test_reopened_streams_skip_the_draws_taken():
-    # a reopened replica's direction stream jumps past `drawn` uniforms and
-    # then reads on exactly as the single walk's stream does, for one- and
-    # two-word replica keys
-    seed = SeedSpec(2**40 + 9, (2,))
-    replicas = [0, 1023, 1024, 2**32 - 1, 2**32 + 5]
-    seeds = walker._seed_words_type()(_stream_words(seed, np.array(replicas, dtype=np.uint64), 0))
-    for i, r in enumerate(replicas):
-        for drawn in (1, 63, 64, 2048):
-            want = seed.stream(r, 0)
-            want.random(drawn)
-            got = _open_stream(seeds, i, drawn).random(300)
-            assert np.array_equal(got, want.random(300)), (r, drawn)
+def test_word_order_matches_the_state_setter():
+    # the C word order is found afresh, and a view written in it sets the
+    # state the public getter reports
+    walker._word_order.cache_clear()
+    order = walker._word_order()
+    assert sorted(order) == [0, 1, 2, 3]
+    gen, view = walker._shared_stream()
+    words = [2**64 - 3, 5, 2**63 + 1, 7]
+    for i, word in zip(order, words):
+        view[i] = word
+    assert gen.bit_generator.state["state"] == {"state": words[0] << 64 | words[1],
+                                                "inc": words[2] << 64 | words[3]}
+
+
+def test_shared_streams_read_on_across_switches():
+    # one shared generator per stream kind, switched from replica A to B
+    # and back between blocks of draws (its state saved to A's row and
+    # loaded from B's), reads each replica's stream on exactly as the single
+    # walk's own stream does: on the masters and prefixes above, for one-
+    # and two-word replica keys
+    some = [0, 1, 1023, 1024, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 5]
+    for master in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200):
+        for prefix in ((), (3,), (0, 5)):
+            seed = SeedSpec(master, prefix)
+            for substream, draw in ((0, "random"), (1, "standard_exponential")):
+                gen, view = walker._shared_stream()
+                for block in (1, 63, 64, 2048):
+                    states = _stream_states(seed, np.array(some, dtype=np.uint64), substream)
+                    words = walker._words(states)
+                    got = {r: [] for r in some}
+                    for a in range(len(some) - 1):
+                        for i in (a, a + 1, a):
+                            view[:] = words[4 * i : 4 * i + 4]
+                            got[some[i]].append(getattr(gen, draw)(block))
+                            words[4 * i : 4 * i + 4] = view
+                    for r, blocks in got.items():
+                        blocks = np.concatenate(blocks)
+                        want = getattr(seed.stream(r, substream), draw)(blocks.size)
+                        assert np.array_equal(blocks, want), (master, prefix, r, block)
 
 
 def _reference_sums(env, mode, seed, checkpoints):
@@ -361,12 +385,12 @@ def test_lockstep_matches_single_walks(M, mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_lockstep_reopened_streams_match_single_walks(mode):
-    # a full chunk draws `first` per stream, drops its direction streams and
-    # keeps its time streams; replicas still walking reopen their direction
-    # streams past those draws and read on from their time streams.  Cases:
-    # survivors that do so at the second refill, survivors of a chunk that
-    # stops before that refill (so they do so in the scalar tail), and a
-    # chunk straddling replica 2**32, whose upper half has two-word keys
+    # a full chunk draws `first` per stream and saves each replica's stream
+    # states; replicas still walking load theirs and read on from there.
+    # Cases: survivors that do so at the second refill, survivors of a
+    # chunk that stops before that refill (so they do so in the scalar
+    # tail), and a chunk straddling replica 2**32, whose upper half has
+    # two-word keys
     n = walker._chunk_size(10)
     first = walker._DRAW_BUDGET // n
     least = walker._LOCKSTEP_MIN
@@ -403,7 +427,7 @@ def test_lockstep_step_cap_names_lowest_replica():
     R = 2 * n + 1
     lengths = np.array([simulate_walk(env, "discrete", seed, r).steps for r in range(R)])
     expected = math.ceil(math.exp(env.log_steps_per_walk))
-    # caps met in lockstep by replicas whose streams were reopened after
+    # caps met in lockstep by replicas whose streams were read on after
     # their first block: at the expectation itself, by replica 0 on the step
     # that absorbs it, and just past that step, where replica 0 finishes on
     # the cap and a later one is named; then first in chunk 1 (past replica
@@ -461,13 +485,11 @@ def test_ensemble_refused_when_expected_walk_exceeds_cap(letters, g1, cap, log10
 
 
 def test_lockstep_memory_stays_flat():
-    # a full chunk keeps one step-major draw buffer and its count and sojourn
-    # rows.  Through its first block it keeps each replica's time stream as
-    # a bare PCG64 bit generator (~520 B), and from then on both streams
-    # only of the replicas that outlive that block; the absorbed replicas'
-    # bit generators go at that refill.  Keeping a Generator (~760 B) per
-    # replica for each stream, the direction streams' bit generators as
-    # well, or a second copy of the draw buffer would break the bound
+    # a full chunk keeps one step-major draw buffer, its count and sojourn
+    # rows, and every replica's streams as rows of PCG64 states, 32 B per
+    # replica per stream (64 KiB in all), read through one shared generator
+    # per stream kind.  Keeping a Generator (~760 B) per replica, or a
+    # second copy of the draw buffer, would break the bound
     env = make_env("ATCGGTACGG", 3.0)
     seed = SeedSpec(8)
     n = walker._chunk_size(env.M)
@@ -476,7 +498,7 @@ def test_lockstep_memory_stays_flat():
     survivors = sum(simulate_walk(env, "discrete", seed, r).steps > first for r in range(n))
     draw_buffer = 2 * walker._DRAW_BUDGET * 8  # 1 MiB: two streams of 2**16 float64
     cells = 2 * 2 * (env.M + 1) * n * 8  # 352 KiB: count and sojourn cells
-    streams = survivors * 2 * 1024  # two open streams per survivor, < 1 KiB each
+    streams = survivors * 2 * 1024  # headroom over the 64 KiB of stream state rows
     rest = 256 * 1024  # fill scratch, stream seeds, result rows, temporaries
     simulate_ensemble(env, 40, "continuous", seed)  # imports numpy.random
     tracemalloc.start()
@@ -507,29 +529,66 @@ def test_ensemble_uses_batch_seeding(monkeypatch):
     assert len(calls) == 1
 
 
-def test_ensemble_opens_each_time_stream_once(monkeypatch):
-    # an exponential takes a variable number of PCG64 outputs, so a time
-    # stream cannot jump past the draws it has taken: every replica's time
-    # stream is seeded once, also when it outlives its first block, and
-    # across a chunk edge
-    seeded = []
-    pcg64 = np.random.PCG64
+def test_ensemble_builds_no_stream_per_replica(monkeypatch):
+    # a chunk holds its replicas' streams as rows of PCG64 states, seeded in
+    # one pass per stream kind, and reads them all through one generator per
+    # kind: also when replicas outlive their first block, and across a
+    # chunk edge
+    walker._word_order()  # found once, on a bit generator of its own
+    built, hashed = [], []
+    pcg64, stream_words = np.random.PCG64, walker._stream_words
 
-    def counted(seed):
-        seeded.append(tuple(seed.generate_state(4, np.uint64).tolist()))
-        return pcg64(seed)
+    def counted_pcg64(*args):
+        built.append(args)
+        return pcg64(*args)
 
-    monkeypatch.setattr(walker.np.random, "PCG64", counted)
+    def counted_words(seed, replicas, substream):
+        hashed.append((replicas.size, substream))
+        return stream_words(seed, replicas, substream)
+
+    monkeypatch.setattr(walker.np.random, "PCG64", counted_pcg64)
+    monkeypatch.setattr(walker, "_stream_words", counted_words)
     short = make_env("ATCGGTACGG", 3.0)
     long = make_env(random_sequence(np.random.default_rng(100), 100), 3.3)
     for env, R in ((short, 1024), (short, 2049), (long, 200)):
         seed = SeedSpec(8, (R,))
-        first = walker._DRAW_BUDGET // min(R, walker._chunk_size(env.M))
+        n = min(R, walker._chunk_size(env.M))
         lengths = [simulate_walk(env, "discrete", seed, r).steps for r in range(R)]
-        assert sum(L > first for L in lengths) >= walker._LOCKSTEP_MIN, R
-        seeded.clear()
-        agg = simulate_ensemble(env, R, "continuous", seed)
-        assert agg.steps == sum(lengths)
-        times = _stream_words(seed, np.arange(R, dtype=np.uint64), 1)
-        opened = Counter(seeded)
-        assert [opened[w] for w in map(tuple, times.tolist())] == [1] * R, R
+        assert sum(L > walker._DRAW_BUDGET // n for L in lengths) >= walker._LOCKSTEP_MIN, R
+        sizes = [min(n, R - lo) for lo in range(0, R, n)]
+        for mode in MODES:
+            continuous = mode == "continuous"
+            ref = _reference_sums(env, mode, seed, {R})[R]
+            built.clear()
+            hashed.clear()
+            agg = simulate_ensemble(env, R, mode, seed)
+            assert len(built) == (1 + continuous) * len(sizes), (R, mode)
+            assert hashed == [(k, sub) for k in sizes for sub in range(1 + continuous)]
+            up, down, steps, sojourn, wall = ref
+            assert np.array_equal(agg.up, up) and np.array_equal(agg.down, down), (R, mode)
+            assert agg.steps == steps == sum(lengths)
+            if continuous:
+                assert np.array_equal(agg.sojourn, sojourn) and agg.wall_time == wall
+
+
+def test_ensemble_leaves_the_cyclic_gc_idle():
+    # streams held as Python objects per replica (a PCG64 and its lock each,
+    # ~2,000 tracked objects per chunk) ran ~43 gen-0 collections per
+    # continuous ensemble at this size; state rows are one array per kind
+    letters = "".join(random.Random(10).choice("ATCG") for _ in range(10))
+    env = make_env(letters, 3.0)
+    simulate_ensemble(env, 100, "continuous", SeedSpec(10))  # imports numpy.random
+    collected = []
+
+    def count(phase, info):
+        if phase == "start" and info["generation"] == 0:
+            collected.append(info)
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        agg = simulate_ensemble(env, 10**4, "continuous", SeedSpec(10))
+    finally:
+        gc.callbacks.remove(count)
+    assert agg.R == 10**4 and verify_conservation(agg) == []
+    assert len(collected) <= 4, len(collected)
