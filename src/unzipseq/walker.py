@@ -237,32 +237,21 @@ def _stream_states(seed: SeedSpec, replicas: np.ndarray, substream: int) -> np.n
     return out
 
 
-def _state_view(bit_generator) -> memoryview:
-    """The four uint64 words of a PCG64's C state, its 128-bit LCG state and
-    increment, as a writable memoryview.  It does not keep the bit generator
-    alive, so hold it only beside the generator that owns it."""
-    import ctypes  # only ensembles use it
-
-    # ctypes.state_address is numpy's pcg64_state, whose first field points
-    # at the {state, inc} pair
-    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
-    return memoryview((ctypes.c_uint64 * 4).from_address(address)).cast("B").cast("Q")
-
-
 @functools.cache
 def _word_order() -> tuple[int, int, int, int]:
     """Where PCG64's C state keeps the (high, low) words of its state and of
-    its increment, as their four positions in _state_view: a known state
-    is set through the public ``state`` setter and found in the view."""
-    bit_generator = np.random.PCG64(0)
+    its increment, as their four positions in a _shared_stream view: a
+    known state is set through the public ``state`` setter and found in the
+    view."""
+    gen, view = _shared_stream()
     words = (0x0123456789ABCDEF, 0x1122334455667788, 0x2233445566778899, 0x3344556677889901)
-    bit_generator.state = {
+    gen.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": words[0] << 64 | words[1], "inc": words[2] << 64 | words[3]},
         "has_uint32": 0,
         "uinteger": 0,
     }
-    found = _state_view(bit_generator).tolist()
+    found = view.tolist()
     if sorted(found) != sorted(words):
         raise RuntimeError(f"numpy {np.__version__}: PCG64's C state does not hold its "
                            "state and increment as four 64-bit words")
@@ -270,13 +259,21 @@ def _word_order() -> tuple[int, int, int, int]:
 
 
 def _shared_stream() -> tuple[np.random.Generator, memoryview]:
-    """A generator that reads any replica's stream of one kind, and the view
-    of its state through which rows of _stream_states (as ``_words``) are
-    loaded and saved.  Only ``random`` and ``standard_exponential`` are drawn
-    from it: neither reads the ``has_uint32`` word PCG64 caches for 32-bit
-    draws, so the four state words are the whole of a stream's position."""
+    """A generator that reads any replica's stream of one kind, and a
+    writable view of the four uint64 words of its C state, its 128-bit LCG
+    state and increment, through which rows of _stream_states (as
+    ``_words``) are loaded and saved.  The view does not keep the generator
+    alive, so it is only ever held beside it.  Only ``random`` and
+    ``standard_exponential`` are drawn from it: neither reads the
+    ``has_uint32`` word PCG64 caches for 32-bit draws, so the four state
+    words are the whole of a stream's position."""
+    import ctypes  # only ensembles use it
+
     gen = np.random.Generator(np.random.PCG64(0))
-    return gen, _state_view(gen.bit_generator)
+    # ctypes.state_address is numpy's pcg64_state, whose first field points
+    # at the {state, inc} pair
+    address = ctypes.c_void_p.from_address(gen.bit_generator.ctypes.state_address).value
+    return gen, memoryview((ctypes.c_uint64 * 4).from_address(address)).cast("B").cast("Q")
 
 
 def _words(states: np.ndarray) -> memoryview:
