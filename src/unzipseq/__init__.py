@@ -22,7 +22,6 @@ from .energy import (
 )
 from .inference import (
     DecodeResult,
-    EdgePotentials,
     ErrorReport,
     Prior,
     RateFit,
@@ -63,7 +62,6 @@ from .walker import (
     AggregateStats,
     SeedSpec,
     StepCapExceeded,
-    WalkStats,
     accumulate_checkpoints,
     simulate_ensemble,
     simulate_walk,
@@ -76,7 +74,6 @@ __all__ = [
     "Base",
     "BaseSequence",
     "DecodeResult",
-    "EdgePotentials",
     "EnergyEnvironment",
     "EnergyEstimate",
     "EnergyTable",
@@ -93,7 +90,6 @@ __all__ = [
     "SeedSpec",
     "SitePosterior",
     "StepCapExceeded",
-    "WalkStats",
     "accumulate_checkpoints",
     "build_edge_potentials",
     "build_protocol",

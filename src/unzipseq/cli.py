@@ -386,17 +386,17 @@ def _prior(cfg: dict, M: int) -> Prior:
         raise ConfigError(f"prior: {e}") from None
 
 
-def _oracle_enumeration(pot, b1, h_max: int) -> dict:
+def _oracle_enumeration(phi: np.ndarray, b1, h_max: int) -> dict:
     """Plain 4^(M-1) enumeration of the posterior by array sums; reference
     for small M (the CLI allows M <= 8)."""
-    M = pot.M
+    M = phi.shape[0]
     starts = [b1] if b1 is not None else list(BASES)
     # every sequence as a row, in Base order (last site fastest)
     rest = np.indices((4,) * (M - 1)).reshape(M - 1, -1).T
     seqs = np.column_stack((np.repeat(starts, len(rest)), np.tile(rest, (len(starts), 1))))
     costs = np.zeros(len(seqs))
     for x in range(1, M):  # edge by edge, so each cost is summed left to right
-        costs += pot.phi[x, seqs[:, x - 1], seqs[:, x]]
+        costs += phi[x, seqs[:, x - 1], seqs[:, x]]
     shift = float(costs.min())
     # enumeration runs in base order, so the first within-tolerance optimum
     # is the same tie-broken representative the decoder reports
@@ -445,8 +445,7 @@ def cmd_infer(cfg: dict) -> int:
 
     doc = _write_decode(out, error_report(agg, env, prior, b1, h_max), cfg["format"])
     if cfg["oracle"]:
-        pot = build_edge_potentials(agg, env, prior)
-        oracle = _oracle_enumeration(pot, b1, h_max)
+        oracle = _oracle_enumeration(build_edge_potentials(agg, env, prior), b1, h_max)
         diffs = {k: abs(oracle[k] - doc[k]) for k in ("cost", "log_partition", "p_any_error")}
         diffs["map_sequence_equal"] = oracle["map_sequence"] == doc["map_sequence"]
         diffs["p_h_errors"] = [abs(o["p"] - m["p"])
@@ -539,7 +538,8 @@ def _infer_grid(cfg, env, mode, prior, b1) -> int:
         print(f"runtime error: rate fit: {e}", file=sys.stderr)
         return 1
     g1 = _margin_g1(env, mode)
-    margin_bound = None if g1 is None else decision_margins(env.table, env.beta, g1, mode).minus
+    margin_bound = (None if g1 is None
+                    else decision_margins(env.table, env.beta, g1, mode=mode).minus)
     doc = {
         "mode": mode,
         "slope_any_error": fit.slope,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -420,12 +421,37 @@ class EnergyEnvironment(_SiteModel):
 _ENV_KEYS = {"sequence", "g0", "beta", "r", "g1"}
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a number; numpy would also read a string or a
+    bool as one."""
+    return type(value) in (int, float) or (
+        isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)))
+
+
+def _number(key: str, value) -> float:
+    if not _is_number(value):
+        raise ValueError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(key: str, value) -> np.ndarray:
+    """``value``, a list (of lists) of numbers, as a float array; the first
+    entry that is not a number is refused, named by its index."""
+    arr = np.asarray(value, dtype=object)
+    for index, entry in np.ndenumerate(arr):
+        if not _is_number(entry):
+            what = f"entry {', '.join(map(str, index))} must be" if index else "expected"
+            raise ValueError(f"{key}: {what} a number, got {entry!r}")
+    return arr.astype(float)
+
+
 def environment_from_json(doc: str | dict) -> Environment:
     """Build an Environment from a JSON document (string or parsed dict).
 
     Schema: {"sequence": "ACGT...", "g0": 4x4 array in A,T,C,G order
     (optional, defaults to the standard table), "beta": float, "r": float,
-    "g1": float | array of length M-1}.  Unknown keys are rejected.
+    "g1": float | array of length M-1}.  Unknown keys are rejected, and so
+    are strings and bools where numbers are expected.
     """
     data = json.loads(doc) if isinstance(doc, str) else dict(doc)
     unknown = set(data) - _ENV_KEYS
@@ -437,11 +463,11 @@ def environment_from_json(doc: str | dict) -> Environment:
     if not isinstance(data["sequence"], str):
         raise ValueError(f"sequence: expected a string of bases, got {data['sequence']!r}")
     seq = BaseSequence.from_string(data["sequence"])
-    table = EnergyTable(np.array(data["g0"])) if "g0" in data else EnergyTable.default()
+    table = EnergyTable(_numbers("g0", data["g0"])) if "g0" in data else EnergyTable.default()
     g1 = data["g1"]
-    if isinstance(g1, (int, float)):
-        force = ForceField.constant(float(g1), len(seq) - 1)
+    if isinstance(g1, (list, tuple, np.ndarray)):
+        force = ForceField(_numbers("g1", g1))
     else:
-        force = ForceField(np.asarray(g1, dtype=float))
-    params = ModelParams(beta=float(data["beta"]), rate_scale=float(data["r"]))
+        force = ForceField.constant(_number("g1", g1), len(seq) - 1)
+    params = ModelParams(beta=_number("beta", data["beta"]), rate_scale=_number("r", data["r"]))
     return Environment(seq, table, force, params)

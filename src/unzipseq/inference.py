@@ -36,12 +36,11 @@ import numpy as np
 
 from .energy import BASES, Base, BaseSequence, Environment, _check_sites, _per_site
 from .energy import _start_bases, _trellis_paths
-from .walker import AggregateStats, WalkStats, _require_mode
+from .walker import AggregateStats, _require_mode
 
 __all__ = [
     "Prior",
     "SitePosterior",
-    "EdgePotentials",
     "DecodeResult",
     "ErrorReport",
     "RateFit",
@@ -105,38 +104,15 @@ class Prior:
         return self.probs.shape[0] - 1
 
 
-@dataclass(frozen=True)
-class EdgePotentials:
-    """Per-edge 4x4 log-cost tables phi_x(u, v) decomposing the global cost.
-
-    phi has shape (M, 4, 4) with slot 0 unused; the cost of a full sequence
-    alpha is exactly sum_x phi[x, alpha_x, alpha_{x+1}], equal to the global
-    information I(alpha) including the prior terms (site-x prior attached to
-    edge x-1 for x >= 2, site-1 prior to edge 1).
-    """
-
-    phi: np.ndarray
-
-    @property
-    def M(self) -> int:
-        return self.phi.shape[0]
-
-    def sequence_cost(self, alpha: BaseSequence | Sequence[Base]) -> float:
-        if not isinstance(alpha, BaseSequence):
-            alpha = BaseSequence(tuple(alpha))
-        if len(alpha) != self.M:
-            raise ValueError(f"sequence length {len(alpha)} != M = {self.M}")
-        b = alpha.array
-        # edges 1..M-1 summed left to right, as the oracle sums them
-        return float(sum(self.phi[np.arange(1, self.M), b[:-1], b[1:]].tolist()))
-
-
 def build_edge_potentials(
-    stats: WalkStats | AggregateStats,
+    stats: AggregateStats,
     env: Environment,
     prior: Prior | None = None,
-) -> EdgePotentials:
-    """Assemble the chain decomposition of the global information I.
+) -> np.ndarray:
+    """The edge potentials phi, per-edge 4x4 log-cost tables that decompose
+    the global information I: phi has shape (M, 4, 4) with slot 0 unused,
+    and the cost of a full sequence alpha is exactly
+    I(alpha) = sum_x phi[x, alpha_x, alpha_{x+1}], prior terms included.
 
     The log-likelihood cost of edge x holding the pair (u, v) is, with
     z = beta (g0(u, v) - g1_x), in the time model of ``stats.mode``:
@@ -169,7 +145,7 @@ def build_edge_potentials(
     phi = np.zeros((env.M, 4, 4))
     phi[1:] = cost - log_w[2:, None, :]
     phi[1] -= log_w[1][:, None]
-    return EdgePotentials(phi)
+    return phi
 
 
 def _edge_scale(phi: np.ndarray) -> np.ndarray:
@@ -203,18 +179,18 @@ class SitePosterior:
     log_p_error: float | np.ndarray
 
 
-def _site_record(pot: EdgePotentials, seq: BaseSequence, site: np.ndarray) -> SitePosterior:
+def _site_record(phi: np.ndarray, seq: BaseSequence, site: np.ndarray) -> SitePosterior:
     """The posterior at ``site`` (a checked 0-d or 1-d site array), read off
     phi: the log weight of b_x = u is -(phi[x-1, b_{x-1}, u] + phi[x, u,
     b_{x+1}]).  The MAP breaks ties in Base order; with s the log odds of the
     losing bases against the best one, P(error) = s/(1+s) and log P(error) =
     s - log(1 + e^s)."""
     b = seq.array  # b[x - 1] is the base at site x
-    log_w = -(pot.phi[site - 1, b[site - 2], :] + pot.phi[site, :, b[site]])
+    log_w = -(phi[site - 1, b[site - 2], :] + phi[site, :, b[site]])
     best = np.argmax(log_w, axis=-1)
     gap = log_w - log_w.max(axis=-1, keepdims=True)
     weights = np.exp(gap)
-    scale = _edge_scale(pot.phi)
+    scale = _edge_scale(phi)
     tol = _TIE_ULPS * np.finfo(float).eps * (scale[site - 1] + scale[site])
     tie = np.sum(gap >= -tol[..., None], axis=-1) > 1
     losers = np.where(np.arange(4) == best[..., None], -np.inf, gap)
@@ -234,7 +210,7 @@ def _site_record(pot: EdgePotentials, seq: BaseSequence, site: np.ndarray) -> Si
 
 
 def site_posterior(
-    stats: WalkStats | AggregateStats,
+    stats: AggregateStats,
     env: Environment,
     x,
     prior: Prior | None = None,
@@ -266,11 +242,11 @@ class DecodeResult:
         return len(self.ties) > 1
 
 
-def log_partition(pot: EdgePotentials, b1: Base | None) -> float:
+def log_partition(phi: np.ndarray, b1: Base | None) -> float:
     """log sum over sequences (first base fixed to b1 unless None) of e^{-I}:
     the partition column of the forward sweep, which no reference base
     touches, so the sweep runs relative to all-A."""
-    return _forward_sweep(pot, b1, np.zeros(pot.M, dtype=int), 1)[1]
+    return _forward_sweep(phi, b1, np.zeros(phi.shape[0], dtype=int), 1)[1]
 
 
 def _suffix_minima(phi: np.ndarray) -> np.ndarray:
@@ -298,9 +274,7 @@ def _suffix_minima(phi: np.ndarray) -> np.ndarray:
     return E
 
 
-def decode_map(
-    pot: EdgePotentials, b1: Base | None, tie_cap: int = 16
-) -> DecodeResult:
+def decode_map(phi: np.ndarray, b1: Base | None, tie_cap: int = 16) -> DecodeResult:
     """Exact argmin of I over the 4^(M-1) sequences via min-sum DP.
 
     A backward pass fills the suffix-optimal costs E[x, u]; an iterative
@@ -315,8 +289,7 @@ def decode_map(
     each row's one tight step while the optimum is unique and branches depth
     first from the first co-optimal start, or row with two tight steps.
     """
-    M = pot.M
-    phi = pot.phi
+    M = phi.shape[0]
     E = _suffix_minima(phi)
     remaining = np.cumsum(_edge_scale(phi)[::-1])[::-1]  # sum over edges x..M-1
     tol = _TIE_ULPS * np.finfo(float).eps * (M - np.arange(M)) * remaining
@@ -329,15 +302,19 @@ def decode_map(
     return DecodeResult(sequences[0], cost, sequences, truncated)
 
 
-def sequence_log_posterior(
-    alpha: BaseSequence, pot: EdgePotentials, b1: Base | None
-) -> float:
+def sequence_log_posterior(alpha: BaseSequence, phi: np.ndarray, b1: Base | None) -> float:
     """log P(b = alpha | stats, b_1) = -I(alpha) - log partition."""
     if b1 is not None and alpha.base(1) != b1:
         raise ValueError(
             f"sequence starts with {alpha.base(1).name}, conditioning fixes b_1 = {Base(b1).name}"
         )
-    return -pot.sequence_cost(alpha) - log_partition(pot, b1)
+    M = phi.shape[0]
+    if len(alpha) != M:
+        raise ValueError(f"sequence length {len(alpha)} != M = {M}")
+    b = alpha.array
+    # I(alpha): edges 1..M-1 summed left to right
+    cost = float(sum(phi[np.arange(1, M), b[:-1], b[1:]].tolist()))
+    return -cost - log_partition(phi, b1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -376,7 +353,7 @@ def _sweep_maps(h_max: int) -> np.ndarray:
 
 
 def _forward_sweep(
-    pot: EdgePotentials, b1: Base | None, r: np.ndarray, h_max: int
+    phi: np.ndarray, b1: Base | None, r: np.ndarray, h_max: int
 ) -> tuple[np.ndarray, float]:
     """log P(at least h separated error blocks) for h = 1..h_max, relative to
     the bases ``r`` (Base indices, r[x - 1] at site x), and log Z, from one
@@ -395,11 +372,10 @@ def _forward_sweep(
     below h blocks and at or above it, so it stays negative, not 0.0, when
     P rounds to 1; a log P above -5e-324 comes out as -0.0.
     """
-    M = pot.M
+    M = phi.shape[0]
     h_states = min(h_max, (M + 1) // 2)
     H = h_states + 1
     K = 2 * H + 1
-    phi = pot.phi
     psi = phi[1:] - phi[np.arange(1, M), r[:-1], r[1:]][:, None, None]
     maps = _sweep_maps(h_states)
     A = np.full(4 * K, -np.inf)
@@ -428,7 +404,7 @@ def _forward_sweep(
 
 
 def log_block_probs(
-    pot: EdgePotentials, b1: Base | None, ref: BaseSequence, h_max: int
+    phi: np.ndarray, b1: Base | None, ref: BaseSequence, h_max: int
 ) -> np.ndarray:
     """log P(at least h separated error blocks) for h = 1..h_max, relative to
     ``ref``; h = 1 is log P(at least one wrong base).  Relative to the MAP
@@ -436,7 +412,7 @@ def log_block_probs(
     """
     if h_max < 1:
         raise ValueError(f"h_max must be >= 1, got {h_max}")
-    return _forward_sweep(pot, b1, ref.array, h_max)[0]
+    return _forward_sweep(phi, b1, ref.array, h_max)[0]
 
 
 @dataclass(frozen=True)
@@ -457,16 +433,16 @@ class ErrorReport:
 
 
 def error_report(
-    stats: WalkStats | AggregateStats,
+    stats: AggregateStats,
     env: Environment,
     prior: Prior | None = None,
     b1: Base | None = None,
     h_max: int = 3,
 ) -> ErrorReport:
     """Run the full decode + error-probability pipeline on one statistics set."""
-    pot = build_edge_potentials(stats, env, prior)
-    decoded = decode_map(pot, b1)
-    log_p, log_z = _forward_sweep(pot, b1, decoded.map_sequence.array, max(h_max, 1))
+    phi = build_edge_potentials(stats, env, prior)
+    decoded = decode_map(phi, b1)
+    log_p, log_z = _forward_sweep(phi, b1, decoded.map_sequence.array, max(h_max, 1))
     log_p = log_p.tolist()
     return ErrorReport(
         decode=decoded,
@@ -474,7 +450,7 @@ def error_report(
         p_any=math.exp(min(log_p[0], 0.0)),
         log_p_any=log_p[0],
         p_blocks=tuple((h, math.exp(min(lp, 0.0)), lp) for h, lp in enumerate(log_p[:h_max], 1)),
-        sites=_site_record(pot, env.seq, np.arange(2, env.M)),
+        sites=_site_record(phi, env.seq, np.arange(2, env.M)),
     )
 
 

@@ -257,7 +257,7 @@ def run_protocol(
     params: ModelParams,
     plan: ProtocolPlan,
     seed: SeedSpec,
-    mode: str = "discrete",
+    mode: str,
     *,
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> dict[int, AggregateStats]:

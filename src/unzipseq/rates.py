@@ -207,9 +207,7 @@ def _pair_gap(mode: str, true_e, cand_e, beta: float, g1):
     return gap_value("F", 0.0, true_e - cand_e, beta)
 
 
-def decision_margins(
-    table: EnergyTable, beta: float, g1: float = 0.0, mode: str = "continuous"
-) -> MarginSet:
+def decision_margins(table: EnergyTable, beta: float, g1: float = 0.0, *, mode: str) -> MarginSet:
     """Enumerate the <= 12 competing ordered pairs per slot and take minima.
 
     minus(gamma) = min over u != v of gap(g0(gamma,u) vs g0(gamma,v));
@@ -266,9 +264,7 @@ def rc_site(env: Environment, x, mode: str):
     return _per_site(site, total.min(axis=1).reshape(site.shape))
 
 
-def lc_bound(
-    table: EnergyTable, beta: float, mode: str = "continuous", g1: float = 0.0
-) -> float:
+def lc_bound(table: EnergyTable, beta: float, mode: str, g1: float = 0.0) -> float:
     """Lower bound on 1/L_c, the error decay rate per visit: half the
     smaller of the two global margins."""
     margins = decision_margins(table, beta, g1=g1, mode=mode)

@@ -33,11 +33,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import _SiteModel
+from .energy import _SiteModel, _is_number
 
 __all__ = [
     "SeedSpec",
-    "WalkStats",
     "AggregateStats",
     "StepCapExceeded",
     "DEFAULT_STEP_CAP",
@@ -284,12 +283,15 @@ def _words(states: np.ndarray) -> memoryview:
 
 
 @dataclass(frozen=True)
-class WalkStats:
-    """Sufficient statistics for one absorbed walk.
+class AggregateStats:
+    """Sufficient statistics of R walks, summed in replica order; a single
+    walk is R = 1.
 
     Arrays are site-indexed with slot 0 unused: ``up[x]`` counts x -> x+1
     moves for x = 1..M-1, ``down[x]`` counts x -> x-1 moves for x = 2..M-1,
-    ``sojourn[x]`` holds total time at x (continuous mode, else None).
+    ``sojourn[x]`` holds total time at x (continuous mode, else None).  A
+    traced single walk also carries its sites and times as ``path`` and
+    ``path_times``.
     """
 
     up: np.ndarray
@@ -298,25 +300,9 @@ class WalkStats:
     steps: int
     wall_time: float | None
     mode: str
+    R: int
     path: np.ndarray | None = None
     path_times: np.ndarray | None = None
-
-    @property
-    def M(self) -> int:
-        return self.up.size
-
-
-@dataclass(frozen=True)
-class AggregateStats:
-    """Replica sums of WalkStats over an ensemble of R walks."""
-
-    up: np.ndarray
-    down: np.ndarray
-    sojourn: np.ndarray | None
-    steps: int
-    wall_time: float | None
-    mode: str
-    R: int
 
     @property
     def M(self) -> int:
@@ -388,10 +374,15 @@ class AggregateStats:
 
 
 def _site_field(doc: dict, key: str, n: int, kinds: str) -> np.ndarray:
-    """``doc[key]`` as a site-indexed array (slot 0 zero) of n entries whose
+    """``doc[key]`` as a site-indexed array (slot 0 zero) of n numbers whose
     dtype kind is in ``kinds``; integer counts must also be non-negative."""
+    values = doc[key]
+    if isinstance(values, list) and not set(map(type, values)) <= {int, float}:
+        for i, entry in enumerate(values):
+            if not _is_number(entry):
+                raise ValueError(f"{key}: entry {i} must be a number, got {entry!r}")
     try:
-        arr = np.asarray(doc[key], dtype=float if kinds == "f" else None)
+        arr = np.asarray(values, dtype=float if kinds == "f" else None)
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is None or arr.shape != (n,):
@@ -482,13 +473,14 @@ def _walk(
     else:
         soj_arr = None
         wall = None
-    return WalkStats(
+    return AggregateStats(
         up=up_arr,
         down=down_arr,
         sojourn=soj_arr,
         steps=steps,
         wall_time=wall,
         mode="continuous" if continuous else "discrete",
+        R=1,
         path=np.array(path, dtype=np.int64) if trace else None,
         path_times=np.array(times) if trace else None,
     )
@@ -502,7 +494,7 @@ def simulate_walk(
     *,
     step_cap: int = DEFAULT_STEP_CAP,
     trace: bool = False,
-) -> WalkStats:
+) -> AggregateStats:
     """One walk from site 1 to absorption at M, exact counts; in continuous
     time also exponential sojourns, drawn from the replica's second stream.
 
@@ -582,14 +574,14 @@ def _accumulate(env, mode, seed, checkpoints, step_cap):
         sums = [np.cumsum(part, axis=0) for part in parts]
         totals = [s[-1].copy() for s in sums]
         while next_ck < len(checkpoints) and checkpoints[next_ck] <= hi:
-            up, down, *sojourn, steps = (s[checkpoints[next_ck] - lo - 1] for s in sums)
+            up, down, *sojourn = (s[checkpoints[next_ck] - lo - 1] for s in sums)
             sojourn = sojourn[0].copy() if continuous else None
             out.append(
                 AggregateStats(
                     up=up.copy(),
                     down=down.copy(),
                     sojourn=sojourn,
-                    steps=int(steps),
+                    steps=int(up.sum() + down.sum()),
                     wall_time=float(np.sum(sojourn)) if continuous else None,
                     mode=mode,
                     R=checkpoints[next_ck],
@@ -610,12 +602,12 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     """Walk replicas lo..hi-1 together, in windows of lockstep steps.
 
     Returns their per-replica rows: up and down counts and, in continuous
-    mode, sojourns, each of shape (n, M), then step counts (n,), which are
-    the number of moves each walk made.
+    mode, sojourns, each of shape (n, M).
 
     Replica lo + r at site x is in cell c = 2x of its own row, which starts
-    at ``base`` = 2 (M+1) r of the per-replica arrays.  Its move is c + d
-    (d = 0 up, 1 down): ``counts[base + c + d]`` counts it and the site table
+    at ``base`` = 2 (M+1) r of the count array.  Its move is c + d (d = 0
+    up, 1 down): ``counts[base + c + d]`` counts it, ``sojourn[(base + c +
+    d) >> 1]``, cell (M+1) r + x, adds its time, and the site table
     ``dest[c + d]`` is the cell it leads to.  Site M is a sink: p = 2 there,
     so an absorbed replica moves "up" onto itself, adding nothing but to the
     discarded column M, until the end of the window drops it.  Live replicas
@@ -645,8 +637,8 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     if continuous:
         fwd, bwd = env.jump_rates
         inv_rate = np.append(1.0 / (fwd + bwd), 0.0).repeat(2)
-        sojourn = np.zeros(n * stride)
-        rows.append(sojourn[0::2].reshape(n, M + 1)[:, :M])
+        sojourn = np.zeros(n * (M + 1))
+        rows.append(sojourn.reshape(n, M + 1)[:, :M])
     base = stride * np.arange(n)
     cell = np.full(n, 2)
     slot = np.arange(n)
@@ -696,7 +688,7 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
         flat = log.ravel()  # np.add.at is ~5x slower on 2-d float values
         np.add.at(counts, flat, 1)
         if continuous:
-            flat &= ~1
+            flat >>= 1
             np.add.at(sojourn, flat, window.ravel())
         del window, log, flat  # not held through the next refill
         step += span
@@ -713,7 +705,7 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
                      step_cap, False, x, step, so_far, unread)
         for part, row in zip(rows, (walk.up, walk.down, walk.sojourn)):
             part[r] = row
-    return rows + [rows[0].sum(axis=1) + rows[1].sum(axis=1)]
+    return rows
 
 
 def zero_stats(M: int, mode: str, R: int = 0) -> AggregateStats:
@@ -730,15 +722,14 @@ def zero_stats(M: int, mode: str, R: int = 0) -> AggregateStats:
     )
 
 
-def verify_conservation(stats: WalkStats | AggregateStats) -> list[str]:
+def verify_conservation(stats: AggregateStats) -> list[str]:
     """Check the flow identities; returns the violated ones (empty = valid).
 
     Per replica the walk crosses every edge net once, so L+_{M-1} = R,
     L-_x = L+_{x-1} - R for interior x, and the step total is the sum of all
     crossings.
     """
-    R = stats.R if isinstance(stats, AggregateStats) else 1
-    M = stats.M
+    R, M = stats.R, stats.M
     up, down = stats.up, stats.down
     bad = []
     if up[M - 1] != R:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from unzipseq.energy import BASES, Base
+from unzipseq.energy import BASES, Base, BaseSequence
 from unzipseq.inference import _TIE_ULPS
 from unzipseq.walker import AggregateStats
 
@@ -202,15 +202,27 @@ def oracle_site_conditional(stats, env, mode, x: int, prior_probs=None):
     return {u: wv / Z for u, wv in weights.items()}
 
 
-def block_recursion(pot, b1: Base | None, ref, h_max: int) -> np.ndarray:
+def path_cost(phi: np.ndarray, alpha) -> float:
+    """I(alpha): the edges of phi that the bases ``alpha`` (a BaseSequence
+    or a list of Base) take, summed left to right one Python float at a
+    time."""
+    bases = list(alpha.bases if isinstance(alpha, BaseSequence) else alpha)
+    assert len(bases) == phi.shape[0], (len(bases), phi.shape[0])
+    cost = 0.0
+    for x in range(1, len(bases)):
+        cost += float(phi[x, bases[x - 1], bases[x]])
+    return cost
+
+
+def block_recursion(phi: np.ndarray, b1: Base | None, ref, h_max: int) -> np.ndarray:
     """log P(at least h separated error blocks), h = 1..h_max, relative to
     ``ref``: the block states of the forward sweep written state by state,
     with one two-term logaddexp per entry, as the reference for
     ``inference.log_block_probs``.
     """
-    M = pot.M
+    M = phi.shape[0]
     r = np.array(ref.bases)
-    psi = pot.phi[1:] - pot.phi[np.arange(1, M), r[:-1], r[1:]][:, None, None]
+    psi = phi[1:] - phi[np.arange(1, M), r[:-1], r[1:]][:, None, None]
     wrong = np.arange(4) != r[:, None]  # wrong[x - 1, v]: base v mismatches site x
     A = np.full((4, 2, h_max + 1), -np.inf)
     for u in ([int(b1)] if b1 is not None else range(4)):
@@ -234,26 +246,26 @@ def block_recursion(pot, b1: Base | None, ref, h_max: int) -> np.ndarray:
     return -np.logaddexp(0.0, below - at_least[1:])
 
 
-def partition_recursion(pot, b1: Base | None) -> float:
+def partition_recursion(phi: np.ndarray, b1: Base | None) -> float:
     """log sum over sequences (first base fixed to b1 unless None) of e^{-I}:
     the sum-product pass over the four bases alone, one site at a time, as
     the reference for the forward sweep's partition column."""
     L = np.full(4, -np.inf)
     for u in (BASES if b1 is None else [Base(b1)]):
         L[u] = 0.0
-    for x in range(1, pot.M):
-        L = np.logaddexp.reduce(L[:, None] - pot.phi[x], axis=0)
+    for x in range(1, phi.shape[0]):
+        L = np.logaddexp.reduce(L[:, None] - phi[x], axis=0)
     return float(np.logaddexp.reduce(L))
 
 
-def map_dfs(pot, b1: Base | None, tie_cap: int = 16):
+def map_dfs(phi: np.ndarray, b1: Base | None, tie_cap: int = 16):
     """(map_sequence, ties, truncated) of the min-sum decode, each sequence a
     tuple of Base indices: the numpy backward pass and a depth-first walk
     over every co-optimal step from site 1, as the reference for
     ``inference.decode_map``'s traceback.  The tie tolerance is the
     decoder's: ``_TIE_ULPS`` ulps per remaining edge of the remaining edges'
     largest |phi|."""
-    M, phi = pot.M, pot.phi
+    M = phi.shape[0]
     E = np.zeros((M + 1, 4))
     for x in range(M - 1, 0, -1):
         E[x] = (phi[x] + E[x + 1]).min(axis=1)

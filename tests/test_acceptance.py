@@ -42,7 +42,7 @@ from unzipseq.walker import (
     verify_conservation,
 )
 
-from bruteforce import brute_pair_pmf, oracle_summary
+from bruteforce import brute_pair_pmf, oracle_summary, path_cost
 from conftest import make_env, random_sequence
 
 # Fixed experiment environment for criteria 2-4: M = 10 molecule with the
@@ -83,22 +83,22 @@ def test_criterion_1_oracle_equivalence():
             R = int(rng.choice([1, 10]))
             env = make_env(random_sequence(rng, M), float(rng.uniform(1.8, 2.9)), beta=beta)
             stats = simulate_ensemble(env, R, mode, SeedSpec(int(rng.integers(1 << 30))))
-            pot = build_edge_potentials(stats, env)
+            phi = build_edge_potentials(stats, env)
             b1 = env.seq.base(1)
             oracle = oracle_summary(stats, env, mode, b1, h_max=3)
-            dec = decode_map(pot, b1)
+            dec = decode_map(phi, b1)
             assert tuple(dec.map_sequence.bases) == oracle["map"]
-            assert log_partition(pot, b1) == pytest.approx(oracle["log_z"], rel=1e-10)
-            assert math.exp(log_block_probs(pot, b1, dec.map_sequence, 1)[0]) == pytest.approx(
+            assert log_partition(phi, b1) == pytest.approx(oracle["log_z"], rel=1e-10)
+            assert math.exp(log_block_probs(phi, b1, dec.map_sequence, 1)[0]) == pytest.approx(
                 oracle["p_any"], rel=1e-10, abs=1e-13
             )
             for h in (1, 2, 3):
-                assert math.exp(log_block_probs(pot, b1, dec.map_sequence, h)[-1]) == pytest.approx(
+                assert math.exp(log_block_probs(phi, b1, dec.map_sequence, h)[-1]) == pytest.approx(
                     oracle["p_blocks"][h], rel=1e-10, abs=1e-13
                 )
             for idx in rng.integers(0, len(oracle["seqs"]), size=3):
                 alpha = BaseSequence(tuple(Base(int(v)) for v in oracle["seqs"][idx]))
-                assert math.exp(sequence_log_posterior(alpha, pot, b1)) == pytest.approx(
+                assert math.exp(sequence_log_posterior(alpha, phi, b1)) == pytest.approx(
                     float(oracle["weights"][idx]), rel=1e-10, abs=1e-13
                 )
             checked += 1
@@ -197,8 +197,8 @@ def test_criterion_4_any_error_bound(env10, grid_curves):
     b1 = env10.seq.base(1)
     pts = []
     for R, agg in zip(grid, curves["continuous"]):
-        pot = build_edge_potentials(agg, env10)
-        pts.append((R, log_block_probs(pot, b1, decode_map(pot, b1).map_sequence, 1)[0]))
+        phi = build_edge_potentials(agg, env10)
+        pts.append((R, log_block_probs(phi, b1, decode_map(phi, b1).map_sequence, 1)[0]))
     fit = empirical_rate_from_logs(pts)
     delta_f_minus = decision_margins(env10.table, env10.beta, mode="continuous").minus
     stderr = fit.slope_stderr if math.isfinite(fit.slope_stderr) else 0.0
@@ -238,32 +238,32 @@ def test_criterion_6_degeneracy_handling():
     # all-C molecule vs the all-G twin
     env = make_env("CCCCCCCC", 2.5)
     stats = simulate_ensemble(env, 500, "continuous", SeedSpec(606))
-    pot = build_edge_potentials(stats, env)
-    cost_c = pot.sequence_cost(BaseSequence.from_string("C" * 8))
-    cost_g = pot.sequence_cost(BaseSequence.from_string("G" * 8))
+    phi = build_edge_potentials(stats, env)
+    cost_c = path_cost(phi, BaseSequence.from_string("C" * 8))
+    cost_g = path_cost(phi, BaseSequence.from_string("G" * 8))
     assert cost_c == cost_g  # exact tie, bit for bit
-    free = decode_map(pot, None)
+    free = decode_map(phi, None)
     assert {"CCCCCCCC", "GGGGGGGG"} <= {str(s) for s in free.ties}
-    conditioned = decode_map(pot, Base.C)
+    conditioned = decode_map(phi, Base.C)
     assert str(conditioned.map_sequence) == "C" * 8 and not conditioned.tie
 
     # the AC alternation and its GT twin
     env2 = make_env("ACACACAC", 2.4)
     stats2 = simulate_ensemble(env2, 500, "continuous", SeedSpec(607))
-    pot2 = build_edge_potentials(stats2, env2)
-    cost_ac = pot2.sequence_cost(BaseSequence.from_string("ACACACAC"))
-    cost_gt = pot2.sequence_cost(BaseSequence.from_string("GTGTGTGT"))
+    phi2 = build_edge_potentials(stats2, env2)
+    cost_ac = path_cost(phi2, BaseSequence.from_string("ACACACAC"))
+    cost_gt = path_cost(phi2, BaseSequence.from_string("GTGTGTGT"))
     assert cost_ac == cost_gt
-    free2 = decode_map(pot2, None)
+    free2 = decode_map(phi2, None)
     assert {"ACACACAC", "GTGTGTGT"} <= {str(s) for s in free2.ties}
-    cond2 = decode_map(pot2, Base.A)
+    cond2 = decode_map(phi2, Base.A)
     assert str(cond2.map_sequence) == "ACACACAC" and not cond2.tie
 
     # discrete-mode twin costs also tie exactly
     stats_d = simulate_ensemble(env, 500, "discrete", SeedSpec(608))
-    pot_d = build_edge_potentials(stats_d, env)
-    assert pot_d.sequence_cost(BaseSequence.from_string("C" * 8)) == pot_d.sequence_cost(
-        BaseSequence.from_string("G" * 8)
+    phi_d = build_edge_potentials(stats_d, env)
+    assert path_cost(phi_d, BaseSequence.from_string("C" * 8)) == path_cost(
+        phi_d, BaseSequence.from_string("G" * 8)
     )
 
     # same story at the energy level
@@ -283,7 +283,7 @@ def test_criterion_7_protocol_end_to_end():
     params = ModelParams(beta=1.0)
     plan = build_protocol("uniform-pair", ladder, M, replicas=2000, max_level=10)
     for seed in range(101, 121):
-        stats = run_protocol(energies, params, plan, SeedSpec(seed))
+        stats = run_protocol(energies, params, plan, SeedSpec(seed), "discrete")
         for x in range(2, M):
             est = estimate_energy(stats, x, ladder)
             assert not est.undecided, (seed, x)
@@ -344,8 +344,8 @@ def test_invariant_decode_convergence_50_seeds():
     wrong = 0
     for seed in range(50):
         stats = simulate_ensemble(env, 5000, "discrete", SeedSpec(5000 + seed))
-        pot = build_edge_potentials(stats, env)
-        dec = decode_map(pot, env.seq.base(1))
+        phi = build_edge_potentials(stats, env)
+        dec = decode_map(phi, env.seq.base(1))
         wrong += sum(
             1 for a, b in zip(str(dec.map_sequence), letters) if a != b
         )

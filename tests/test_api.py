@@ -10,12 +10,11 @@ import unzipseq
 from unzipseq import energy, inference, protocols, rates, walker
 
 PUBLIC = {
-    "AggregateStats", "BASES", "Base", "BaseSequence", "DecodeResult", "EdgePotentials",
-    "EnergyEnvironment", "EnergyEstimate", "EnergyTable", "Environment", "ErrorReport",
-    "ForceField", "LevelLadder", "MarginSet", "ModelParams", "Prior",
-    "ProtocolPlan", "RateFit", "RateReport", "SeedSpec", "SitePosterior", "StepCapExceeded",
-    "WalkStats", "accumulate_checkpoints", "build_edge_potentials", "build_protocol",
-    "count_moments", "decision_margins", "decode_map", "empirical_rate_from_logs",
+    "AggregateStats", "BASES", "Base", "BaseSequence", "DecodeResult", "EnergyEnvironment",
+    "EnergyEstimate", "EnergyTable", "Environment", "ErrorReport", "ForceField", "LevelLadder",
+    "MarginSet", "ModelParams", "Prior", "ProtocolPlan", "RateFit", "RateReport", "SeedSpec",
+    "SitePosterior", "StepCapExceeded", "accumulate_checkpoints", "build_edge_potentials",
+    "build_protocol", "count_moments", "decision_margins", "decode_map", "empirical_rate_from_logs",
     "environment_from_json", "error_report", "estimate_energy", "expected_unzip_time",
     "gap_value", "h_margins", "hop_probability", "lc_bound", "log_partition",
     "obstacle_height", "pbar", "rate_report", "rc_energy", "rc_site", "run_protocol",
@@ -23,7 +22,7 @@ PUBLIC = {
     "verify_conservation", "window_schedule",
 }
 INFERENCE = {
-    "Prior", "SitePosterior", "EdgePotentials", "DecodeResult", "ErrorReport", "RateFit",
+    "Prior", "SitePosterior", "DecodeResult", "ErrorReport", "RateFit",
     "site_posterior", "build_edge_potentials", "decode_map", "log_partition",
     "sequence_log_posterior", "log_block_probs", "error_report", "empirical_rate_from_logs",
 }
@@ -37,7 +36,7 @@ RATES = {
     "obstacle_height", "UnzipTime", "expected_unzip_time", "RateReport", "rate_report",
 }
 WALKER = {
-    "SeedSpec", "WalkStats", "AggregateStats", "StepCapExceeded", "DEFAULT_STEP_CAP",
+    "SeedSpec", "AggregateStats", "StepCapExceeded", "DEFAULT_STEP_CAP",
     "simulate_walk", "simulate_ensemble", "accumulate_checkpoints", "verify_conservation",
     "zero_stats",
 }

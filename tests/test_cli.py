@@ -314,7 +314,7 @@ def test_infer_grid_margin_bound_needs_constant_g1_in_discrete_time(tmp_path, g1
             assert math.isnan(rate_report(env).inv_lc_discrete)
         else:
             g1_at = g1 if mode == "discrete" else 0.0
-            assert bound == decision_margins(env.table, env.beta, g1_at, mode).minus
+            assert bound == decision_margins(env.table, env.beta, g1_at, mode=mode).minus
 
 
 def test_infer_grid_fits_a_near_certain_error(tmp_path):
@@ -542,6 +542,9 @@ def _set_entry(key, i, value):
     ("discrete", _set("mode", "sideways"), "mode"),
     ("discrete", _set_entry("L_plus", 3, 5), "L_plus"),  # breaks L+_{M-1} = R
     ("discrete", _set("steps", 1), "steps"),
+    # numpy read "0.5" as 0.5 and true as 1.0
+    ("continuous", _set_entry("S", 1, "0.5"), "S"),
+    ("continuous", _set_entry("S", 1, True), "S"),
 ])
 def test_infer_stats_file_rejected(tmp_path, env_file, capsys, mode, edit, field):
     doc = _stats_doc(env_file, mode, tmp_path)
@@ -657,6 +660,25 @@ def test_config_field_refused_before_any_walk(tmp_path, capsys, monkeypatch, com
     cfg.write_text(json.dumps({**doc, **sized, "seed": 1}))
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"beta": "2"}, "beta: expected a number, got '2'"),
+    ({"beta": None}, "beta: expected a number, got None"),  # was a TypeError traceback
+    ({"r": True}, "r: expected a number, got True"),
+    ({"g1": True}, "g1: expected a number, got True"),
+    ({"g1": ["1", "2", "3", "4"]}, "g1: entry 0 must be a number, got '1'"),
+    ({"g0": [[1.0, 1.6, 2.8, 2.8]] * 3 + [[2.8, "2.8", 3.4, 3.4]]},
+     "g0: entry 3, 1 must be a number, got '2.8'"),
+], ids=["beta-str", "beta-null", "r-bool", "g1-bool", "g1-str-entries", "g0-str-entry"])
+def test_environment_takes_numbers_only(tmp_path, capsys, monkeypatch, edit, message):
+    # numpy read each of these as a number: "2" as beta = 2.0, true as 1.0
+    _no_walk(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"environment": {**ENV_DOC, **edit}, "R": 5, "seed": 1}))
+    assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: environment: {message}")
     assert not (tmp_path / "o").exists()
 
 

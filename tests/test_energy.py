@@ -226,6 +226,15 @@ def test_environment_json_per_site_force_and_errors():
         environment_from_json({"sequence": "AT", "beta": 1, "r": 1})
 
 
+def test_environment_json_takes_numpy_numbers():
+    doc = {"sequence": "ATCG", "beta": np.float64(1.5), "r": np.int64(2),
+           "g1": np.array([0.5, 1.0, 1.5]), "g0": np.ones((4, 4), dtype=np.int64)}
+    env = environment_from_json(doc)
+    assert (env.params.beta, env.params.rate_scale) == (1.5, 2.0)
+    assert env.force.per_site.tolist() == [0.5, 1.0, 1.5]
+    assert np.array_equal(env.table.values, np.ones((4, 4)))
+
+
 @pytest.mark.parametrize("sequence", [5, ["A", "T"], None])
 def test_environment_json_non_string_sequence_refused(sequence):
     with pytest.raises(ValueError, match="sequence"):

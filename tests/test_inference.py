@@ -8,7 +8,6 @@ import pytest
 from unzipseq import inference
 from unzipseq.energy import BASES, Base, BaseSequence, EnergyTable
 from unzipseq.inference import (
-    EdgePotentials,
     Prior,
     _forward_sweep,
     build_edge_potentials,
@@ -38,6 +37,7 @@ from bruteforce import (
     oracle_site_conditional,
     oracle_summary,
     partition_recursion,
+    path_cost,
 )
 from conftest import make_env, random_sequence
 
@@ -67,7 +67,7 @@ def local_information(stats, env, x, triple):
     """Likelihood cost of the two edges meeting at x for candidate bases
     (a_{x-1}, a_x, a_{x+1}), read off the potentials with the uniform prior's
     log 4 per site (sites x, x+1, and site 1 when x = 2) added back."""
-    phi = build_edge_potentials(stats, env).phi
+    phi = build_edge_potentials(stats, env)
     a, b, c = triple
     return phi[x - 1, a, b] + phi[x, b, c] - (3 if x == 2 else 2) * math.log(4.0)
 
@@ -217,10 +217,10 @@ def test_numerical_stability_at_r_1e7():
         assert post.map_base == env.seq.base(x)
         lp = post.log_p_error
         assert math.isfinite(lp) and lp < -1e5
-    pot = build_edge_potentials(stats, env)
-    dec = decode_map(pot, env.seq.base(1))
+    phi = build_edge_potentials(stats, env)
+    dec = decode_map(phi, env.seq.base(1))
     assert str(dec.map_sequence) == "ATCGGA" and not dec.tie
-    lp_any = log_block_probs(pot, env.seq.base(1), dec.map_sequence, 1)[0]
+    lp_any = log_block_probs(phi, env.seq.base(1), dec.map_sequence, 1)[0]
     assert math.isfinite(lp_any) and lp_any < -1e5
     rep = error_report(stats, env, None, env.seq.base(1))
     assert rep.log_p_any == pytest.approx(lp_any, rel=1e-12)
@@ -238,27 +238,27 @@ def test_edge_potentials_reconstruct_global_cost(mode):
     env = make_env("ATCGGT", 2.2)
     stats = simulate_ensemble(env, 5, mode, SeedSpec(19))
     prior = Prior.iid([0.4, 0.25, 0.2, 0.15], env.M)
-    pot = build_edge_potentials(stats, env, prior)
+    phi = build_edge_potentials(stats, env, prior)
     tables = edge_cost_tables(stats, env, mode)
     prior_arr = prior.probs
     for _ in range(40):
         alpha = [Base(int(v)) for v in rng.integers(0, 4, env.M)]
         direct = sum(tables[x, alpha[x - 1], alpha[x]] for x in range(1, env.M))
         direct -= sum(math.log(prior_arr[x, alpha[x - 1]]) for x in range(1, env.M + 1))
-        assert pot.sequence_cost(alpha) == pytest.approx(direct, rel=1e-10)
+        assert path_cost(phi, alpha) == pytest.approx(direct, rel=1e-10)
 
 
 def test_edge_potentials_zero_stats_constant():
     env = make_env("ATCGG", 2.0)
-    pot = build_edge_potentials(zero_stats(env.M, "continuous"), env)
+    phi = build_edge_potentials(zero_stats(env.M, "continuous"), env)
     for e in range(1, env.M):
-        assert np.ptp(pot.phi[e]) == pytest.approx(0.0, abs=1e-15)
+        assert np.ptp(phi[e]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_edge_potentials_continuous_hand_expansion():
     env = make_env("ATCG", 1.9, r=1.3)
     stats = simulate_ensemble(env, 1, "continuous", SeedSpec(29))
-    pot = build_edge_potentials(stats, env)
+    phi = build_edge_potentials(stats, env)
     for e in range(1, env.M):
         for u in BASES:
             for v in BASES:
@@ -270,7 +270,7 @@ def test_edge_potentials_continuous_hand_expansion():
                 )
                 if e == 1:
                     expected -= math.log(0.25)
-                assert pot.phi[e, u, v] == pytest.approx(expected, rel=1e-12)
+                assert phi[e, u, v] == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------- global MAP
@@ -284,18 +284,18 @@ def test_oracle_equivalence_small(mode, M):
                        float(rng.uniform(1.8, 2.8)), beta=float(rng.choice([0.5, 1.0, 2.0])))
         R = int(rng.choice([1, 10]))
         stats = simulate_ensemble(env, R, mode, SeedSpec(int(rng.integers(1 << 30))))
-        pot = build_edge_potentials(stats, env)
+        phi = build_edge_potentials(stats, env)
         b1 = env.seq.base(1)
         oracle = oracle_summary(stats, env, mode, b1, h_max=3)
-        dec = decode_map(pot, b1)
+        dec = decode_map(phi, b1)
         assert tuple(dec.map_sequence.bases) == oracle["map"]
         assert dec.cost == pytest.approx(oracle["map_cost"], rel=1e-10)
-        assert log_partition(pot, b1) == pytest.approx(oracle["log_z"], rel=1e-10)
-        assert math.exp(log_block_probs(pot, b1, dec.map_sequence, 1)[0]) == pytest.approx(
+        assert log_partition(phi, b1) == pytest.approx(oracle["log_z"], rel=1e-10)
+        assert math.exp(log_block_probs(phi, b1, dec.map_sequence, 1)[0]) == pytest.approx(
             oracle["p_any"], rel=1e-10, abs=1e-12
         )
         for h in (1, 2, 3):
-            assert math.exp(log_block_probs(pot, b1, dec.map_sequence, h)[-1]) == pytest.approx(
+            assert math.exp(log_block_probs(phi, b1, dec.map_sequence, h)[-1]) == pytest.approx(
                 oracle["p_blocks"][h], rel=1e-10, abs=1e-12
             )
 
@@ -331,16 +331,16 @@ def test_site_count_mismatch_is_refused():
 def test_decode_homopolymer_degeneracy():
     env = make_env("CCCCCC", 2.5)
     stats = simulate_ensemble(env, 50, "continuous", SeedSpec(7))
-    pot = build_edge_potentials(stats, env)
-    with_b1 = decode_map(pot, Base.C)
+    phi = build_edge_potentials(stats, env)
+    with_b1 = decode_map(phi, Base.C)
     assert str(with_b1.map_sequence) == "CCCCCC"
     assert not with_b1.tie
-    free = decode_map(pot, None)
+    free = decode_map(phi, None)
     tied = {str(s) for s in free.ties}
     assert {"CCCCCC", "GGGGGG"} <= tied
     # the twins have bit-identical costs
-    assert pot.sequence_cost(BaseSequence.from_string("CCCCCC")) == pot.sequence_cost(
-        BaseSequence.from_string("GGGGGG")
+    assert path_cost(phi, BaseSequence.from_string("CCCCCC")) == path_cost(
+        phi, BaseSequence.from_string("GGGGGG")
     )
 
 
@@ -349,8 +349,8 @@ def test_decode_converges_at_desk_scale():
     letters = random_sequence(rng, 20)
     env = make_env(letters, 2.3)
     stats = simulate_ensemble(env, 1000, "discrete", SeedSpec(17))
-    pot = build_edge_potentials(stats, env)
-    dec = decode_map(pot, env.seq.base(1))
+    phi = build_edge_potentials(stats, env)
+    dec = decode_map(phi, env.seq.base(1))
     assert str(dec.map_sequence) == letters
 
 
@@ -364,11 +364,11 @@ def test_decode_regression_grid_exact_law(M, mode):
     env = make_env(random_sequence(rng, M), 3.0)
     for R in (10**3, 10**5, 10**7):
         stats = law_stats(env, R, mode, rng)
-        pot = build_edge_potentials(stats, env)
-        dec = decode_map(pot, env.seq.base(1))
+        phi = build_edge_potentials(stats, env)
+        dec = decode_map(phi, env.seq.base(1))
         assert dec.ties[0] == dec.map_sequence
-        assert pot.sequence_cost(dec.map_sequence) == pytest.approx(dec.cost, rel=1e-12)
-        true_cost = pot.sequence_cost(env.seq)
+        assert path_cost(phi, dec.map_sequence) == pytest.approx(dec.cost, rel=1e-12)
+        true_cost = path_cost(phi, env.seq)
         assert dec.cost <= true_cost + 1e-12 * abs(true_cost), (R, dec.cost, true_cost)
         if R == 10**7:
             assert dec.map_sequence == env.seq, R
@@ -383,7 +383,7 @@ def _twin_chain(M, twins, rng):
         phi[s - 1, :, Base.C] = phi[s - 1, :, Base.G] = 0.0
         if s < M:
             phi[s, Base.C] = phi[s, Base.G] = rng.uniform(1.0, 5.0, 4)
-    return EdgePotentials(phi)
+    return phi
 
 
 @pytest.mark.parametrize(
@@ -399,17 +399,17 @@ def _twin_chain(M, twins, rng):
 )
 def test_traceback_hands_over_to_depth_first_at_a_fork(twins, b1, tie_cap, n_ties, truncated):
     M = 1000
-    pot = _twin_chain(M, twins, np.random.default_rng([M, len(twins), tie_cap]))
+    phi = _twin_chain(M, twins, np.random.default_rng([M, len(twins), tie_cap]))
     if 1 in twins:  # the start itself is the twin site
-        pot.phi[1, Base.A] = pot.phi[1, Base.T] = 9.0
-    got = decode_map(pot, b1, tie_cap=tie_cap)
-    want_map, want_ties, want_truncated = map_dfs(pot, b1, tie_cap)
+        phi[1, Base.A] = phi[1, Base.T] = 9.0
+    got = decode_map(phi, b1, tie_cap=tie_cap)
+    want_map, want_ties, want_truncated = map_dfs(phi, b1, tie_cap)
     assert got.map_sequence.bases == want_map
     assert tuple(t.bases for t in got.ties) == want_ties
     assert got.truncated is want_truncated is truncated
     assert len(got.ties) == n_ties
     assert {got.map_sequence.base(s) for s in twins} <= {Base.C}
-    assert got.cost == pytest.approx(pot.sequence_cost(got.map_sequence), rel=1e-12)
+    assert got.cost == pytest.approx(path_cost(phi, got.map_sequence), rel=1e-12)
 
 
 @pytest.mark.parametrize("mode, b1_free", [("discrete", True), ("continuous", False)])
@@ -425,7 +425,7 @@ def test_error_report_memory_is_bounded(mode, b1_free):
     env = make_env(random_sequence(np.random.default_rng(16), M), 3.5)
     stats = law_stats(env, 10**3, mode, np.random.default_rng(17))
     b1 = None if b1_free else env.seq.base(1)
-    pot = build_edge_potentials(stats, env)
+    phi = build_edge_potentials(stats, env)
     ref = error_report(stats, env, None, b1, 3).decode.map_sequence  # warms the caches
 
     def peak(fn):
@@ -437,77 +437,79 @@ def test_error_report_memory_is_bounded(mode, b1_free):
             tracemalloc.stop()
 
     report_peak = peak(lambda: error_report(stats, env, None, b1, 3))
-    sweep_peak = peak(lambda: log_block_probs(pot, b1, ref, 3))
-    assert decode_map(pot, b1).tie is b1_free
+    sweep_peak = peak(lambda: log_block_probs(phi, b1, ref, 3))
+    assert decode_map(phi, b1).tie is b1_free
     assert report_peak < 8 * 2**20, report_peak
-    assert sweep_peak < 1.5 * pot.phi.nbytes, sweep_peak
+    assert sweep_peak < 1.5 * phi.nbytes, sweep_peak
 
 
 def test_log_partition_zero_potentials():
     M = 5
-    pot = EdgePotentials(np.zeros((M, 4, 4)))
-    assert log_partition(pot, Base.A) == pytest.approx((M - 1) * math.log(4), rel=1e-12)
-    assert log_partition(pot, None) == pytest.approx(M * math.log(4), rel=1e-12)
-    dec = decode_map(pot, Base.A, tie_cap=8)
+    phi = np.zeros((M, 4, 4))
+    assert log_partition(phi, Base.A) == pytest.approx((M - 1) * math.log(4), rel=1e-12)
+    assert log_partition(phi, None) == pytest.approx(M * math.log(4), rel=1e-12)
+    dec = decode_map(phi, Base.A, tie_cap=8)
     assert dec.truncated and dec.tie
-    assert log_partition(pot, Base.A) >= -dec.cost
+    assert log_partition(phi, Base.A) >= -dec.cost
 
 
 def test_sequence_posterior_basics():
     env = make_env("ATCG", 2.0)
     stats = zero_stats(env.M, "continuous")
-    pot = build_edge_potentials(stats, env)
+    phi = build_edge_potentials(stats, env)
     b1 = Base.A
     alpha = BaseSequence.from_string("ACCG")
-    assert math.exp(sequence_log_posterior(alpha, pot, b1)) == pytest.approx(
+    assert math.exp(sequence_log_posterior(alpha, phi, b1)) == pytest.approx(
         4.0 ** -(env.M - 1), rel=1e-12
     )
     with pytest.raises(ValueError):
-        sequence_log_posterior(BaseSequence.from_string("TCCG"), pot, b1)
+        sequence_log_posterior(BaseSequence.from_string("TCCG"), phi, b1)
+    with pytest.raises(ValueError, match="length"):
+        sequence_log_posterior(BaseSequence.from_string("ACC"), phi, b1)
 
 
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
 def test_sequence_posterior_sums_to_one(mode):
     env = make_env("ATCG", 2.3)
     stats = simulate_ensemble(env, 3, mode, SeedSpec(37))
-    pot = build_edge_potentials(stats, env)
+    phi = build_edge_potentials(stats, env)
     b1 = env.seq.base(1)
     oracle = oracle_summary(stats, env, mode, b1)
     total = sum(
-        math.exp(sequence_log_posterior(BaseSequence(tuple(Base(int(v)) for v in row)), pot, b1))
+        math.exp(sequence_log_posterior(BaseSequence(tuple(Base(int(v)) for v in row)), phi, b1))
         for row in oracle["seqs"]
     )
     assert total == pytest.approx(1.0, abs=1e-10)
     # the MAP sequence carries the highest posterior
-    dec = decode_map(pot, b1)
-    p_map = math.exp(sequence_log_posterior(dec.map_sequence, pot, b1))
+    dec = decode_map(phi, b1)
+    p_map = math.exp(sequence_log_posterior(dec.map_sequence, phi, b1))
     assert p_map >= max(oracle["weights"]) - 1e-12
 
 
 def test_prob_any_error_zero_stats():
     env = make_env("ATCGG", 2.0)
-    pot = build_edge_potentials(zero_stats(env.M, "discrete"), env)
+    phi = build_edge_potentials(zero_stats(env.M, "discrete"), env)
     b1 = Base.A
-    ref = decode_map(pot, b1).map_sequence
-    p_any = math.exp(log_block_probs(pot, b1, ref, 1)[0])
+    ref = decode_map(phi, b1).map_sequence
+    p_any = math.exp(log_block_probs(phi, b1, ref, 1)[0])
     assert p_any == pytest.approx(1 - 4.0 ** -(env.M - 1), rel=1e-12)
 
 
 def test_prob_nonsuccessive_matches_any_error_at_h1():
     env = make_env("ATCGGT", 2.2)
     stats = simulate_ensemble(env, 8, "continuous", SeedSpec(41))
-    pot = build_edge_potentials(stats, env)
+    phi = build_edge_potentials(stats, env)
     b1 = env.seq.base(1)
-    ref = decode_map(pot, b1).map_sequence
-    p1 = math.exp(log_block_probs(pot, b1, ref, 1)[0])
-    p2 = math.exp(log_block_probs(pot, b1, ref, 6)[0])  # h = 1 does not depend on the cap
+    ref = decode_map(phi, b1).map_sequence
+    p1 = math.exp(log_block_probs(phi, b1, ref, 1)[0])
+    p2 = math.exp(log_block_probs(phi, b1, ref, 6)[0])  # h = 1 does not depend on the cap
     assert p2 == pytest.approx(p1, rel=1e-13)
     # monotone in h, and zero beyond the largest possible block count
-    values = [math.exp(log_block_probs(pot, b1, ref, h)[-1]) for h in range(1, 7)]
+    values = [math.exp(log_block_probs(phi, b1, ref, h)[-1]) for h in range(1, 7)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
-    assert math.exp(log_block_probs(pot, b1, ref, env.M)[-1]) == 0.0
+    assert math.exp(log_block_probs(phi, b1, ref, env.M)[-1]) == 0.0
     with pytest.raises(ValueError):
-        log_block_probs(pot, b1, ref, 0)
+        log_block_probs(phi, b1, ref, 0)
 
 
 
@@ -521,21 +523,21 @@ def test_block_pass_equals_state_by_state_recursion(M, mode):
     env = make_env(random_sequence(rng, M), 3.0)
     cases = [law_stats(env, R, mode, rng) for R in (10**3, 10**7)] + [zero_stats(M, mode, 1)]
     for stats in cases:
-        pot = build_edge_potentials(stats, env)
+        phi = build_edge_potentials(stats, env)
         for b1 in (env.seq.base(1), None):
-            log_z = partition_recursion(pot, b1)
-            assert repr(log_partition(pot, b1)) == repr(log_z), (stats.R, b1)
-            decoded = decode_map(pot, b1).map_sequence
+            log_z = partition_recursion(phi, b1)
+            assert repr(log_partition(phi, b1)) == repr(log_z), (stats.R, b1)
+            decoded = decode_map(phi, b1).map_sequence
             other = decoded
             while other == decoded:
                 other = BaseSequence.from_string(random_sequence(rng, M))
             for ref in (decoded, other):
                 for h_max in (1, 2, 3, 4):
-                    want = block_recursion(pot, b1, ref, h_max)
-                    got, got_z = _forward_sweep(pot, b1, np.array(ref.bases), h_max)
+                    want = block_recursion(phi, b1, ref, h_max)
+                    got, got_z = _forward_sweep(phi, b1, np.array(ref.bases), h_max)
                     assert np.array_equal(got, want), (stats.R, b1, str(ref)[:8], h_max)
                     assert repr(got_z) == repr(log_z), (stats.R, b1, str(ref)[:8], h_max)
-                    assert np.array_equal(log_block_probs(pot, b1, ref, h_max), want)
+                    assert np.array_equal(log_block_probs(phi, b1, ref, h_max), want)
 
 
 def test_error_report_reads_one_sweep(monkeypatch):
@@ -549,11 +551,11 @@ def test_error_report_reads_one_sweep(monkeypatch):
     env = make_env(random_sequence(rng, 200), 3.0)
     for mode in ("discrete", "continuous"):
         stats = law_stats(env, 10**4, mode, rng)
-        pot = build_edge_potentials(stats, env)
+        phi = build_edge_potentials(stats, env)
         for b1 in (env.seq.base(1), None):
             rep = error_report(stats, env, None, b1, 3)
-            assert repr(rep.log_partition) == repr(partition_recursion(pot, b1))
-            want = block_recursion(pot, b1, rep.decode.map_sequence, 3).tolist()
+            assert repr(rep.log_partition) == repr(partition_recursion(phi, b1))
+            want = block_recursion(phi, b1, rep.decode.map_sequence, 3).tolist()
             assert [lp for _, _, lp in rep.p_blocks] == want
             assert rep.log_p_any == want[0]
 
@@ -601,21 +603,21 @@ def test_site_posterior_consistent_with_global_conditional(mode):
 def test_shift_invariance():
     env = make_env("ATCGG", 2.2)
     stats = simulate_ensemble(env, 5, "continuous", SeedSpec(47))
-    pot = build_edge_potentials(stats, env)
-    shifted = EdgePotentials(pot.phi + 13.7)
+    phi = build_edge_potentials(stats, env)
+    shifted = phi + 13.7
     b1 = env.seq.base(1)
-    d0, d1 = decode_map(pot, b1), decode_map(shifted, b1)
+    d0, d1 = decode_map(phi, b1), decode_map(shifted, b1)
     assert str(d0.map_sequence) == str(d1.map_sequence)
     r0, r1 = d0.map_sequence, d1.map_sequence
-    assert math.exp(log_block_probs(pot, b1, r0, 1)[0]) == pytest.approx(
+    assert math.exp(log_block_probs(phi, b1, r0, 1)[0]) == pytest.approx(
         math.exp(log_block_probs(shifted, b1, r1, 1)[0]), abs=1e-10
     )
     for h in (1, 2):
-        assert math.exp(log_block_probs(pot, b1, r0, h)[-1]) == pytest.approx(
+        assert math.exp(log_block_probs(phi, b1, r0, h)[-1]) == pytest.approx(
             math.exp(log_block_probs(shifted, b1, r1, h)[-1]), abs=1e-10
         )
     alpha = BaseSequence.from_string("ACCGG")
-    assert math.exp(sequence_log_posterior(alpha, pot, b1)) == pytest.approx(
+    assert math.exp(sequence_log_posterior(alpha, phi, b1)) == pytest.approx(
         math.exp(sequence_log_posterior(alpha, shifted, b1)), abs=1e-12
     )
 

@@ -178,7 +178,7 @@ def test_run_protocol_single_level_equals_plain_ensemble():
     energies = (2.0, 1.5, 2.0)
     params = ModelParams(beta=1.0)
     plan = build_protocol("uniform-pair", TOY, M=4, replicas=25, k=1)
-    stats = run_protocol(energies, params, plan, SeedSpec(3))
+    stats = run_protocol(energies, params, plan, SeedSpec(3), "discrete")
     env1 = EnergyEnvironment(energies, ForceField.constant(TOY.r_at(1), 3), params)
     direct = simulate_ensemble(env1, 25, "discrete", SeedSpec(3).child(1))
     assert np.array_equal(stats[1].up, direct.up)
@@ -192,7 +192,7 @@ def test_run_protocol_forward_drift_at_high_force():
     energies = tuple([1.0] * 7)
     lad = LevelLadder((1.0,), (5.0, 0.0))
     plan = build_protocol("uniform-pair", lad, M=8, replicas=400, k=1)
-    stats = run_protocol(energies, ModelParams(beta=1.0), plan, SeedSpec(8))
+    stats = run_protocol(energies, ModelParams(beta=1.0), plan, SeedSpec(8), "discrete")
     agg = stats[1]
     for x in range(2, 8):
         assert agg.down[x] < agg.up[x]
@@ -203,7 +203,7 @@ def test_run_protocol_step_cap_names_level():
     energies = tuple([3.0] * 6)
     plan = build_protocol("uniform-pair", TOY, M=7, replicas=3, k=2)
     with pytest.raises(ProtocolAbort) as err:
-        run_protocol(energies, ModelParams(beta=2.0), plan, SeedSpec(4), step_cap=20)
+        run_protocol(energies, ModelParams(beta=2.0), plan, SeedSpec(4), "discrete", step_cap=20)
     assert err.value.level == 2 and err.value.replica is None
     assert str(err.value).startswith("force level 2: expected 10^4.8 steps per walk")
 
@@ -226,7 +226,7 @@ def test_run_protocol_walk_over_cap_names_level_and_replica():
             break
     assert want is not None and want[1] is not None
     with pytest.raises(ProtocolAbort) as err:
-        run_protocol(energies, params, plan, SeedSpec(4), step_cap=cap)
+        run_protocol(energies, params, plan, SeedSpec(4), "discrete", step_cap=cap)
     assert (err.value.level, err.value.replica) == want
     assert str(err.value) == (f"force level {want[0]}: replica {want[1]} exceeded step cap "
                               f"{cap} before absorption")
@@ -245,7 +245,7 @@ def test_run_protocol_refuses_trap_before_any_level_walks(monkeypatch):
     assert plan.levels[-1].level_index == 10
     t0 = time.perf_counter()
     with pytest.raises(ProtocolAbort) as err:
-        run_protocol(energies, ModelParams(), plan, SeedSpec(1))
+        run_protocol(energies, ModelParams(), plan, SeedSpec(1), "discrete")
     assert time.perf_counter() - t0 < 1.0
     assert err.value.level == 10 and err.value.replica is None
     assert str(err.value) == ("force level 10: expected 10^32.9 steps per walk, over the "
@@ -302,7 +302,7 @@ def test_estimate_energy_end_to_end_small():
     energies = (1.78, 1.55, 1.78, 1.78, 1.55)
     plan = build_protocol("uniform-pair", ladder, M=6, replicas=1500, max_level=10)
     for seed in (1, 2):
-        stats = run_protocol(energies, ModelParams(beta=1.0), plan, SeedSpec(seed))
+        stats = run_protocol(energies, ModelParams(beta=1.0), plan, SeedSpec(seed), "discrete")
         for x in range(2, 6):
             est = estimate_energy(stats, x, ladder)
             assert est.value == pytest.approx(energies[x - 1]), (seed, x, est)

@@ -311,7 +311,7 @@ def test_rc_site_obstacle_lower_bound():
 
 
 def test_lc_bound(table1):
-    assert lc_bound(EnergyTable(np.full((4, 4), 1.0)), 1.0) == 0.0
+    assert lc_bound(EnergyTable(np.full((4, 4), 1.0)), 1.0, "continuous") == 0.0
     m = decision_margins(table1, 1.0, mode="continuous")
     assert lc_bound(table1, 1.0, "continuous") == 0.5 * min(m.plus, m.minus)
     assert lc_bound(table1, 2.0, "continuous") > lc_bound(table1, 1.0, "continuous")

@@ -18,7 +18,9 @@ b_1 free, h_max 4) and ``rates`` on a 1000-site sequence, ``infer`` on
 sequences, and 32 cut at the tie cap), ``simulate``
 and ``infer`` runs whose settings all come from ``--config``, configs
 that must be refused with exit 2 (among them a one-checkpoint grid, an
-unknown ``prior`` key and a negative window half-width), and runs that cannot
+unknown ``prior`` key, a negative window half-width, an environment whose
+``beta`` is a string, and a stats file whose sojourns hold a string and a
+bool), and runs that cannot
 finish, refused with exit 1 before any walk: ``simulate`` and
 ``infer --R-grid`` on a ``"GC" * 20`` trap, and a 200-site table-ladder scan
 whose level 10 expects 10^32.0 steps per walk.  A 400-site ``infer`` and
@@ -130,7 +132,13 @@ REFUSED = {
     "prior-unknown-key": ("infer", "infer",
                           {"prior": {"weights": [0.4, 0.1, 0.3, 0.2], "wieghts": 3}}),
     "window-negative": ("simulate", "simulate", {"window": "3:-2:0.5"}),
+    "environment-beta-str": ("infer", "infer", {"environment": {**ENVS["short"], "beta": "2"}}),
 }
+# a continuous stats file for ENVS["short"] whose sojourns hold a string and a
+# bool: `infer --stats` must exit 2
+STATS_S_STR = {"mode": "continuous", "R": 1, "steps": 6, "site": [1, 2, 3, 4, 5, 6],
+               "L_plus": [1] * 6, "L_minus": [0] * 6,
+               "S": ["0.5", True, 0.5, 0.5, 0.5, 0.5], "wall_time": 3.0}
 
 
 def _config(name: str) -> dict:
@@ -205,6 +213,9 @@ def cases(inputs: Path) -> dict[str, list]:
         runs[f"config-{name}"] = [command, "--config", inputs / f"config-{name}.json"]
     for name, (command, _, _) in REFUSED.items():
         runs[f"refused-{name}"] = [command, "--config", inputs / f"refused-{name}.json"]
+    runs["refused-stats-S-str"] = [
+        "infer", "--env", env["short"], "--stats", inputs / "stats-S-str.json",
+        "--mode", "continuous"]
     return runs
 
 
@@ -219,6 +230,7 @@ def run_corpus(outdir: Path) -> None:
         (inputs / f"config-{name}.json").write_text(json.dumps(doc))
     for name, (_, base, bad) in REFUSED.items():
         (inputs / f"refused-{name}.json").write_text(json.dumps({**_config(base), **bad}))
+    (inputs / "stats-S-str.json").write_text(json.dumps(STATS_S_STR))
     for name, argv in cases(inputs).items():
         out = outdir / name
         out.mkdir(parents=True, exist_ok=True)

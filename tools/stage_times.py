@@ -4,9 +4,10 @@
     PYTHONPATH=src python tools/stage_times.py [OUT.json]
 
 The walker stage is ``simulate_ensemble`` in steps per second, in both time
-models, on seeded random sequences at the sizes of the benchmark's walk
-workloads: M = 100 at g1 = 3.2 with R = 200, and M = 10 at g1 = 3.0 with
-R = 10^4.  ``walker_peak_bytes`` is the tracemalloc peak of one continuous
+models, on seeded random sequences: at the sizes of the benchmark's walk
+workloads, M = 100 at g1 = 3.2 with R = 200 and M = 10 at g1 = 3.0 with
+R = 10^4, and on long chains at g1 = 3.6, M = 1000 with R = 256 and
+M = 10000 with R = 24 (~4.4e3 and ~4.4e4 expected steps per walk).  ``walker_peak_bytes`` is the tracemalloc peak of one continuous
 1024-replica chunk at M = 10, the case whose memory
 ``test_lockstep_memory_stays_flat`` bounds.  At M = 1000 and 10000, in both
 time models, the statistics come from the walker (a seeded random sequence,
@@ -56,7 +57,7 @@ def random_env(M: int, g1: float):
 def walker_stages() -> dict[str, int]:
     """``simulate_ensemble`` steps per second, best of 5."""
     table = {}
-    for M, g1, R in ((100, 3.2, 200), (10, 3.0, 10**4)):
+    for M, g1, R in ((100, 3.2, 200), (10, 3.0, 10**4), (1000, 3.6, 256), (10000, 3.6, 24)):
         env = random_env(M, g1)
         for mode in ("discrete", "continuous"):
             run = lambda: simulate_ensemble(env, R, mode, SeedSpec(M))
