@@ -434,15 +434,15 @@ def _number(key: str, value) -> float:
     return float(value)
 
 
-def _numbers(key: str, value) -> np.ndarray:
-    """``value``, a list (of lists) of numbers, as a float array; the first
-    entry that is not a number is refused, named by its index."""
-    arr = np.asarray(value, dtype=object)
-    for index, entry in np.ndenumerate(arr):
+def _require_numbers(key: str, value) -> None:
+    """Refuse the first entry of ``value``, a list (of lists), that is not a
+    number, naming it by its index."""
+    if isinstance(value, list) and set(map(type, value)) <= {int, float}:
+        return
+    for index, entry in np.ndenumerate(np.asarray(value, dtype=object)):
         if not _is_number(entry):
             what = f"entry {', '.join(map(str, index))} must be" if index else "expected"
             raise ValueError(f"{key}: {what} a number, got {entry!r}")
-    return arr.astype(float)
 
 
 def environment_from_json(doc: str | dict) -> Environment:
@@ -463,10 +463,13 @@ def environment_from_json(doc: str | dict) -> Environment:
     if not isinstance(data["sequence"], str):
         raise ValueError(f"sequence: expected a string of bases, got {data['sequence']!r}")
     seq = BaseSequence.from_string(data["sequence"])
-    table = EnergyTable(_numbers("g0", data["g0"])) if "g0" in data else EnergyTable.default()
+    if "g0" in data:
+        _require_numbers("g0", data["g0"])
+    table = EnergyTable(np.array(data["g0"])) if "g0" in data else EnergyTable.default()
     g1 = data["g1"]
     if isinstance(g1, (list, tuple, np.ndarray)):
-        force = ForceField(_numbers("g1", g1))
+        _require_numbers("g1", g1)
+        force = ForceField(np.asarray(g1, dtype=float))
     else:
         force = ForceField.constant(_number("g1", g1), len(seq) - 1)
     params = ModelParams(beta=_number("beta", data["beta"]), rate_scale=_number("r", data["r"]))

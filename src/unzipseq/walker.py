@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .energy import _SiteModel, _is_number
+from .energy import _SiteModel, _require_numbers
 
 __all__ = [
     "SeedSpec",
@@ -376,13 +376,9 @@ class AggregateStats:
 def _site_field(doc: dict, key: str, n: int, kinds: str) -> np.ndarray:
     """``doc[key]`` as a site-indexed array (slot 0 zero) of n numbers whose
     dtype kind is in ``kinds``; integer counts must also be non-negative."""
-    values = doc[key]
-    if isinstance(values, list) and not set(map(type, values)) <= {int, float}:
-        for i, entry in enumerate(values):
-            if not _is_number(entry):
-                raise ValueError(f"{key}: entry {i} must be a number, got {entry!r}")
+    _require_numbers(key, doc[key])
     try:
-        arr = np.asarray(values, dtype=float if kinds == "f" else None)
+        arr = np.asarray(doc[key], dtype=float if kinds == "f" else None)
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is None or arr.shape != (n,):
