@@ -334,6 +334,15 @@ def _apply_window(env: Environment, spec: str) -> Environment:
     return Environment(env.seq, env.table, field, env.params)
 
 
+def _stats_json(agg: AggregateStats) -> tuple[dict, dict[str, list[str]]]:
+    """``agg.to_json_dict()`` with its site columns in JSON text, and those
+    columns' cells: each column is turned into text once, for both files."""
+    doc = agg.to_json_dict()
+    text = {n: _cells(doc[n]) for n in ("site", "L_plus", "L_minus", "S") if n in doc}
+    doc.update((n, _json_array(_json_column(doc[n], cells))) for n, cells in text.items())
+    return doc, text
+
+
 def cmd_simulate(cfg: dict) -> int:
     env = _environment(cfg)
     if "window" in cfg:
@@ -343,11 +352,12 @@ def cmd_simulate(cfg: dict) -> int:
     seed = SeedSpec(_require(cfg, "seed"))
     out = _outdir(cfg)
     agg = simulate_ensemble(env, R, mode, seed, step_cap=cfg["step_cap"])
-    _write_json(out / "stats.json", agg.to_json_dict())
+    doc, text = _stats_json(agg)
+    _write_json(out / "stats.json", doc)
     if cfg["format"] == "csv":
-        S = agg.sojourn[1:] if agg.sojourn is not None else itertools.repeat("")
         _write_csv(out / "stats.csv", ("site", "L_plus", "L_minus", "S", "R"),
-                   (range(1, agg.M), agg.up[1:], agg.down[1:], S, itertools.repeat(agg.R)))
+                   (text["site"], text["L_plus"], text["L_minus"],
+                    text.get("S", itertools.repeat("")), itertools.repeat(agg.R)))
     if cfg["trace"]:
         walk = simulate_walk(env, mode, seed, 0, trace=True, step_cap=cfg["step_cap"])
         _write_csv(out / "trace.csv", ("step", "site", "time"),
@@ -624,7 +634,7 @@ def cmd_protocol(cfg: dict) -> int:
     stats = run_protocol(energies, params, plan, seed, mode, step_cap=cfg["step_cap"])
     levels = sorted(stats)
     aggs = [stats[i] for i in levels]
-    _write_json(out / "levels.json", {str(i): agg.to_json_dict() for i, agg in zip(levels, aggs)})
+    _write_json(out / "levels.json", {str(i): _stats_json(agg)[0] for i, agg in zip(levels, aggs)})
     _write_csv(out / "levels.csv", ("level", "site", "L_plus", "L_minus", "R"), (
         np.repeat(levels, M - 1),
         np.tile(np.arange(1, M), len(levels)),

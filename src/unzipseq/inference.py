@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .energy import BASES, Base, BaseSequence, Environment, _check_sites, _per_site
-from .energy import _start_bases, _trellis_paths
+from .energy import _require_numbers, _start_bases, _trellis_paths
 from .walker import AggregateStats, _require_mode
 
 __all__ = [
@@ -94,7 +94,9 @@ class Prior:
 
     @classmethod
     def iid(cls, weights: Sequence[float], M: int) -> "Prior":
-        """Same four weights at every site."""
+        """Same four weights at every site; numbers only, as numpy would
+        also read a string or a bool as a weight."""
+        _require_numbers("weights", weights)
         w = np.asarray(weights, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):  # __post_init__ refuses the result
             return cls(np.tile(w / w.sum(), (M + 1, 1)))

@@ -49,28 +49,29 @@ __all__ = [
 
 DEFAULT_STEP_CAP = 10**9
 # RNG draws are buffered; blocks start small (typical walks take only a few
-# steps) and grow geometrically so long walks amortize the draw overhead.
+# steps) and grow geometrically so long walks amortize the draw overhead.  A
+# walk alone steps through each block in one Python loop.
 _BLOCK_INIT = 64
 _BLOCK_MAX = 16384
 # Ensembles step chunks of up to _CHUNK replicas together; a chunk's
 # per-replica site rows stay within _CHUNK_CELLS cells.  Its draw buffer holds
-# _DRAW_BUDGET draws per stream, shared by the live replicas: a full chunk
-# draws _BLOCK_INIT per replica at first, and no block is ever empty, since
-# no more than _CHUNK replicas share it.  The buffer is filled through a
-# replica-major scratch of _FILL_CELLS draws per stream.
+# _DRAW_BUDGET draws per stream, shared by the live replicas, each drawing
+# its block into a row of its own: a full chunk draws _BLOCK_INIT per
+# replica at first, and no block is ever empty, since no more than _CHUNK
+# replicas share it.
 # Live replicas step in windows of _WINDOW_CELLS // live steps (6 for a
 # full chunk, 30 for 200 replicas): a step only finds each replica's move,
 # and a window's counts and sojourns are added once at its end, where its
 # move log, time draws and their rates are three arrays of that many cells.
 # Absorbed replicas are dropped between windows, and once fewer than
-# _LOCKSTEP_MIN are live each finishes alone in _walk: below that, a step's
-# four numpy calls cost more than the scalar steps they replace; above it,
-# less than a tail replica's own set-up (its stream states loaded, its rows
-# copied to lists and back, _walk's tables built).
+# _LOCKSTEP_MIN are live each finishes alone in _walk.  A lockstep step's
+# four numpy calls cost about as much as 15-20 scalar steps (~100 ns each in
+# discrete time, ~185 ns in continuous time, draws included), and ensembles
+# run at the same speed, within 3%, with the floor anywhere from 12 to 24 in
+# either time model.
 _CHUNK = 1024
 _CHUNK_CELLS = 2**16
 _DRAW_BUDGET = _CHUNK * _BLOCK_INIT
-_FILL_CELLS = 2**12
 _WINDOW_CELLS = 6 * _CHUNK
 _LOCKSTEP_MIN = 16
 
@@ -163,19 +164,20 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> 16)
 
 
-def _stream_words(seed: SeedSpec, replicas: np.ndarray, substream: int) -> np.ndarray:
-    """The PCG64 seed of ``seed.stream(r, substream)`` for every replica r,
-    shape (n, 4): ``SeedSequence(master, spawn_key=prefix + (r, substream))
-    .generate_state(4, uint64)`` run over uint32 arrays.  Words that do not
-    depend on r are hashed once, as (1,) arrays that broadcast against the
-    replica words.  Replicas of 2**32 or more take a second key word, so they
-    are hashed as a group of their own."""
+def _stream_words(seed: SeedSpec, replicas: np.ndarray, substreams) -> np.ndarray:
+    """The PCG64 seed of ``seed.stream(r, s)`` for every replica r and its
+    substream s, shape (n, 4): ``SeedSequence(master, spawn_key=prefix + (r,
+    s)).generate_state(4, uint64)`` run over uint32 arrays.  ``substreams``,
+    each under 2**32, is one int or an array as long as ``replicas``.  Words
+    that do not depend on r or s are hashed once, as (1,) arrays that
+    broadcast against the others.  Replicas of 2**32 or more take a second
+    key word, so they are hashed as a group of their own."""
     replicas = np.asarray(replicas, dtype=np.uint64)
+    substreams = np.broadcast_to(np.asarray(substreams, dtype=np.uint32), replicas.shape)
     master = _uint32_words(seed.master)
     # a spawn key pads the master's words to the pool size
     head = master + [0] * (4 - len(master)) + [w for k in seed.prefix for w in _uint32_words(k)]
     head = [np.full(1, w, np.uint32) for w in head]
-    tail = [np.full(1, w, np.uint32) for w in _uint32_words(substream)]
     lo = (replicas & np.uint64(_MASK32)).astype(np.uint32)
     hi = (replicas >> np.uint64(32)).astype(np.uint32)
     out = np.empty((replicas.size, 4), dtype=np.uint64)
@@ -183,7 +185,7 @@ def _stream_words(seed: SeedSpec, replicas: np.ndarray, substream: int) -> np.nd
         sel = (hi != 0) == wide
         if not sel.any():
             continue
-        entropy = head + ([lo[sel], hi[sel]] if wide else [lo[sel]]) + tail
+        entropy = head + ([lo[sel], hi[sel]] if wide else [lo[sel]]) + [substreams[sel]]
         xor, mul = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * (len(entropy) - 4))
         pool = _hashmix(np.stack(entropy[:4]), xor[:4], mul[:4])
         k = 4
@@ -214,13 +216,14 @@ def _mul_hi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a1 * b1 + (mid_a >> s32) + (mid_b >> s32) + carry
 
 
-def _stream_states(seed: SeedSpec, replicas: np.ndarray, substream: int) -> np.ndarray:
-    """The PCG64 state of ``seed.stream(r, substream)`` for every replica r
-    before its first draw, shape (n, 4), each row in the word order of
-    PCG64's C state (see _word_order).  PCG64 seeds from the words w of
-    _stream_words, read as 128-bit (high, low) pairs: inc = 2 w[2:4] + 1 and
-    state = (inc + w[0:2]) mult + inc, mod 2**128."""
-    w = _stream_words(seed, replicas, substream).T
+def _stream_states(seed: SeedSpec, replicas: np.ndarray, substreams) -> np.ndarray:
+    """The PCG64 state of ``seed.stream(r, s)`` for every replica r and its
+    substream s (as in _stream_words) before its first draw, shape (n, 4),
+    each row in the word order of PCG64's C state (see _word_order).  PCG64
+    seeds from the words w of _stream_words, read as 128-bit (high, low)
+    pairs: inc = 2 w[2:4] + 1 and state = (inc + w[0:2]) mult + inc, mod
+    2**128."""
+    w = _stream_words(seed, replicas, substreams).T
     one, s63 = np.uint64(1), np.uint64(63)
     inc_hi = (w[2] << one) | (w[3] >> s63)
     inc_lo = (w[3] << one) | one
@@ -388,98 +391,94 @@ def _site_field(doc: dict, key: str, n: int, kinds: str) -> np.ndarray:
     return np.concatenate([np.zeros(1, dtype=arr.dtype), arr])
 
 
-def _walk(
-    env: _SiteModel,
-    rng_dir: np.random.Generator,
-    rng_time: np.random.Generator | None,
-    replica: int,
-    step_cap: int,
-    trace: bool,
-    x: int = 1,
-    steps: int = 0,
-    rows: tuple[list[int], list[int], list[float] | None] | None = None,
-    unread: tuple[Sequence[float], Sequence[float]] = ((), ()),
-):
-    """Core loop shared by both time models.
+def _site_tables(env: _SiteModel, continuous: bool) -> tuple[list[float], list[float] | None]:
+    """_walk's per-site tables as lists: p_x and, in continuous time, the
+    mean holding time 1 / (forward + backward rate) at x."""
+    if not continuous:
+        return env.up_probabilities.tolist(), None
+    fwd, bwd = env.jump_rates
+    return env.up_probabilities.tolist(), (1.0 / (fwd + bwd)).tolist()
 
-    Draws one uniform per step from the direction stream; the continuous
-    mode additionally draws one exponential per visit from its own stream, so
-    the embedded jump chain of the continuous walk coincides with the
-    discrete walk for the same (master seed, replica).
 
-    A walk can resume part-way: at site ``x`` after ``steps`` steps, with its
-    (up, down, sojourn) ``rows`` so far and the ``unread`` draws already taken
-    from its (direction, time) streams, which it reads before drawing more.
-    """
-    M = env.M
-    p = env.up_probabilities.tolist()
-    continuous = rng_time is not None
-    if rows is None:
-        rows = ([0] * M, [0] * M, [0.0] * M if continuous else None)
-    up, down, sojourn = rows
-    if continuous:
-        fwd, bwd = env.jump_rates
-        inv_rate = (1.0 / (fwd + bwd)).tolist()
-        ebuf = unread[1]
-        ei = 0
-        eblock = _BLOCK_INIT
-    path = [1] if trace else None
-    times = [0.0] if trace else None
-
-    clock = 0.0
-    buf = unread[0]
-    bi = 0
-    nbuf = len(buf)
-    block = _BLOCK_INIT
-    while x != M:
-        if continuous:
-            if ei == len(ebuf):
-                ebuf = rng_time.standard_exponential(eblock).tolist()
-                ei = 0
-                eblock = min(eblock * 8, _BLOCK_MAX)
-            dt = ebuf[ei] * inv_rate[x]
-            ei += 1
-            sojourn[x] += dt
-            clock += dt
-        if bi == nbuf:
-            buf = rng_dir.random(block).tolist()
-            bi = 0
-            nbuf = block
-            block = min(block * 8, _BLOCK_MAX)
-        u = buf[bi]
-        bi += 1
+def _steps(M, p, up, down, x, us):
+    """Step from site x on the direction draws ``us`` until they run out or
+    the walk is absorbed at M; returns the site reached."""
+    for u in us:
         if u < p[x]:
             up[x] += 1
             x += 1
+            if x == M:
+                break
         else:
             down[x] += 1
             x -= 1
-        steps += 1
-        if steps > step_cap:
-            raise StepCapExceeded(replica, step_cap)
-        if trace:
-            path.append(x)
-            times.append(clock if continuous else float(steps))
+    return x
 
-    up_arr = np.array(up, dtype=np.int64)
-    down_arr = np.array(down, dtype=np.int64)
-    if continuous:
-        soj_arr = np.array(sojourn)
-        wall = float(np.sum(soj_arr))
+
+def _timed_steps(M, p, inv_rate, up, down, sojourn, x, us, es):
+    """_steps in continuous time: each step first adds its time draw e,
+    over the total jump rate at x, to sojourn[x]."""
+    for u, e in zip(us, es):
+        sojourn[x] += e * inv_rate[x]
+        if u < p[x]:
+            up[x] += 1
+            x += 1
+            if x == M:
+                break
+        else:
+            down[x] += 1
+            x -= 1
+    return x
+
+
+def _walk(tables, streams, replica, step_cap, rows, x=1, steps=0, unread=((), ()), trace=None):
+    """Walk on from site ``x``, ``steps`` steps in, to absorption at M,
+    adding each move to the count ``rows`` (up, down and, in continuous time,
+    sojourn lists) in place.  Core loop shared by both time models.
+
+    Each step reads one uniform from the direction stream; in continuous
+    time also one exponential from the time stream, so the embedded jump
+    chain of the continuous walk coincides with the discrete walk for the
+    same (master seed, replica).  The ``unread`` draws already taken from
+    the (direction, time) ``streams`` are read first.  Draws come in blocks,
+    each stepped through in one loop; a block is cut to the steps left under
+    ``step_cap``, and the walk raises once none is left.  ``trace``, a list
+    of sites and a list of times, gets the site and time after every step:
+    a traced walk steps through each block one draw at a time.
+    """
+    p, inv_rate = tables
+    M = len(p)
+    if inv_rate is None:
+        step = functools.partial(_steps, M, p, *rows)
     else:
-        soj_arr = None
-        wall = None
-    return AggregateStats(
-        up=up_arr,
-        down=down_arr,
-        sojourn=soj_arr,
-        steps=steps,
-        wall_time=wall,
-        mode="continuous" if continuous else "discrete",
-        R=1,
-        path=np.array(path, dtype=np.int64) if trace else None,
-        path_times=np.array(times) if trace else None,
-    )
+        step = functools.partial(_timed_steps, M, p, inv_rate, *rows)
+    block = _BLOCK_INIT
+    draws = unread[: len(streams)]
+    while x != M:
+        left = step_cap - steps
+        if left < 1:
+            raise StepCapExceeded(replica, step_cap)
+        if not draws[0]:
+            n = min(block, left)
+            block = min(8 * block, _BLOCK_MAX)
+            draws = [streams[0].random(n).tolist()]
+            draws += [gen.standard_exponential(n).tolist() for gen in streams[1:]]
+        elif len(draws[0]) > left:
+            draws = [d[:left] for d in draws]
+        if trace is None:
+            x = step(x, *draws)
+        else:
+            sites, times = trace
+            for i in range(len(draws[0])):
+                was = x
+                x = step(x, *(d[i : i + 1] for d in draws))
+                sites.append(x)
+                times.append(times[-1] + draws[1][i] * inv_rate[was] if inv_rate is not None
+                             else float(steps + i + 1))
+                if x == M:
+                    break
+        steps += len(draws[0])
+        draws = ((),)
 
 
 def simulate_walk(
@@ -498,8 +497,23 @@ def simulate_walk(
     the fuzz tests run a million of) skip the ~0.1 ms expected-length check.
     """
     _require_mode(mode)
-    rng_time = seed.stream(replica, 1) if mode == "continuous" else None
-    return _walk(env, seed.stream(replica, 0), rng_time, replica, step_cap, trace)
+    continuous = mode == "continuous"
+    rows = [[0] * env.M, [0] * env.M] + ([[0.0] * env.M] if continuous else [])
+    trace = ([1], [0.0]) if trace else None
+    streams = [seed.stream(replica, sub) for sub in range(1 + continuous)]
+    _walk(_site_tables(env, continuous), streams, replica, step_cap, rows, trace=trace)
+    sojourn = np.array(rows[2]) if continuous else None
+    return AggregateStats(
+        up=np.array(rows[0], dtype=np.int64),
+        down=np.array(rows[1], dtype=np.int64),
+        sojourn=sojourn,
+        steps=sum(rows[0]) + sum(rows[1]),
+        wall_time=float(np.sum(sojourn)) if continuous else None,
+        mode=mode,
+        R=1,
+        path=np.array(trace[0], dtype=np.int64) if trace else None,
+        path_times=np.array(trace[1]) if trace else None,
+    )
 
 
 def _require_mode(mode: str) -> None:
@@ -606,24 +620,29 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     d) >> 1]``, cell (M+1) r + x, adds its time, and the site table
     ``dest[c + d]`` is the cell it leads to.  Site M is a sink: p = 2 there,
     so an absorbed replica moves "up" onto itself, adding nothing but to the
-    discarded column M, until the end of the window drops it.  Live replicas
-    share one step count, so a window of steps reads a block of rows of the
-    step-major draw buffer.  A step only logs each move; at the window's end
+    discarded column M, until the end of the window drops it.  A refill
+    draws each live replica's next block straight into its own row of the
+    draw buffer (row ``slot`` of each stream kind), and live replicas share
+    one step count, so a window of steps reads the same columns of each live
+    replica's row.  A step only logs each move; at the window's end
     ``np.add.at``, which is unbuffered, adds the log to the counts and, with
     the time draws over the rates of the cells left, to the sojourns, each
-    replica's terms in step order, as _walk adds them.  Each replica's stream of each kind
-    is its row of ``states``, read through that kind's shared generator: a
-    refill loads a live replica's row, draws its next block and saves the
-    state back to the row.  Once fewer than _LOCKSTEP_MIN are live, or the
-    step cap is reached, each survivor's rows are loaded and it resumes
-    alone on the shared generators in _walk, in replica order, so a trapped
+    replica's terms in step order, as _walk adds them.  Each replica's
+    stream of each kind is its row of ``states``, read through that kind's
+    shared generator: a refill loads a live replica's row, draws its next
+    block and saves the state back to the row.  Once fewer than
+    _LOCKSTEP_MIN are live, or the step cap is reached, each survivor's rows
+    are loaded and it resumes alone on the shared generators in _walk, on
+    site tables built once for the chunk, in replica order, so a trapped
     chunk raises StepCapExceeded for its lowest replica over the cap.
     """
     M = env.M
     n = hi - lo
+    kinds = 1 + continuous
     stride = 2 * (M + 1)
-    ids = np.arange(lo, hi, dtype=np.uint64)
-    states = [_words(_stream_states(seed, ids, sub)) for sub in range(1 + continuous)]
+    ids = np.tile(np.arange(lo, hi, dtype=np.uint64), kinds)
+    states = _stream_states(seed, ids, np.arange(kinds).repeat(n)).reshape(kinds, n, 4)
+    states = [_words(rows) for rows in states]
     streams = [_shared_stream() for _ in states]
     p = np.append(env.up_probabilities, 2.0).repeat(2)
     dest = np.arange(stride) + np.tile([2, -3], M + 1)
@@ -638,7 +657,7 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     base = stride * np.arange(n)
     cell = np.full(n, 2)
     slot = np.arange(n)
-    draws = np.empty((len(states), 0, n))
+    draws = np.empty((kinds, n, 0))
     buffer = None
     step = col = 0
     while step < step_cap:
@@ -646,41 +665,35 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
         base, cell, slot = base[live], cell[live], slot[live]
         if cell.size < _LOCKSTEP_MIN:
             break
-        if col == draws.shape[1]:
-            # refill: the next draws of each live replica's streams, a few
-            # replicas at a time into the scratch, then step-major
-            replicas = (base // stride).tolist()
+        if col == draws.shape[2]:
+            # refill: the next draws of each live replica's streams, each
+            # block drawn into the replica's row
             width = _DRAW_BUDGET // cell.size
-            fill = max(1, _FILL_CELLS // width)
             if buffer is None:
-                buffer = np.empty((len(states), _DRAW_BUDGET))
-            draws = buffer[:, : width * cell.size].reshape(len(states), width, cell.size)
-            scratch = np.empty((len(states), min(fill, cell.size), width))
-            for i in range(0, cell.size, fill):
-                batch = replicas[i : i + fill]
-                for sub, (gen, view) in enumerate(streams):
-                    draw = gen.standard_exponential if sub else gen.random
-                    words = states[sub]
-                    for r, out in zip(batch, scratch[sub]):
-                        w = 4 * r
-                        view[:] = words[w : w + 4]
-                        draw(out=out)
-                        words[w : w + 4] = view
-                draws[:, :, i : i + len(batch)] = scratch[:, : len(batch)].transpose(0, 2, 1)
-            del scratch
+                buffer = np.empty((kinds, _DRAW_BUDGET))
+            draws = buffer[:, : width * cell.size].reshape(kinds, cell.size, width)
+            replicas = (base // stride).tolist()
+            for sub, ((gen, view), words) in enumerate(zip(streams, states)):
+                draw = gen.standard_exponential if sub else gen.random
+                for r, out in zip(replicas, draws[sub]):
+                    w = 4 * r
+                    view[:] = words[w : w + 4]
+                    draw(out=out)
+                    words[w : w + 4] = view
             slot = np.arange(cell.size)
             col = 0
-        span = min(_WINDOW_CELLS // cell.size, draws.shape[1] - col, step_cap - step)
-        window = np.take(draws[0, col : col + span], slot, axis=1)
+        span = min(_WINDOW_CELLS // cell.size, draws.shape[2] - col, step_cap - step)
+        # indexing, not np.take, which would first copy the strided columns
+        window = draws[0, slot, col : col + span]
         log = np.empty(window.shape, dtype=cell.dtype)
-        for u, move in zip(window, log):
+        for u, move in zip(window.T, log.T):
             np.add(cell, u >= p[cell], out=move)
             cell = dest[move]
         if continuous:
             # inv_rate[c + d] = inv_rate[c], of the cell the move left
-            window = np.take(draws[1, col : col + span], slot, axis=1)
+            window = draws[1, slot, col : col + span]
             window *= inv_rate[log]
-        log += base
+        log += base[:, None]
         flat = log.ravel()  # np.add.at is ~5x slower on 2-d float values
         np.add.at(counts, flat, 1)
         if continuous:
@@ -690,16 +703,16 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
         step += span
         col += span
     live = p[cell] <= 1.0
+    tables = _site_tables(env, continuous)
+    gens = [gen for gen, _ in streams]
     for b, c, s in zip(base[live].tolist(), cell[live].tolist(), slot[live].tolist()):
-        r, x = b // stride, c // 2
+        r = b // stride
         for (_, view), words in zip(streams, states):
             view[:] = words[4 * r : 4 * r + 4]
-        so_far = (rows[0][r].tolist(), rows[1][r].tolist(),
-                  rows[2][r].tolist() if continuous else None)
-        unread = (draws[0, col:, s].tolist(), draws[1, col:, s].tolist() if continuous else ())
-        walk = _walk(env, streams[0][0], streams[1][0] if continuous else None, lo + r,
-                     step_cap, False, x, step, so_far, unread)
-        for part, row in zip(rows, (walk.up, walk.down, walk.sojourn)):
+        walk = [part[r].tolist() for part in rows]
+        unread = [d[s, col:].tolist() for d in draws]
+        _walk(tables, gens, lo + r, step_cap, walk, c // 2, step, unread)
+        for part, row in zip(rows, walk):
             part[r] = row
     return rows
 

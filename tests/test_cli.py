@@ -644,13 +644,19 @@ def _no_walk(monkeypatch):
     ("infer", {"prior": {"weights": [float("nan"), 1, 1, 1]}}, "config error: prior:"),
     ("infer", {"prior": {"weights": [1, 1, 1, 1], "wieghts": 3}},
      "config error: prior: unknown key(s) ['wieghts']"),
+    # numpy read these as a uniform prior
+    ("infer", {"prior": {"weights": ["1", "1", "1", "1"]}},
+     "config error: prior: weights: entry 0 must be a number, got '1'"),
+    ("infer", {"prior": {"weights": [1, 1, 1, True]}},
+     "config error: prior: weights: entry 3 must be a number, got True"),
     # a single checkpoint walks every replica, then has nothing to fit
     ("infer", {"R_grid": "5:5:1"}, "config error: R_grid:"),
     ("infer", {"R_grid": "5:9:10"}, "config error: R_grid:"),
     # a negative half-width used to leave the force field unchanged
     ("simulate", {"window": "4:-2:1.0"}, "config error: window: window half-width"),
 ], ids=["energies-str", "energies-scalar", "energies-nan", "simulate-mode", "infer-mode",
-        "protocol-mode", "prior-zero", "prior-nan", "prior-unknown-key", "grid-one-point",
+        "protocol-mode", "prior-zero", "prior-nan", "prior-unknown-key", "prior-str",
+        "prior-bool", "grid-one-point",
         "grid-step-past-stop", "window-negative-A"])
 def test_config_field_refused_before_any_walk(tmp_path, capsys, monkeypatch, command, doc,
                                               message):

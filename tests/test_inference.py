@@ -672,9 +672,13 @@ def test_empirical_rate_validation():
 
 def test_prior_validation():
     # 0/0 and NaN compare False with everything: both must still be refused
-    for weights in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [math.nan, 1.0, 1.0, 1.0]):
+    for weights in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [math.nan, 1.0, 1.0, 1.0],
+                    ["1", "1", "1", "1"], [True, True, True, 1]):
         with pytest.raises(ValueError):
             Prior.iid(weights, 4)
+    # numpy weights from library callers are numbers
+    weights = np.array([1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(Prior.iid(weights, 4).probs[1], [0.1, 0.2, 0.3, 0.4])
     with pytest.raises(ValueError):
         Prior(np.full((6, 4), np.nan))
     bad = np.full((5, 4), 0.25)

@@ -222,6 +222,98 @@ def test_trace_mode():
     assert plain.path is None and plain.path_times is None
 
 
+def _stepwise(env, mode, streams, steps, x=1, rows=None):
+    """Up to ``steps`` steps of a walk from site x, one draw at a time from
+    its (direction, time) ``streams``: the reference for _walk's block loop.
+    Returns the site reached, the (up, down, sojourn) rows, and the sites
+    and times after each step."""
+    continuous = mode == "continuous"
+    p = env.up_probabilities
+    fwd, bwd = env.jump_rates
+    inv_rate = 1.0 / (fwd + bwd)
+    up, down, sojourn = rows or ([0] * env.M, [0] * env.M, [0.0] * env.M)
+    sites, times = [x], [0.0]
+    for _ in range(steps):
+        if x == env.M:
+            break
+        dt = float(streams[1].standard_exponential() * inv_rate[x]) if continuous else 1.0
+        sojourn[x] += dt
+        if streams[0].random() < p[x]:
+            up[x] += 1
+            x += 1
+        else:
+            down[x] += 1
+            x -= 1
+        sites.append(x)
+        times.append(times[-1] + dt)
+    return x, [up, down, sojourn], sites, times
+
+
+# replicas of SeedSpec(19) on ("ATCGGTACGG", 2.6) by walk length: each length
+# falls one step to either side of an edge of the first two draw blocks
+# (64 and 576 draws)
+_EDGE_WALKS = {63: 36, 65: 84, 575: 771, 577: 334}
+
+
+@pytest.mark.parametrize("unread", [None, 0, 1, walker._BLOCK_INIT],
+                         ids=["fresh", "resume-0", "resume-1", "resume-block"])
+@pytest.mark.parametrize("mode", MODES)
+def test_walk_step_cap_at_block_edges(mode, unread):
+    # a walk of L steps passes with step_cap = L and raises with L - 1,
+    # wherever L falls against the draw blocks: fresh and traced walks of
+    # the lengths above, and the 577-step walk resumed k steps in with
+    # `unread` draws already taken, k chosen so that its last step reads the
+    # last draw of the first block it reads (the unread draws, or a fresh
+    # block of 64 when there are none) or the first draw after it
+    env = make_env("ATCGGTACGG", 2.6)
+    seed = SeedSpec(19)
+    continuous = mode == "continuous"
+
+    def streams(replica):
+        return [seed.stream(replica, sub) for sub in range(1 + continuous)]
+
+    for L, replica in _EDGE_WALKS.items():
+        x, want, sites, times = _stepwise(env, mode, streams(replica), L + 1)
+        assert x == env.M and len(sites) == L + 1
+        if unread is None:
+            for trace in (False, True):
+                walk = simulate_walk(env, mode, seed, replica, step_cap=L, trace=trace)
+                assert walk.up.tolist() == want[0] and walk.down.tolist() == want[1]
+                assert walk.steps == L
+                if continuous:
+                    assert walk.sojourn.tolist() == want[2]
+                if trace:
+                    assert walk.path.tolist() == sites and walk.path_times.tolist() == times
+                    # the path's own moves tally to the counts
+                    moves = np.diff(walk.path)
+                    up = np.bincount(walk.path[:-1][moves == 1], minlength=env.M)
+                    down = np.bincount(walk.path[:-1][moves == -1], minlength=env.M)
+                    assert np.array_equal(up, walk.up) and np.array_equal(down, walk.down)
+                with pytest.raises(StepCapExceeded) as err:
+                    simulate_walk(env, mode, seed, replica, step_cap=L - 1, trace=trace)
+                assert (err.value.replica, err.value.cap) == (replica, L - 1)
+            continue
+        if L != 577:
+            continue
+        for past in (0, 1):
+            k = L - past - (unread or walker._BLOCK_INIT)
+            for cap in (L, L - 1):
+                gens = streams(replica)
+                x, rows, _, _ = _stepwise(env, mode, gens, k)
+                taken = [gens[0].random(unread).tolist()]
+                taken += [gen.standard_exponential(unread).tolist() for gen in gens[1:]]
+                rows = rows[: 2 + continuous]
+                resume = lambda: walker._walk(walker._site_tables(env, continuous), gens, replica,
+                                              cap, rows, x, k, taken)
+                if cap == L - 1:
+                    with pytest.raises(StepCapExceeded) as err:
+                        resume()
+                    assert (err.value.replica, err.value.cap) == (replica, cap)
+                    continue
+                resume()
+                assert rows == want[: 2 + continuous], (past, cap)
+
+
 def test_pbar_consistency_with_brute():
     env = make_env("ATCGGTA", 2.4, beta=0.8)
     for x in range(1, env.M):
@@ -486,11 +578,12 @@ def test_ensemble_refused_when_expected_walk_exceeds_cap(letters, g1, cap, log10
 
 
 def test_lockstep_memory_stays_flat():
-    # a full chunk keeps one step-major draw buffer, its count and sojourn
-    # rows, and every replica's streams as rows of PCG64 states, 32 B per
-    # replica per stream (64 KiB in all), read through one shared generator
-    # per stream kind.  Keeping a Generator (~760 B) per replica, or a
-    # second copy of the draw buffer, would break the bound
+    # a full chunk keeps one draw buffer, each replica's draws in its own
+    # row, its count and sojourn rows, and every replica's streams as rows
+    # of PCG64 states, 32 B per replica per stream (64 KiB in all), read
+    # through one shared generator per stream kind.  Keeping a Generator
+    # (~760 B) per replica, or a second copy of the draw buffer, would
+    # break the bound
     env = make_env("ATCGGTACGG", 3.0)
     seed = SeedSpec(8)
     n = walker._chunk_size(env.M)
@@ -500,7 +593,7 @@ def test_lockstep_memory_stays_flat():
     draw_buffer = 2 * walker._DRAW_BUDGET * 8  # 1 MiB: two streams of 2**16 float64
     cells = 3 * (env.M + 1) * n * 8  # 264 KiB: count and sojourn cells
     streams = survivors * 2 * 1024  # headroom over the 64 KiB of stream state rows
-    rest = 256 * 1024  # fill scratch, stream seeds, result rows, temporaries
+    rest = 192 * 1024  # stream seeds, result rows, temporaries
     simulate_ensemble(env, 40, "continuous", seed)  # imports numpy.random
     tracemalloc.start()
     try:
@@ -532,9 +625,9 @@ def test_ensemble_uses_batch_seeding(monkeypatch):
 
 def test_ensemble_builds_no_stream_per_replica(monkeypatch):
     # a chunk holds its replicas' streams as rows of PCG64 states, seeded in
-    # one pass per stream kind, and reads them all through one generator per
-    # kind: also when replicas outlive their first block, and across a
-    # chunk edge
+    # one pass over both stream kinds, and reads them all through one
+    # generator per kind: also when replicas outlive their first block, and
+    # across a chunk edge
     walker._word_order()  # found once, on a bit generator of its own
     built, hashed = [], []
     pcg64, stream_words = np.random.PCG64, walker._stream_words
@@ -543,9 +636,10 @@ def test_ensemble_builds_no_stream_per_replica(monkeypatch):
         built.append(args)
         return pcg64(*args)
 
-    def counted_words(seed, replicas, substream):
-        hashed.append((replicas.size, substream))
-        return stream_words(seed, replicas, substream)
+    def counted_words(seed, replicas, substreams):
+        pairs = zip(replicas.tolist(), np.broadcast_to(substreams, replicas.shape).tolist())
+        hashed.append(sorted(pairs))
+        return stream_words(seed, replicas, substreams)
 
     monkeypatch.setattr(walker.np.random, "PCG64", counted_pcg64)
     monkeypatch.setattr(walker, "_stream_words", counted_words)
@@ -556,15 +650,16 @@ def test_ensemble_builds_no_stream_per_replica(monkeypatch):
         n = min(R, walker._chunk_size(env.M))
         lengths = [simulate_walk(env, "discrete", seed, r).steps for r in range(R)]
         assert sum(L > walker._DRAW_BUDGET // n for L in lengths) >= walker._LOCKSTEP_MIN, R
-        sizes = [min(n, R - lo) for lo in range(0, R, n)]
+        chunks = [range(lo, min(lo + n, R)) for lo in range(0, R, n)]
         for mode in MODES:
             continuous = mode == "continuous"
             ref = _reference_sums(env, mode, seed, {R})[R]
             built.clear()
             hashed.clear()
             agg = simulate_ensemble(env, R, mode, seed)
-            assert len(built) == (1 + continuous) * len(sizes), (R, mode)
-            assert hashed == [(k, sub) for k in sizes for sub in range(1 + continuous)]
+            assert len(built) == (1 + continuous) * len(chunks), (R, mode)
+            assert hashed == [[(r, sub) for r in chunk for sub in range(1 + continuous)]
+                              for chunk in chunks]
             up, down, steps, sojourn, wall = ref
             assert np.array_equal(agg.up, up) and np.array_equal(agg.down, down), (R, mode)
             assert agg.steps == steps == sum(lengths)

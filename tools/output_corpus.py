@@ -15,12 +15,15 @@ cross 256- and 1024-replica chunks (checkpoints at 1023, 1536 and 2049 among
 them), the deep ``"A" * 1000`` rates landscape, ``infer`` (posteriors,
 b_1 free, h_max 4) and ``rates`` on a 1000-site sequence, ``infer`` on
 1000-site sequences whose MAP ties only past site 500 (2 co-optimal
-sequences, and 32 cut at the tie cap), ``simulate``
+sequences, and 32 cut at the tie cap), ``simulate`` on a 5000-site
+sequence, whose chunks are too small to step in lockstep, ``simulate``
 and ``infer`` runs whose settings all come from ``--config``, configs
 that must be refused with exit 2 (among them a one-checkpoint grid, an
 unknown ``prior`` key, a negative window half-width, an environment whose
-``beta`` is a string, and a stats file whose sojourns hold a string and a
-bool), and runs that cannot
+``beta`` is a string, a prior whose weights are strings, and a stats file
+whose sojourns hold a string and a bool), runs whose walks pass
+``--step-cap`` and exit 1 naming the replica (one in the scalar tail of a
+lockstep chunk, one on the 5000-site sequence), and runs that cannot
 finish, refused with exit 1 before any walk: ``simulate`` and
 ``infer --R-grid`` on a ``"GC" * 20`` trap, and a 200-site table-ladder scan
 whose level 10 expects 10^32.0 steps per walk.  A 400-site ``infer`` and
@@ -77,6 +80,10 @@ ENVS = {
     # 1000 sites, the decode benchmark's scale: ~10^3.7 steps per walk
     "sites-1000": {"sequence": "".join(random.Random(1000).choice("ATCG") for _ in range(1000)),
                    "beta": 1.0, "r": 1.0, "g1": 3.5},
+    # 5000 sites: ~10^3.9 steps per walk, 13 replicas per chunk, too few to
+    # step in lockstep, so every walk runs alone
+    "sites-5000": {"sequence": "".join(random.Random(5000).choice("ATCG") for _ in range(5000)),
+                   "beta": 1.0, "r": 1.0, "g1": 3.3},
     # C and G are interchangeable under this table, so the MAP ties only at
     # its C/G sites, here all past site 500
     "twin-one": _twin_env({701}),
@@ -133,6 +140,7 @@ REFUSED = {
                           {"prior": {"weights": [0.4, 0.1, 0.3, 0.2], "wieghts": 3}}),
     "window-negative": ("simulate", "simulate", {"window": "3:-2:0.5"}),
     "environment-beta-str": ("infer", "infer", {"environment": {**ENVS["short"], "beta": "2"}}),
+    "prior-weights-str": ("infer", "infer", {"prior": {"weights": ["1", "1", "1", "1"]}}),
 }
 # a continuous stats file for ENVS["short"] whose sojourns hold a string and a
 # bool: `infer --stats` must exit 2
@@ -191,6 +199,10 @@ def cases(inputs: Path) -> dict[str, list]:
         "infer", "--env", env["sites-1000"], "--R", 50, "--seed", 5, "--mode", "continuous",
         "--format", "csv", "--h-max", 4, "--b1", "none"]
     runs["sites-1000-rates"] = ["rates", "--env", env["sites-1000"], "--R", 50]
+    for mode in ("discrete", "continuous"):
+        runs[f"sites-5000-simulate-{mode}"] = [
+            "simulate", "--env", env["sites-5000"], "--R", 20, "--seed", 5, "--mode", mode,
+            "--format", "csv"]
     # 2 co-optimal sequences, and 32 cut at the tie cap of 16
     for name in ("twin-one", "twin-five"):
         runs[f"{name}-infer"] = [
@@ -200,6 +212,15 @@ def cases(inputs: Path) -> dict[str, list]:
     # runs that cannot finish: refused with exit 1
     runs["trap-simulate"] = [
         "simulate", "--env", env["trap"], "--R", 5, "--seed", 1, "--step-cap", 100000000]
+    # walks over the step cap, which must name the lowest replica over it.
+    # 5 of 1024 walks outlive the lockstep windows (1024 steps) and go on in
+    # the scalar tail, where replica 172 absorbs at step 1060 and replica 230
+    # passes the cap; on 5000 sites, replicas 5, 8 and 9 of 13 pass step 7900
+    # (E = 7797)
+    runs["step-cap-tail-simulate"] = [
+        "simulate", "--env", env["short"], "--R", 1024, "--seed", 3, "--step-cap", 1100]
+    runs["step-cap-sites-5000-simulate"] = [
+        "simulate", "--env", env["sites-5000"], "--R", 13, "--seed", 3, "--step-cap", 7900]
     runs["trap-infer-grid"] = [
         "infer", "--env", env["trap"], "--R-grid", "10:30:10", "--seed", 1,
         "--step-cap", 100000000]

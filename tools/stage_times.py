@@ -7,9 +7,12 @@ The walker stage is ``simulate_ensemble`` in steps per second, in both time
 models, on seeded random sequences: at the sizes of the benchmark's walk
 workloads, M = 100 at g1 = 3.2 with R = 200 and M = 10 at g1 = 3.0 with
 R = 10^4, and on long chains at g1 = 3.6, M = 1000 with R = 256 and
-M = 10000 with R = 24 (~4.4e3 and ~4.4e4 expected steps per walk).  ``walker_peak_bytes`` is the tracemalloc peak of one continuous
-1024-replica chunk at M = 10, the case whose memory
-``test_lockstep_memory_stays_flat`` bounds.  At M = 1000 and 10000, in both
+M = 10000 with R = 24 (~4.4e3 and ~4.4e4 expected steps per walk).  The
+``simulate_walk`` rows time one walk alone, replica 0 of a seeded random
+sequence at M = 100 and g1 = 1.74, 97,141 steps, in the scalar loop.
+``walker_peak_bytes`` is the tracemalloc peak of one continuous 1024-replica
+chunk at M = 10, the case whose memory ``test_lockstep_memory_stays_flat``
+bounds.  At M = 1000 and 10000, in both
 time models, the statistics come from the walker (a seeded random sequence,
 g1 = 3.5, R = 8).  The stages are
 ``build_edge_potentials``, ``decode_map``, the forward sweep (the block
@@ -37,7 +40,7 @@ import numpy as np
 from unzipseq import cli, inference
 from unzipseq.energy import environment_from_json
 from unzipseq.rates import rate_report
-from unzipseq.walker import SeedSpec, simulate_ensemble
+from unzipseq.walker import SeedSpec, simulate_ensemble, simulate_walk
 
 
 def best_ms(fn, repeats: int = 5) -> float:
@@ -55,13 +58,17 @@ def random_env(M: int, g1: float):
 
 
 def walker_stages() -> dict[str, int]:
-    """``simulate_ensemble`` steps per second, best of 5."""
+    """``simulate_ensemble`` and ``simulate_walk`` steps per second, best of 5."""
     table = {}
     for M, g1, R in ((100, 3.2, 200), (10, 3.0, 10**4), (1000, 3.6, 256), (10000, 3.6, 24)):
         env = random_env(M, g1)
         for mode in ("discrete", "continuous"):
             run = lambda: simulate_ensemble(env, R, mode, SeedSpec(M))
             table[f"M={M} R={R} {mode}"] = round(run().steps / best_ms(run) * 1e3)
+    env = random_env(100, 1.74)
+    for mode in ("discrete", "continuous"):
+        run = lambda: simulate_walk(env, mode, SeedSpec(100), 0)
+        table[f"simulate_walk M=100 {mode}"] = round(run().steps / best_ms(run) * 1e3)
     return table
 
 
