@@ -394,10 +394,11 @@ def _site_field(doc: dict, key: str, n: int, kinds: str) -> np.ndarray:
 def _site_tables(env: _SiteModel, continuous: bool) -> tuple[list[float], list[float] | None]:
     """_walk's per-site tables as lists: p_x and, in continuous time, the
     mean holding time 1 / (forward + backward rate) at x."""
+    p = env.up_probabilities.tolist()
     if not continuous:
-        return env.up_probabilities.tolist(), None
+        return p, None
     fwd, bwd = env.jump_rates
-    return env.up_probabilities.tolist(), (1.0 / (fwd + bwd)).tolist()
+    return p, (1.0 / (fwd + bwd)).tolist()
 
 
 def _steps(M, p, up, down, x, us):
