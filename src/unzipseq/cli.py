@@ -40,6 +40,7 @@ from .energy import (
 from .inference import (
     ErrorReport,
     Prior,
+    _grid_log_probs,
     build_edge_potentials,
     empirical_rate_from_logs,
     error_report,
@@ -527,13 +528,7 @@ def _infer_grid(cfg, env, mode, prior, b1) -> int:
         raise ConfigError(f"site: expected an interior site in [2, {env.M - 1}], got {site!r}")
     out = _outdir(cfg)
     stats_seq = accumulate_checkpoints(env, mode, seed, grid, step_cap=cfg["step_cap"])
-    # one error pass per checkpoint: the any-error curve and, optionally, one site's
-    lp_any, lp_site = [], []
-    for agg in stats_seq:
-        report = error_report(agg, env, prior, b1, h_max=1)
-        lp_any.append(report.log_p_any)
-        if site is not None:
-            lp_site.append(float(report.sites.log_p_error[site - 2]))
+    lp_any, lp_site = _grid_log_probs(stats_seq, env, prior, b1, site)
     columns = [grid, lp_any, [math.exp(min(lp, 0.0)) for lp in lp_any]]
     header = ["R", "log_p_any_error", "p_any_error"]
     if site is not None:

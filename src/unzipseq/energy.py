@@ -71,6 +71,11 @@ def _start_bases(b1: Base | None) -> list[Base]:
     return list(BASES) if b1 is None else [Base(b1)]
 
 
+# _STEP_CODE[mask]: the one step a bit mask of allowed steps holds, or, at a
+# fork or a dead end, -1 - mask
+_STEP_CODE = np.array([m.bit_length() - 1 if m in (1, 2, 4, 8) else -1 - m for m in range(16)])
+
+
 def _trellis_paths(
     allowed: np.ndarray, starts: list[int], cap: int
 ) -> tuple[list[list[int]], bool, tuple[int, int] | None]:
@@ -78,44 +83,44 @@ def _trellis_paths(
 
     A path starts at one of ``starts`` (in Base order) and steps from base u
     at site x to v at x+1 where ``allowed[x - 1, u, v]`` (shape (M-1, 4, 4)).
-    From one start the walk follows each row's one allowed step, and from
-    the first fork (or several starts) it branches depth first, up to the
-    path past ``cap``.  Returns the first ``cap`` paths, whether more exist,
-    and the first (site, base) reached at the deepest site whose row allows
-    no step (None if none was reached).
+    The walk follows each base's one allowed step for as long as there is
+    exactly one, and branches depth first at a fork, up to the path past
+    ``cap``; each start is walked in turn.  Returns the first ``cap`` paths,
+    whether more exist, and the first (site, base) reached at the deepest
+    site whose row allows no step (None if none was reached).
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     M = allowed.shape[0] + 1
+    # mask[x - 1, u]: the steps allowed from u across edge x, bit v for base v.
+    # A row of four bools read as a little-endian uint32 holds step v in byte
+    # v, and the product gathers the four bytes' low bits into its top byte.
+    rows = np.ascontiguousarray(allowed, dtype=bool).view("<u4")[..., 0]
+    mask = (rows * np.uint32(0x01020408)) >> 24
+    code = _STEP_CODE.take(mask).ravel().tolist()  # code[4 (x - 1) + u]
+    end = 4 * (M - 1)
     path: list[int] = []
-    stack = [(1, u) for u in reversed(starts)]
-    if len(starts) == 1:
-        # step[4 (x - 1) + u]: the one allowed step from u across edge x, or -1
-        step = np.where(allowed.sum(axis=2) == 1, allowed.argmax(axis=2), -1).ravel().tolist()
-        u = starts[0]
-        path = [u]
-        for row in range(0, len(step), 4):
-            u = step[row + u]
-            if u < 0:
-                break
-            path.append(u)
-        stack = [(len(path), path.pop())]
-    fork = stack[0][0]  # the site every branch starts from
-    rows = allowed[fork - 1 :].tolist()
     paths: list[list[int]] = []
     dead_end = None
+    stack = [(1, u) for u in reversed(starts)]
     while stack and len(paths) <= cap:
         x, u = stack.pop()
         del path[x - 1 :]
         path.append(u)
-        if x == M:
+        for i in range(4 * (x - 1), end, 4):
+            v = code[i + u]
+            if v < 0:
+                x = i // 4 + 1
+                break
+            path.append(v)
+            u = v
+        else:
             paths.append(path[:])
             continue
-        row = rows[x - fork][u]
-        steps = [(x + 1, v) for v in (3, 2, 1, 0) if row[v]]
+        steps = -1 - v
         if not steps and (dead_end is None or x > dead_end[0]):
             dead_end = (x, u)
-        stack.extend(steps)
+        stack.extend((x + 1, v) for v in (3, 2, 1, 0) if steps >> v & 1)
     return paths[:cap], len(paths) > cap, dead_end
 
 

@@ -255,7 +255,9 @@ def _suffix_minima(phi: np.ndarray) -> np.ndarray:
     """E[x, u] = min over v of phi[x, u, v] + E[x + 1, v], with E[M] = 0
     (row 0 unused), over Python floats taken from phi _DECODE_ROWS edges at
     a time.  The rows of phi[x] unpack in Base order, a = A, t = T, c = C,
-    g = G."""
+    g = G.  Each minimum is a compare chain over v in Base order that
+    replaces the running minimum only by a smaller sum, so it keeps the first
+    of equal sums, as min() does."""
     M = phi.shape[0]
     E = np.zeros((M + 1, 4))
     e0 = e1 = e2 = e3 = 0.0
@@ -265,13 +267,36 @@ def _suffix_minima(phi: np.ndarray) -> np.ndarray:
         for a0, a1, a2, a3, t0, t1, t2, t3, c0, c1, c2, c3, g0, g1, g2, g3 in reversed(
             phi[lo:hi].reshape(hi - lo, 16).tolist()
         ):
-            e0, e1, e2, e3 = (
-                min(a0 + e0, a1 + e1, a2 + e2, a3 + e3),
-                min(t0 + e0, t1 + e1, t2 + e2, t3 + e3),
-                min(c0 + e0, c1 + e1, c2 + e2, c3 + e3),
-                min(g0 + e0, g1 + e1, g2 + e2, g3 + e3),
-            )
-            suffix.append((e0, e1, e2, e3))
+            a = a0 + e0
+            if (s := a1 + e1) < a:
+                a = s
+            if (s := a2 + e2) < a:
+                a = s
+            if (s := a3 + e3) < a:
+                a = s
+            t = t0 + e0
+            if (s := t1 + e1) < t:
+                t = s
+            if (s := t2 + e2) < t:
+                t = s
+            if (s := t3 + e3) < t:
+                t = s
+            c = c0 + e0
+            if (s := c1 + e1) < c:
+                c = s
+            if (s := c2 + e2) < c:
+                c = s
+            if (s := c3 + e3) < c:
+                c = s
+            g = g0 + e0
+            if (s := g1 + e1) < g:
+                g = s
+            if (s := g2 + e2) < g:
+                g = s
+            if (s := g3 + e3) < g:
+                g = s
+            e0, e1, e2, e3 = a, t, c, g
+            suffix.append((a, t, c, g))
         E[lo:hi] = suffix[::-1]
     return E
 
@@ -320,43 +345,80 @@ def sequence_log_posterior(alpha: BaseSequence, phi: np.ndarray, b1: Base | None
 
 
 @functools.lru_cache(maxsize=16)
-def _sweep_maps(h_max: int) -> np.ndarray:
-    """Index maps of one step of the forward sweep, by the reference base r.
+def _sweep_maps(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps of one step of the forward sweep's packed state.
 
-    A site's state A[u, k] holds, for base u, the block states k = m * H + t
-    (mismatch flag m, block count t, H = h_max + 1) and, at k = 2H, the
-    partition column.  The entering masses B[v, k] flatten to v * K + k with
-    K = 2H + 1, and index 4K names a -inf slot.  A step takes
-    A = logaddexp(logaddexp(B[a], B[b]), B[c]) with maps[r] = (a, b, c): a
-    match (u = r) clears the flag and keeps the count; a mismatch continues
-    an open block, or opens one, with the count capped at h_max; the
-    partition column passes through.  Unused operands are the -inf slot, and
-    logaddexp(y, -inf) == y and logaddexp's symmetry make each entry the
-    same bits as the two-term sum it stands for.
+    A state row holds n = 4h + 5 numbers: the match part m[t], block counts
+    t = 0..h, once, at the reference base (entry t); the mismatch part
+    q_i[t], t = 1..h, of the i-th base other than the reference base in
+    Base order (entry h + 1 + 3(t - 1) + i), since only those three bases
+    mismatch and a mismatch never has count 0; and the partition column of
+    each base u (entry 4h + 1 + u).  Three spare lanes and a -inf (entry
+    w = n + 3) follow.
+
+    A step from reference base r to r' gathers four operand rows of w lanes
+    from the state, ``gather[r']``, and subtracts from each operand the
+    potential of its step from its source base s to the next base v.
+    ``pick[r, r']`` names that potential in a table of 33 per site:
+    phi[x, s, v] - phi[x, r, r'] at 4s + v for the match and mismatch
+    parts, which are relative to the reference step; phi[x, s, v] at
+    16 + 4s + v for the partition column; and 0 at 32, for a -inf operand.
+    Each lane of the next state is the left fold of its four operands by
+    logaddexp: the three mismatch masses that enter its base at its count,
+    in Base order (the partition column: its four sources), then the match
+    mass that keeps the count or opens a block.  A block opened at the count
+    cap h comes from two match counts, h - 1 and h: the spare lanes fold
+    those two for the three mismatched bases, and each sum is then folded
+    into its lane q_i[h].  Unused operands are -inf; logaddexp(y, -inf) == y and
+    logaddexp is symmetric, so each entry has the same bits as in a
+    recursion that keeps both parts at every base and reduces over all four
+    source bases.  ``final[r]`` gathers the block masses by count from the
+    state, the bases in Base order.
     """
-    H = h_max + 1
-    K = 2 * H + 1
-    t = np.arange(H)
-    maps = np.full((4, 3, 4, K), 4 * K)
+    H = h + 1
+    n = 4 * h + 5
+    w = n + 3
+    z = H + 3 * h  # the partition column of base A
+
+    def q(t, i):  # the entry of q_i[t]
+        return H + 3 * (t - 1) + i
+
+    gather = np.full((4, 4, w), w, dtype=np.intp)  # [r', row, lane]: state entry
+    dest = np.zeros((4, 4, w), dtype=np.intp)  # [r', row, lane]: the next base v
+    final = np.full((4, 4, H), w, dtype=np.intp)
+    for r in range(4):  # the next reference base, r'
+        others = [u for u in range(4) if u != r]
+        gather[r, 0, 0] = 0
+        for t in range(1, H):  # the match: mismatches close at count t, or the match goes on
+            gather[r, :, t] = q(t, 0), q(t, 1), q(t, 2), t
+        dest[r, :, :H] = r
+        for i, v in enumerate(others):
+            for t in range(1, H):  # a block continues, or opens after a match at t - 1
+                gather[r, :, q(t, i)] = q(t, 0), q(t, 1), q(t, 2), (t - 1 if t < h else w)
+                dest[r, :, q(t, i)] = v
+            gather[r, :2, n + i] = h - 1, h  # or opens at the cap
+            dest[r, :, n + i] = v
+            final[r, v, 1:] = [q(t, i) for t in range(1, H)]
+        gather[r, :, z:n] = z + np.arange(4)[:, None]
+        dest[r, :, z:n] = np.arange(4)
+        final[r, r] = np.arange(H)
+    # the source base of each state entry, by the reference base it was formed at
+    source = np.zeros((4, w + 1), dtype=np.intp)
     for r in range(4):
-        for u in range(4):
-            B_u = u * K
-            maps[r, 2, u, 2 * H] = B_u + 2 * H
-            if u == r:  # from B[u, (1, t)] and B[u, (0, t)]
-                maps[r, 2, u, :H] = B_u + H + t
-                maps[r, 0, u, :H] = B_u + t
-            else:  # from B[u, (1, t)], B[u, (0, t - 1)] and, at the cap, B[u, (0, h_max)]
-                maps[r, 2, u, H:2 * H] = B_u + H + t
-                maps[r, 0, u, H + 1:2 * H] = B_u + t[:-1]
-                maps[r, 1, u, H + h_max] = B_u + h_max
-    maps = maps.reshape(4, 3, 4 * K)
-    maps.setflags(write=False)
+        source[r, :H] = r
+        source[r, H:z] = [u for u in range(4) if u != r] * h
+        source[r, z:n] = range(4)
+    pick = 4 * source[:, gather] + dest + np.where(gather < z, 0, 16)  # [r, r', row, lane]
+    pick[:, gather == w] = 32
+    maps = gather, pick, final
+    for a in maps:
+        a.setflags(write=False)
     return maps
 
 
 def _forward_sweep(
     phi: np.ndarray, b1: Base | None, r: np.ndarray, h_max: int
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """log P(at least h separated error blocks) for h = 1..h_max, relative to
     the bases ``r`` (Base indices, r[x - 1] at site x), and log Z, from one
     forward pass.
@@ -366,43 +428,64 @@ def _forward_sweep(
     relative to the reference path's own edge costs, so that path weighs
     exactly e^0 and loser masses far below float underflow keep their
     logarithms (no 1 - (1 - tiny) cancellation).  One more column per base
-    carries the partition sum over the potentials themselves.  Each site is
-    two subtractions, one reduce into the entering masses B, and one gather
-    through ``_sweep_maps`` reduced into the next state.  M sites hold at
-    most (M+1)//2 blocks, so the states stop there and larger h get
-    log P = -inf.  log P(>= h) is -log(1 + below / at_least) over the masses
-    below h blocks and at or above it, so it stays negative, not 0.0, when
-    P rounds to 1; a log P above -5e-324 comes out as -0.0.
+    carries the partition sum over the potentials themselves.  Only the
+    reference base can match and only the other three can mismatch, so the
+    state is packed (``_sweep_maps``).  Each site is one gather of operands,
+    one subtraction, one logaddexp.reduce over the operand rows into the
+    next state, and one logaddexp that adds the blocks opened at the count
+    cap; the subtrahends and gather indices are built _DECODE_ROWS sites at
+    a time.
+    M sites hold at most (M+1)//2 blocks, so the states stop there and
+    larger h get log P = -inf.  log P(>= h) is -log(1 + below / at_least)
+    over the masses below h blocks and at or above it, so it stays
+    negative, not 0.0, when P rounds to 1; a log P above -5e-324 comes out
+    as -0.0.
+
+    ``phi`` of shape (..., M, 4, 4) and ``r`` of shape (..., M) run one pass
+    per leading index, each with the bits of its pass alone: log P gains
+    those leading axes, and log Z is an array of them.
     """
-    M = phi.shape[0]
-    h_states = min(h_max, (M + 1) // 2)
-    H = h_states + 1
-    K = 2 * H + 1
-    psi = phi[1:] - phi[np.arange(1, M), r[:-1], r[1:]][:, None, None]
-    maps = _sweep_maps(h_states)
-    A = np.full(4 * K, -np.inf)
-    state = A.reshape(4, K)
+    batch, M = r.shape[:-1], r.shape[-1]
+    r = np.asarray(r).reshape(-1, M)
+    K = r.shape[0]
+    phi = np.asarray(phi, dtype=float).reshape(K, M, 16)
+    h = min(h_max, (M + 1) // 2)
+    H = h + 1
+    n = 4 * h + 5
+    w = n + 3
+    z = H + 3 * h
+    cap = slice(z - 3, z)  # q_0..q_2[h]
+    gather, pick, final = _sweep_maps(h)
+    rows = np.arange(K)
+    state = np.full((K, w + 1), -np.inf)
     for u in _start_bases(b1):
-        m = int(u != r[0])
-        state[u, m * H + m] = 0.0
-        state[u, -1] = 0.0
-    # T[u, v, k]: state k of base u carried across the edge to base v
-    T = np.empty((4, 4, K))
-    T_blocks, T_z = T[:, :, :-1], T[:, :, -1]
-    blocks, z = state[:, None, :-1], state[:, -1:]
-    buf = np.full(4 * K + 1, -np.inf)
-    B = buf[:-1].reshape(4, K)
-    for psi_x, phi_x, rx in zip(psi[..., None], phi[1:], r[1:].tolist()):
-        np.subtract(blocks, psi_x, out=T_blocks)
-        np.subtract(z, phi_x, out=T_z)
-        np.logaddexp.reduce(T, axis=0, out=B)
-        np.logaddexp.reduce(buf[maps[rx]], axis=0, out=A)
-    log_z = float(np.logaddexp.reduce(state[:, -1]))
-    mass = np.logaddexp.reduce(state[:, :-1].reshape(4, 2, H), axis=(0, 1))  # by block count
-    at_least = np.logaddexp.accumulate(mass[::-1])[::-1]
-    below = np.logaddexp.accumulate(mass)[:-1]
-    log_p = -np.logaddexp(0.0, below - at_least[1:])
-    return np.concatenate([log_p, np.full(h_max - h_states, -np.inf)]), log_z
+        state[rows, np.where(r[:, 0] == u, 0, H + u - (u > r[:, 0]))] = 0.0
+        state[:, z + u] = 0.0
+    S, S_lanes, flat = state[:, :n], state[:, :-1], state.reshape(-1)
+    S_cap, W = state[:, cap], state[:, n:-1]
+    step = max(_DECODE_ROWS // K, 1)
+    for lo in range(1, M, step):
+        hi = min(lo + step, M)
+        before, after = r[:, lo - 1:hi - 1].T, r[:, lo:hi].T  # (sites, K)
+        # each (site, row)'s table: relative potentials, raw ones, and 0
+        phi_x = phi[:, lo:hi].swapaxes(0, 1)
+        ref = np.take_along_axis(phi_x, (4 * before + after)[..., None], axis=2)
+        table = np.concatenate([phi_x - ref, phi_x, np.zeros_like(ref)], axis=2)
+        at = (33 * np.arange(table.shape[0] * K)).reshape(-1, 1, K, 1)
+        D = table.reshape(-1)[at + pick[before, after].swapaxes(1, 2)]  # (sites, 4, K, w)
+        index = gather[after].swapaxes(1, 2) + (w + 1) * rows[:, None]
+        for D_x, index_x in zip(D, index):  # one site
+            X = flat[index_x]
+            np.subtract(X, D_x, out=X)
+            np.logaddexp.reduce(X, axis=0, out=S_lanes)
+            np.logaddexp(S_cap, W, out=S_cap)
+    log_z = np.logaddexp.reduce(S[:, z:], axis=1)
+    mass = np.logaddexp.reduce(state[rows[:, None, None], final[r[:, -1]]], axis=1)  # by count
+    at_least = np.logaddexp.accumulate(mass[:, ::-1], axis=1)[:, ::-1]
+    below = np.logaddexp.accumulate(mass, axis=1)[:, :-1]
+    log_p = -np.logaddexp(0.0, below - at_least[:, 1:])
+    log_p = np.concatenate([log_p, np.full((K, h_max - h), -np.inf)], axis=1)
+    return log_p.reshape(*batch, h_max), (log_z.reshape(batch) if batch else float(log_z[0]))
 
 
 def log_block_probs(
@@ -454,6 +537,26 @@ def error_report(
         p_blocks=tuple((h, math.exp(min(lp, 0.0)), lp) for h, lp in enumerate(log_p[:h_max], 1)),
         sites=_site_record(phi, env.seq, np.arange(2, env.M)),
     )
+
+
+def _grid_log_probs(
+    stats_seq: Sequence[AggregateStats],
+    env: Environment,
+    prior: Prior | None,
+    b1: Base | None,
+    site: int | None,
+) -> tuple[list[float], list[float]]:
+    """log P(any error) at each checkpoint of an R-grid and, given a site,
+    log P(site wrong) at each: every checkpoint is decoded, and one h = 1
+    sweep runs over all of them, each relative to its own MAP.  These are
+    the values ``error_report`` gives, without its other fields.  The site
+    list is empty without a site."""
+    phi = np.stack([build_edge_potentials(agg, env, prior) for agg in stats_seq])
+    refs = np.stack([decode_map(p, b1).map_sequence.array for p in phi])
+    lp_any = _forward_sweep(phi, b1, refs, 1)[0][:, 0].tolist()
+    lp_site = [] if site is None else [
+        float(_site_record(p, env.seq, np.array([site])).log_p_error[0]) for p in phi]
+    return lp_any, lp_site
 
 
 @dataclass(frozen=True)

@@ -262,3 +262,35 @@ def test_trellis_paths_match_product_enumeration():
     assert seen_cut > 50 and seen_dead_end > 50
     with pytest.raises(ValueError, match="cap must be >= 1"):
         _trellis_paths(np.ones((2, 4, 4), bool), [0], 0)
+
+
+def test_trellis_paths_follow_each_start_to_its_fork():
+    # every base steps to the next one in Base order (A -> T -> C -> G -> A),
+    # so each start follows its own single path; rows cut at site 300 end
+    # start A, rows cut at site 700 end start C, and one row at site 990
+    # forks start G; T runs through.  Paths come start by start in Base
+    # order, the fork's lower step first, and the deepest dead end is C's
+    M = 1000
+    allowed = np.zeros((M - 1, 4, 4), dtype=bool)
+    allowed[:, np.arange(4), (np.arange(4) + 1) % 4] = True
+    at = lambda start, x: (start + x - 1) % 4  # noqa: E731  the base of a start at site x
+    allowed[299, at(0, 300)] = False
+    allowed[699, at(2, 700)] = False
+    allowed[989, at(3, 990), Base.G] = True
+    line = lambda start: [at(start, x) for x in range(1, M + 1)]  # noqa: E731
+    forked = line(3)[:990] + [(at(3, 990) + 3 + k) % 4 for k in range(M - 990)]
+    assert forked[990] == Base.G and forked[989] == Base.A
+    starts = [0, 1, 2, 3]
+    c_end = (700, at(2, 700))
+    assert _trellis_paths(allowed, starts, 16) == ([line(1), line(3), forked], False, c_end)
+    assert _trellis_paths(allowed, starts, 2) == ([line(1), line(3)], True, c_end)
+    # one start: G alone forks and meets no dead end; A alone dead-ends
+    assert _trellis_paths(allowed, [3], 16) == ([line(3), forked], False, None)
+    assert _trellis_paths(allowed, [0], 16) == ([], False, (300, at(0, 300)))
+    # the same masks cut to 7 sites agree with the enumeration of all strings
+    small = allowed[:6].copy()
+    small[2, at(0, 3)] = False
+    small[4, at(2, 5)] = False
+    small[5, at(3, 6), Base.T] = True
+    for cap in (1, 2, 3, 16):
+        assert _trellis_paths(small, starts, cap) == trellis_paths_product(small, starts, cap)

@@ -418,9 +418,11 @@ def test_error_report_memory_is_bounded(mode, b1_free):
     # 1.28 MB): build_edge_potentials' temporaries are its peak, ~5.7 MiB
     # with phi held, and no later stage goes past it, whether the decode
     # follows one path (b1 fixed) or branches (b1 free in discrete time,
-    # where the four starts tie).  The forward sweep alone holds one
-    # phi-sized array, its relative potentials; a (M-1, 4, 2H+1, 4) stack of
-    # sweep potentials would be 11.5 MB.
+    # where the four starts tie).  The forward sweep holds its packed state
+    # and, for _DECODE_ROWS sites at a time, the gather indices and the
+    # subtrahends of four operand rows of 4h + 8 lanes (0.16 MB each at
+    # h = 3), ~0.9 MB at its peak; the subtrahends of every site at once
+    # would be 6.4 MB.
     M = 10_000
     env = make_env(random_sequence(np.random.default_rng(16), M), 3.5)
     stats = law_stats(env, 10**3, mode, np.random.default_rng(17))
@@ -538,6 +540,57 @@ def test_block_pass_equals_state_by_state_recursion(M, mode):
                     assert np.array_equal(got, want), (stats.R, b1, str(ref)[:8], h_max)
                     assert repr(got_z) == repr(log_z), (stats.R, b1, str(ref)[:8], h_max)
                     assert np.array_equal(log_block_probs(phi, b1, ref, h_max), want)
+
+
+@pytest.mark.parametrize("M", [2, 3, 50, 1000])
+def test_batched_sweep_rows_equal_their_own_sweeps(M):
+    # a leading checkpoint axis runs each row's pass with the bits of that
+    # pass alone: law stats at R = 10^3..10^7 in both time models, each row
+    # relative to its own MAP or to a random sequence, so references differ
+    rng = np.random.default_rng([M, 23])
+    env = make_env(random_sequence(rng, M), 3.0)
+    phi = np.stack([build_edge_potentials(law_stats(env, R, mode, rng), env)
+                    for mode in ("discrete", "continuous") for R in (10**3, 10**5, 10**7)])
+    for b1 in (env.seq.base(1), None):
+        refs = np.stack([decode_map(p, b1).map_sequence.array for p in phi[:3]]
+                        + [rng.integers(0, 4, M) for _ in phi[3:]])
+        for h_max in (1, 2, 3, 4):
+            got, got_z = _forward_sweep(phi, b1, refs, h_max)
+            assert got.shape == (len(phi), h_max) and got_z.shape == (len(phi),)
+            for k in range(len(phi)):
+                want, want_z = _forward_sweep(phi[k], b1, refs[k], h_max)
+                assert np.array_equal(got[k], want), (b1, h_max, k)
+                assert repr(float(got_z[k])) == repr(want_z), (b1, h_max, k)
+    grid = phi.reshape(2, 3, M, 4, 4)  # any number of leading axes
+    got, got_z = _forward_sweep(grid, None, refs.reshape(2, 3, M), 2)
+    assert np.array_equal(got.reshape(6, 2), _forward_sweep(phi, None, refs, 2)[0])
+    assert got_z.shape == (2, 3)
+
+
+def test_suffix_minima_keep_the_first_of_equal_sums():
+    # small integer potentials make equal suffix sums common; the compare
+    # chain's minima equal numpy's, and the decode, which takes the tight
+    # steps in Base order, is the depth-first reference's, ties and all
+    rng = np.random.default_rng(24)
+    for M in (2, 5, 40, 600):
+        phi = rng.integers(0, 3, (M, 4, 4)).astype(float)
+        phi[0] = 0.0
+        E = inference._suffix_minima(phi)
+        want = np.zeros((M + 1, 4))
+        for x in range(M - 1, 0, -1):
+            want[x] = (phi[x] + want[x + 1]).min(axis=1)
+        assert np.array_equal(E[1:], want[1:]), M
+        for b1 in (None, Base.C):
+            got = decode_map(phi, b1, tie_cap=8)
+            want_map, want_ties, want_truncated = map_dfs(phi, b1, 8)
+            assert got.map_sequence.bases == want_map
+            assert tuple(t.bases for t in got.ties) == want_ties
+            assert got.truncated is want_truncated
+            assert got.tie
+    # all four sums equal: the first base's is kept, and every step is tight
+    phi = np.ones((3, 4, 4))
+    assert decode_map(phi, None, tie_cap=64).map_sequence.bases == (Base.A,) * 3
+    assert len(decode_map(phi, None, tie_cap=64).ties) == 64
 
 
 def test_error_report_reads_one_sweep(monkeypatch):

@@ -18,8 +18,15 @@ g1 = 3.5, R = 8).  The stages are
 ``build_edge_potentials``, ``decode_map``, the forward sweep (the block
 probabilities to h_max 3, relative to the MAP, and log Z in one pass), the
 site records (sites 2..M-1), the ``decode.json`` text, ``rate_report`` and
-the ``rates.*`` text, in milliseconds.  The result, with the commit, numpy
-version and host, goes to ``OUT.json`` (default ``BENCH_stages.json``).
+the ``rates.*`` text, in milliseconds.  The grid rows time the inference of
+``infer --R-grid`` on K = 10 checkpoints, each its own exact-law ensemble
+(``perfbench/lawstats.py``) at R = 10^3..10^7 (geometric) on the same
+sequence, g1 = 3.5, b_1 fixed, at M = 1000 and 10000: the h = 1 sweep over
+all ten MAPs in one batched pass against ten separate passes, and the whole
+grid inference (potentials, decodes, the batched sweep and site M/2's
+record) against ten ``error_report`` calls at h_max 1.  The result, with
+the commit, numpy version and host, goes to ``OUT.json`` (default
+``BENCH_stages.json``).
 """
 
 from __future__ import annotations
@@ -40,7 +47,10 @@ import numpy as np
 from unzipseq import cli, inference
 from unzipseq.energy import environment_from_json
 from unzipseq.rates import rate_report
-from unzipseq.walker import SeedSpec, simulate_ensemble, simulate_walk
+from unzipseq.walker import AggregateStats, SeedSpec, simulate_ensemble, simulate_walk
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from lawstats import law_stats_doc  # noqa: E402  the benchmark's exact-law sampler
 
 
 def best_ms(fn, repeats: int = 5) -> float:
@@ -103,6 +113,27 @@ def stages(M: int, mode: str, out: Path) -> dict[str, float]:
     }
 
 
+def grid_stages(M: int, mode: str) -> dict[str, float]:
+    """The grid inference of ten law checkpoints, batched and one by one."""
+    env = random_env(M, 3.5)
+    rng = np.random.default_rng(M)
+    stats = [AggregateStats.from_json_dict(
+        law_stats_doc(str(env.seq), int(R), mode, rng, g1=3.5, beta=1.0, r=1.0))
+        for R in np.geomspace(1e3, 1e7, 10).round()]
+    b1 = env.seq.base(1)
+    phi = np.stack([inference.build_edge_potentials(agg, env) for agg in stats])
+    refs = np.stack([inference.decode_map(p, b1).map_sequence.array for p in phi])
+    return {
+        "sweep_batched": best_ms(lambda: inference._forward_sweep(phi, b1, refs, 1)),
+        "sweep_separate": best_ms(
+            lambda: [inference._forward_sweep(p, b1, r, 1) for p, r in zip(phi, refs)]),
+        "inference_batched": best_ms(
+            lambda: inference._grid_log_probs(stats, env, None, b1, M // 2)),
+        "error_reports": best_ms(
+            lambda: [inference.error_report(agg, env, None, b1, 1) for agg in stats]),
+    }
+
+
 def main(path: Path) -> None:
     git = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
                          cwd=Path(__file__).resolve().parent)
@@ -110,17 +141,19 @@ def main(path: Path) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         table = {f"M={M} {mode}": stages(M, mode, Path(tmp))
                  for M in (1000, 10000) for mode in ("discrete", "continuous")}
+    grid = {f"M={M} K=10 {mode}": grid_stages(M, mode)
+            for M in (1000, 10000) for mode in ("discrete", "continuous")}
     walks = walker_stages()
     peak = walker_peak_bytes()
     doc = {"commit": commit, "numpy": np.__version__, "python": platform.python_version(),
            "host": f"{platform.machine()}, {os.cpu_count()} CPUs", "best_of": 5,
            "walker_unit": "steps/s", "walker": walks, "walker_peak_bytes": peak,
-           "unit": "ms", "stages": table}
+           "unit": "ms", "stages": table, "grid": grid}
     path.write_text(json.dumps(doc, indent=1) + "\n")
     for name, rate in walks.items():
         print(name, f"steps/s={rate}")
     print("walker_peak_bytes", peak)
-    for name, row in table.items():
+    for name, row in {**table, **grid}.items():
         print(name, " ".join(f"{k}={v}" for k, v in row.items()))
 
 
