@@ -63,6 +63,9 @@ _TIE_ULPS = 8.0
 # decode_map's backward pass turns this many edges of phi into Python floats
 # at a time, so its scratch stays small at any M
 _DECODE_ROWS = 256
+# an R-grid's checkpoints share one forward sweep in groups whose stacked
+# phi (128 bytes per site each) stays under this size
+_GRID_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -547,15 +550,21 @@ def _grid_log_probs(
     site: int | None,
 ) -> tuple[list[float], list[float]]:
     """log P(any error) at each checkpoint of an R-grid and, given a site,
-    log P(site wrong) at each: every checkpoint is decoded, and one h = 1
-    sweep runs over all of them, each relative to its own MAP.  These are
-    the values ``error_report`` gives, without its other fields.  The site
-    list is empty without a site."""
-    phi = np.stack([build_edge_potentials(agg, env, prior) for agg in stats_seq])
-    refs = np.stack([decode_map(p, b1).map_sequence.array for p in phi])
-    lp_any = _forward_sweep(phi, b1, refs, 1)[0][:, 0].tolist()
-    lp_site = [] if site is None else [
-        float(_site_record(p, env.seq, np.array([site])).log_p_error[0]) for p in phi]
+    log P(site wrong) at each: the values ``error_report`` gives, without
+    its other fields.  Every checkpoint is decoded, and one h = 1 sweep runs
+    over a group of checkpoints at a time, each relative to its own MAP; a
+    group's stacked phi stays under _GRID_BYTES.  The site list is empty
+    without a site."""
+    lp_any: list[float] = []
+    lp_site: list[float] = []
+    group = max(_GRID_BYTES // (128 * env.M), 1)
+    for lo in range(0, len(stats_seq), group):
+        phi = np.stack([build_edge_potentials(agg, env, prior) for agg in stats_seq[lo:lo + group]])
+        refs = np.stack([decode_map(p, b1).map_sequence.array for p in phi])
+        lp_any += _forward_sweep(phi, b1, refs, 1)[0][:, 0].tolist()
+        if site is not None:
+            lp_site += [float(_site_record(p, env.seq, np.array([site])).log_p_error[0])
+                        for p in phi]
     return lp_any, lp_site
 
 

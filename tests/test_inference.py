@@ -567,6 +567,22 @@ def test_batched_sweep_rows_equal_their_own_sweeps(M):
     assert got_z.shape == (2, 3)
 
 
+@pytest.mark.parametrize("group", [1, 2, 5])
+def test_grid_log_probs_equal_error_reports(monkeypatch, group):
+    # the R-grid's batched route gives each checkpoint's error_report values,
+    # bit for bit, however the checkpoints are grouped into sweeps
+    rng = np.random.default_rng(25)
+    env = make_env(random_sequence(rng, 60), 3.0)
+    stats = [law_stats(env, R, "continuous", rng) for R in (10**3, 10**4, 10**5, 10**6, 10**7)]
+    monkeypatch.setattr(inference, "_GRID_BYTES", group * 128 * env.M)
+    for b1, site in ((env.seq.base(1), 30), (None, None)):
+        lp_any, lp_site = inference._grid_log_probs(stats, env, None, b1, site)
+        reports = [error_report(agg, env, None, b1, 1) for agg in stats]
+        assert lp_any == [rep.log_p_any for rep in reports]
+        assert lp_site == ([] if site is None else
+                           [float(rep.sites.log_p_error[site - 2]) for rep in reports])
+
+
 def test_suffix_minima_keep_the_first_of_equal_sums():
     # small integer potentials make equal suffix sums common; the compare
     # chain's minima equal numpy's, and the decode, which takes the tight
