@@ -372,8 +372,8 @@ def _sweep_maps(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mass that keeps the count or opens a block.  A block opened at the count
     cap h comes from two match counts, h - 1 and h: the spare lanes fold
     those two for the three mismatched bases, and each sum is then folded
-    into its lane q_i[h].  Unused operands are -inf; logaddexp(y, -inf) == y and
-    logaddexp is symmetric, so each entry has the same bits as in a
+    into its lane q_i[h].  Unused operands are -inf; logaddexp(y, -inf) ==
+    y and logaddexp is symmetric, so each entry has the same bits as in a
     recursion that keeps both parts at every base and reduces over all four
     source bases.  ``final[r]`` gathers the block masses by count from the
     state, the bases in Base order.
@@ -437,12 +437,11 @@ def _forward_sweep(
     one subtraction, one logaddexp.reduce over the operand rows into the
     next state, and one logaddexp that adds the blocks opened at the count
     cap; the subtrahends and gather indices are built _DECODE_ROWS sites at
-    a time.
-    M sites hold at most (M+1)//2 blocks, so the states stop there and
-    larger h get log P = -inf.  log P(>= h) is -log(1 + below / at_least)
-    over the masses below h blocks and at or above it, so it stays
-    negative, not 0.0, when P rounds to 1; a log P above -5e-324 comes out
-    as -0.0.
+    a time.  M sites hold at most (M+1)//2 blocks, so the states stop there
+    and larger h get log P = -inf.  log P(>= h) is -log(1 + below /
+    at_least) over the masses below h blocks and at or above it, so it
+    stays negative, not 0.0, when P rounds to 1; a log P above -5e-324
+    comes out as -0.0.
 
     ``phi`` of shape (..., M, 4, 4) and ``r`` of shape (..., M) run one pass
     per leading index, each with the bits of its pass alone: log P gains
