@@ -447,8 +447,9 @@ def _forward_sweep(
     per leading index, each with the bits of its pass alone: log P gains
     those leading axes, and log Z is an array of them.
     """
+    r = np.asarray(r)
     batch, M = r.shape[:-1], r.shape[-1]
-    r = np.asarray(r).reshape(-1, M)
+    r = r.reshape(-1, M)
     K = r.shape[0]
     phi = np.asarray(phi, dtype=float).reshape(K, M, 16)
     h = min(h_max, (M + 1) // 2)
