@@ -40,10 +40,12 @@ from .energy import (
 from .inference import (
     ErrorReport,
     Prior,
-    _grid_log_probs,
+    _site_record,
     build_edge_potentials,
+    decode_map,
     empirical_rate_from_logs,
     error_report,
+    log_block_probs,
 )
 from .protocols import (
     SCHEMES,
@@ -528,7 +530,13 @@ def _infer_grid(cfg, env, mode, prior, b1) -> int:
         raise ConfigError(f"site: expected an interior site in [2, {env.M - 1}], got {site!r}")
     out = _outdir(cfg)
     stats_seq = accumulate_checkpoints(env, mode, seed, grid, step_cap=cfg["step_cap"])
-    lp_any, lp_site = _grid_log_probs(stats_seq, env, prior, b1, site)
+    # per checkpoint: one h = 1 sweep relative to its MAP and, optionally, one site's record
+    lp_any, lp_site = [], []
+    for agg in stats_seq:
+        phi = build_edge_potentials(agg, env, prior)
+        lp_any.append(float(log_block_probs(phi, b1, decode_map(phi, b1).map_sequence, 1)[0]))
+        if site is not None:
+            lp_site.append(float(_site_record(phi, env.seq, np.array([site])).log_p_error[0]))
     columns = [grid, lp_any, [math.exp(min(lp, 0.0)) for lp in lp_any]]
     header = ["R", "log_p_any_error", "p_any_error"]
     if site is not None:

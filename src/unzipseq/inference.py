@@ -63,9 +63,6 @@ _TIE_ULPS = 8.0
 # decode_map's backward pass turns this many edges of phi into Python floats
 # at a time, so its scratch stays small at any M
 _DECODE_ROWS = 256
-# an R-grid's checkpoints share one forward sweep in groups whose stacked
-# phi (128 bytes per site each) stays under this size
-_GRID_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -258,9 +255,7 @@ def _suffix_minima(phi: np.ndarray) -> np.ndarray:
     """E[x, u] = min over v of phi[x, u, v] + E[x + 1, v], with E[M] = 0
     (row 0 unused), over Python floats taken from phi _DECODE_ROWS edges at
     a time.  The rows of phi[x] unpack in Base order, a = A, t = T, c = C,
-    g = G.  Each minimum is a compare chain over v in Base order that
-    replaces the running minimum only by a smaller sum, so it keeps the first
-    of equal sums, as min() does."""
+    g = G."""
     M = phi.shape[0]
     E = np.zeros((M + 1, 4))
     e0 = e1 = e2 = e3 = 0.0
@@ -270,36 +265,13 @@ def _suffix_minima(phi: np.ndarray) -> np.ndarray:
         for a0, a1, a2, a3, t0, t1, t2, t3, c0, c1, c2, c3, g0, g1, g2, g3 in reversed(
             phi[lo:hi].reshape(hi - lo, 16).tolist()
         ):
-            a = a0 + e0
-            if (s := a1 + e1) < a:
-                a = s
-            if (s := a2 + e2) < a:
-                a = s
-            if (s := a3 + e3) < a:
-                a = s
-            t = t0 + e0
-            if (s := t1 + e1) < t:
-                t = s
-            if (s := t2 + e2) < t:
-                t = s
-            if (s := t3 + e3) < t:
-                t = s
-            c = c0 + e0
-            if (s := c1 + e1) < c:
-                c = s
-            if (s := c2 + e2) < c:
-                c = s
-            if (s := c3 + e3) < c:
-                c = s
-            g = g0 + e0
-            if (s := g1 + e1) < g:
-                g = s
-            if (s := g2 + e2) < g:
-                g = s
-            if (s := g3 + e3) < g:
-                g = s
-            e0, e1, e2, e3 = a, t, c, g
-            suffix.append((a, t, c, g))
+            e0, e1, e2, e3 = (
+                min(a0 + e0, a1 + e1, a2 + e2, a3 + e3),
+                min(t0 + e0, t1 + e1, t2 + e2, t3 + e3),
+                min(c0 + e0, c1 + e1, c2 + e2, c3 + e3),
+                min(g0 + e0, g1 + e1, g2 + e2, g3 + e3),
+            )
+            suffix.append((e0, e1, e2, e3))
         E[lo:hi] = suffix[::-1]
     return E
 
@@ -421,7 +393,7 @@ def _sweep_maps(h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _forward_sweep(
     phi: np.ndarray, b1: Base | None, r: np.ndarray, h_max: int
-) -> tuple[np.ndarray, float | np.ndarray]:
+) -> tuple[np.ndarray, float]:
     """log P(at least h separated error blocks) for h = 1..h_max, relative to
     the bases ``r`` (Base indices, r[x - 1] at site x), and log Z, from one
     forward pass.
@@ -442,53 +414,41 @@ def _forward_sweep(
     at_least) over the masses below h blocks and at or above it, so it
     stays negative, not 0.0, when P rounds to 1; a log P above -5e-324
     comes out as -0.0.
-
-    ``phi`` of shape (..., M, 4, 4) and ``r`` of shape (..., M) run one pass
-    per leading index, each with the bits of its pass alone: log P gains
-    those leading axes, and log Z is an array of them.
     """
-    r = np.asarray(r)
-    batch, M = r.shape[:-1], r.shape[-1]
-    r = r.reshape(-1, M)
-    K = r.shape[0]
-    phi = np.asarray(phi, dtype=float).reshape(K, M, 16)
+    M = phi.shape[0]
     h = min(h_max, (M + 1) // 2)
     H = h + 1
     n = 4 * h + 5
     w = n + 3
     z = H + 3 * h
-    cap = slice(z - 3, z)  # q_0..q_2[h]
     gather, pick, final = _sweep_maps(h)
-    rows = np.arange(K)
-    state = np.full((K, w + 1), -np.inf)
+    state = np.full(w + 1, -np.inf)
+    r0 = int(r[0])
     for u in _start_bases(b1):
-        state[rows, np.where(r[:, 0] == u, 0, H + u - (u > r[:, 0]))] = 0.0
-        state[:, z + u] = 0.0
-    S, S_lanes, flat = state[:, :n], state[:, :-1], state.reshape(-1)
-    S_cap, W = state[:, cap], state[:, n:-1]
-    step = max(_DECODE_ROWS // K, 1)
-    for lo in range(1, M, step):
-        hi = min(lo + step, M)
-        before, after = r[:, lo - 1:hi - 1].T, r[:, lo:hi].T  # (sites, K)
-        # each (site, row)'s table: relative potentials, raw ones, and 0
-        phi_x = phi[:, lo:hi].swapaxes(0, 1)
-        ref = np.take_along_axis(phi_x, (4 * before + after)[..., None], axis=2)
-        table = np.concatenate([phi_x - ref, phi_x, np.zeros_like(ref)], axis=2)
-        at = (33 * np.arange(table.shape[0] * K)).reshape(-1, 1, K, 1)
-        D = table.reshape(-1)[at + pick[before, after].swapaxes(1, 2)]  # (sites, 4, K, w)
-        index = gather[after].swapaxes(1, 2) + (w + 1) * rows[:, None]
-        for D_x, index_x in zip(D, index):  # one site
-            X = flat[index_x]
+        state[0 if u == r0 else H + u - (u > r0)] = 0.0
+        state[z + u] = 0.0
+    lanes, cap, spare = state[:-1], state[z - 3:z], state[n:-1]  # cap: q_0..q_2[h]
+    phi = phi.reshape(M, 16)
+    for lo in range(1, M, _DECODE_ROWS):
+        hi = min(lo + _DECODE_ROWS, M)
+        before, after = r[lo - 1:hi - 1], r[lo:hi]
+        # each site's table: relative potentials, raw ones, and 0
+        phi_x = phi[lo:hi]
+        ref = phi_x[np.arange(hi - lo), 4 * before + after][:, None]
+        table = np.concatenate([phi_x - ref, phi_x, np.zeros_like(ref)], axis=1)
+        at = 33 * np.arange(hi - lo)[:, None, None]
+        D = table.reshape(-1)[at + pick[before, after]]  # (sites, 4, w)
+        for D_x, index_x in zip(D, gather[after]):  # one site
+            X = state[index_x]
             np.subtract(X, D_x, out=X)
-            np.logaddexp.reduce(X, axis=0, out=S_lanes)
-            np.logaddexp(S_cap, W, out=S_cap)
-    log_z = np.logaddexp.reduce(S[:, z:], axis=1)
-    mass = np.logaddexp.reduce(state[rows[:, None, None], final[r[:, -1]]], axis=1)  # by count
-    at_least = np.logaddexp.accumulate(mass[:, ::-1], axis=1)[:, ::-1]
-    below = np.logaddexp.accumulate(mass, axis=1)[:, :-1]
-    log_p = -np.logaddexp(0.0, below - at_least[:, 1:])
-    log_p = np.concatenate([log_p, np.full((K, h_max - h), -np.inf)], axis=1)
-    return log_p.reshape(*batch, h_max), (log_z.reshape(batch) if batch else float(log_z[0]))
+            np.logaddexp.reduce(X, axis=0, out=lanes)
+            np.logaddexp(cap, spare, out=cap)
+    log_z = float(np.logaddexp.reduce(state[z:n]))
+    mass = np.logaddexp.reduce(state[final[r[-1]]], axis=0)  # by block count
+    at_least = np.logaddexp.accumulate(mass[::-1])[::-1]
+    below = np.logaddexp.accumulate(mass)[:-1]
+    log_p = -np.logaddexp(0.0, below - at_least[1:])
+    return np.concatenate([log_p, np.full(h_max - h, -np.inf)]), log_z
 
 
 def log_block_probs(
@@ -540,32 +500,6 @@ def error_report(
         p_blocks=tuple((h, math.exp(min(lp, 0.0)), lp) for h, lp in enumerate(log_p[:h_max], 1)),
         sites=_site_record(phi, env.seq, np.arange(2, env.M)),
     )
-
-
-def _grid_log_probs(
-    stats_seq: Sequence[AggregateStats],
-    env: Environment,
-    prior: Prior | None,
-    b1: Base | None,
-    site: int | None,
-) -> tuple[list[float], list[float]]:
-    """log P(any error) at each checkpoint of an R-grid and, given a site,
-    log P(site wrong) at each: the values ``error_report`` gives, without
-    its other fields.  Every checkpoint is decoded, and one h = 1 sweep runs
-    over a group of checkpoints at a time, each relative to its own MAP; a
-    group's stacked phi stays under _GRID_BYTES.  The site list is empty
-    without a site."""
-    lp_any: list[float] = []
-    lp_site: list[float] = []
-    group = max(_GRID_BYTES // (128 * env.M), 1)
-    for lo in range(0, len(stats_seq), group):
-        phi = np.stack([build_edge_potentials(agg, env, prior) for agg in stats_seq[lo:lo + group]])
-        refs = np.stack([decode_map(p, b1).map_sequence.array for p in phi])
-        lp_any += _forward_sweep(phi, b1, refs, 1)[0][:, 0].tolist()
-        if site is not None:
-            lp_site += [float(_site_record(p, env.seq, np.array([site])).log_p_error[0])
-                        for p in phi]
-    return lp_any, lp_site
 
 
 @dataclass(frozen=True)

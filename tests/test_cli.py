@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from unzipseq.energy import BASES, BaseSequence, environment_from_json
 from unzipseq.inference import (
     DecodeResult,
     ErrorReport,
+    Prior,
     SitePosterior,
     error_report,
     site_posterior,
@@ -623,6 +625,54 @@ def test_trapping_walks_refused_before_simulating(tmp_path, capsys, argv):
     assert "step cap 100000000" in err and "steps per walk" in err
     assert elapsed < 1.0
 
+
+
+@pytest.mark.parametrize("mode, b1", [("continuous", "auto"), ("discrete", "none")])
+def test_infer_grid_rows_are_error_report_values(tmp_path, monkeypatch, mode, b1):
+    # each checkpoint's row carries its error_report's log P(any error) and
+    # the site's log P(error), bit for bit in their text
+    rnd = random.Random(7)
+    envp = tmp_path / "env.json"
+    envp.write_text(json.dumps({"sequence": "".join(rnd.choice("ATCG") for _ in range(60)),
+                                "beta": 1.0, "r": 1.0, "g1": 3.0}))
+    env = environment_from_json(json.loads(envp.read_text()))
+    rng = np.random.default_rng(25)
+    stats = [law_stats(env, R, mode, rng) for R in (10**3, 10**4, 10**5, 10**6)]
+    monkeypatch.setattr(cli, "accumulate_checkpoints", lambda *args, **kwargs: stats)
+    out = tmp_path / "o"
+    assert run(["infer", "--env", envp, "--R-grid", "1:4:1", "--seed", 1,
+                "--mode", mode, "--b1", b1, "--site", 30, "--out", out]) == 0
+    rows = [line.split(",") for line in (out / "error_curve.csv").read_text().split()[1:]]
+    b1_base = None if b1 == "none" else env.seq.base(1)
+    reports = [error_report(agg, env, Prior.uniform(env.M), b1_base, 1) for agg in stats]
+    assert len(rows) == len(reports) == 4
+    assert [row[1] for row in rows] == [str(rep.log_p_any) for rep in reports]
+    assert [row[3] for row in rows] == [str(float(rep.sites.log_p_error[28])) for rep in reports]
+
+
+def test_infer_grid_memory_is_one_checkpoint_at_a_time(tmp_path, monkeypatch):
+    # the grid route holds one checkpoint's potentials at a time, so at
+    # M = 10,000 its peak stays under error_report's bound (8 MiB) with
+    # any number of points; its stats come in before the peak is traced
+    rnd = random.Random(8)
+    envp = tmp_path / "env.json"
+    envp.write_text(json.dumps({"sequence": "".join(rnd.choice("ATCG") for _ in range(10_000)),
+                                "beta": 1.0, "r": 1.0, "g1": 3.5}))
+    env = environment_from_json(json.loads(envp.read_text()))
+    rng = np.random.default_rng(26)
+    grid = [10**3, 10**4, 10**5, 10**6, 10**7]
+    stats = [law_stats(env, R, "continuous", rng) for R in grid]
+    monkeypatch.setattr(cli, "accumulate_checkpoints", lambda *args, **kwargs: stats)
+    argv = ["infer", "--env", envp, "--R-grid", "1:5:1", "--seed", 1, "--mode", "continuous",
+            "--site", 5000, "--out", tmp_path / "o"]
+    assert run(argv) == 0  # warms the caches
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 def _no_walk(monkeypatch):
     def no_walk(*args, **kwargs):

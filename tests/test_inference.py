@@ -542,50 +542,9 @@ def test_block_pass_equals_state_by_state_recursion(M, mode):
                     assert np.array_equal(log_block_probs(phi, b1, ref, h_max), want)
 
 
-@pytest.mark.parametrize("M", [2, 3, 50, 1000])
-def test_batched_sweep_rows_equal_their_own_sweeps(M):
-    # a leading checkpoint axis runs each row's pass with the bits of that
-    # pass alone: law stats at R = 10^3..10^7 in both time models, each row
-    # relative to its own MAP or to a random sequence, so references differ
-    rng = np.random.default_rng([M, 23])
-    env = make_env(random_sequence(rng, M), 3.0)
-    phi = np.stack([build_edge_potentials(law_stats(env, R, mode, rng), env)
-                    for mode in ("discrete", "continuous") for R in (10**3, 10**5, 10**7)])
-    for b1 in (env.seq.base(1), None):
-        refs = np.stack([decode_map(p, b1).map_sequence.array for p in phi[:3]]
-                        + [rng.integers(0, 4, M) for _ in phi[3:]])
-        for h_max in (1, 2, 3, 4):
-            got, got_z = _forward_sweep(phi, b1, refs, h_max)
-            assert got.shape == (len(phi), h_max) and got_z.shape == (len(phi),)
-            for k in range(len(phi)):
-                want, want_z = _forward_sweep(phi[k], b1, refs[k], h_max)
-                assert np.array_equal(got[k], want), (b1, h_max, k)
-                assert repr(float(got_z[k])) == repr(want_z), (b1, h_max, k)
-    grid = phi.reshape(2, 3, M, 4, 4)  # any number of leading axes
-    got, got_z = _forward_sweep(grid, None, refs.reshape(2, 3, M), 2)
-    assert np.array_equal(got.reshape(6, 2), _forward_sweep(phi, None, refs, 2)[0])
-    assert got_z.shape == (2, 3)
-
-
-@pytest.mark.parametrize("group", [1, 2, 5])
-def test_grid_log_probs_equal_error_reports(monkeypatch, group):
-    # the R-grid's batched route gives each checkpoint's error_report values,
-    # bit for bit, however the checkpoints are grouped into sweeps
-    rng = np.random.default_rng(25)
-    env = make_env(random_sequence(rng, 60), 3.0)
-    stats = [law_stats(env, R, "continuous", rng) for R in (10**3, 10**4, 10**5, 10**6, 10**7)]
-    monkeypatch.setattr(inference, "_GRID_BYTES", group * 128 * env.M)
-    for b1, site in ((env.seq.base(1), 30), (None, None)):
-        lp_any, lp_site = inference._grid_log_probs(stats, env, None, b1, site)
-        reports = [error_report(agg, env, None, b1, 1) for agg in stats]
-        assert lp_any == [rep.log_p_any for rep in reports]
-        assert lp_site == ([] if site is None else
-                           [float(rep.sites.log_p_error[site - 2]) for rep in reports])
-
-
 def test_suffix_minima_keep_the_first_of_equal_sums():
-    # small integer potentials make equal suffix sums common; the compare
-    # chain's minima equal numpy's, and the decode, which takes the tight
+    # small integer potentials make equal suffix sums common; the backward
+    # pass's minima equal numpy's, and the decode, which takes the tight
     # steps in Base order, is the depth-first reference's, ties and all
     rng = np.random.default_rng(24)
     for M in (2, 5, 40, 600):

@@ -21,10 +21,10 @@ site records (sites 2..M-1), the ``decode.json`` text, ``rate_report`` and
 the ``rates.*`` text, in milliseconds.  The grid rows time the inference of
 ``infer --R-grid`` on K = 10 checkpoints, each its own exact-law ensemble
 (``perfbench/lawstats.py``) at R = 10^3..10^7 (geometric) on the same
-sequence, g1 = 3.5, b_1 fixed, at M = 1000 and 10000: the h = 1 sweep over
-all ten MAPs in one batched pass against ten separate passes, and the whole
-grid inference (potentials, decodes, the batched sweep and site M/2's
-record) against ten ``error_report`` calls at h_max 1.  The result, with
+sequence, g1 = 3.5, b_1 fixed, at M = 1000 and 10000: the route
+``infer --R-grid`` takes (per checkpoint: potentials, decode, one h = 1
+sweep and site M/2's record) against ten ``error_report`` calls at h_max
+1, which also build every site's record.  The result, with
 the commit, numpy version and host, goes to ``OUT.json`` (default
 ``BENCH_stages.json``).
 """
@@ -114,21 +114,24 @@ def stages(M: int, mode: str, out: Path) -> dict[str, float]:
 
 
 def grid_stages(M: int, mode: str) -> dict[str, float]:
-    """The grid inference of ten law checkpoints, batched and one by one."""
+    """The grid inference of ten law checkpoints, by the grid's route and by
+    full reports."""
     env = random_env(M, 3.5)
     rng = np.random.default_rng(M)
     stats = [AggregateStats.from_json_dict(
         law_stats_doc(str(env.seq), int(R), mode, rng, g1=3.5, beta=1.0, r=1.0))
         for R in np.geomspace(1e3, 1e7, 10).round()]
     b1 = env.seq.base(1)
-    phi = np.stack([inference.build_edge_potentials(agg, env) for agg in stats])
-    refs = np.stack([inference.decode_map(p, b1).map_sequence.array for p in phi])
+    site = np.array([M // 2])
+
+    def grid_route():
+        for agg in stats:
+            phi = inference.build_edge_potentials(agg, env)
+            inference.log_block_probs(phi, b1, inference.decode_map(phi, b1).map_sequence, 1)
+            inference._site_record(phi, env.seq, site)
+
     return {
-        "sweep_batched": best_ms(lambda: inference._forward_sweep(phi, b1, refs, 1)),
-        "sweep_separate": best_ms(
-            lambda: [inference._forward_sweep(p, b1, r, 1) for p, r in zip(phi, refs)]),
-        "inference_batched": best_ms(
-            lambda: inference._grid_log_probs(stats, env, None, b1, M // 2)),
+        "grid_route": best_ms(grid_route),
         "error_reports": best_ms(
             lambda: [inference.error_report(agg, env, None, b1, 1) for agg in stats]),
     }
