@@ -61,7 +61,8 @@ __all__ = [
 # splits true ties or, worse, drops the optimum itself.
 _TIE_ULPS = 8.0
 # decode_map's backward pass turns this many edges of phi into Python floats
-# at a time, so its scratch stays small at any M
+# at a time, and the forward sweep builds its subtrahends for this many sites
+# at a time, so their scratch stays small at any M
 _DECODE_ROWS = 256
 
 
