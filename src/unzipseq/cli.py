@@ -40,12 +40,9 @@ from .energy import (
 from .inference import (
     ErrorReport,
     Prior,
-    _site_record,
     build_edge_potentials,
-    decode_map,
     empirical_rate_from_logs,
     error_report,
-    log_block_probs,
 )
 from .protocols import (
     SCHEMES,
@@ -530,13 +527,13 @@ def _infer_grid(cfg, env, mode, prior, b1) -> int:
         raise ConfigError(f"site: expected an interior site in [2, {env.M - 1}], got {site!r}")
     out = _outdir(cfg)
     stats_seq = accumulate_checkpoints(env, mode, seed, grid, step_cap=cfg["step_cap"])
-    # per checkpoint: one h = 1 sweep relative to its MAP and, optionally, one site's record
+    # one error report per checkpoint, dropped before the next one
     lp_any, lp_site = [], []
     for agg in stats_seq:
-        phi = build_edge_potentials(agg, env, prior)
-        lp_any.append(float(log_block_probs(phi, b1, decode_map(phi, b1).map_sequence, 1)[0]))
+        report = error_report(agg, env, prior, b1, 1)
+        lp_any.append(report.log_p_any)
         if site is not None:
-            lp_site.append(float(_site_record(phi, env.seq, np.array([site])).log_p_error[0]))
+            lp_site.append(float(report.sites.log_p_error[site - 2]))
     columns = [grid, lp_any, [math.exp(min(lp, 0.0)) for lp in lp_any]]
     header = ["R", "log_p_any_error", "p_any_error"]
     if site is not None:
@@ -624,6 +621,12 @@ def cmd_protocol(cfg: dict) -> int:
     params = env.params if env is not None else ModelParams()
     mode = cfg["mode"]
     scheme = cfg["scheme"]
+    if "k" in cfg and scheme != "uniform-pair":
+        raise ConfigError(f"k: the {scheme} scheme takes no pair index")
+    if "k" in cfg and "max_level" in cfg:
+        raise ConfigError("max_level: cannot be combined with k, which fixes the levels")
+    if "site" in cfg and scheme == "uniform-pair":
+        raise ConfigError("site: the uniform-pair scheme estimates every site")
     R_per_level = _require(cfg, "R_per_level")
     seed = SeedSpec(_require(cfg, "seed"))
     M = len(energies) + 1

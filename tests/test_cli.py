@@ -650,10 +650,26 @@ def test_infer_grid_rows_are_error_report_values(tmp_path, monkeypatch, mode, b1
     assert [row[3] for row in rows] == [str(float(rep.sites.log_p_error[28])) for rep in reports]
 
 
+def test_infer_grid_calls_error_report_once_per_checkpoint(tmp_path, env_file, monkeypatch):
+    # the grid has no inference route of its own: each checkpoint is one
+    # error report at h_max 1
+    calls = []
+
+    def spy(stats, env, prior=None, b1=None, h_max=3):
+        calls.append((stats.R, h_max))
+        return error_report(stats, env, prior, b1, h_max)
+
+    monkeypatch.setattr(cli, "error_report", spy)
+    assert run(["infer", "--env", env_file, "--R-grid", "10:30:10", "--seed", 1, "--site", 3,
+                "--out", tmp_path / "o"]) == 0
+    assert calls == [(10, 1), (20, 1), (30, 1)]
+
+
 def test_infer_grid_memory_is_one_checkpoint_at_a_time(tmp_path, monkeypatch):
-    # the grid route holds one checkpoint's potentials at a time, so at
-    # M = 10,000 its peak stays under error_report's bound (8 MiB) with
-    # any number of points; its stats come in before the peak is traced
+    # the grid keeps two floats of each checkpoint's error report and drops
+    # the report, site records included, before the next one, so at
+    # M = 10,000 its peak stays under error_report's bound (8 MiB) with any
+    # number of points; its stats come in before the peak is traced
     rnd = random.Random(8)
     envp = tmp_path / "env.json"
     envp.write_text(json.dumps({"sequence": "".join(rnd.choice("ATCG") for _ in range(10_000)),
@@ -704,10 +720,19 @@ def _no_walk(monkeypatch):
     ("infer", {"R_grid": "5:9:10"}, "config error: R_grid:"),
     # a negative half-width used to leave the force field unchanged
     ("simulate", {"window": "4:-2:1.0"}, "config error: window: window half-width"),
+    # a key its scheme's plan would drop
+    ("protocol", {"energies": [1.55, 1.78, 1.55], "scheme": "focus-at-x", "site": 2, "k": 1},
+     "config error: k:"),
+    ("protocol", {"energies": [1.55, 1.78, 1.55], "scheme": "absorbing-tail", "site": 2,
+                  "k": 1}, "config error: k:"),
+    ("protocol", {"energies": [1.55, 1.78, 1.55], "k": 1, "max_level": 3},
+     "config error: max_level:"),
+    ("protocol", {"energies": [1.55, 1.78, 1.55], "site": 2}, "config error: site:"),
 ], ids=["energies-str", "energies-scalar", "energies-nan", "simulate-mode", "infer-mode",
         "protocol-mode", "prior-zero", "prior-nan", "prior-unknown-key", "prior-str",
         "prior-bool", "grid-one-point",
-        "grid-step-past-stop", "window-negative-A"])
+        "grid-step-past-stop", "window-negative-A", "focus-k", "absorbing-k",
+        "pair-k-max-level", "pair-site"])
 def test_config_field_refused_before_any_walk(tmp_path, capsys, monkeypatch, command, doc,
                                               message):
     _no_walk(monkeypatch)

@@ -20,8 +20,9 @@ sequence, whose chunks are too small to step in lockstep, ``simulate``
 and ``infer`` runs whose settings all come from ``--config``, configs
 that must be refused with exit 2 (among them a one-checkpoint grid, an
 unknown ``prior`` key, a negative window half-width, an environment whose
-``beta`` is a string, a prior whose weights are strings, and a stats file
-whose sojourns hold a string and a bool), runs whose walks pass
+``beta`` is a string, a prior whose weights are strings, a protocol key
+its scheme's plan would drop, and a stats file whose sojourns hold a string
+and a bool), runs whose walks pass
 ``--step-cap`` and exit 1 naming the replica (one in the scalar tail of a
 lockstep chunk, one on the 5000-site sequence), and runs that cannot
 finish, refused with exit 1 before any walk: ``simulate`` and
@@ -141,6 +142,10 @@ REFUSED = {
     "window-negative": ("simulate", "simulate", {"window": "3:-2:0.5"}),
     "environment-beta-str": ("infer", "infer", {"environment": {**ENVS["short"], "beta": "2"}}),
     "prior-weights-str": ("infer", "infer", {"prior": {"weights": ["1", "1", "1", "1"]}}),
+    # keys the scheme's plan would drop
+    "focus-k": ("protocol", "focus", {"k": 1}),
+    "pair-k-max-level": ("protocol", "pair-k", {"max_level": 3}),
+    "pair-scan-site": ("protocol", "pair-scan", {"site": 3}),
 }
 # a continuous stats file for ENVS["short"] whose sojourns hold a string and a
 # bool: `infer --stats` must exit 2

@@ -18,15 +18,8 @@ g1 = 3.5, R = 8).  The stages are
 ``build_edge_potentials``, ``decode_map``, the forward sweep (the block
 probabilities to h_max 3, relative to the MAP, and log Z in one pass), the
 site records (sites 2..M-1), the ``decode.json`` text, ``rate_report`` and
-the ``rates.*`` text, in milliseconds.  The grid rows time the inference of
-``infer --R-grid`` on K = 10 checkpoints, each its own exact-law ensemble
-(``perfbench/lawstats.py``) at R = 10^3..10^7 (geometric) on the same
-sequence, g1 = 3.5, b_1 fixed, at M = 1000 and 10000: the route
-``infer --R-grid`` takes (per checkpoint: potentials, decode, one h = 1
-sweep and site M/2's record) against ten ``error_report`` calls at h_max
-1, which also build every site's record.  The result, with
-the commit, numpy version and host, goes to ``OUT.json`` (default
-``BENCH_stages.json``).
+the ``rates.*`` text, in milliseconds.  The result, with the commit, numpy
+version and host, goes to ``OUT.json`` (default ``BENCH_stages.json``).
 """
 
 from __future__ import annotations
@@ -47,10 +40,7 @@ import numpy as np
 from unzipseq import cli, inference
 from unzipseq.energy import environment_from_json
 from unzipseq.rates import rate_report
-from unzipseq.walker import AggregateStats, SeedSpec, simulate_ensemble, simulate_walk
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from lawstats import law_stats_doc  # noqa: E402  the benchmark's exact-law sampler
+from unzipseq.walker import SeedSpec, simulate_ensemble, simulate_walk
 
 
 def best_ms(fn, repeats: int = 5) -> float:
@@ -113,30 +103,6 @@ def stages(M: int, mode: str, out: Path) -> dict[str, float]:
     }
 
 
-def grid_stages(M: int, mode: str) -> dict[str, float]:
-    """The grid inference of ten law checkpoints, by the grid's route and by
-    full reports."""
-    env = random_env(M, 3.5)
-    rng = np.random.default_rng(M)
-    stats = [AggregateStats.from_json_dict(
-        law_stats_doc(str(env.seq), int(R), mode, rng, g1=3.5, beta=1.0, r=1.0))
-        for R in np.geomspace(1e3, 1e7, 10).round()]
-    b1 = env.seq.base(1)
-    site = np.array([M // 2])
-
-    def grid_route():
-        for agg in stats:
-            phi = inference.build_edge_potentials(agg, env)
-            inference.log_block_probs(phi, b1, inference.decode_map(phi, b1).map_sequence, 1)
-            inference._site_record(phi, env.seq, site)
-
-    return {
-        "grid_route": best_ms(grid_route),
-        "error_reports": best_ms(
-            lambda: [inference.error_report(agg, env, None, b1, 1) for agg in stats]),
-    }
-
-
 def main(path: Path) -> None:
     git = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
                          cwd=Path(__file__).resolve().parent)
@@ -144,19 +110,17 @@ def main(path: Path) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         table = {f"M={M} {mode}": stages(M, mode, Path(tmp))
                  for M in (1000, 10000) for mode in ("discrete", "continuous")}
-    grid = {f"M={M} K=10 {mode}": grid_stages(M, mode)
-            for M in (1000, 10000) for mode in ("discrete", "continuous")}
     walks = walker_stages()
     peak = walker_peak_bytes()
     doc = {"commit": commit, "numpy": np.__version__, "python": platform.python_version(),
            "host": f"{platform.machine()}, {os.cpu_count()} CPUs", "best_of": 5,
            "walker_unit": "steps/s", "walker": walks, "walker_peak_bytes": peak,
-           "unit": "ms", "stages": table, "grid": grid}
+           "unit": "ms", "stages": table}
     path.write_text(json.dumps(doc, indent=1) + "\n")
     for name, rate in walks.items():
         print(name, f"steps/s={rate}")
     print("walker_peak_bytes", peak)
-    for name, row in {**table, **grid}.items():
+    for name, row in table.items():
         print(name, " ".join(f"{k}={v}" for k, v in row.items()))
 
 
