@@ -48,6 +48,7 @@ from .protocols import (
     SCHEMES,
     LevelLadder,
     ProtocolAbort,
+    _require_plan_keys,
     build_protocol,
     estimate_energy,
     rc_energy,
@@ -621,12 +622,10 @@ def cmd_protocol(cfg: dict) -> int:
     params = env.params if env is not None else ModelParams()
     mode = cfg["mode"]
     scheme = cfg["scheme"]
-    if "k" in cfg and scheme != "uniform-pair":
-        raise ConfigError(f"k: the {scheme} scheme takes no pair index")
-    if "k" in cfg and "max_level" in cfg:
-        raise ConfigError("max_level: cannot be combined with k, which fixes the levels")
-    if "site" in cfg and scheme == "uniform-pair":
-        raise ConfigError("site: the uniform-pair scheme estimates every site")
+    try:
+        _require_plan_keys(scheme, cfg.get("site"), cfg.get("k"), cfg.get("max_level"))
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     R_per_level = _require(cfg, "R_per_level")
     seed = SeedSpec(_require(cfg, "seed"))
     M = len(energies) + 1

@@ -206,9 +206,11 @@ def build_protocol(
     r_K beyond (slow tail keeps the walk focused); levels i = 1..K.
     absorbing-tail: r_1 before, r_i at the site, zero force beyond, so the
     prediction cost becomes independent of the unknown tail energies.
+    A key the scheme's plan would drop is refused (see _require_plan_keys).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    _require_plan_keys(scheme, site, k, max_level)
     if replicas < 1:
         raise ValueError(f"replica count must be >= 1, got {replicas}")
     K = ladder.K
@@ -240,6 +242,19 @@ def build_protocol(
         values[site:] = tail_r
         levels.append(PlanLevel(i, ForceField(values), replicas))
     return ProtocolPlan(scheme, tuple(levels), site)
+
+
+def _require_plan_keys(scheme: str, site: int | None, k: int | None,
+                       max_level: int | None) -> None:
+    """Refuse, naming the key, what a scheme's plan would drop: a pair index
+    k outside uniform-pair, max_level beside k, which fixes the levels, and
+    a target site under uniform-pair, which estimates every site."""
+    if k is not None and scheme != "uniform-pair":
+        raise ValueError(f"k: the {scheme} scheme takes no pair index")
+    if k is not None and max_level is not None:
+        raise ValueError("max_level: cannot be combined with k, which fixes the levels")
+    if site is not None and scheme == "uniform-pair":
+        raise ValueError("site: the uniform-pair scheme estimates every site")
 
 
 class ProtocolAbort(RuntimeError):

@@ -16,11 +16,11 @@ use that freedom: a chunk of replicas steps in lockstep, and the few
 replicas still walking at the end finish one by one in the scalar loop.  A
 PCG64 stream is 256 bits of state, so a chunk holds each kind of stream as
 one (n, 4) array of its replicas' PCG64 states, computed in one numpy pass
-from their seeds, and reads them all through one generator per kind: a
-replica's row is loaded into the generator, a block drawn, and the state
-saved back to the row.  Each stream is read strictly in order, so the
-results equal those of single walks summed in replica order, bit for bit,
-whatever the draw block sizes.
+from their seeds, and reads them all through one generator per kind: the
+generator's pointer to its C state is pointed at a replica's row, and a
+block drawn then reads and advances that row in place.  Each stream is read
+strictly in order, so the results equal those of single walks summed in
+replica order, bit for bit, whatever the draw block sizes.
 """
 
 from __future__ import annotations
@@ -242,30 +242,34 @@ def _stream_states(seed: SeedSpec, replicas: np.ndarray, substreams) -> np.ndarr
 @functools.cache
 def _word_order() -> tuple[int, int, int, int]:
     """Where PCG64's C state keeps the (high, low) words of its state and of
-    its increment, as their four positions in a _shared_stream view: a
-    known state is set through the public ``state`` setter and found in the
-    view."""
-    gen, view = _shared_stream()
+    its increment, as their four positions in a row of _stream_states: a
+    _shared_stream is pointed at a row of four known words, and the public
+    ``state`` getter reports which is which."""
+    gen, state = _shared_stream()
     words = (0x0123456789ABCDEF, 0x1122334455667788, 0x2233445566778899, 0x3344556677889901)
-    gen.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": words[0] << 64 | words[1], "inc": words[2] << 64 | words[3]},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    found = view.tolist()
+    row = np.array([words], dtype=np.uint64)
+    own = state.value
+    state.value = _state_address(row)
+    try:
+        got = gen.bit_generator.state["state"]
+    finally:
+        state.value = own
+    found = [*divmod(got["state"], 2**64), *divmod(got["inc"], 2**64)]
     if sorted(found) != sorted(words):
         raise RuntimeError(f"numpy {np.__version__}: PCG64's C state does not hold its "
                            "state and increment as four 64-bit words")
-    return tuple(found.index(word) for word in words)
+    return tuple(words.index(word) for word in found)
 
 
-def _shared_stream() -> tuple[np.random.Generator, memoryview]:
+def _shared_stream() -> tuple[np.random.Generator, "ctypes.c_void_p"]:
     """A generator that reads any replica's stream of one kind, and a
-    writable view of the four uint64 words of its C state, its 128-bit LCG
-    state and increment, through which rows of _stream_states (as
-    ``_words``) are loaded and saved.  The view does not keep the generator
-    alive, so it is only ever held beside it.  Only ``random`` and
+    writable handle on the pointer to its C state, the 128-bit LCG state and
+    increment that each draw reads and advances.  Pointed at a row of
+    _stream_states (see _state_address), the generator draws
+    that replica's stream in place.  The handle does not keep the generator
+    alive, so it is only ever held beside it, and it must point back at the
+    generator's own state (its ``value`` when made) before the generator is
+    freed, which frees what it points at.  Only ``random`` and
     ``standard_exponential`` are drawn from it: neither reads the
     ``has_uint32`` word PCG64 caches for 32-bit draws, so the four state
     words are the whole of a stream's position."""
@@ -274,15 +278,17 @@ def _shared_stream() -> tuple[np.random.Generator, memoryview]:
     gen = np.random.Generator(np.random.PCG64(0))
     # ctypes.state_address is numpy's pcg64_state, whose first field points
     # at the {state, inc} pair
-    address = ctypes.c_void_p.from_address(gen.bit_generator.ctypes.state_address).value
-    return gen, memoryview((ctypes.c_uint64 * 4).from_address(address)).cast("B").cast("Q")
+    return gen, ctypes.c_void_p.from_address(gen.bit_generator.ctypes.state_address)
 
 
-def _words(states: np.ndarray) -> memoryview:
-    """The (n, 4) uint64 ``states`` as one flat memoryview of n * 4 words:
-    row r is ``[4 r : 4 r + 4]``, and copying it to or from a state view
-    costs half what a numpy row assignment does."""
-    return memoryview(states).cast("B").cast("Q")
+def _state_address(states: np.ndarray) -> int:
+    """The address of the (n, 4) uint64 ``states``, whose row r, 32 r bytes
+    on, a _shared_stream pointer may point at.  The C state is two 128-bit
+    integers, which compiled code may load as 16-byte aligned."""
+    address = states.__array_interface__["data"][0]
+    if not states.flags.c_contiguous or address % 16:
+        raise RuntimeError("PCG64 state rows must be contiguous and 16-byte aligned")
+    return address
 
 
 @dataclass(frozen=True)
@@ -629,13 +635,15 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     ``np.add.at``, which is unbuffered, adds the log to the counts and, with
     the time draws over the rates of the cells left, to the sojourns, each
     replica's terms in step order, as _walk adds them.  Each replica's
-    stream of each kind is its row of ``states``, read through that kind's
-    shared generator: a refill loads a live replica's row, draws its next
-    block and saves the state back to the row.  Once fewer than
-    _LOCKSTEP_MIN are live, or the step cap is reached, each survivor's rows
-    are loaded and it resumes alone on the shared generators in _walk, on
-    site tables built once for the chunk, in replica order, so a trapped
-    chunk raises StepCapExceeded for its lowest replica over the cap.
+    stream of each kind is its row of ``states``, read in place through that
+    kind's shared generator: a refill points the generator at a live
+    replica's row and draws its next block, which advances the row.  Once
+    fewer than _LOCKSTEP_MIN are live, or the step cap is reached, each
+    survivor resumes alone in _walk on the shared generators, pointed at its
+    rows, on site tables built once for the chunk, in replica order, so a
+    trapped chunk raises StepCapExceeded for its lowest replica over the
+    cap.  The generators point back at their own states on the way out,
+    also when that is raised.
     """
     M = env.M
     n = hi - lo
@@ -643,8 +651,9 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     stride = 2 * (M + 1)
     ids = np.tile(np.arange(lo, hi, dtype=np.uint64), kinds)
     states = _stream_states(seed, ids, np.arange(kinds).repeat(n)).reshape(kinds, n, 4)
-    states = [_words(rows) for rows in states]
-    streams = [_shared_stream() for _ in states]
+    addresses = [_state_address(rows) for rows in states]
+    streams = [_shared_stream() for _ in addresses]
+    own = [state.value for _, state in streams]
     p = np.append(env.up_probabilities, 2.0).repeat(2)
     dest = np.arange(stride) + np.tile([2, -3], M + 1)
     dest[2 * M] = 2 * M
@@ -661,60 +670,62 @@ def _lockstep(env, seed, lo, hi, continuous, step_cap):
     draws = np.empty((kinds, n, 0))
     buffer = None
     step = col = 0
-    while step < step_cap:
+    try:
+        while step < step_cap:
+            live = p[cell] <= 1.0
+            base, cell, slot = base[live], cell[live], slot[live]
+            if cell.size < _LOCKSTEP_MIN:
+                break
+            if col == draws.shape[2]:
+                # refill: the next draws of each live replica's streams,
+                # each block drawn from its state row into its draw row
+                width = _DRAW_BUDGET // cell.size
+                if buffer is None:
+                    buffer = np.empty((kinds, _DRAW_BUDGET))
+                draws = buffer[:, : width * cell.size].reshape(kinds, cell.size, width)
+                offsets = 32 * (base // stride)
+                for sub, ((gen, state), address) in enumerate(zip(streams, addresses)):
+                    draw = gen.standard_exponential if sub else gen.random
+                    for row_at, out in zip((offsets + address).tolist(), draws[sub]):
+                        state.value = row_at
+                        draw(out=out)
+                slot = np.arange(cell.size)
+                col = 0
+            span = min(_WINDOW_CELLS // cell.size, draws.shape[2] - col, step_cap - step)
+            # indexing, not np.take, which would first copy the strided columns
+            window = draws[0, slot, col : col + span]
+            log = np.empty(window.shape, dtype=cell.dtype)
+            for u, move in zip(window.T, log.T):
+                np.add(cell, u >= p[cell], out=move)
+                cell = dest[move]
+            if continuous:
+                # inv_rate[c + d] = inv_rate[c], of the cell the move left
+                window = draws[1, slot, col : col + span]
+                window *= inv_rate[log]
+            log += base[:, None]
+            flat = log.ravel()  # np.add.at is ~5x slower on 2-d float values
+            np.add.at(counts, flat, 1)
+            if continuous:
+                flat >>= 1
+                np.add.at(sojourn, flat, window.ravel())
+            del window, log, flat  # not held through the next refill
+            step += span
+            col += span
         live = p[cell] <= 1.0
-        base, cell, slot = base[live], cell[live], slot[live]
-        if cell.size < _LOCKSTEP_MIN:
-            break
-        if col == draws.shape[2]:
-            # refill: the next draws of each live replica's streams, each
-            # block drawn into the replica's row
-            width = _DRAW_BUDGET // cell.size
-            if buffer is None:
-                buffer = np.empty((kinds, _DRAW_BUDGET))
-            draws = buffer[:, : width * cell.size].reshape(kinds, cell.size, width)
-            replicas = (base // stride).tolist()
-            for sub, ((gen, view), words) in enumerate(zip(streams, states)):
-                draw = gen.standard_exponential if sub else gen.random
-                for r, out in zip(replicas, draws[sub]):
-                    w = 4 * r
-                    view[:] = words[w : w + 4]
-                    draw(out=out)
-                    words[w : w + 4] = view
-            slot = np.arange(cell.size)
-            col = 0
-        span = min(_WINDOW_CELLS // cell.size, draws.shape[2] - col, step_cap - step)
-        # indexing, not np.take, which would first copy the strided columns
-        window = draws[0, slot, col : col + span]
-        log = np.empty(window.shape, dtype=cell.dtype)
-        for u, move in zip(window.T, log.T):
-            np.add(cell, u >= p[cell], out=move)
-            cell = dest[move]
-        if continuous:
-            # inv_rate[c + d] = inv_rate[c], of the cell the move left
-            window = draws[1, slot, col : col + span]
-            window *= inv_rate[log]
-        log += base[:, None]
-        flat = log.ravel()  # np.add.at is ~5x slower on 2-d float values
-        np.add.at(counts, flat, 1)
-        if continuous:
-            flat >>= 1
-            np.add.at(sojourn, flat, window.ravel())
-        del window, log, flat  # not held through the next refill
-        step += span
-        col += span
-    live = p[cell] <= 1.0
-    tables = _site_tables(env, continuous)
-    gens = [gen for gen, _ in streams]
-    for b, c, s in zip(base[live].tolist(), cell[live].tolist(), slot[live].tolist()):
-        r = b // stride
-        for (_, view), words in zip(streams, states):
-            view[:] = words[4 * r : 4 * r + 4]
-        walk = [part[r].tolist() for part in rows]
-        unread = [d[s, col:].tolist() for d in draws]
-        _walk(tables, gens, lo + r, step_cap, walk, c // 2, step, unread)
-        for part, row in zip(rows, walk):
-            part[r] = row
+        tables = _site_tables(env, continuous)
+        gens = [gen for gen, _ in streams]
+        for b, c, s in zip(base[live].tolist(), cell[live].tolist(), slot[live].tolist()):
+            r = b // stride
+            for (_, state), address in zip(streams, addresses):
+                state.value = address + 32 * r
+            walk = [part[r].tolist() for part in rows]
+            unread = [d[s, col:].tolist() for d in draws]
+            _walk(tables, gens, lo + r, step_cap, walk, c // 2, step, unread)
+            for part, row in zip(rows, walk):
+                part[r] = row
+    finally:
+        for (_, state), address in zip(streams, own):
+            state.value = address
     return rows
 
 

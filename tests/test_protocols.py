@@ -174,6 +174,20 @@ def test_build_protocol_focus_and_absorbing():
         build_protocol("focus-at-x", TOY, M=8, replicas=5, site=1)
 
 
+@pytest.mark.parametrize("scheme,keys,message", [
+    ("focus-at-x", {"site": 4, "k": 1}, "k: the focus-at-x scheme takes no pair index"),
+    ("absorbing-tail", {"site": 4, "k": 1}, "k: the absorbing-tail scheme takes no pair index"),
+    ("uniform-pair", {"k": 1, "max_level": 3},
+     "max_level: cannot be combined with k, which fixes the levels"),
+    ("uniform-pair", {"site": 3}, "site: the uniform-pair scheme estimates every site"),
+], ids=["focus-k", "absorbing-k", "pair-k-max-level", "pair-site"])
+def test_build_protocol_refuses_keys_its_plan_would_drop(scheme, keys, message):
+    # a library caller gets the CLI's refusal, naming the key
+    with pytest.raises(ValueError) as err:
+        build_protocol(scheme, TOY, M=8, replicas=5, **keys)
+    assert str(err.value) == message
+
+
 def test_run_protocol_single_level_equals_plain_ensemble():
     energies = (2.0, 1.5, 2.0)
     params = ModelParams(beta=1.0)

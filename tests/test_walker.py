@@ -353,44 +353,103 @@ def test_batch_seeding_matches_seed_sequence():
 
 
 def test_word_order_matches_the_state_setter():
-    # the C word order is found afresh, and a view written in it sets the
-    # state the public getter reports
+    # the C word order is found afresh; a row written in it, with the shared
+    # generator pointed at it, holds the state the public getter reports,
+    # and the public setter writes its words into the row in that order
     walker._word_order.cache_clear()
-    order = walker._word_order()
+    order = list(walker._word_order())
     assert sorted(order) == [0, 1, 2, 3]
-    gen, view = walker._shared_stream()
+    gen, state = walker._shared_stream()
+    own = state.value
     words = [2**64 - 3, 5, 2**63 + 1, 7]
-    for i, word in zip(order, words):
-        view[i] = word
-    assert gen.bit_generator.state["state"] == {"state": words[0] << 64 | words[1],
-                                                "inc": words[2] << 64 | words[3]}
+    row = np.zeros((1, 4), dtype=np.uint64)
+    row[0, order] = words
+    try:
+        state.value = walker._state_address(row)
+        assert gen.bit_generator.state["state"] == {"state": words[0] << 64 | words[1],
+                                                    "inc": words[2] << 64 | words[3]}
+        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": words[3] << 64 | words[2],
+                                             "inc": words[1] << 64 | words[0]}}
+        assert row[0, order].tolist() == words[::-1]
+    finally:
+        state.value = own
+    assert gen.bit_generator.state == np.random.PCG64(0).state
+    # rows off the 16-byte grid are refused before any pointer is set
+    buffer = np.zeros(9, dtype=np.uint64)
+    skew = 1 - buffer.__array_interface__["data"][0] % 16 // 8
+    with pytest.raises(RuntimeError, match="16-byte aligned"):
+        walker._state_address(buffer[skew : skew + 8].reshape(2, 4))
 
 
 def test_shared_streams_read_on_across_switches():
-    # one shared generator per stream kind, switched from replica A to B
-    # and back between blocks of draws (its state saved to A's row and
-    # loaded from B's), reads each replica's stream on exactly as the single
-    # walk's own stream does: on the masters and prefixes above, for one-
-    # and two-word replica keys
+    # one shared generator per stream kind, pointed from replica A's state
+    # row to B's and back between blocks of draws, reads each replica's
+    # stream on exactly as the single walk's own stream does: on the masters
+    # and prefixes above, for one- and two-word replica keys.  The draws
+    # advance the rows alone: the generator's own state is as it was made
     some = [0, 1, 1023, 1024, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 5]
     for master in (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200):
         for prefix in ((), (3,), (0, 5)):
             seed = SeedSpec(master, prefix)
             for substream, draw in ((0, "random"), (1, "standard_exponential")):
-                gen, view = walker._shared_stream()
+                gen, state = walker._shared_stream()
+                own = state.value
                 for block in (1, 63, 64, 2048):
                     states = _stream_states(seed, np.array(some, dtype=np.uint64), substream)
-                    words = walker._words(states)
+                    address = walker._state_address(states)
                     got = {r: [] for r in some}
-                    for a in range(len(some) - 1):
-                        for i in (a, a + 1, a):
-                            view[:] = words[4 * i : 4 * i + 4]
-                            got[some[i]].append(getattr(gen, draw)(block))
-                            words[4 * i : 4 * i + 4] = view
+                    try:
+                        for a in range(len(some) - 1):
+                            for i in (a, a + 1, a):
+                                state.value = address + 32 * i
+                                got[some[i]].append(getattr(gen, draw)(block))
+                    finally:
+                        state.value = own
                     for r, blocks in got.items():
                         blocks = np.concatenate(blocks)
                         want = getattr(seed.stream(r, substream), draw)(blocks.size)
                         assert np.array_equal(blocks, want), (master, prefix, r, block)
+                assert gen.bit_generator.state == np.random.PCG64(0).state
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_lockstep_points_the_shared_streams_back(monkeypatch, mode):
+    # each shared generator's state pointer is back at its own state after
+    # _lockstep, whether it returns or raises StepCapExceeded from the
+    # scalar tail, and the draws never touched that state.  At g1 = 3.6 a
+    # few replicas of the chunk outlive the lockstep windows
+    walker._word_order()  # found once, on a generator of its own
+    made = []
+    shared_stream = walker._shared_stream
+
+    def spy():
+        gen, state = shared_stream()
+        made.append((gen, state, state.value, gen.bit_generator.state))
+        return gen, state
+
+    monkeypatch.setattr(walker, "_shared_stream", spy)
+    env = make_env("ATCGGTACGG", 3.6)
+    seed = SeedSpec(8)
+    n = walker._chunk_size(env.M)
+    lengths = np.array([simulate_walk(env, "discrete", seed, r).steps for r in range(n)])
+    cap = int(lengths.max()) - 1
+    assert 1 <= np.count_nonzero(lengths > walker._DRAW_BUDGET // n) < walker._LOCKSTEP_MIN
+    assert _windows(lengths, cap)[-1][2] != "cap"
+    continuous = mode == "continuous"
+    for step_cap in (10**9, cap):
+        made.clear()
+        if step_cap == cap:
+            with pytest.raises(StepCapExceeded) as err:
+                walker._lockstep(env, seed, 0, n, continuous, step_cap)
+            assert err.value.replica == int(np.argmax(lengths > cap))
+        else:
+            rows = walker._lockstep(env, seed, 0, n, continuous, step_cap)
+            assert np.array_equal(rows[0].sum(axis=1) + rows[1].sum(axis=1), lengths)
+        assert len(made) == 1 + continuous
+        for gen, state, own, initial in made:
+            assert state.value == own
+            assert gen.bit_generator.state == initial
 
 
 def _reference_sums(env, mode, seed, checkpoints):
@@ -435,32 +494,42 @@ def _windows(lengths, step_cap=walker.DEFAULT_STEP_CAP):
     return out
 
 
-@pytest.mark.parametrize("M", [2, 3, 10, 100])
+@pytest.mark.parametrize("M", [2, 3, 10, 100, 5000])
 @pytest.mark.parametrize("mode", ["discrete", "continuous"])
 def test_lockstep_matches_single_walks(M, mode):
     rng = np.random.default_rng(M)
-    env = make_env(random_sequence(rng, M), 3.3 if M == 100 else 3.0)
+    env = make_env(random_sequence(rng, M), {100: 3.3, 5000: 3.6}.get(M, 3.0))
     seed = SeedSpec(2**40 + M, (1,))
-    # ensembles that end at, or cross, the edges of the walker's chunk at this
-    # M and those of a 256-replica chunk, and ensembles just under and at the
-    # fewest replicas that step in lockstep
     n = walker._chunk_size(M)
     edges = {n - 1, n, n + 1, 2 * n + 1}
     least = walker._LOCKSTEP_MIN
-    finals = sorted({1, least - 1, least, 31, 32, 255, 256, 257, 1000} | edges)
-    marks = {1, 2, 31, 32, 100, 255, 256, 257, 300, 511, 512, 513} | edges
-    ref = _reference_sums(env, mode, seed, set(finals) | marks)
-    # the first chunk's windows: as long as the budget gives (6 steps for a
-    # full chunk, 9 for the 655 replicas of a chunk at M = 100), cut short by
-    # refills at M >= 10, with replicas absorbed inside them; a step cap at
-    # the longest walk cuts the one window at M = 2 and the last at M = 10
     lengths = np.array([simulate_walk(env, "discrete", seed, r).steps for r in range(n)])
     cap = int(lengths.max())
     windows = _windows(lengths)
-    assert windows[0][1] == walker._WINDOW_CELLS // n == (9 if M == 100 else 6)
-    assert ("refill" in {cut for *_, cut in windows}) == (M >= 10)
-    assert any(start < L < start + width for start, width, _ in windows for L in lengths)
-    assert (_windows(lengths, cap)[-1][2] == "cap") == (M in (2, 10))
+    if n < least:
+        # past M = 4096 a chunk (13 replicas at M = 5000) is too small to
+        # step in lockstep, so every walk resumes alone in the scalar tail
+        # from its undrawn state rows: ensembles at the chunk's edges, and
+        # below a step cap at, and one under, the first chunk's longest walk
+        finals = sorted({1} | edges)
+        marks = edges
+        assert n == 13 and windows == []
+    else:
+        # ensembles that end at, or cross, the edges of the walker's chunk at
+        # this M and those of a 256-replica chunk, and ensembles just under
+        # and at the fewest replicas that step in lockstep
+        finals = sorted({1, least - 1, least, 31, 32, 255, 256, 257, 1000} | edges)
+        marks = {1, 2, 31, 32, 100, 255, 256, 257, 300, 511, 512, 513} | edges
+        # the first chunk's windows: as long as the budget gives (6 steps for
+        # a full chunk, 9 for the 655 replicas of a chunk at M = 100), cut
+        # short by refills at M >= 10, with replicas absorbed inside them; a
+        # step cap at the longest walk cuts the one window at M = 2 and the
+        # last at M = 10
+        assert windows[0][1] == walker._WINDOW_CELLS // n == (9 if M == 100 else 6)
+        assert ("refill" in {cut for *_, cut in windows}) == (M >= 10)
+        assert any(start < L < start + width for start, width, _ in windows for L in lengths)
+        assert (_windows(lengths, cap)[-1][2] == "cap") == (M in (2, 10))
+    ref = _reference_sums(env, mode, seed, set(finals) | marks)
     runs = [(R, walker.DEFAULT_STEP_CAP) for R in finals] + [(n, cap)]
     for R, step_cap in runs:
         ckpts = sorted(marks & set(range(R)))
@@ -474,12 +543,16 @@ def test_lockstep_matches_single_walks(M, mode):
                 assert np.array_equal(agg.sojourn, sojourn) and agg.wall_time == wall, (R, agg.R)
             else:
                 assert agg.sojourn is None and agg.wall_time is None
+    if n < least:
+        with pytest.raises(StepCapExceeded) as err:
+            accumulate_checkpoints(env, mode, seed, [1, n], step_cap=cap - 1)
+        assert err.value.replica == int(np.argmax(lengths == cap)) and err.value.cap == cap - 1
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_lockstep_reopened_streams_match_single_walks(mode):
-    # a full chunk draws `first` per stream and saves each replica's stream
-    # states; replicas still walking load theirs and read on from there.
+    # a full chunk draws `first` per stream, which advances each replica's
+    # state rows; replicas still walking read on from their rows.
     # Cases: survivors that do so at the second refill, survivors of a
     # chunk that stops before that refill (so they do so in the scalar
     # tail), and a chunk straddling replica 2**32, whose upper half has

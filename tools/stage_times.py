@@ -6,7 +6,7 @@
 The walker stage is ``simulate_ensemble`` in steps per second, in both time
 models, on seeded random sequences: at the sizes of the benchmark's walk
 workloads, M = 100 at g1 = 3.2 with R = 200 and M = 10 at g1 = 3.0 with
-R = 10^4, and on long chains at g1 = 3.6, M = 1000 with R = 256 and
+R = 10^4 and with R = 2000 (the size of one ladder level), and on long chains at g1 = 3.6, M = 1000 with R = 256 and
 M = 10000 with R = 24 (~4.4e3 and ~4.4e4 expected steps per walk).  The
 ``simulate_walk`` rows time one walk alone, replica 0 of a seeded random
 sequence at M = 100 and g1 = 1.74, 97,141 steps, in the scalar loop.
@@ -60,7 +60,8 @@ def random_env(M: int, g1: float):
 def walker_stages() -> dict[str, int]:
     """``simulate_ensemble`` and ``simulate_walk`` steps per second, best of 5."""
     table = {}
-    for M, g1, R in ((100, 3.2, 200), (10, 3.0, 10**4), (1000, 3.6, 256), (10000, 3.6, 24)):
+    for M, g1, R in ((100, 3.2, 200), (10, 3.0, 10**4), (10, 3.0, 2000), (1000, 3.6, 256),
+                     (10000, 3.6, 24)):
         env = random_env(M, g1)
         for mode in ("discrete", "continuous"):
             run = lambda: simulate_ensemble(env, R, mode, SeedSpec(M))
